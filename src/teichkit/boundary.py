@@ -41,9 +41,12 @@ from .domains import (
     mp_norm,
 )
 from .solver import (
+    FAR_FIELD_SAMPLES,
+    NEWTON_TOL,
     Normalization,
     QuasiconformalMap,
     SolverError,
+    _far_field_series,
     dilatation,
     invert,
     solve_halfplane,
@@ -370,6 +373,11 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
     f_mu is conformal on L with dilatation mu on U; g is conformal on U with
     the dilatation of the reflected inverse self-map on L; h is compared
     against the direct boundary trace of the self-map f^mu (consistency_sup).
+    On [-T_boundary, T_boundary] h is sampled by Newton inversion through g.
+    Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
+    from a Laurent series fitted once on |z| = T_boundary and certified on
+    held-out points of that circle (SolverError when the fit misses
+    g^-1 o f_mu there by more than the Newton tolerance).
     """
     mu_u = _to_halfplane(mu)
     f_mu = solve_plane(mu_u, grid_n=grid_n)
@@ -410,8 +418,10 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
     trace = boundary_trace(selfmap, n_samples=1025)
     consistency = float(np.max(np.abs(hx - trace.eval(x))))
 
+    far = _certified_far_field(lambda z: g_inverse(f_mu(z)), T_boundary)
+
     def h_far(t):
-        return g_inverse(f_mu(t.astype(complex))).real
+        return far.eval(t).real
 
     h = BoundaryHomeomorphism(x, hx, "line", truncation=T_boundary,
                               extension=h_far, fix_tol=1e-4,
@@ -426,6 +436,24 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
                          consistency_sup=consistency,
                          imag_defect=imag_defect, f_map=f_mu, g_map=g,
                          selfmap=selfmap)
+
+
+def _certified_far_field(fn, radius):
+    """Laurent series of fn on |z| >= radius, checked off its fit samples.
+
+    The series is fitted on FAR_FIELD_SAMPLES points of |z| = radius and
+    compared with fn on the FAR_FIELD_SAMPLES points halfway between them;
+    a held-out residual above NEWTON_TOL raises SolverError.
+    """
+    series = _far_field_series(fn, radius)
+    n = FAR_FIELD_SAMPLES
+    z = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    resid = float(np.max(np.abs(series.eval(z) - fn(z))))
+    if not resid <= NEWTON_TOL:
+        raise SolverError(
+            f"far-field Laurent fit misses on held-out points of "
+            f"|z| = {radius:g} (residual {resid:.2e} > {NEWTON_TOL:.0e})")
+    return series
 
 
 def _welding_param_grid(n, T):
@@ -511,6 +539,9 @@ def _log_deriv_complex(u, x):
 
 _GAUSS_NODES = 96
 _GAUSS_CUTOFF = 7.0
+# points per block of the extension's dilatation: each F call holds a few
+# (block x _GAUSS_NODES) arrays, so memory stays bounded on any ladder level
+_EXTEND_BLOCK = 2 ** 14
 
 
 def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
@@ -525,7 +556,11 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
     The returned coefficient evaluates mu = F_zbar / F_z by scale-aware
     finite differences (step t/8), so norm ladders can probe arbitrarily
     small heights; |mu| >= sup_guard anywhere raises (extension not
-    quasiconformal at this resolution).
+    quasiconformal at this resolution).  Points are evaluated in blocks of
+    _EXTEND_BLOCK, which bounds memory without changing any value.  Kernel
+    nodes beyond h's sampled window read h's extension; for a welding map
+    that is its certified far-field Laurent series, so large heights and
+    |x| cost no Newton inversion.
     """
     if h.domain != "line":
         raise ValueError("ba_extend expects a line homeomorphism")
@@ -557,8 +592,7 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
                     .reshape(x.shape + (_GAUSS_NODES,)) * w).sum(axis=-1)
             return 0.5 * (right + left) + 0.5j * (right - left)
 
-    def mu_func(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+    def mu_block(z):
         x, t = z.real, z.imag
         step = np.maximum(t / 8.0, 1e-9)
         Fxp = F(x + step, t)
@@ -570,7 +604,16 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
         fz = 0.5 * (Fx - 1j * Ft)
         fzb = 0.5 * (Fx + 1j * Ft)
         fz = np.where(np.abs(fz) < 1e-300, 1e-300, fz)
-        out = fzb / fz
+        return fzb / fz
+
+    def mu_func(z):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        flat = z.ravel()
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, _EXTEND_BLOCK):
+            sl = slice(start, start + _EXTEND_BLOCK)
+            out[sl] = mu_block(flat[sl])
+        out = out.reshape(z.shape)
         if np.any(np.abs(out) >= sup_guard):
             raise SolverError(
                 "extension not quasiconformal at this resolution "

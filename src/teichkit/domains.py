@@ -439,17 +439,32 @@ class HolomorphicFunction:
         raise ValueError(f"unknown premap {self.premap!r}")
 
     def _series_eval(self, w, der=0):
+        """der-th derivative of the series at w by Horner's rule.
+
+        The derivative's terms a_m u^m are laid out densely over
+        m = lo..hi with lo <= 0 <= hi (gaps as zeros); the powers m >= 0
+        are summed by Horner in u and the powers m < 0 by Horner in 1/u.
+        """
         u = np.asarray(w, dtype=complex) - self.center
+        fac = np.ones(self.orders.shape)
+        for q in range(der):
+            fac *= self.orders - q
+        # vanishing terms are dropped, so 1/u is formed only for a true
+        # negative power and a Taylor series stays finite at u = 0
+        keep = (self.coeffs != 0) & (fac != 0)
+        exps = self.orders[keep] - der
+        lo, hi = exps.min(initial=0), exps.max(initial=0)
+        a = np.zeros(hi - lo + 1, dtype=complex)
+        np.add.at(a, exps - lo, self.coeffs[keep] * fac[keep])
         out = np.zeros_like(u)
-        for n, c in zip(self.orders, self.coeffs):
-            if c == 0:
-                continue
-            fac = 1.0
-            for q in range(der):
-                fac *= n - q
-            if fac == 0.0:
-                continue
-            out = out + c * fac * u ** (n - der)
+        for c in a[-lo:][::-1]:  # orders hi .. 0
+            out = out * u + c
+        if lo < 0:
+            v = 1.0 / u
+            tail = np.zeros_like(u)
+            for c in a[:-lo]:  # orders lo .. -1
+                tail = tail * v + c
+            out = out + tail * v
         return out
 
     def eval(self, z, der=0):

@@ -26,6 +26,7 @@ import enum
 import hashlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,6 +68,9 @@ __all__ = [
 G4_SQUARE = 3.1512120021539
 
 MARGIN_FRACTION = 0.9
+
+# residual |f(f^-1(w)) - w| that invert converges to
+NEWTON_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -273,6 +277,8 @@ class QuasiconformalMap:
     iteration_trace: list = field(default_factory=list, repr=False)
     far_field: HolomorphicFunction | None = None
     outer_eval: object = None
+    symmetry_defect: float | None = None
+    halfplane_map: QuasiconformalMap | None = field(default=None, repr=False)
     _interp: object = field(default=None, repr=False)
     _partials: object = field(default=None, repr=False)
 
@@ -356,9 +362,13 @@ class QuasiconformalMap:
         }
 
 
+# samples on the circle a far-field Laurent series is fitted from
+FAR_FIELD_SAMPLES = 512
+
+
 def _far_field_series(fn, rho, orders=range(-12, 2)):
     return HolomorphicFunction.from_callable_on_circle(
-        fn, 0.0, rho, orders, n_samples=512, noise_rel=1e-12,
+        fn, 0.0, rho, orders, n_samples=FAR_FIELD_SAMPLES, noise_rel=1e-12,
         r_inner=rho, r_outer=math.inf, domain=DomainTag.EXTERIOR_DISK)
 
 
@@ -377,15 +387,46 @@ def identity_map(n=64, half_width=4.0):
 # Core solve
 
 
-def _cache_path(token, n, half_width, reflect, truncation=None):
-    root = os.environ.get("TEICHKIT_CACHE_DIR")
-    if not root or token is None:
+# Bump when the stored arrays or the meaning of a solve input change, so
+# that files written by an older layout are never read back.
+_CACHE_SCHEMA = 2
+
+
+def _solve_key(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
+               truncation):
+    """Identity of one raw solve; None when mu carries no cache token.
+
+    Every input that changes the solve's output is part of the key, which
+    names both the in-memory memo entry and the disk cache file.
+    """
+    if mu.cache_token is None:
         return None
-    key = hashlib.sha256(
-        f"{token}|{n}|{half_width}|{reflect}|{truncation}".encode()
-    ).hexdigest()[:24]
+    ident = (f"{_CACHE_SCHEMA}|{mu.cache_token}|{grid_n}|"
+             f"{float(half_width)!r}|{float(tol)!r}|{max_iter}|{mollify}|"
+             f"{reflect}|{truncation!r}")
+    return hashlib.sha256(ident.encode()).hexdigest()[:24]
+
+
+def _cache_path(key):
+    root = os.environ.get("TEICHKIT_CACHE_DIR")
+    if not root or key is None:
+        return None
     os.makedirs(root, exist_ok=True)
     return os.path.join(root, f"solve_{key}.npz")
+
+
+def _write_cache(path, **arrays):
+    """Write an npz file atomically: a temp file in the same directory is
+    renamed over path, so a concurrent reader never sees a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=".solve_tmp_", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _MEMO = {}
@@ -448,15 +489,15 @@ def _solve_raw(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
                truncation=None):
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
-    memo_key = None if mu.cache_token is None else \
-        (mu.cache_token, grid_n, half_width, reflect, truncation)
+    memo_key = _solve_key(mu, grid_n, half_width, tol, max_iter, mollify,
+                          reflect, truncation)
     hit = _memo_get(memo_key)
     if hit is not None:
         return hit
-    path = _cache_path(mu.cache_token, grid_n, half_width, reflect, truncation)
+    path = _cache_path(memo_key)
     if path and os.path.exists(path):
-        z = np.load(path)
-        out = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
+        with np.load(path) as z:
+            out = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
         _memo_put(memo_key, out)
         return out
     kit = _kit(grid_n, half_width, 2)
@@ -466,8 +507,8 @@ def _solve_raw(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
     h, trace, ratio = _neumann(kit, mu_s, tol, max_iter)
     f = kit.Z + kit.cauchy(h)
     if path:
-        np.savez_compressed(path, f=f, mu_s=mu_s, trace=np.array(trace),
-                            ratio=ratio)
+        _write_cache(path, f=f, mu_s=mu_s, trace=np.array(trace),
+                     ratio=ratio)
     out = f, mu_s, trace, ratio
     _memo_put(memo_key, out)
     return out
@@ -559,10 +600,10 @@ def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
         source_mu=mu, conformal_region=None, mu_samples=mu_s,
-        convergence_ratio=ratio, iteration_trace=trace, far_field=far)
+        convergence_ratio=ratio, iteration_trace=trace, far_field=far,
+        symmetry_defect=defect)
     qc.residual = _fd_residual(kit, f, mu_s,
                                _reflected_jump_circles(mu, True))
-    qc.symmetry_defect = defect
     return qc
 
 
@@ -608,9 +649,8 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11, max_iter=400,
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid,
         source_mu=mu, conformal_region=None, mu_samples=None,
         convergence_ratio=fu.convergence_ratio,
-        iteration_trace=fu.iteration_trace, outer_eval=outer)
-    qc.residual = fu.residual
-    qc.halfplane_map = fu
+        iteration_trace=fu.iteration_trace, outer_eval=outer,
+        residual=fu.residual, halfplane_map=fu)
     return qc
 
 
@@ -662,7 +702,7 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     return BeltramiCoefficient(domain, func, radius, sup)
 
 
-def invert(f: QuasiconformalMap, newton_tol=1e-9, max_newton=50):
+def invert(f: QuasiconformalMap, newton_tol=NEWTON_TOL, max_newton=50):
     """Pointwise inverse by Newton iteration seeded at the target point.
 
     Returns a vectorized callable with residual |f(f^-1(w)) - w| below

@@ -16,9 +16,11 @@ from teichkit.boundary import (
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
+    _certified_far_field,
 )
 from teichkit.bers import laurent_coefficients, schwarzian
 from teichkit.domains import HolomorphicFunction, analytic_besov_norm, ap_norm
+from teichkit.solver import SolverError, invert
 
 from conftest import TEST_GRID_N
 
@@ -174,6 +176,29 @@ def test_welding_consistency(weld_02):
     assert weld_02.consistency_sup <= 1e-2
     assert weld_02.imag_defect < 5e-2
     assert np.all(np.diff(weld_02.h.values) > 0)
+
+
+def test_welding_far_field_matches_newton(weld_02):
+    # beyond the sampled window h is a fitted Laurent series; it must agree
+    # with the Newton inverse g^-1 o f_mu it replaces, and join the samples
+    h = weld_02.h
+    T = h.truncation
+    t = np.geomspace(T, 1e4, 60)
+    t = np.concatenate([-t[::-1], t])
+    newton = invert(weld_02.g_map)(weld_02.f_map(t.astype(complex))).real
+    assert np.all(np.abs(h.extension(t) - newton)
+                  <= 1e-9 * np.maximum(1.0, np.abs(t)))
+    ends = h.extension(np.array([h.params[0], h.params[-1]]))
+    assert h.params[0] == -T and h.params[-1] == T
+    assert np.abs(ends - h.values[[0, -1]]).max() <= 1e-9
+
+
+def test_far_field_fit_certification_rejects_bad_fit():
+    ok = _certified_far_field(lambda z: z + 0.5 + 2.0 / z, 40.0)
+    assert ok.coefficient(-1) == pytest.approx(2.0, abs=1e-12)
+    # a pole at 30 inside |z| = 40 needs far more than the fitted orders
+    with pytest.raises(SolverError, match="held-out"):
+        _certified_far_field(lambda z: z + 1.0 / (z - 30.0), 40.0)
 
 
 def test_welding_identity_eq4(weld_02):

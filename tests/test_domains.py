@@ -282,6 +282,53 @@ def test_series_derivative_matches_finite_difference():
     assert np.abs(phi.eval(z, der=1) - fd).max() / np.abs(fd).max() < 1e-6
 
 
+def _term_by_term(self, w, der=0):
+    """Reference series evaluation: one power of u per term."""
+    u = np.asarray(w, dtype=complex) - self.center
+    out = np.zeros_like(u)
+    for n, c in zip(self.orders, self.coeffs):
+        fac = 1.0
+        for q in range(der):
+            fac *= n - q
+        if c != 0 and fac != 0.0:
+            out = out + c * fac * u ** (n - der)
+    return out
+
+
+@pytest.mark.parametrize("premap", [None, "cayley", "cayley_inverse",
+                                    "inversion"])
+@pytest.mark.parametrize("orders,center", [
+    ([-7, -4, -1, 0, 2, 5], 0.0),
+    ([-12, -11, -3, 1], 0.3 - 0.2j),
+    ([1, 3, 4], -0.5j),
+    ([-5, -2], 0.25),
+])
+def test_series_horner_matches_term_by_term(monkeypatch, premap, orders,
+                                            center):
+    rng = np.random.default_rng(len(orders))
+    coeffs = rng.normal(size=len(orders)) + 1j * rng.normal(size=len(orders))
+    f = HolomorphicFunction(orders, coeffs, center=center, premap=premap)
+    # points whose pulled-back u = w - center lies in 0.5 <= |u| <= 2
+    u = (0.5 + 1.5 * rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    w = center + u
+    inverse = {None: lambda v: v, "cayley": cayley_inverse,
+               "cayley_inverse": cayley_map, "inversion": lambda v: 1.0 / v}
+    z = inverse[premap](w)
+    got = [f.eval(z, der) for der in range(4)]
+    monkeypatch.setattr(HolomorphicFunction, "_series_eval", _term_by_term)
+    for der in range(4):
+        ref = f.eval(z, der)
+        assert np.max(np.abs(got[der] - ref) / np.abs(ref)) < 1e-13
+
+
+def test_series_taylor_finite_at_center():
+    # order 0 drops out of the derivatives and the zero order -2 term is
+    # skipped, so no 1/u is formed at the center
+    f = HolomorphicFunction([-2, 0, 1, 2], [0.0, 1.0, 2.0, 3.0], center=0.5)
+    vals = [f.eval(0.5, der) for der in range(4)]
+    assert np.array_equal(vals, [1.0, 2.0, 6.0, 0.0])
+
+
 def test_series_identity_roundtrip():
     f = HolomorphicFunction.from_callable_on_circle(
         lambda z: z + 0.075 / z, 0.0, 2.0, range(-8, 3))

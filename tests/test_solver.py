@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from teichkit import (
     solve_halfplane,
     solve_plane,
 )
+from teichkit import solver
 from teichkit.domains import ComplexGrid, cayley
 from teichkit.solver import _kit, invert_map, sample_coefficient
 
@@ -169,6 +171,77 @@ def test_solve_plane_support_margin():
                              3.9, 0.2)
     with pytest.raises(SolverError):
         solve_plane(mu, grid_n=128, half_width=4.0)
+
+
+# ---------------------------------------------------------------------------
+# solve cache
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """Empty memo and an empty disk cache directory for one test."""
+    monkeypatch.setattr(solver, "_MEMO", {})
+    monkeypatch.setenv("TEICHKIT_CACHE_DIR", str(tmp_path))
+    return tmp_path
+
+
+@pytest.mark.parametrize("through_disk", [False, True])
+def test_solve_cache_keys_on_tolerance(fresh_cache, through_disk):
+    mu = BeltramiCoefficient.constant_disk(0.5, 0.5)
+    loose = solve_plane(mu, 256, tol=1e-2)
+    if through_disk:
+        solver._MEMO.clear()
+    tight = solve_plane(mu, 256, tol=1e-11)
+    assert loose.iteration_trace[-1] >= 1e-11
+    assert tight.iteration_trace[-1] < 1e-11
+    assert len(tight.iteration_trace) > len(loose.iteration_trace)
+
+
+@pytest.mark.parametrize("through_disk", [False, True])
+def test_solve_cache_keys_on_mollify(fresh_cache, through_disk):
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    solve_plane(mu, 128, mollify=True)
+    if through_disk:
+        solver._MEMO.clear()
+    raw = solve_plane(mu, 128, mollify=False)
+    assert np.array_equal(raw.mu_samples,
+                          sample_coefficient(mu, 128, 4.0, mollify=False))
+
+
+def test_solve_cache_leaves_one_file(fresh_cache):
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    first = solve_plane(mu, 128)
+    (name,) = [p.name for p in fresh_cache.iterdir()]  # no temp file left
+    assert name.startswith("solve_") and name.endswith(".npz")
+    solver._MEMO.clear()
+    again = solve_plane(mu, 128)  # read back from the file
+    assert np.array_equal(again.grid.values, first.grid.values)
+    assert again.iteration_trace == first.iteration_trace
+
+
+def test_solve_cache_failed_write_leaves_no_file(fresh_cache, monkeypatch):
+    def torn_write(file, **arrays):
+        if isinstance(file, str):
+            with open(file, "wb") as fh:
+                fh.write(b"PK partial")
+        else:
+            file.write(b"PK partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        solve_plane(BeltramiCoefficient.constant_disk(0.3, 0.5), 128)
+    assert list(fresh_cache.iterdir()) == []
+
+
+def test_qcmap_declares_solver_attributes(mu_03_05):
+    names = {f.name for f in dataclasses.fields(QuasiconformalMap)}
+    assert {"symmetry_defect", "halfplane_map"} <= names
+    ident = identity_map(64)
+    assert ident.symmetry_defect is None and ident.halfplane_map is None
+    f = solve_disk(mu_03_05, grid_n=128)
+    assert f.halfplane_map.normalization is Normalization.FIX_ZERO_ONE_INFINITY
+    assert f.halfplane_map.symmetry_defect < 1e-8
 
 
 def test_jacobian_positive(plane_03_05):
