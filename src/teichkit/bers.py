@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -182,13 +183,23 @@ def schwarzian(f: HolomorphicFunction, out_orders=None,
 
 @dataclass
 class TeichmullerPoint:
-    """Bers image Phi(mu) with its weighted-norm reports."""
+    """Bers image Phi(mu) with its weighted-norm reports.
+
+    The norm reports are computed on first read: distances and roundtrips
+    use the image alone.
+    """
 
     bers_image: HolomorphicFunction
     p: float
-    ap_norm_report: NormReport
-    ainf_report: NormReport
     circles_checked: tuple = DEFAULT_CIRCLES
+
+    @cached_property
+    def ap_norm_report(self) -> NormReport:
+        return ap_norm(self.bers_image, self.p)
+
+    @cached_property
+    def ainf_report(self) -> NormReport:
+        return ainf_norm(self.bers_image)
 
     def distance_to(self, other, circles=DEFAULT_CIRCLES, n=128):
         th = 2.0 * np.pi * np.arange(n) / n
@@ -234,9 +245,8 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024,
                 f"Laurent data from |z|={circles[0]} disagrees with samples "
                 f"on |z|={rho}: discrepancy {disc:.2e}")
     phi = schwarzian(series)
-    return TeichmullerPoint(
-        bers_image=phi, p=float(p), ap_norm_report=ap_norm(phi, p),
-        ainf_report=ainf_norm(phi), circles_checked=tuple(circles))
+    return TeichmullerPoint(bers_image=phi, p=float(p),
+                            circles_checked=tuple(circles))
 
 
 def bers_distance(p1: TeichmullerPoint, p2: TeichmullerPoint,

@@ -305,22 +305,19 @@ class BeltramiCoefficient:
     @classmethod
     def from_table(cls, points, values, domain, sup_norm=None):
         """Tabulated coefficient: nearest-point evaluation, zero off-table."""
-        from scipy.interpolate import NearestNDInterpolator
+        from scipy.spatial import cKDTree
 
         pts = np.asarray(points, dtype=float)
         vals = np.asarray(values, dtype=complex)
-        interp = NearestNDInterpolator(pts, vals)
+        tree = cKDTree(pts)
         rad = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
         cell = max(rad / max(len(vals), 1) ** 0.5, 1e-3)
 
         def f(z):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
-            out = interp(z.real, z.imag)
+            dist, idx = tree.query(np.stack([z.real, z.imag], axis=-1))
             # nearest-neighbour lookup only within the sampled cloud
-            d2 = (z.real[..., None] - pts[None, :, 0]) ** 2 + \
-                 (z.imag[..., None] - pts[None, :, 1]) ** 2
-            out = np.where(np.sqrt(d2.min(axis=-1)) < 4 * cell, out, 0.0)
-            return out
+            return np.where(dist < 4 * cell, vals[idx], 0.0)
 
         sn = float(np.max(np.abs(vals))) if sup_norm is None else sup_norm
         return cls(domain, f, rad, sn)

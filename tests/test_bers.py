@@ -134,6 +134,24 @@ def test_bers_map_closed_form(mu_03_05):
     assert not pt.ap_norm_report.divergent
 
 
+def test_bers_map_norms_lazy_json_unchanged(mu_03_05):
+    import json
+
+    pt = bers_map(mu_03_05, grid_n=TEST_GRID_N)
+    assert "ap_norm_report" not in vars(pt)
+    assert "ainf_report" not in vars(pt)
+    phi = pt.bers_image
+    eager = {
+        "p": pt.p,
+        "laurent": [[int(n), c.real, c.imag]
+                    for n, c in zip(phi.orders, phi.coeffs)],
+        "ainf": ainf_norm(phi).value,
+        "ap": ap_norm(phi, pt.p).to_json_dict(),
+        "circles_checked": list(pt.circles_checked),
+    }
+    assert json.dumps(pt.to_json_dict()) == json.dumps(eager)
+
+
 def test_bers_map_mobius_invariance(plane_03_05):
     z = Z32
 

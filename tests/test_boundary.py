@@ -282,6 +282,41 @@ def test_ba_extend_rejects_degenerate():
         ba_extend(h)
 
 
+def test_ba_extend_matches_continuous_gaussian_extension():
+    # mu of the exact extension: int phi (1+iv)^2 h' / int phi (1+v^2) h'
+    # with h' taken at x + tv
+    h = line_homeo(lambda x: x + 0.5 * np.tanh(x))
+    z = (np.linspace(-3, 3, 25)[:, None]
+         + 1j * np.geomspace(0.05, 2, 15)[None, :]).ravel()
+    got = ba_extend(h).eval(z)
+    v = np.linspace(-12, 12, 24001)
+    phi = np.exp(-0.5 * v * v)
+    dh = 1 + 0.5 / np.cosh(z.real[:, None] + z.imag[:, None] * v) ** 2
+    want = (dh * phi * (1 + 1j * v) ** 2).sum(axis=1) / \
+        (dh * phi * (1 + v * v)).sum(axis=1)
+    assert np.abs(got - want).max() <= 5e-4
+
+
+def test_ba_extend_near_jump_stays_below_one():
+    h = line_homeo(lambda x: x + 500.0 * np.tanh(x / 1e-4))
+    ext = ba_extend(h, sup_guard=1.0)
+    z = (np.linspace(-2e-3, 2e-3, 201)[:, None]
+         + 1j * np.geomspace(1e-5, 1e-1, 60)[None, :]).ravel()
+    assert np.abs(ext.eval(z)).max() < 1
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "box"])
+def test_ba_extend_block_size_changes_no_value(monkeypatch, kernel):
+    from teichkit import boundary
+
+    ext = ba_extend(line_homeo(lambda x: x + 0.5 * np.tanh(x)), kernel=kernel)
+    z = (np.linspace(-30, 30, 60)[:, None]
+         + 1j * np.geomspace(1e-3, 20, 50)[None, :]).ravel()
+    whole = ext.eval(z)
+    monkeypatch.setattr(boundary, "_EXTEND_BLOCK", 777)
+    assert np.array_equal(ext.eval(z), whole)
+
+
 # ---------------------------------------------------------------------------
 # characterization coherence
 
@@ -314,6 +349,19 @@ def test_roundtrip_phi_distance(weld_02):
     mu_u = cayley(mu, "DiskToHalfPlane")
     ext = ba_extend(weld_02.h)
     assert roundtrip_phi_distance(mu_u, ext, grid_n=TEST_GRID_N) <= 0.1
+
+
+def test_roundtrip_reads_no_bers_norms(monkeypatch):
+    from teichkit import bers
+
+    def unused(*args, **kwargs):
+        raise AssertionError("roundtrip computed a Bers-image norm")
+
+    monkeypatch.setattr(bers, "ap_norm", unused)
+    monkeypatch.setattr(bers, "ainf_norm", unused)
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    ext = ba_extend(line_homeo(lambda x: x + 0.5 * np.tanh(x)))
+    assert np.isfinite(roundtrip_phi_distance(mu, ext, grid_n=128))
 
 
 # ---------------------------------------------------------------------------

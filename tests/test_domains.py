@@ -352,3 +352,33 @@ def test_grid_validation():
         ComplexGrid(0.0, 1.0, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ComplexGrid(0.0, 1.0, np.full((4, 4), np.nan))
+
+
+def test_from_table_matches_dense_nearest_point(rng):
+    pts = rng.uniform(-0.8, 0.8, size=(60, 2))
+    vals = 0.5 * (rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60))
+    mu = BeltramiCoefficient.from_table(pts, vals, DomainTag.UNIT_DISK)
+    z = (rng.uniform(-1.5, 1.5, (40, 30))
+         + 1j * rng.uniform(-1.5, 1.5, (40, 30)))
+    # reference: the dense (points x table) distance matrix
+    d2 = (z.real[..., None] - pts[:, 0]) ** 2 + \
+        (z.imag[..., None] - pts[:, 1]) ** 2
+    cell = max(float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) / 60 ** 0.5,
+               1e-3)
+    want = np.where(np.sqrt(d2.min(axis=-1)) < 4 * cell,
+                    vals[d2.argmin(axis=-1)], 0.0)
+    got = mu._func(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, want)
+    assert np.any(got == 0) and np.any(got != 0)
+
+
+def test_from_table_solver_grid_against_large_table(rng):
+    # a dense distance matrix here would be 512^2 x 1000 doubles (2 GB)
+    pts = rng.uniform(-0.9, 0.9, size=(1000, 2))
+    vals = 0.3 * np.exp(2j * np.pi * rng.uniform(size=1000))
+    mu = BeltramiCoefficient.from_table(pts, vals, DomainTag.UNIT_DISK)
+    x = np.linspace(-1.2, 1.2, 512)
+    out = mu.eval(x[:, None] + 1j * x[None, :])
+    assert out.shape == (512, 512)
+    assert np.abs(out).max() == pytest.approx(0.3)
