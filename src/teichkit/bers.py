@@ -35,6 +35,7 @@ from .domains import (
     DomainTag,
     HolomorphicFunction,
     NormReport,
+    _circle_coefficients,
     ainf_norm,
     ap_norm,
     hyperbolic_density,
@@ -101,25 +102,13 @@ def laurent_coefficients(f, center, radius, orders, n_samples=1024,
         if defect > dbar_tol:
             raise NonHolomorphicError(
                 f"|dbar f|/|df| = {defect:.2e} on |z - {center}| = {radius}")
-        fn = f
-    else:
-        fn = f
 
     m = 2 * n_samples
     th = 2.0 * np.pi * np.arange(m) / m
     zc = center + radius * np.exp(1j * th)
-    vals = np.asarray(fn(zc), dtype=complex)
-    even = vals[0::2]
-    c = np.fft.fft(even) / n_samples
-    ks = np.fft.fftfreq(n_samples, 1.0 / n_samples).astype(int)
-    orders = np.asarray(sorted(orders), dtype=int)
-    coeffs = np.zeros(orders.shape, dtype=complex)
-    floor = np.max(np.abs(c)) * noise_rel
-    for i, n in enumerate(orders):
-        j = np.nonzero(ks == n)[0]
-        if j.size:
-            cn = c[j[0]]
-            coeffs[i] = 0.0 if abs(cn) < floor else cn / radius ** n
+    vals = np.asarray(f(zc), dtype=complex)
+    orders, coeffs = _circle_coefficients(vals[0::2], radius, orders,
+                                          noise_rel)
     series = HolomorphicFunction(orders, coeffs, center=center,
                                  r_inner=radius * 0.999, r_outer=math.inf,
                                  domain=DomainTag.EXTERIOR_DISK,
@@ -163,15 +152,8 @@ def schwarzian(f: HolomorphicFunction, out_orders=None,
     f2 = f.eval(zc, der=2)
     f3 = f.eval(zc, der=3)
     svals = f3 / f1 - 1.5 * (f2 / f1) ** 2
-    c = np.fft.fft(svals) / n_samples
-    ks = np.fft.fftfreq(n_samples, 1.0 / n_samples).astype(int)
-    orders = np.asarray(sorted(out_orders), dtype=int)
-    coeffs = np.zeros(orders.shape, dtype=complex)
-    floor = max(np.max(np.abs(c)) * 1e-12, 1e-300)
-    for i, n in enumerate(orders):
-        j = np.nonzero(ks == n)[0]
-        if j.size and abs(c[j[0]]) >= floor:
-            coeffs[i] = c[j[0]] / sample_radius ** n
+    orders, coeffs = _circle_coefficients(svals, sample_radius, out_orders,
+                                          1e-12)
     return HolomorphicFunction(orders, coeffs, center=f.center,
                                r_inner=f.r_inner, r_outer=f.r_outer,
                                domain=f.domain, anchor_radius=sample_radius)

@@ -282,34 +282,18 @@ def _banded_pair_sums(params, vals, p, kernel_den, bands):
     return totals
 
 
-def _besov_level_circle(u, n, p, band_cells=(4, 2, 1)):
-    th = 2 * np.pi * np.arange(n) / n
-    vals = u.eval(th)
-    dth = 2 * np.pi / n
-
-    def kernel(t1, t2):
-        ang = np.abs(t1[:, None] - t2[None, :])
-        ang = np.minimum(ang, 2 * np.pi - ang)
-        chord2 = (2 * np.sin(ang / 2)) ** 2
-        return ang, np.where(chord2 == 0, 1.0, chord2)
-
-    bands = [k * dth for k in band_cells]
-    ints = _banded_pair_sums(th, vals, p, kernel, bands) * dth * dth
-    return _band_extrapolate(list(ints), bands, p)
+# pair distances (compared with the band widths) and |x1 - x2|^2, the
+# squared chord on the circle
+def _circle_kernel(t1, t2):
+    ang = np.abs(t1[:, None] - t2[None, :])
+    ang = np.minimum(ang, 2 * np.pi - ang)
+    chord2 = (2 * np.sin(ang / 2)) ** 2
+    return ang, np.where(chord2 == 0, 1.0, chord2)
 
 
-def _besov_level_line(u, T, n, p, band_cells=(4, 2, 1)):
-    x = np.linspace(-T, T, n)
-    vals = u.eval(x)
-    dx = x[1] - x[0]
-
-    def kernel(t1, t2):
-        dist = np.abs(t1[:, None] - t2[None, :])
-        return dist, np.where(dist == 0, 1.0, dist) ** 2
-
-    bands = [k * dx for k in band_cells]
-    ints = _banded_pair_sums(x, vals, p, kernel, bands) * dx * dx
-    return _band_extrapolate(list(ints), bands, p)
+def _line_kernel(t1, t2):
+    dist = np.abs(t1[:, None] - t2[None, :])
+    return dist, np.where(dist == 0, 1.0, dist) ** 2
 
 
 def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512,
@@ -325,20 +309,23 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512,
     p = float(p)
     if p <= 1.0:
         raise ValueError("boundary Besov seminorms require p > 1")
+    circle = u.domain == "circle"
+    kernel = _circle_kernel if circle else _line_kernel
     resolutions, values = [], []
-    if u.domain == "circle":
-        for lev in range(levels):
+    for lev in range(levels):
+        if circle:
             n = base_n * 2 ** lev
-            I = _besov_level_circle(u, n, p)
-            resolutions.append(n)
-            values.append(max(I, 0.0) ** (1 / p))
-    else:
-        for lev in range(levels):
+            x = 2 * np.pi * np.arange(n) / n
+        else:
             T = line_T[min(lev, len(line_T) - 1)]
             n = base_n * 4 ** lev + 1
-            I = _besov_level_line(u, T, n, p)
-            resolutions.append(n)
-            values.append(max(I, 0.0) ** (1 / p))
+            x = np.linspace(-T, T, n)
+        dx = x[1] - x[0]
+        bands = [k * dx for k in (4, 2, 1)]
+        ints = _banded_pair_sums(x, u.eval(x), p, kernel, bands) * dx * dx
+        I = _band_extrapolate(list(ints), bands, p)
+        resolutions.append(n)
+        values.append(max(I, 0.0) ** (1 / p))
     return NormReport.from_ladder(resolutions, values, power=p)
 
 
@@ -646,6 +633,20 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
 # Characterization pipeline
 
 
+def _log_derivative_besov(h: BoundaryHomeomorphism, p) -> NormReport:
+    """Besov seminorm of log h', with h resampled to 4097 points when it is
+    sampled more coarsely."""
+    if h.params.size < 4097:
+        h = h.resample(4097)
+    return besov_seminorm(log_derivative(h), p)
+
+
+def _extension_mp_norm(h: BoundaryHomeomorphism, p, kernel="gaussian"):
+    """Heat-kernel extension of h and its 3-level M_p ladder report."""
+    ext = ba_extend(h, kernel=kernel)
+    return ext, mp_norm(ext, p, levels=3)
+
+
 def besov_characterization_check(mu: BeltramiCoefficient, p,
                                  boundary_map: BoundaryHomeomorphism = None,
                                  grid_n=512, kernel="gaussian"):
@@ -682,8 +683,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
         stages["welding"] = {"skipped": "boundary map supplied directly"}
 
     try:
-        logd = log_derivative(h.resample(4097) if h.params.size < 4097 else h)
-        rep = besov_seminorm(logd, p)
+        rep = _log_derivative_besov(h, p)
         stages["besov_log_derivative"] = rep.to_json_dict()
         report["verdicts"]["besov_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001
@@ -691,8 +691,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
     ext = None
     try:
-        ext = ba_extend(h, kernel=kernel)
-        rep = mp_norm(ext, p, levels=3)
+        ext, rep = _extension_mp_norm(h, p, kernel)
         stages["mp_norm_extension"] = rep.to_json_dict()
         report["verdicts"]["extension_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001

@@ -30,10 +30,11 @@ from . import __version__
 from .bers import bers_map, bilipschitz_representative, equivalent, \
     hyperbolic_distortion, ahlfors_weill
 from .boundary import (
+    _extension_mp_norm,
+    _log_derivative_besov,
     ba_extend,
     besov_characterization_check,
     besov_seminorm,
-    log_derivative,
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
@@ -67,7 +68,6 @@ class ExperimentConfig:
     grid: dict = field(default_factory=lambda: {"n": 512, "half_width": None})
     tolerances: dict = field(default_factory=dict)
     output_path: str | None = None
-    seed: int = 0
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ class ExperimentConfig:
     def from_dict(cls, d):
         known = {k: v for k, v in d.items()
                  if k in ("command", "mu_spec", "p", "grid", "tolerances",
-                          "output_path", "seed")}
+                          "output_path")}
         extra = {k: v for k, v in d.items() if k not in known}
         return cls(**known, extra=extra)
 
@@ -205,16 +205,15 @@ def _cmd_weld(cfg):
 
 def _cmd_besov(cfg):
     weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
-    ld = log_derivative(weld.h.resample(4097))
-    rep = besov_seminorm(ld, cfg.p)
+    rep = _log_derivative_besov(weld.h, cfg.p)
     return ({"besov_log_derivative": rep.to_json_dict()},
             {"finite": not rep.divergent})
 
 
 def _cmd_extend(cfg):
     weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
-    ext = ba_extend(weld.h, kernel=cfg.extra.get("kernel", "gaussian"))
-    rep = mp_norm(ext, cfg.p, levels=3)
+    ext, rep = _extension_mp_norm(weld.h, cfg.p,
+                                  cfg.extra.get("kernel", "gaussian"))
     return ({"extension_sup_norm": ext.sup_norm,
              "mp_norm_extension": rep.to_json_dict()},
             {"quasiconformal": ext.sup_norm < 1,
@@ -284,7 +283,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(
         config={"command": config.command, "mu_spec": config.mu_spec,
                 "p": config.p, "grid": config.grid,
-                "tolerances": config.tolerances, "seed": config.seed,
+                "tolerances": config.tolerances,
                 **({"extra": config.extra} if config.extra else {})},
         reports=reports, verdicts=verdicts, wall_time=time.time() - t0,
         versions=_versions())
@@ -373,14 +372,13 @@ def roundtrip(mu: BeltramiCoefficient, p=2.0, grid_n=512, tolerance=0.1):
     if norm_rep.divergent:
         return {"skipped": True, "reason": "mp_norm divergent",
                 "mp_norm": norm_rep.to_json_dict()}
-    weld = welding(mu_u, grid_n=grid_n)
-    ld = log_derivative(weld.h.resample(4097))
-    besov_rep = besov_seminorm(ld, p)
+    weld = welding(mu, grid_n=grid_n)
+    besov_rep = _log_derivative_besov(weld.h, p)
     if besov_rep.divergent:
         return {"skipped": True, "reason": "Besov seminorm divergent",
                 "besov": besov_rep.to_json_dict()}
     ext = ba_extend(weld.h)
-    dist = roundtrip_phi_distance(mu_u, ext, p=p, grid_n=grid_n)
+    dist = roundtrip_phi_distance(mu, ext, p=p, grid_n=grid_n)
     return {"skipped": False, "phi_distance": dist,
             "within_tolerance": dist <= tolerance,
             "besov": besov_rep.to_json_dict()}
@@ -418,7 +416,6 @@ def build_parser():
                     help="constant_disk coefficient magnitude")
     ap.add_argument("--r", type=float, default=0.5,
                     help="constant_disk support radius")
-    ap.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -426,7 +423,6 @@ def _config_from_args(args):
     base = {
         "command": args.command,
         "mu_spec": {"kind": "constant_disk", "k": args.k, "r": args.r},
-        "seed": args.seed,
     }
     if args.p is not None:
         base["p"] = args.p

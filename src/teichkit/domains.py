@@ -351,6 +351,28 @@ class BeltramiCoefficient:
 # ---------------------------------------------------------------------------
 # Holomorphic functions as coefficient series
 
+
+def _circle_coefficients(vals, radius, orders, noise_rel):
+    """Sorted orders and series coefficients from samples on a circle.
+
+    vals[j] is the function at center + radius exp(2 pi i j / n).  The FFT
+    term of order k sits at index k mod n; orders outside the sampled band
+    [-(n // 2), (n - 1) // 2] and terms below noise_rel times the largest
+    FFT term are zero.
+    """
+    vals = np.asarray(vals, dtype=complex)
+    n = vals.size
+    c = np.fft.fft(vals) / n
+    orders = np.asarray(sorted(orders), dtype=int)
+    cn = c[orders % n]
+    # "not below the floor" rather than ">=": a NaN term stays visible
+    keep =(orders >= -(n // 2)) & (orders <= (n - 1) // 2) & \
+        ~(np.abs(cn) < np.max(np.abs(c)) * noise_rel)
+    coeffs = np.zeros(orders.shape, dtype=complex)
+    coeffs[keep] = cn[keep] / radius ** orders[keep]
+    return orders, coeffs
+
+
 class HolomorphicFunction:
     """Taylor/Laurent coefficient representation with derivatives to order 3.
 
@@ -394,17 +416,8 @@ class HolomorphicFunction:
         """Fourier-analyse samples on a circle into series coefficients."""
         th = 2.0 * np.pi * np.arange(n_samples) / n_samples
         zc = center + radius * np.exp(1j * th)
-        vals = np.asarray(fn(zc), dtype=complex)
-        c = np.fft.fft(vals) / n_samples
-        ks = np.fft.fftfreq(n_samples, 1.0 / n_samples).astype(int)
-        orders = np.asarray(sorted(orders), dtype=int)
-        coeffs = np.zeros(orders.shape, dtype=complex)
-        floor = np.max(np.abs(c)) * noise_rel
-        for i, n in enumerate(orders):
-            j = np.nonzero(ks == n)[0]
-            if j.size:
-                cn = c[j[0]]
-                coeffs[i] = 0.0 if abs(cn) < floor else cn / radius ** n
+        orders, coeffs = _circle_coefficients(fn(zc), radius, orders,
+                                              noise_rel)
         kw.setdefault("anchor_radius", radius)
         return cls(orders, coeffs, center=center, **kw)
 

@@ -339,18 +339,14 @@ class QuasiconformalMap:
 
     def partials_at(self, z):
         dz, dbar = self.partial_grids()
-        x, y = self.grid.axes()
-        gd_r = RegularGridInterpolator((x, y), dz.real, method="linear",
-                                       bounds_error=False, fill_value=1.0)
-        gd_i = RegularGridInterpolator((x, y), dz.imag, method="linear",
-                                       bounds_error=False, fill_value=0.0)
-        gb_r = RegularGridInterpolator((x, y), dbar.real, method="linear",
-                                       bounds_error=False, fill_value=0.0)
-        gb_i = RegularGridInterpolator((x, y), dbar.imag, method="linear",
-                                       bounds_error=False, fill_value=0.0)
+        axes = self.grid.axes()
+        gd = RegularGridInterpolator(axes, dz, method="linear",
+                                     bounds_error=False, fill_value=1.0)
+        gb = RegularGridInterpolator(axes, dbar, method="linear",
+                                     bounds_error=False, fill_value=0.0)
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.stack([z.real, z.imag], axis=-1)
-        return gd_r(pts) + 1j * gd_i(pts), gb_r(pts) + 1j * gb_i(pts)
+        return gd(pts), gb(pts)
 
     def to_json_dict(self):
         return {
@@ -524,16 +520,22 @@ def _node_index(kit, z):
     return i, j
 
 
-def _grid_evaluator(grid: ComplexGrid):
-    x, y = grid.axes()
-    ire = RectBivariateSpline(x, y, grid.values.real, kx=3, ky=3)
-    iim = RectBivariateSpline(x, y, grid.values.imag, kx=3, ky=3)
+def _solved_map(mu, half_width, f, mu_s, trace, ratio, jump_circles,
+                **fields):
+    """QuasiconformalMap of a normalized plane-grid solve f.
 
-    def ev(z):
-        z = np.asarray(z)
-        return ire.ev(z.real, z.imag) + 1j * iim.ev(z.real, z.imag)
-
-    return ev
+    Its far field is fitted through the map's own spline on a circle of
+    radius 0.855 half_width, inside the spline window; its residual is the
+    finite-difference Beltrami defect against mu_s off jump_circles.
+    """
+    qc = QuasiconformalMap(
+        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
+        grid=ComplexGrid(0.0, half_width, f), source_mu=mu, mu_samples=mu_s,
+        convergence_ratio=ratio, iteration_trace=trace, **fields)
+    qc.far_field = _far_field_series(qc, MARGIN_FRACTION * half_width * 0.95)
+    qc.residual = _fd_residual(_kit(f.shape[0], half_width, 2), f, mu_s,
+                               jump_circles)
+    return qc
 
 
 def solve_plane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
@@ -555,17 +557,10 @@ def solve_plane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     i0, j0 = _node_index(kit, 0.0 + 0.0j)
     i1, _ = _node_index(kit, 1.0 + 0.0j)
     f = (f - f[i0, j0]) / (f[i1, j0] - f[i0, j0])
-    grid = ComplexGrid(0.0, half_width, f)
     supp = mu.support_radius if np.isfinite(mu.support_radius) else half_width
-    far = _far_field_series(_grid_evaluator(grid),
-                            MARGIN_FRACTION * half_width * 0.95)
-    qc = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
-        source_mu=mu, conformal_region=(supp + 3 * kit.spacing, math.inf),
-        mu_samples=mu_s, convergence_ratio=ratio, iteration_trace=trace,
-        far_field=far)
-    qc.residual = _fd_residual(kit, f, mu_s, mu.jump_circles)
-    return qc
+    return _solved_map(
+        mu, half_width, f, mu_s, trace, ratio, mu.jump_circles,
+        conformal_region=(supp + 3 * kit.spacing, math.inf))
 
 
 def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
@@ -594,17 +589,9 @@ def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     defect = float(np.max(np.abs(f[:, j0].imag)))
     if defect > 1e-6:
         raise SolverError(f"reflection symmetry defect {defect:.2e} on R", trace)
-    grid = ComplexGrid(0.0, half_width, f)
-    far = _far_field_series(_grid_evaluator(grid),
-                            MARGIN_FRACTION * half_width * 0.95)
-    qc = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
-        source_mu=mu, conformal_region=None, mu_samples=mu_s,
-        convergence_ratio=ratio, iteration_trace=trace, far_field=far,
-        symmetry_defect=defect)
-    qc.residual = _fd_residual(kit, f, mu_s,
-                               _reflected_jump_circles(mu, True))
-    return qc
+    return _solved_map(mu, half_width, f, mu_s, trace, ratio,
+                       _reflected_jump_circles(mu, True),
+                       symmetry_defect=defect)
 
 
 def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11, max_iter=400,
@@ -623,28 +610,19 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11, max_iter=400,
     half_width = auto_half_width(mu_u.support_radius)
     fu = solve_halfplane(mu_u, grid_n, half_width, tol, max_iter)
 
-    nd = disk_grid_n or min(grid_n, 512)
-    kit = _kit(nd, 1.25, 2)
-    Zd = kit.Z
-    W = cayley_map(np.where(np.abs(Zd - 1.0) < 1e-12, 1.0 + 1e-12, Zd))
-    FW = np.empty_like(W)
     lim = MARGIN_FRACTION * half_width
-    ok = (np.abs(W.real) <= lim) & (np.abs(W.imag) <= lim)
-    FW[ok] = fu(W[ok])
-    if (~ok).any():
-        FW[~ok] = fu.far_field.eval(W[~ok])
-    fd = cayley_inverse(FW)
-    grid = ComplexGrid(0.0, 1.25, fd)
 
     def outer(z):
         z = np.asarray(z, dtype=complex)
         w = cayley_map(np.where(np.abs(z - 1.0) < 1e-12, 1.0 + 1e-12, z))
         out = np.empty_like(w)
-        okk = (np.abs(w.real) <= lim) & (np.abs(w.imag) <= lim)
-        out[okk] = fu(w[okk])
-        out[~okk] = fu.far_field.eval(w[~okk])
+        ok = (np.abs(w.real) <= lim) & (np.abs(w.imag) <= lim)
+        out[ok] = fu(w[ok])
+        out[~ok] = fu.far_field.eval(w[~ok])
         return cayley_inverse(out)
 
+    nd = disk_grid_n or min(grid_n, 512)
+    grid = ComplexGrid(0.0, 1.25, outer(_kit(nd, 1.25, 2).Z))
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid,
         source_mu=mu, conformal_region=None, mu_samples=None,
@@ -664,7 +642,9 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     Raises when the discrete Jacobian is non-positive at an interior node,
     naming the node.  Disk self-maps are differentiated on their full
     resampled grid (the symmetric extension is quasiconformal across S);
-    the Jacobian contract is enforced on nodes of D.
+    the Jacobian contract is enforced on nodes of D.  Nodes outside that
+    region where |dbar f / df| >= 1 are set to 0; meta["zeroed_nodes"] is
+    their count.
     """
     dz, dbar = f.partial_grids(order=4)
     jac = np.abs(dz) ** 2 - np.abs(dbar) ** 2
@@ -681,17 +661,14 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(dz) > 0, dbar / np.where(dz == 0, 1, dz), 0.0)
     ratio[~interior] = 0.0
-    ratio[np.abs(ratio) >= 1.0] = 0.0  # defective nodes outside the domain mask
-    x, y = f.grid.axes()
-    re = RegularGridInterpolator((x, y), ratio.real, method="linear",
-                                 bounds_error=False, fill_value=0.0)
-    im = RegularGridInterpolator((x, y), ratio.imag, method="linear",
-                                 bounds_error=False, fill_value=0.0)
+    zeroed = np.abs(ratio) >= 1.0
+    ratio[zeroed] = 0.0
+    interp = RegularGridInterpolator(f.grid.axes(), ratio, method="linear",
+                                     bounds_error=False, fill_value=0.0)
 
     def func(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        pts = np.stack([z.real, z.imag], axis=-1)
-        return re(pts) + 1j * im(pts)
+        return interp(np.stack([z.real, z.imag], axis=-1))
 
     disk = f.normalization is Normalization.FIX_THREE_BOUNDARY_POINTS
     domain = DomainTag.UNIT_DISK if disk else DomainTag.PLANE
@@ -699,7 +676,8 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     sup = min(float(np.abs(ratio[sup_region]).max()), 0.999) \
         if sup_region.any() else 0.0
     radius = 1.0 if disk else MARGIN_FRACTION * f.grid.half_width
-    return BeltramiCoefficient(domain, func, radius, sup)
+    return BeltramiCoefficient(domain, func, radius, sup,
+                               meta={"zeroed_nodes": int(zeroed.sum())})
 
 
 def invert(f: QuasiconformalMap, newton_tol=NEWTON_TOL, max_newton=50):

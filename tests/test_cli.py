@@ -13,6 +13,7 @@ from teichkit.cli import (
     write_constants_csv,
 )
 from teichkit import BeltramiCoefficient
+from teichkit.boundary import besov_characterization_check
 
 from conftest import TEST_GRID_N
 
@@ -113,6 +114,14 @@ def test_roundtrip_finite():
     assert not rep["skipped"]
     assert rep["phi_distance"] <= 0.1
     assert rep["within_tolerance"]
+
+
+def test_roundtrip_matches_characterization_stage():
+    # both pass mu on D as given to the welding and to the Bers roundtrip
+    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
+    rep = roundtrip(mu, 2.0, grid_n=256)
+    char = besov_characterization_check(mu, 2.0, grid_n=256)
+    assert rep["phi_distance"] == char["stages"]["roundtrip"]["phi_distance"]
 
 
 def test_roundtrip_divergent_skips():

@@ -18,7 +18,12 @@ from teichkit import (
     hyperbolic_density,
     mp_norm,
 )
-from teichkit.domains import ComplexGrid, cayley_inverse, cayley_map
+from teichkit.domains import (
+    ComplexGrid,
+    _circle_coefficients,
+    cayley_inverse,
+    cayley_map,
+)
 
 
 def closed_form_phi(k, r):
@@ -327,6 +332,38 @@ def test_series_taylor_finite_at_center():
     f = HolomorphicFunction([-2, 0, 1, 2], [0.0, 1.0, 2.0, 3.0], center=0.5)
     vals = [f.eval(0.5, der) for der in range(4)]
     assert np.array_equal(vals, [1.0, 2.0, 6.0, 0.0])
+
+
+def _circle_coefficients_loop(vals, radius, orders, noise_rel):
+    """Reference extraction: one fftfreq lookup per order."""
+    n = vals.size
+    c = np.fft.fft(vals) / n
+    ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    orders = np.asarray(sorted(orders), dtype=int)
+    coeffs = np.zeros(orders.shape, dtype=complex)
+    floor = np.max(np.abs(c)) * noise_rel
+    for i, k in enumerate(orders):
+        j = np.nonzero(ks == k)[0]
+        if j.size:
+            ck = c[j[0]]
+            coeffs[i] = 0.0 if abs(ck) < floor else ck / radius ** k
+    return orders, coeffs
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("radius", [1.0, 1.7, 0.3])
+def test_circle_coefficients_match_per_order_loop(n, radius):
+    z = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    vals = 2.0 + 1.0 / (z - 0.1) + z ** 3 + 1e-9 * z ** 5
+    # unsorted, and reaching beyond the sampled band on both sides
+    orders = list(range(40, -41, -1))
+    for noise_rel in (1e-13, 1e-6):
+        ref = _circle_coefficients_loop(vals, radius, orders, noise_rel)
+        got = _circle_coefficients(vals, radius, orders, noise_rel)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        # the z^5 term sits below the 1e-6 floor only
+        assert (got[1][got[0] == 5][0] == 0) == (noise_rel == 1e-6)
 
 
 def test_series_identity_roundtrip():

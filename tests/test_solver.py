@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
 
 from teichkit import (
     BeltramiCoefficient,
@@ -321,6 +322,74 @@ def test_dilatation_rejects_folded_grid():
                           grid=grid)
     with pytest.raises(SolverError):
         dilatation(f)
+
+
+def test_dilatation_counts_zeroed_nodes():
+    # f = z + c conj(z)^2 / 2 has mu = c conj(z): |mu| < 1 on D, and the
+    # map folds where |z| >= 1/c, outside D
+    c = 1 / 1.1037
+    kit = _kit(64, 1.25)
+    grid = ComplexGrid(0.0, 1.25, kit.Z + 0.5 * c * np.conj(kit.Z) ** 2)
+    f = QuasiconformalMap(
+        normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid)
+    folded = c * np.abs(kit.Z[2:-2, 2:-2]) >= 1.0
+    assert folded.sum() > 0
+    assert dilatation(f).meta["zeroed_nodes"] == folded.sum()
+
+
+def test_dilatation_of_disk_map_zeroes_nothing(disk_03_05):
+    assert dilatation(disk_03_05).meta["zeroed_nodes"] == 0
+
+
+def _split_interpolation(axes, values, fill, z):
+    """Reference: real and imaginary parts interpolated apart."""
+    pts = np.stack([z.real, z.imag], axis=-1)
+    re = RegularGridInterpolator(axes, values.real, method="linear",
+                                 bounds_error=False, fill_value=fill.real)
+    im = RegularGridInterpolator(axes, values.imag, method="linear",
+                                 bounds_error=False, fill_value=fill.imag)
+    return re(pts) + 1j * im(pts)
+
+
+# grid nodes, points between nodes, and points off the grid (fill values)
+INTERP_POINTS = np.array([0.0, 1.0, 0.2 + 0.1j, 0.37 - 0.41j, 1.5 + 0.5j,
+                          -3.9 + 3.7j, 5.0 + 1.0j, -4.5j])
+
+
+def test_partials_at_matches_split_interpolators(plane_03_05):
+    dz, dbar = plane_03_05.partial_grids()
+    axes = plane_03_05.grid.axes()
+    got_dz, got_dbar = plane_03_05.partials_at(INTERP_POINTS)
+    assert np.array_equal(got_dz, _split_interpolation(
+        axes, dz, 1.0 + 0.0j, INTERP_POINTS))
+    assert np.array_equal(got_dbar, _split_interpolation(
+        axes, dbar, 0.0j, INTERP_POINTS))
+
+
+def test_dilatation_matches_split_interpolators(plane_03_05):
+    dz, dbar = plane_03_05.partial_grids(order=4)
+    ratio = dbar / dz
+    edge = np.ones(ratio.shape, dtype=bool)
+    edge[2:-2, 2:-2] = False
+    ratio[edge | (np.abs(ratio) >= 1.0)] = 0.0
+    ref = _split_interpolation(plane_03_05.grid.axes(), ratio, 0.0j,
+                               INTERP_POINTS)
+    # _func is the interpolator, before the support mask of eval
+    assert np.array_equal(dilatation(plane_03_05)._func(INTERP_POINTS), ref)
+
+
+def test_far_field_fitted_through_the_maps_spline(mu_03_05):
+    maps = (solve_plane(mu_03_05, grid_n=256),
+            solve_halfplane(cayley(mu_03_05, "DiskToHalfPlane"), grid_n=256))
+    for f in maps:
+        x, y = f.grid.axes()
+        ire = RectBivariateSpline(x, y, f.grid.values.real, kx=3, ky=3)
+        iim = RectBivariateSpline(x, y, f.grid.values.imag, kx=3, ky=3)
+        ref = solver._far_field_series(
+            lambda z: ire.ev(z.real, z.imag) + 1j * iim.ev(z.real, z.imag),
+            solver.MARGIN_FRACTION * f.grid.half_width * 0.95)
+        assert np.array_equal(f.far_field.orders, ref.orders)
+        assert np.array_equal(f.far_field.coeffs, ref.coeffs)
 
 
 # ---------------------------------------------------------------------------
