@@ -47,7 +47,6 @@ from .solver import (
     chain_rule,
     compose,
     dilatation,
-    identity_map,
     invert,
     solve_disk,
     solve_plane,
@@ -67,7 +66,6 @@ __all__ = [
     "bilipschitz_representative",
     "reflection",
     "local_section",
-    "bers_distance",
     "DEFAULT_CIRCLES",
 ]
 
@@ -83,7 +81,7 @@ class BersConsistencyError(RuntimeError):
 
 
 def laurent_coefficients(f, center, radius, orders, n_samples=1024,
-                         check_tol=1e-8, dbar_tol=1e-2,
+                         check_tol=1e-8,
                          noise_rel=1e-12) -> HolomorphicFunction:
     """Laurent coefficients of f on the circle |z - center| = radius.
 
@@ -92,14 +90,14 @@ def laurent_coefficients(f, center, radius, orders, n_samples=1024,
     samples at intermediate angles (resampling residual, must stay below
     check_tol relative to the sample scale).  QuasiconformalMap inputs are
     first checked for conformality on the circle: |dbar f| / |df| above
-    dbar_tol raises NonHolomorphicError.
+    1e-2 raises NonHolomorphicError.
     """
     if isinstance(f, QuasiconformalMap):
         th = 2.0 * np.pi * np.arange(64) / 64
         zc = center + radius * np.exp(1j * th)
         dz, dbar = f.partials_at(zc)
         defect = float(np.max(np.abs(dbar)) / np.max(np.abs(dz)))
-        if defect > dbar_tol:
+        if defect > 1e-2:
             raise NonHolomorphicError(
                 f"|dbar f|/|df| = {defect:.2e} on |z - {center}| = {radius}")
 
@@ -125,12 +123,12 @@ def laurent_coefficients(f, center, radius, orders, n_samples=1024,
 
 
 def schwarzian(f: HolomorphicFunction, out_orders=None,
-               sample_radius=None, n_samples=512) -> HolomorphicFunction:
+               sample_radius=None) -> HolomorphicFunction:
     """Schwarzian derivative S_f = f'''/f' - 1.5 (f''/f')^2 of a series.
 
     Derivatives come from the coefficient representation; the quotient is
-    resampled on a circle back into a series.  Raises when f' vanishes on
-    the sampling annulus.
+    resampled at 512 points of a circle back into a series.  Raises when
+    f' vanishes on the sampling annulus.
     """
     if sample_radius is None:
         if f.anchor_radius is not None:
@@ -144,7 +142,7 @@ def schwarzian(f: HolomorphicFunction, out_orders=None,
             out_orders = range(-28, -3)  # normalized tails decay like z^-4
         else:
             out_orders = range(0, 24)
-    th = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    th = 2.0 * np.pi * np.arange(512) / 512
     zc = f.center + sample_radius * np.exp(1j * th)
     f1 = f.eval(zc, der=1)
     if np.min(np.abs(f1)) < 1e-9 * np.max(np.abs(f1)):
@@ -173,7 +171,7 @@ class TeichmullerPoint:
 
     bers_image: HolomorphicFunction
     p: float
-    circles_checked: tuple = DEFAULT_CIRCLES
+    circles_checked = DEFAULT_CIRCLES
 
     @cached_property
     def ap_norm_report(self) -> NormReport:
@@ -203,49 +201,42 @@ class TeichmullerPoint:
         }
 
 
-def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024,
-             circles=DEFAULT_CIRCLES, consistency_tol=1e-3,
-             solve_kwargs=None) -> TeichmullerPoint:
+def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
     """Bers Schwarzian derivative map Phi(mu) = S_{f_mu | D*}.
 
     Solves the plane equation with mu extended by zero off D, reads Laurent
     data on the smallest test circle, and validates it against the other
-    circles (mutual sup discrepancy beyond consistency_tol raises
-    BersConsistencyError with the measured discrepancy).
+    circles (mutual sup discrepancy beyond 1e-3 raises BersConsistencyError
+    with the measured discrepancy).
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise ValueError("bers_map expects a unit-disk coefficient")
-    f = solve_plane(mu, grid_n=grid_n, **(solve_kwargs or {}))
-    series = laurent_coefficients(f, 0.0, circles[0], range(-20, 2),
+    f = solve_plane(mu, grid_n=grid_n)
+    first, *others = DEFAULT_CIRCLES
+    series = laurent_coefficients(f, 0.0, first, range(-20, 2),
                                   check_tol=1e-5)
     th = 2.0 * np.pi * np.arange(256) / 256
-    for rho in circles[1:]:
+    for rho in others:
         zc = rho * np.exp(1j * th)
         disc = float(np.max(np.abs(series.eval(zc) - f(zc))) / rho)
-        if disc > consistency_tol:
+        if disc > 1e-3:
             raise BersConsistencyError(
-                f"Laurent data from |z|={circles[0]} disagrees with samples "
+                f"Laurent data from |z|={first} disagrees with samples "
                 f"on |z|={rho}: discrepancy {disc:.2e}")
     phi = schwarzian(series)
-    return TeichmullerPoint(bers_image=phi, p=float(p),
-                            circles_checked=tuple(circles))
-
-
-def bers_distance(p1: TeichmullerPoint, p2: TeichmullerPoint,
-                  circles=DEFAULT_CIRCLES):
-    return p1.distance_to(p2, circles)
+    return TeichmullerPoint(bers_image=phi, p=float(p))
 
 
 def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient,
-               tol=1e-2, p=2.0, grid_n=512, circles=DEFAULT_CIRCLES):
+               tol=1e-2, p=2.0, grid_n=512):
     """Teichmueller equivalence test: Phi(mu1) = Phi(mu2) up to tol.
 
     Returns (verdict, distance) with distance the sup discrepancy of the
     Bers images over the test circles.
     """
-    t1 = bers_map(mu1, p=p, grid_n=grid_n, circles=circles)
-    t2 = bers_map(mu2, p=p, grid_n=grid_n, circles=circles)
-    dist = t1.distance_to(t2, circles)
+    t1 = bers_map(mu1, p=p, grid_n=grid_n)
+    t2 = bers_map(mu2, p=p, grid_n=grid_n)
+    dist = t1.distance_to(t2)
     return dist <= tol, dist
 
 
@@ -280,17 +271,17 @@ def ahlfors_weill(phi: HolomorphicFunction) -> BeltramiCoefficient:
 # Hyperbolic distortion
 
 
-def hyperbolic_distortion(f: QuasiconformalMap, n_directions=16,
-                          max_radius=0.995):
+def hyperbolic_distortion(f: QuasiconformalMap):
     """Hyperbolic bi-Lipschitz range of a disk self-map.
 
-    Samples rho(f(z)) |D_alpha f(z)| / rho(z) over interior grid nodes and
-    n_directions directions; returns (L_min, L_max).
+    Samples rho(f(z)) |D_alpha f(z)| / rho(z) over the grid nodes with
+    |z| <= 0.98 and |f(z)| < 0.995, in 16 directions; returns
+    (L_min, L_max).
     """
     if f.normalization is not Normalization.FIX_THREE_BOUNDARY_POINTS:
         raise ValueError("hyperbolic distortion expects a disk self-map")
     Z = f.grid.nodes()
-    keep = (np.abs(Z) <= max_radius) & (np.abs(Z) <= 0.98)
+    keep = np.abs(Z) <= 0.98
     dz, dbar = f.partial_grids(order=4)
     vals = f.grid.values
     keep &= np.abs(vals) < 0.995
@@ -298,7 +289,7 @@ def hyperbolic_distortion(f: QuasiconformalMap, n_directions=16,
     fz = vals[keep]
     rho_ratio = hyperbolic_density(DomainTag.UNIT_DISK, fz) / \
         hyperbolic_density(DomainTag.UNIT_DISK, z)
-    alphas = np.pi * np.arange(n_directions) / n_directions
+    alphas = np.pi * np.arange(16) / 16
     lo, hi = math.inf, 0.0
     for a in alphas:
         deriv = np.abs(dz[keep] + dbar[keep] * np.exp(-2j * a))
@@ -313,7 +304,7 @@ def hyperbolic_distortion(f: QuasiconformalMap, n_directions=16,
 
 
 def bilipschitz_representative(mu: BeltramiCoefficient, delta=0.3,
-                               grid_n=512, max_steps=1000):
+                               grid_n=512):
     """Representative nu of [mu] whose disk map is hyperbolically bi-Lipschitz.
 
     Below sup-norm 1/3 a single Ahlfors-Weill section suffices; otherwise
@@ -339,8 +330,8 @@ def bilipschitz_representative(mu: BeltramiCoefficient, delta=0.3,
         return nu
 
     n = max(2, math.ceil(sup / (delta * (1.0 - sup * sup))))
-    if n > max_steps:
-        raise SolverError(f"step count {n} exceeds the cap {max_steps}")
+    if n > 1000:
+        raise SolverError(f"step count {n} exceeds the cap 1000")
     nu_k = None
     f_k = None
     for k in range(1, n + 1):
@@ -367,22 +358,24 @@ def bilipschitz_representative(mu: BeltramiCoefficient, delta=0.3,
 class ReflectionMap:
     """Reflection j(zeta) = f_nu((f_nu^-1(zeta))^*) across f_nu(S).
 
-    Carries finite-difference partials and the empirical constant of the
+    Carries the finite-difference j_zbar and the empirical constant of the
     weighted bound |zeta - j|^2 |j_zbar| <= c / rho_{Omega*}(j)^2.
     """
 
     base_nu: BeltramiCoefficient
     j: object
-    j_z: object
     j_zbar: object
     eq3_constant: float
     fixed_curve_defect: float
     samples: dict = field(default_factory=dict, repr=False)
 
 
-def reflection(nu: BeltramiCoefficient, grid_n=512,
-               sample_radii=(0.3, 0.5, 0.7, 0.85), n_angles=24) -> ReflectionMap:
-    """Quasiconformal reflection across the image curve f_nu(S)."""
+def reflection(nu: BeltramiCoefficient, grid_n=512) -> ReflectionMap:
+    """Quasiconformal reflection across the image curve f_nu(S).
+
+    The fixed-curve defect is sampled at 24 angles of f_nu(S), the weighted
+    bound at the same angles on |z| in {0.3, 0.5, 0.7, 0.85}.
+    """
     f = solve_plane(nu, grid_n=grid_n)
     inverse = invert(f)
 
@@ -393,19 +386,15 @@ def reflection(nu: BeltramiCoefficient, grid_n=512,
 
     step = 2 * f.grid.spacing
 
-    def j_z(zeta):
-        return ((j(zeta + step) - j(zeta - step)) -
-                1j * (j(zeta + 1j * step) - j(zeta - 1j * step))) / (4 * step)
-
     def j_zbar(zeta):
         return ((j(zeta + step) - j(zeta - step)) +
                 1j * (j(zeta + 1j * step) - j(zeta - 1j * step))) / (4 * step)
 
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    th = 2.0 * np.pi * np.arange(24) / 24
     curve = f(np.exp(1j * th))
     defect = float(np.max(np.abs(j(curve) - curve)))
 
-    zs = np.concatenate([r * np.exp(1j * th) for r in sample_radii])
+    zs = np.concatenate([r * np.exp(1j * th) for r in (0.3, 0.5, 0.7, 0.85)])
     zetas = f(zs)
     jz = j(zetas)
     jb = j_zbar(zetas)
@@ -415,7 +404,7 @@ def reflection(nu: BeltramiCoefficient, grid_n=512,
         np.abs(dz_star)
     lhs = np.abs(zetas - jz) ** 2 * np.abs(jb)
     c_emp = float(np.max(lhs * rho_out ** 2))
-    return ReflectionMap(base_nu=nu, j=j, j_z=j_z, j_zbar=j_zbar,
+    return ReflectionMap(base_nu=nu, j=j, j_zbar=j_zbar,
                          eq3_constant=c_emp, fixed_curve_defect=defect,
                          samples={"zeta": zetas, "lhs": lhs,
                                   "rho_out": rho_out})

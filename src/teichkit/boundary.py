@@ -36,7 +36,6 @@ from .domains import (
     HolomorphicFunction,
     NormReport,
     cayley,
-    cayley_map,
     CayleyDirection,
     mp_norm,
 )
@@ -47,7 +46,6 @@ from .solver import (
     QuasiconformalMap,
     SolverError,
     _far_field_series,
-    dilatation,
     invert,
     solve_halfplane,
     solve_plane,
@@ -139,15 +137,11 @@ class BoundaryFunction:
         return type(self)(t, self.eval(t), self.domain, self.truncation,
                           self.extension, self.meta)
 
-    def restricted(self, T, n):
-        """Line function resampled to n points on [-T, T]."""
-        if self.domain != "line":
-            raise ValueError("restriction applies to line functions")
-        t = np.linspace(-T, T, n)
-        return BoundaryFunction(t, self.eval(t), "line", T, self.extension)
+    def to_csv(self, path):
+        """Write (parameter, value) rows; complex values as literals.
 
-    def to_csv(self, path, sidecar=None):
-        """Write (parameter, value) rows; complex values as literals."""
+        Domain, truncation and normalization go to the sidecar path.json.
+        """
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
             w.writerow(["parameter", "value"])
@@ -159,12 +153,12 @@ class BoundaryFunction:
             "truncation": self.truncation,
             "normalization": self.meta.get("normalization"),
         }
-        with open(sidecar or (str(path) + ".json"), "w") as fh:
+        with open(str(path) + ".json", "w") as fh:
             json.dump(side, fh, indent=1, sort_keys=True)
 
     @classmethod
-    def from_csv(cls, path, sidecar=None):
-        with open(sidecar or (str(path) + ".json")) as fh:
+    def from_csv(cls, path):
+        with open(str(path) + ".json") as fh:
             side = json.load(fh)
         params, values = [], []
         with open(path, newline="") as fh:
@@ -208,19 +202,19 @@ class BoundaryHomeomorphism(BoundaryFunction):
 # Boundary traces
 
 
-def boundary_trace(f, n_samples=1024, m_levels=range(3, 9), max_flagged=0.01):
+def boundary_trace(f, n_samples=1024):
     """Boundary values by radial (disk) or vertical (half-plane) extrapolation.
 
-    Samples f at distances 2^-m from the boundary, extrapolates linearly in
-    the distance, and flags parameters whose level sequence is not Cauchy;
-    more than max_flagged of them is an error.
+    Samples f at distances 2^-m from the boundary, m = 3..8, extrapolates
+    linearly in the distance, and flags parameters whose level sequence is
+    not Cauchy; more than 1% of them flagged is an error.
     """
-    ms = list(m_levels)
+    ms = range(3, 9)
     if isinstance(f, HolomorphicFunction):
         th = 2 * np.pi * np.arange(n_samples) / n_samples
         seq = [f.eval((1 - 2.0 ** -m) * np.exp(1j * th)) for m in ms]
         vals, flags = _extrapolate_levels(seq)
-        if flags.mean() > max_flagged:
+        if flags.mean() > 0.01:
             raise ValueError("radial limits unreliable for the given function")
         return BoundaryFunction(th, vals, "circle")
     if not isinstance(f, QuasiconformalMap):
@@ -229,7 +223,7 @@ def boundary_trace(f, n_samples=1024, m_levels=range(3, 9), max_flagged=0.01):
         th = 2 * np.pi * np.arange(n_samples) / n_samples
         seq = [f((1 - 2.0 ** -m) * np.exp(1j * th)) for m in ms]
         vals, flags = _extrapolate_levels(seq)
-        if flags.mean() > max_flagged:
+        if flags.mean() > 0.01:
             raise ValueError("boundary trace unreliable (radial limits not Cauchy)")
         ang = np.unwrap(np.angle(vals))
         ang -= 2 * np.pi * np.round(ang[0] / (2 * np.pi))
@@ -239,7 +233,7 @@ def boundary_trace(f, n_samples=1024, m_levels=range(3, 9), max_flagged=0.01):
     x = np.linspace(-T, T, n_samples)
     seq = [f(x + 1j * 2.0 ** -m) for m in ms]
     vals, flags = _extrapolate_levels(seq)
-    if flags.mean() > max_flagged:
+    if flags.mean() > 0.01:
         raise ValueError("boundary trace unreliable (vertical limits not Cauchy)")
 
     def far(t):
@@ -268,40 +262,41 @@ def _band_extrapolate(ints, bands, p):
 
 
 def _banded_pair_sums(params, vals, p, kernel_den, bands):
-    """Chunked sum of |v_i - v_j|^p / den_ij over pairs outside each band."""
-    n = params.size
+    """Sum of |v_i - v_j|^p / den_ij over ordered pairs i != j outside each
+    band.
+
+    Each term is symmetric in i and j, so the pairs are visited once per
+    index offset d = j - i >= 1 and the sum is doubled.
+    """
     totals = np.zeros(len(bands))
-    chunk = max(1, 2 ** 22 // n)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        diff = np.abs(vals[sl, None] - vals[None, :]) ** p
-        dist, den = kernel_den(params[sl], params)
-        ratio = diff / den
+    for d in range(1, params.size):
+        dist, den = kernel_den(params[d:], params[:-d])
+        ratio = np.abs(vals[d:] - vals[:-d]) ** p / den
         for b, width in enumerate(bands):
             totals[b] += ratio[dist > width].sum()
-    return totals
+    return 2.0 * totals
 
 
-# pair distances (compared with the band widths) and |x1 - x2|^2, the
-# squared chord on the circle
+# elementwise pair distances (compared with the band widths) and
+# |x1 - x2|^2, the squared chord on the circle; parameters are strictly
+# increasing, so distinct pairs have nonzero distance
 def _circle_kernel(t1, t2):
-    ang = np.abs(t1[:, None] - t2[None, :])
+    ang = np.abs(t1 - t2)
     ang = np.minimum(ang, 2 * np.pi - ang)
-    chord2 = (2 * np.sin(ang / 2)) ** 2
-    return ang, np.where(chord2 == 0, 1.0, chord2)
+    return ang, (2 * np.sin(ang / 2)) ** 2
 
 
 def _line_kernel(t1, t2):
-    dist = np.abs(t1[:, None] - t2[None, :])
-    return dist, np.where(dist == 0, 1.0, dist) ** 2
+    dist = np.abs(t1 - t2)
+    return dist, dist ** 2
 
 
-def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512,
-                   line_T=(8.0, 16.0, 32.0)) -> NormReport:
+def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     """p-Besov seminorm (iint |u(x1)-u(x2)|^p / |x1-x2|^2)^{1/p}.
 
     Circle: refinement doubles the sample count.  Line: each level grows
-    the truncation T and quadruples the sample count, so the spacing (and
+    the truncation T (8, 16, then 32 from the third level on) and
+    quadruples the sample count, so the spacing (and
     with it the excluded diagonal band) shrinks while the tail extends;
     divergences at the diagonal and at infinity both register as ladder
     growth.
@@ -317,7 +312,7 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512,
             n = base_n * 2 ** lev
             x = 2 * np.pi * np.arange(n) / n
         else:
-            T = line_T[min(lev, len(line_T) - 1)]
+            T = (8.0, 16.0, 32.0)[min(lev, 2)]
             n = base_n * 4 ** lev + 1
             x = np.linspace(-T, T, n)
         dx = x[1] - x[0]
@@ -342,7 +337,6 @@ class WeldingResult:
     imag_defect: float
     f_map: QuasiconformalMap = field(repr=False, default=None)
     g_map: QuasiconformalMap = field(repr=False, default=None)
-    selfmap: QuasiconformalMap = field(repr=False, default=None)
 
 
 def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
@@ -353,16 +347,22 @@ def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
     raise ValueError("welding expects a coefficient on D or U")
 
 
-def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
-            T_boundary=40.0) -> WeldingResult:
+# h is sampled at N_BOUNDARY parameters of [-T_BOUNDARY, T_BOUNDARY]; its
+# far-field series is fitted on |z| = T_BOUNDARY, and the g trace covers
+# 1.5 T_BOUNDARY
+N_BOUNDARY = 2049
+T_BOUNDARY = 40.0
+
+
+def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
 
     f_mu is conformal on L with dilatation mu on U; g is conformal on U with
     the dilatation of the reflected inverse self-map on L; h is compared
     against the direct boundary trace of the self-map f^mu (consistency_sup).
-    On [-T_boundary, T_boundary] h is sampled by Newton inversion through g.
+    On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
-    from a Laurent series fitted once on |z| = T_boundary and certified on
+    from a Laurent series fitted once on |z| = T_BOUNDARY and certified on
     held-out points of that circle (SolverError when the fit misses
     g^-1 o f_mu there by more than the Newton tolerance).
     """
@@ -371,7 +371,6 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
     selfmap = solve_halfplane(mu_u, grid_n=grid_n)
 
     # reflected-inverse coefficient on L via the chain rule at nu = dil(selfmap)
-    dz_grid, dbar_grid = selfmap.partial_grids(order=4)
     inv_self = invert(selfmap)
 
     def mu_bar_inv(zeta):
@@ -393,7 +392,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
     g = solve_plane(nu_inv, grid_n=grid_n)
 
     # h = g^-1 (f_mu) on R, resolved by Newton through g
-    x = _welding_param_grid(n_boundary, T_boundary)
+    x = _welding_param_grid(N_BOUNDARY, T_BOUNDARY)
     fx = f_mu(x.astype(complex))
     g_inverse = invert(g)
     hx = g_inverse(fx)
@@ -405,24 +404,23 @@ def welding(mu: BeltramiCoefficient, grid_n=512, n_boundary=2049,
     trace = boundary_trace(selfmap, n_samples=1025)
     consistency = float(np.max(np.abs(hx - trace.eval(x))))
 
-    far = _certified_far_field(lambda z: g_inverse(f_mu(z)), T_boundary)
+    far = _certified_far_field(lambda z: g_inverse(f_mu(z)), T_BOUNDARY)
 
     def h_far(t):
         return far.eval(t).real
 
-    h = BoundaryHomeomorphism(x, hx, "line", truncation=T_boundary,
+    h = BoundaryHomeomorphism(x, hx, "line", truncation=T_BOUNDARY,
                               extension=h_far, fix_tol=1e-4,
                               meta={"normalization": "fix 0, 1, infinity"})
-    f_trace = BoundaryFunction(x, fx, "line", T_boundary,
+    f_trace = BoundaryFunction(x, fx, "line", T_BOUNDARY,
                                extension=lambda t: f_mu(t.astype(complex)))
-    xg = _welding_param_grid(n_boundary, T_boundary * 1.5)
+    xg = _welding_param_grid(N_BOUNDARY, T_BOUNDARY * 1.5)
     g_trace = BoundaryFunction(xg, g(xg.astype(complex)), "line",
-                               T_boundary * 1.5,
+                               T_BOUNDARY * 1.5,
                                extension=lambda t: g(t.astype(complex)))
     return WeldingResult(h=h, f_trace=f_trace, g_trace=g_trace,
                          consistency_sup=consistency,
-                         imag_defect=imag_defect, f_map=f_mu, g_map=g,
-                         selfmap=selfmap)
+                         imag_defect=imag_defect, f_map=f_mu, g_map=g)
 
 
 def _certified_far_field(fn, radius):
@@ -459,39 +457,31 @@ def _welding_param_grid(n, T):
 def log_derivative(h: BoundaryHomeomorphism) -> BoundaryFunction:
     """log of symmetric difference quotients at parameter midpoints.
 
-    Raises on non-positive quotients; meta carries the sup gap between the
-    full-resolution and half-resolution quotients.
+    Raises on non-positive quotients.
     """
     t = h.params
-    v = h.values
-    quot = np.diff(v) / np.diff(t)
+    quot = np.diff(h.values) / np.diff(t)
     if np.any(quot <= 0):
         raise ValueError("non-positive difference quotient; "
                          "monotonicity fails at sample scale")
-    mid = 0.5 * (t[1:] + t[:-1])
-    out = np.log(quot)
-    coarse_q = (v[2::2] - v[:-2:2]) / (t[2::2] - t[:-2:2])
-    coarse_mid = 0.5 * (t[2::2] + t[:-2:2])
-    agree = float(np.max(np.abs(np.interp(coarse_mid, mid, out)
-                                - np.log(coarse_q))))
-    return BoundaryFunction(mid, out, h.domain, h.truncation,
-                            meta={"two_resolution_gap": agree})
+    return BoundaryFunction(0.5 * (t[1:] + t[:-1]), np.log(quot), h.domain,
+                            h.truncation)
 
 
-def welding_identity_check(weld: WeldingResult, n_check=801, T_check=8.0):
-    """Check log(g|_R)' o h + log h' = log(f_mu|_R)' on sample points.
+def welding_identity_check(weld: WeldingResult):
+    """Check log(g|_R)' o h + log h' = log(f_mu|_R)' on 801 points of
+    [-8, 8].
 
     All three logarithmic derivatives are formed from difference quotients
     along R (complex for the conformal traces, with unwrapped phases).
     """
-    x = np.linspace(-T_check, T_check, n_check)
+    x = np.linspace(-8.0, 8.0, 801)
     hx = weld.h.eval(x)
     dh = _midpoint_log_deriv_real(weld.h, x)
 
     xm = 0.5 * (x[1:] + x[:-1])
     log_fp = _log_deriv_complex(weld.f_trace, x)
-    y = np.linspace(min(hx[0], -T_check) - 0.5, max(hx[-1], T_check) + 0.5,
-                    n_check)
+    y = np.linspace(min(hx[0], -8.0) - 0.5, max(hx[-1], 8.0) + 0.5, 801)
     log_gp_y = _log_deriv_complex(weld.g_trace, y)
     ym = 0.5 * (y[1:] + y[:-1])
     hxm = weld.h.eval(xm)
@@ -649,7 +639,7 @@ def _extension_mp_norm(h: BoundaryHomeomorphism, p, kernel="gaussian"):
 
 def besov_characterization_check(mu: BeltramiCoefficient, p,
                                  boundary_map: BoundaryHomeomorphism = None,
-                                 grid_n=512, kernel="gaussian"):
+                                 grid_n=512):
     """End-to-end coherence report for the Besov boundary characterization.
 
     Stages: M_p norm of mu; welding (or the supplied boundary map when mu
@@ -691,7 +681,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
     ext = None
     try:
-        ext, rep = _extension_mp_norm(h, p, kernel)
+        ext, rep = _extension_mp_norm(h, p)
         stages["mp_norm_extension"] = rep.to_json_dict()
         report["verdicts"]["extension_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001
@@ -745,8 +735,8 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     """Bers-image distance between mu and its heat-kernel re-extension.
 
     Both coefficients are transported to the disk and compared through the
-    Bers map on |z| = 2 (sup over 32 points); in exact arithmetic the two
-    Teichmueller classes coincide.
+    Bers map on |z| = 2 (sup over 32 points, TeichmullerPoint.distance_to);
+    in exact arithmetic the two Teichmueller classes coincide.
     """
     from .bers import bers_map
 
@@ -755,8 +745,7 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     ext_d = cayley(extension_mu, CayleyDirection.HALF_PLANE_TO_DISK)
     t1 = bers_map(mu_d, p=p, grid_n=grid_n)
     t2 = bers_map(ext_d, p=p, grid_n=grid_n)
-    z = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
-    return float(np.max(np.abs(t1.bers_image.eval(z) - t2.bers_image.eval(z))))
+    return t1.distance_to(t2, circles=(2.0,), n=32)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .boundary import (
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
-    boundary_trace,
 )
 from .domains import (
     BeltramiCoefficient,
@@ -65,7 +64,7 @@ class ExperimentConfig:
     mu_spec: dict = field(default_factory=lambda: {"kind": "constant_disk",
                                                    "k": 0.3, "r": 0.5})
     p: float = 2.0
-    grid: dict = field(default_factory=lambda: {"n": 512, "half_width": None})
+    grid: dict = field(default_factory=lambda: {"n": 512})
     tolerances: dict = field(default_factory=dict)
     output_path: str | None = None
     extra: dict = field(default_factory=dict)
@@ -168,8 +167,7 @@ def _cmd_aw(cfg):
     pt = bers_map(_mu(cfg), p=cfg.p, grid_n=cfg.grid.get("n", 512))
     sig = ahlfors_weill(pt.bers_image)
     back = bers_map(sig, p=cfg.p, grid_n=cfg.grid.get("n", 512))
-    z = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
-    err = float(np.abs(back.bers_image.eval(z) - pt.bers_image.eval(z)).max())
+    err = back.distance_to(pt, circles=(2.0,), n=32)
     tol = _tol(cfg, "section", 5e-3)
     return ({"sigma_sup_norm": sig.sup_norm, "section_sup_error": err},
             {"section_ok": err <= tol})
@@ -302,8 +300,7 @@ DEFAULT_FAMILY = tuple((k, r) for r in (0.7, 0.5, 0.3) for k in (0.3, 0.2, 0.1))
 # stabilizes before the final row
 
 
-def estimate_constants(family_spec=None, p_list=(2.0,), grid_n=512,
-                       laurent_radius=1.5):
+def estimate_constants(family_spec=None, p_list=(2.0,), grid_n=512):
     """Empirical constants over the closed-form family k chi_{rD}.
 
     Emits one row per (k, r, p) with both sides of the norm comparison,
@@ -335,7 +332,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,), grid_n=512,
             from .bers import laurent_coefficients
 
             phi = laurent_coefficients(
-                lambda z: -6.0 * a / (z * z - a) ** 2, 0.0, laurent_radius,
+                lambda z: -6.0 * a / (z * z - a) ** 2, 0.0, 1.5,
                 range(-24, 1))
             num = ap_norm(phi, p).value
             den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value

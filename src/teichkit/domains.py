@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import base64
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from functools import singledispatch
@@ -58,10 +57,6 @@ class DomainTag(str, enum.Enum):
     UPPER_HALF_PLANE = "UpperHalfPlane"
     LOWER_HALF_PLANE = "LowerHalfPlane"
     PLANE = "Plane"
-
-    @property
-    def has_hyperbolic_density(self):
-        return self is not DomainTag.PLANE
 
 
 class CayleyDirection(str, enum.Enum):
@@ -191,7 +186,7 @@ class ComplexGrid:
         X, Y = np.meshgrid(x, y, indexing="ij")
         return X + 1j * Y
 
-    def to_json_dict(self, normalization=None, domain=None):
+    def to_json_dict(self, normalization=None):
         head = {
             "schema": 1,
             "center": [self.center.real, self.center.imag],
@@ -202,8 +197,6 @@ class ComplexGrid:
         }
         if normalization is not None:
             head["normalization"] = normalization
-        if domain is not None:
-            head["domain"] = DomainTag(domain).value
         return head
 
     @classmethod
@@ -406,11 +399,6 @@ class HolomorphicFunction:
         return cls([0], [0.0], domain=domain)
 
     @classmethod
-    def from_coefficients(cls, pairs, **kw):
-        pairs = sorted(pairs)
-        return cls([n for n, _ in pairs], [c for _, c in pairs], **kw)
-
-    @classmethod
     def from_callable_on_circle(cls, fn, center, radius, orders,
                                 n_samples=1024, noise_rel=1e-13, **kw):
         """Fourier-analyse samples on a circle into series coefficients."""
@@ -500,9 +488,6 @@ class HolomorphicFunction:
         return g3 * m1 ** 3 + 3.0 * g2 * m1 * m2 + g1 * m3
 
     __call__ = eval
-
-    def derivative(self, z, order=1):
-        return self.eval(z, der=order)
 
     # -- structure ---------------------------------------------------------
 
@@ -630,18 +615,18 @@ def _graded_radial_mesh(n_shells, nodes_per_shell, offset=0.5):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _disk_ladder(integrand, levels=4, base_shells=6, base_nodes=48,
-                 base_angles=64, power=1.0):
+def _disk_ladder(integrand, levels=4, power=1.0):
     """Refinement ladder for int_D F dA in polar coordinates.
 
     integrand(z) must be vectorised and already contain the weight; the
-    ladder value at each level is (integral)^(1/power).
+    ladder value at each level is (integral)^(1/power).  Level lev has
+    6 + lev dyadic shells of 48 * 2^lev nodes and 64 * 2^lev angles.
     """
     resolutions, values = [], []
     for lev in range(levels):
-        shells = base_shells + lev
-        nper = base_nodes * 2 ** lev
-        nth = base_angles * 2 ** lev
+        shells = 6 + lev
+        nper = 48 * 2 ** lev
+        nth = 64 * 2 ** lev
         off = (0.5 + lev * _JITTER) % 1.0
         s, ws = _graded_radial_mesh(shells, nper, off)
         th = 2.0 * np.pi * (np.arange(nth) + 0.5) / nth

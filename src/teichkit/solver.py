@@ -269,7 +269,6 @@ class QuasiconformalMap:
 
     normalization: Normalization
     grid: ComplexGrid
-    source_mu: BeltramiCoefficient | None = None
     conformal_region: tuple | None = None
     mu_samples: np.ndarray | None = None
     residual: float | None = None
@@ -362,19 +361,19 @@ class QuasiconformalMap:
 FAR_FIELD_SAMPLES = 512
 
 
-def _far_field_series(fn, rho, orders=range(-12, 2)):
+def _far_field_series(fn, rho):
     return HolomorphicFunction.from_callable_on_circle(
-        fn, 0.0, rho, orders, n_samples=FAR_FIELD_SAMPLES, noise_rel=1e-12,
+        fn, 0.0, rho, range(-12, 2), n_samples=FAR_FIELD_SAMPLES,
+        noise_rel=1e-12,
         r_inner=rho, r_outer=math.inf, domain=DomainTag.EXTERIOR_DISK)
 
 
-def identity_map(n=64, half_width=4.0):
-    kit = _kit(n, half_width, 2)
-    grid = ComplexGrid(0.0, half_width, kit.Z.copy())
-    ff = _far_field_series(lambda z: z, 0.8 * half_width)
+def identity_map(n=64):
+    kit = _kit(n, 4.0, 2)
+    grid = ComplexGrid(0.0, 4.0, kit.Z.copy())
+    ff = _far_field_series(lambda z: z, 3.2)
     return QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
-        source_mu=BeltramiCoefficient.zero(DomainTag.PLANE),
         conformal_region=(0.0, math.inf), mu_samples=np.zeros((n, n)),
         residual=0.0, far_field=ff)
 
@@ -466,18 +465,17 @@ def _neumann(kit, mu_s, tol, max_iter):
     return h, trace, ratio
 
 
-def _fd_residual(kit, f, mu_s, jump_circles, band_cells=3):
-    d = kit.spacing
-    fx = np.gradient(f, d, axis=0)
-    fy = np.gradient(f, d, axis=1)
-    dz = (fx - 1j * fy) / 2.0
-    dbar = (fx + 1j * fy) / 2.0
+def _fd_residual(qc, mu_s, jump_circles):
+    """Beltrami defect |dbar f - mu_s df| / max|df| on the grid nodes inside
+    the margin and more than 3 cells off every jump circle."""
+    dz, dbar = qc.partial_grids()
     res = np.abs(dbar - mu_s * dz)
+    kit = _kit(qc.grid.n, qc.grid.half_width, 2)
     Z = kit.Z
     mask = (np.abs(Z.real) < MARGIN_FRACTION * kit.half_width) & \
            (np.abs(Z.imag) < MARGIN_FRACTION * kit.half_width)
     for c, r in jump_circles:
-        mask &= np.abs(np.abs(Z - c) - r) > band_cells * d
+        mask &= np.abs(np.abs(Z - c) - r) > 3 * kit.spacing
     return float(res[mask].max() / np.abs(dz).max())
 
 
@@ -520,8 +518,7 @@ def _node_index(kit, z):
     return i, j
 
 
-def _solved_map(mu, half_width, f, mu_s, trace, ratio, jump_circles,
-                **fields):
+def _solved_map(half_width, f, mu_s, trace, ratio, jump_circles, **fields):
     """QuasiconformalMap of a normalized plane-grid solve f.
 
     Its far field is fitted through the map's own spline on a circle of
@@ -530,11 +527,10 @@ def _solved_map(mu, half_width, f, mu_s, trace, ratio, jump_circles,
     """
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
-        grid=ComplexGrid(0.0, half_width, f), source_mu=mu, mu_samples=mu_s,
+        grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
         convergence_ratio=ratio, iteration_trace=trace, **fields)
     qc.far_field = _far_field_series(qc, MARGIN_FRACTION * half_width * 0.95)
-    qc.residual = _fd_residual(_kit(f.shape[0], half_width, 2), f, mu_s,
-                               jump_circles)
+    qc.residual = _fd_residual(qc, mu_s, jump_circles)
     return qc
 
 
@@ -559,7 +555,7 @@ def solve_plane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     f = (f - f[i0, j0]) / (f[i1, j0] - f[i0, j0])
     supp = mu.support_radius if np.isfinite(mu.support_radius) else half_width
     return _solved_map(
-        mu, half_width, f, mu_s, trace, ratio, mu.jump_circles,
+        half_width, f, mu_s, trace, ratio, mu.jump_circles,
         conformal_region=(supp + 3 * kit.spacing, math.inf))
 
 
@@ -589,20 +585,21 @@ def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     defect = float(np.max(np.abs(f[:, j0].imag)))
     if defect > 1e-6:
         raise SolverError(f"reflection symmetry defect {defect:.2e} on R", trace)
-    return _solved_map(mu, half_width, f, mu_s, trace, ratio,
+    return _solved_map(half_width, f, mu_s, trace, ratio,
                        _reflected_jump_circles(mu, True),
                        symmetry_defect=defect)
 
 
-def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11, max_iter=400,
-               disk_grid_n=None) -> QuasiconformalMap:
+def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11,
+               max_iter=400) -> QuasiconformalMap:
     """Self-map f^mu of the unit disk fixing the boundary points 1, -1, -i.
 
     Cayley conjugate of the symmetrized half-plane solve.  Coefficients
     supported on all of D transport to an unbounded region of U and are
     truncated at the grid margin: the transported modulus of Ahlfors-Weill
     data decays like |w|^-2, and the truncation perturbs the map only at
-    higher order after renormalization.
+    higher order after renormalization.  The disk map is resampled on a
+    grid of min(grid_n, 512) nodes over [-1.25, 1.25]^2.
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise SolverError("solve_disk expects a unit-disk coefficient")
@@ -610,22 +607,15 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11, max_iter=400,
     half_width = auto_half_width(mu_u.support_radius)
     fu = solve_halfplane(mu_u, grid_n, half_width, tol, max_iter)
 
-    lim = MARGIN_FRACTION * half_width
-
     def outer(z):
         z = np.asarray(z, dtype=complex)
         w = cayley_map(np.where(np.abs(z - 1.0) < 1e-12, 1.0 + 1e-12, z))
-        out = np.empty_like(w)
-        ok = (np.abs(w.real) <= lim) & (np.abs(w.imag) <= lim)
-        out[ok] = fu(w[ok])
-        out[~ok] = fu.far_field.eval(w[~ok])
-        return cayley_inverse(out)
+        return cayley_inverse(fu(w))
 
-    nd = disk_grid_n or min(grid_n, 512)
-    grid = ComplexGrid(0.0, 1.25, outer(_kit(nd, 1.25, 2).Z))
+    grid = ComplexGrid(0.0, 1.25, outer(_kit(min(grid_n, 512), 1.25, 2).Z))
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid,
-        source_mu=mu, conformal_region=None, mu_samples=None,
+        conformal_region=None, mu_samples=None,
         convergence_ratio=fu.convergence_ratio,
         iteration_trace=fu.iteration_trace, outer_eval=outer,
         residual=fu.residual, halfplane_map=fu)
@@ -680,12 +670,12 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
                                meta={"zeroed_nodes": int(zeroed.sum())})
 
 
-def invert(f: QuasiconformalMap, newton_tol=NEWTON_TOL, max_newton=50):
+def invert(f: QuasiconformalMap):
     """Pointwise inverse by Newton iteration seeded at the target point.
 
-    Returns a vectorized callable with residual |f(f^-1(w)) - w| below
-    newton_tol; raises SolverError when the iteration stalls (e.g. targets
-    outside the sampled image).
+    Returns a vectorized callable that takes at most 50 Newton steps toward
+    a residual |f(f^-1(w)) - w| below NEWTON_TOL; raises SolverError when
+    the iteration stalls (e.g. targets outside the sampled image).
     """
 
     def inverse(w):
@@ -693,10 +683,10 @@ def invert(f: QuasiconformalMap, newton_tol=NEWTON_TOL, max_newton=50):
         scalar = w.ndim == 0
         ww = np.atleast_1d(w).ravel()
         z = ww.copy()
-        for _ in range(max_newton):
+        for _ in range(50):
             fz = f(z)
             err = fz - ww
-            if np.nanmax(np.abs(err)) < newton_tol:
+            if np.nanmax(np.abs(err)) < NEWTON_TOL:
                 break
             dz, dbar = f.partials_at(z)
             # real-linear Newton step for df dz + dbarf conj(dz) = -err
@@ -708,7 +698,7 @@ def invert(f: QuasiconformalMap, newton_tol=NEWTON_TOL, max_newton=50):
             scale = np.where(step_mag > cap, cap / np.maximum(step_mag, 1e-300), 1.0)
             z = z - step * scale
         resid = float(np.nanmax(np.abs(f(z) - ww)))
-        if not np.isfinite(resid) or resid > 100 * newton_tol:
+        if not np.isfinite(resid) or resid > 100 * NEWTON_TOL:
             raise SolverError(f"Newton inversion stalled (residual {resid:.2e})")
         return complex(z[0]) if scalar else z.reshape(w.shape)
 

@@ -28,7 +28,6 @@ from .boundary import (
     besov_characterization_check,
     besov_seminorm,
     boundary_trace,
-    log_derivative,
     welding,
     welding_identity_check,
 )
@@ -343,14 +342,5 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(criteria=None, printer=None):
-    results = []
-    for fn in ALL_CRITERIA:
-        num = int(fn.__name__.split("_")[1])
-        if criteria and num not in criteria:
-            continue
-        res = fn()
-        results.append(res)
-        if printer:
-            printer(res.line())
-    return results
+def run_all():
+    return [fn() for fn in ALL_CRITERIA]

@@ -125,6 +125,41 @@ def test_besov_rejects_small_p():
         besov_seminorm(u, 1.0)
 
 
+def _dense_pair_sums(x, v, p, circle, bands):
+    """Reference: every ordered pair i != j as one n x n matrix."""
+    dist = np.abs(x[:, None] - x[None, :])
+    if circle:
+        dist = np.minimum(dist, 2 * np.pi - dist)
+        den = (2 * np.sin(dist / 2)) ** 2
+    else:
+        den = dist ** 2
+    num = np.abs(v[:, None] - v[None, :]) ** p
+    off = ~np.eye(x.size, dtype=bool)
+    return np.array([np.sum(num[off & (dist > w)] / den[off & (dist > w)])
+                     for w in bands])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_banded_pair_sums_match_dense_reference(p):
+    from teichkit.boundary import _banded_pair_sums, _circle_kernel, \
+        _line_kernel
+
+    rng = np.random.default_rng(3)
+    th = 2 * np.pi * np.arange(256) / 256
+    xl = np.linspace(-8, 8, 257)
+    xn = np.sort(rng.uniform(-5.0, 5.0, 300))
+    cases = [(th, np.exp(1j * th) + 0.3 * np.cos(3 * th), True),
+             (xl, np.tanh(xl) + 0.1 * xl, False),
+             (xn, np.sin(xn) + 0.05 * xn ** 2, False)]
+    for x, v, circle in cases:
+        dx = x[1] - x[0]
+        bands = [k * dx for k in (4, 2, 1)]
+        got = _banded_pair_sums(x, v, p, _circle_kernel if circle
+                                else _line_kernel, bands)
+        ref = _dense_pair_sums(x, v, p, circle, bands)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_besov_cayley_invariance():
     # u vanishes to second order at z = 1, so the transported function
     # decays like 1/x^2 and the line truncation converges quickly
