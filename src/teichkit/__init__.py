@@ -42,7 +42,6 @@ from .bers import (  # noqa: E402
     hyperbolic_distortion,
     laurent_coefficients,
     local_section,
-    reflection,
     schwarzian,
 )
 from .boundary import (  # noqa: E402
@@ -53,7 +52,6 @@ from .boundary import (  # noqa: E402
     besov_seminorm,
     boundary_trace,
     log_derivative,
-    prebesov_log_derivative,
     welding,
     welding_identity_check,
 )

@@ -25,7 +25,7 @@ small enough that each increment lies in the Ahlfors-Weill regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ from .solver import (
     chain_rule,
     compose,
     dilatation,
-    invert,
     solve_disk,
     solve_plane,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "NonHolomorphicError",
     "BersConsistencyError",
     "TeichmullerPoint",
-    "ReflectionMap",
     "laurent_coefficients",
     "schwarzian",
     "bers_map",
@@ -64,7 +62,6 @@ __all__ = [
     "equivalent",
     "hyperbolic_distortion",
     "bilipschitz_representative",
-    "reflection",
     "local_section",
     "DEFAULT_CIRCLES",
 ]
@@ -348,66 +345,6 @@ def bilipschitz_representative(mu: BeltramiCoefficient, delta=0.3,
         nu_k.meta.update(steps=k, single_step=False)
     nu_k.meta["final_map"] = f_k
     return nu_k
-
-
-# ---------------------------------------------------------------------------
-# Quasiconformal reflection
-
-
-@dataclass
-class ReflectionMap:
-    """Reflection j(zeta) = f_nu((f_nu^-1(zeta))^*) across f_nu(S).
-
-    Carries the finite-difference j_zbar and the empirical constant of the
-    weighted bound |zeta - j|^2 |j_zbar| <= c / rho_{Omega*}(j)^2.
-    """
-
-    base_nu: BeltramiCoefficient
-    j: object
-    j_zbar: object
-    eq3_constant: float
-    fixed_curve_defect: float
-    samples: dict = field(default_factory=dict, repr=False)
-
-
-def reflection(nu: BeltramiCoefficient, grid_n=512) -> ReflectionMap:
-    """Quasiconformal reflection across the image curve f_nu(S).
-
-    The fixed-curve defect is sampled at 24 angles of f_nu(S), the weighted
-    bound at the same angles on |z| in {0.3, 0.5, 0.7, 0.85}.
-    """
-    f = solve_plane(nu, grid_n=grid_n)
-    inverse = invert(f)
-
-    def j(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        z = inverse(zeta)
-        return f(1.0 / np.conj(z))
-
-    step = 2 * f.grid.spacing
-
-    def j_zbar(zeta):
-        return ((j(zeta + step) - j(zeta - step)) +
-                1j * (j(zeta + 1j * step) - j(zeta - 1j * step))) / (4 * step)
-
-    th = 2.0 * np.pi * np.arange(24) / 24
-    curve = f(np.exp(1j * th))
-    defect = float(np.max(np.abs(j(curve) - curve)))
-
-    zs = np.concatenate([r * np.exp(1j * th) for r in (0.3, 0.5, 0.7, 0.85)])
-    zetas = f(zs)
-    jz = j(zetas)
-    jb = j_zbar(zetas)
-    zstar = 1.0 / np.conj(zs)
-    dz_star, _ = f.partials_at(zstar)
-    rho_out = hyperbolic_density(DomainTag.EXTERIOR_DISK, zstar) / \
-        np.abs(dz_star)
-    lhs = np.abs(zetas - jz) ** 2 * np.abs(jb)
-    c_emp = float(np.max(lhs * rho_out ** 2))
-    return ReflectionMap(base_nu=nu, j=j, j_zbar=j_zbar,
-                         eq3_constant=c_emp, fixed_curve_defect=defect,
-                         samples={"zeta": zetas, "lhs": lhs,
-                                  "rho_out": rho_out})
 
 
 # ---------------------------------------------------------------------------

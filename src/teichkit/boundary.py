@@ -62,7 +62,6 @@ __all__ = [
     "welding_identity_check",
     "ba_extend",
     "besov_characterization_check",
-    "prebesov_log_derivative",
 ]
 
 
@@ -746,43 +745,3 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     t1 = bers_map(mu_d, p=p, grid_n=grid_n)
     t2 = bers_map(ext_d, p=p, grid_n=grid_n)
     return t1.distance_to(t2, circles=(2.0,), n=32)
-
-
-# ---------------------------------------------------------------------------
-# Analytic pre-Besov comparison (log f' vs S_f)
-
-
-def prebesov_log_derivative(f: HolomorphicFunction, p, levels=4) -> NormReport:
-    """Analytic Besov seminorm of log f' for a coefficient-series function.
-
-    Exterior-disk series are transported to D by inversion (the B_p norms
-    agree exactly under w = 1/z); the integrand is then
-    |d/dw log f'(1/w)|^p (1-|w|^2)^{p-2}.  Raises when f' vanishes on the
-    integration region.
-    """
-    from .domains import _disk_ladder
-
-    p = float(p)
-    if p <= 1.0:
-        raise ValueError("requires p > 1")
-    if f.domain is DomainTag.EXTERIOR_DISK:
-        def du(w):
-            w = np.where(w == 0, 1e-12, w)
-            z = 1.0 / w
-            f1 = f.eval(z, der=1)
-            if np.min(np.abs(f1)) < 1e-2 * max(np.max(np.abs(f1)), 1e-30):
-                raise ValueError("f' vanishes on the integration region")
-            return -f.eval(z, der=2) / (w * w * f1)
-    elif f.domain is DomainTag.UNIT_DISK:
-        def du(w):
-            f1 = f.eval(w, der=1)
-            if np.min(np.abs(f1)) < 1e-2 * max(np.max(np.abs(f1)), 1e-30):
-                raise ValueError("f' vanishes on the integration region")
-            return f.eval(w, der=2) / f1
-    else:
-        raise ValueError("prebesov expects a disk or exterior-disk series")
-
-    def integrand(w):
-        return np.abs(du(w)) ** p * (1.0 - np.abs(w) ** 2) ** (p - 2.0)
-
-    return _disk_ladder(integrand, levels=levels, power=p)

@@ -73,16 +73,18 @@ class ExperimentConfig:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         n = self.grid.get("n", 512)
-        if n & (n - 1):
-            raise ValueError("grid n must be a power of two")
+        if not isinstance(n, int) or n < 1 or n & (n - 1):
+            raise ValueError(
+                f"grid n must be a positive int power of two, got {n!r}")
         for name, val in self.tolerances.items():
             if not val > 0:
                 raise ValueError(f"tolerance {name!r} must be positive")
+        if not isinstance(self.p, (int, float)) \
+                or not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
         if self.command in ("besov", "characterize", "roundtrip") \
                 and not self.p > 1:
             raise ValueError(f"{self.command} requires p > 1")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -246,8 +248,7 @@ def _cmd_verify_all(cfg):
 
 def _cmd_constants(cfg):
     rows = estimate_constants(family_spec=cfg.extra.get("family"),
-                              p_list=cfg.extra.get("p_list", (2.0,)),
-                              grid_n=cfg.grid.get("n", 512))
+                              p_list=cfg.extra.get("p_list", (2.0,)))
     if cfg.output_path:
         write_constants_csv(rows, cfg.output_path)
     return ({"rows": rows},
@@ -300,7 +301,7 @@ DEFAULT_FAMILY = tuple((k, r) for r in (0.7, 0.5, 0.3) for k in (0.3, 0.2, 0.1))
 # stabilizes before the final row
 
 
-def estimate_constants(family_spec=None, p_list=(2.0,), grid_n=512):
+def estimate_constants(family_spec=None, p_list=(2.0,)):
     """Empirical constants over the closed-form family k chi_{rD}.
 
     Emits one row per (k, r, p) with both sides of the norm comparison,

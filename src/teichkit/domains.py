@@ -109,15 +109,9 @@ def cayley_inverse(w):
     return (w - 1j) / (w + 1j)
 
 
-def cayley_map_deriv(z, order=1):
+def cayley_map_deriv(z):
     z = np.asarray(z, dtype=complex)
-    if order == 1:
-        return 2j / (z - 1.0) ** 2
-    if order == 2:
-        return -4j / (z - 1.0) ** 3
-    if order == 3:
-        return 12j / (z - 1.0) ** 4
-    raise ValueError("derivative order up to 3")
+    return 2j / (z - 1.0) ** 2
 
 
 def cayley_inverse_deriv(w, order=1):
@@ -371,8 +365,9 @@ class HolomorphicFunction:
 
     orders[i] is the power of (z - center) carried by coeffs[i].  A Laurent
     representation is valid on the annulus (r_inner, r_outer); a Taylor one
-    on |z - center| < r_outer.  An optional Moebius precomposition supports
-    Cayley push-forwards phi_* = phi o H^{-1} without resampling.
+    on |z - center| < r_outer.  premap is None or "cayley_inverse"; the
+    latter precomposes with H^{-1}, which carries Cayley push-forwards
+    phi_* = phi o H^{-1} without resampling.
     """
 
     def __init__(self, orders, coeffs, center=0.0, r_inner=0.0,
@@ -411,30 +406,12 @@ class HolomorphicFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _pullback(self, z, order=0):
-        """Return (w, chain derivatives of the premap at z)."""
-        if self.premap is None:
-            return z, None
-        if self.premap == "cayley_inverse":
-            w = cayley_inverse(z)
-            if order == 0:
-                return w, None
-            ders = [cayley_inverse_deriv(z, k) for k in range(1, order + 1)]
-            return w, ders
-        if self.premap == "cayley":
-            w = cayley_map(z)
-            if order == 0:
-                return w, None
-            ders = [cayley_map_deriv(z, k) for k in range(1, order + 1)]
-            return w, ders
-        if self.premap == "inversion":
-            w = 1.0 / np.asarray(z, dtype=complex)
-            if order == 0:
-                return w, None
-            zz = np.asarray(z, dtype=complex)
-            ders = [-1.0 / zz ** 2, 2.0 / zz ** 3, -6.0 / zz ** 4][:order]
-            return w, ders
-        raise ValueError(f"unknown premap {self.premap!r}")
+    def _pullback(self, z, order):
+        """Return (w, derivatives 1..order of the premap at z)."""
+        if self.premap != "cayley_inverse":
+            raise ValueError(f"unknown premap {self.premap!r}")
+        ders = [cayley_inverse_deriv(z, k) for k in range(1, order + 1)]
+        return cayley_inverse(z), ders
 
     def _series_eval(self, w, der=0):
         """der-th derivative of the series at w by Horner's rule.
@@ -494,21 +471,6 @@ class HolomorphicFunction:
     def coefficient(self, n):
         j = np.nonzero(self.orders == n)[0]
         return complex(self.coeffs[j[0]]) if j.size else 0.0
-
-    def scaled(self, c):
-        return HolomorphicFunction(
-            self.orders, c * self.coeffs, self.center, self.r_inner,
-            self.r_outer, self.domain, self.premap)
-
-    def plus(self, other):
-        if self.premap != other.premap or self.center != other.center:
-            raise ValueError("incompatible representations")
-        orders = sorted(set(self.orders.tolist()) | set(other.orders.tolist()))
-        coeffs = [self.coefficient(n) + other.coefficient(n) for n in orders]
-        return HolomorphicFunction(
-            orders, coeffs, self.center,
-            max(self.r_inner, other.r_inner),
-            min(self.r_outer, other.r_outer), self.domain, self.premap)
 
     def inverted_disk_rep(self):
         """psi(w) = w^-4 phi(1/w) for an exterior-disk series about 0.
@@ -650,7 +612,7 @@ def mp_norm(mu: BeltramiCoefficient, p, levels=4):
     (2 Im zeta)^{-2} dA becomes exactly the disk weight.
     """
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # also rejects NaN
         raise ValueError("mp_norm requires p >= 1")
     if mu.domain is DomainTag.PLANE:
         raise DomainError("no hyperbolic weight on the plane")
@@ -708,7 +670,7 @@ def ap_norm(phi: HolomorphicFunction, p, levels=4):
     a pole of psi and is caught by the divergence ladder.
     """
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # also rejects NaN
         raise ValueError("ap_norm requires p >= 1")
     if not np.any(phi.coeffs):
         return NormReport(0.0, [(1, 0.0)], False, 0.0)

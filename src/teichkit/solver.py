@@ -58,7 +58,6 @@ __all__ = [
     "dilatation",
     "compose",
     "invert",
-    "invert_map",
     "chain_rule",
     "auto_half_width",
 ]
@@ -71,6 +70,11 @@ MARGIN_FRACTION = 0.9
 
 # residual |f(f^-1(w)) - w| that invert converges to
 NEWTON_TOL = 1e-9
+
+# Neumann iteration: stop once the sup step falls below NEUMANN_TOL, fail
+# after NEUMANN_MAX_ITER steps
+NEUMANN_TOL = 1e-11
+NEUMANN_MAX_ITER = 400
 
 
 class SolverError(RuntimeError):
@@ -207,29 +211,26 @@ def _binomial_blur(a):
     return 0.25 * np.roll(out, 1, 1) + 0.5 * out + 0.25 * np.roll(out, -1, 1)
 
 
-def _reflected_jump_circles(mu, reflect):
-    circles = list(mu.jump_circles)
-    if reflect:
-        circles += [(np.conj(c), r) for c, r in circles]
-    return circles
+def _reflected_jump_circles(mu):
+    return list(mu.jump_circles) + [(np.conj(c), r) for c, r in mu.jump_circles]
 
 
-def sample_coefficient(mu: BeltramiCoefficient, n, half_width, mollify=True,
-                       reflect=False, truncation=None):
+def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     """Sample mu on the solver grid.
 
     Cells cut by a declared jump circle are supersampled to their cell
-    average, then one mass-preserving binomial blur is applied; both keep
-    closed-form agreement at O(spacing^2) while suppressing the spectral
-    ringing of sharp interfaces.  reflect=True extends a half-plane
-    coefficient by conj(mu(conj z)) across R.
+    average.  reflect=True extends a half-plane coefficient by
+    conj(mu(conj z)) across R; if its support is unbounded, it is first
+    truncated to |z| <= 0.85 half_width, inside the grid margin.
     """
     kit = _kit(n, half_width, 2)
     Z = kit.Z
     d = kit.spacing
+    truncation = math.inf
+    if reflect and not np.isfinite(mu.support_radius):
+        truncation = 0.85 * half_width
     vals = mu.eval(Z)
-    if truncation is not None:
-        vals[np.abs(Z) > truncation] = 0.0
+    vals[np.abs(Z) > truncation] = 0.0
     for c, r in mu.jump_circles:
         near = np.abs(np.abs(Z - c) - r) < 1.5 * d
         if not near.any():
@@ -240,8 +241,7 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, mollify=True,
         patch = (OX + 1j * OY).ravel() * d
         zs = Z[near][:, None] + patch[None, :]
         sv = mu.eval(zs)
-        if truncation is not None:
-            sv[np.abs(zs) > truncation] = 0.0
+        sv[np.abs(zs) > truncation] = 0.0
         vals[near] = sv.mean(axis=1)
     if reflect:
         vals[Z.imag <= 0] = 0.0
@@ -249,8 +249,6 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, mollify=True,
         ref = np.zeros_like(vals)
         ref[:, 1:] = flipped[:, :-1]  # y-node j reflects to node n - j
         vals = vals + np.where(Z.imag < 0, ref, 0.0)
-    if mollify:
-        vals = _binomial_blur(vals)
     return vals
 
 
@@ -387,18 +385,16 @@ def identity_map(n=64):
 _CACHE_SCHEMA = 2
 
 
-def _solve_key(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
-               truncation):
+def _solve_key(mu, grid_n, reflect):
     """Identity of one raw solve; None when mu carries no cache token.
 
-    Every input that changes the solve's output is part of the key, which
-    names both the in-memory memo entry and the disk cache file.
+    The key names both the in-memory memo entry and the disk cache file.
+    A raw solve's output is fixed by mu, grid_n and reflect: the chart and
+    the truncation are derived from mu, everything else is a constant.
     """
     if mu.cache_token is None:
         return None
-    ident = (f"{_CACHE_SCHEMA}|{mu.cache_token}|{grid_n}|"
-             f"{float(half_width)!r}|{float(tol)!r}|{max_iter}|{mollify}|"
-             f"{reflect}|{truncation!r}")
+    ident = f"{_CACHE_SCHEMA}|{mu.cache_token}|{grid_n}|{reflect}"
     return hashlib.sha256(ident.encode()).hexdigest()[:24]
 
 
@@ -439,16 +435,16 @@ def _memo_put(key, value):
         _MEMO[key] = value
 
 
-def _neumann(kit, mu_s, tol, max_iter):
+def _neumann(kit, mu_s):
     h = mu_s.copy()
     trace = []
     grow = 0
-    for _ in range(max_iter):
+    for _ in range(NEUMANN_MAX_ITER):
         hn = mu_s * (1.0 + kit.beurling(h))
         delta = float(np.max(np.abs(hn - h)))
         h = hn
         trace.append(delta)
-        if delta < tol:
+        if delta < NEUMANN_TOL:
             break
         if len(trace) > 2 and trace[-1] > trace[-2] > trace[-3]:
             grow += 1
@@ -460,7 +456,7 @@ def _neumann(kit, mu_s, tol, max_iter):
             grow = 0
     else:
         raise SolverError("Neumann iteration did not converge", trace)
-    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e4 * tol]
+    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e4 * NEUMANN_TOL]
     ratio = max(ratios[1:]) if len(ratios) > 2 else (ratios[-1] if ratios else 0.0)
     return h, trace, ratio
 
@@ -479,12 +475,18 @@ def _fd_residual(qc, mu_s, jump_circles):
     return float(res[mask].max() / np.abs(dz).max())
 
 
-def _solve_raw(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
-               truncation=None):
+def _solve_raw(mu, grid_n, reflect):
+    """Unnormalized plane solution z + P[h] on the chart of mu.
+
+    The chart half-width is auto_half_width(mu.support_radius); with
+    reflect=True mu is a half-plane coefficient extended across R (see
+    sample_coefficient).  The samples get one mass-preserving binomial
+    blur, which keeps closed-form agreement at O(spacing^2) while
+    suppressing the spectral ringing of sharp interfaces.
+    """
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
-    memo_key = _solve_key(mu, grid_n, half_width, tol, max_iter, mollify,
-                          reflect, truncation)
+    memo_key = _solve_key(mu, grid_n, reflect)
     hit = _memo_get(memo_key)
     if hit is not None:
         return hit
@@ -494,11 +496,11 @@ def _solve_raw(mu, grid_n, half_width, tol, max_iter, mollify, reflect,
             out = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
         _memo_put(memo_key, out)
         return out
+    half_width = auto_half_width(mu.support_radius)
     kit = _kit(grid_n, half_width, 2)
-    mu_s = sample_coefficient(mu, grid_n, half_width, mollify, reflect,
-                              truncation)
+    mu_s = _binomial_blur(sample_coefficient(mu, grid_n, half_width, reflect))
     _check_margin(ComplexGrid(0.0, half_width, mu_s), "coefficient support")
-    h, trace, ratio = _neumann(kit, mu_s, tol, max_iter)
+    h, trace, ratio = _neumann(kit, mu_s)
     f = kit.Z + kit.cauchy(h)
     if path:
         _write_cache(path, f=f, mu_s=mu_s, trace=np.array(trace),
@@ -534,22 +536,20 @@ def _solved_map(half_width, f, mu_s, trace, ratio, jump_circles, **fields):
     return qc
 
 
-def solve_plane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
-                tol=1e-11, max_iter=400, mollify=True) -> QuasiconformalMap:
+def solve_plane(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     """Normalized plane solution f with dilatation mu, fixing 0, 1, infinity.
 
-    mu must be compactly supported inside the 90% grid margin.  The raw
-    solution z + P[h] already fixes infinity (f(z) - z -> 0); an affine
-    output correction pins f(0) = 0 and f(1) = 1.
+    mu must be compactly supported inside the 90% margin of the grid whose
+    half-width auto_half_width picks from its support.  The raw solution
+    z + P[h] already fixes infinity (f(z) - z -> 0); an affine output
+    correction pins f(0) = 0 and f(1) = 1.
 
     Raises SolverError with the iteration trace on non-convergence, and on
     support reaching the outer margin (aliasing guard).
     """
-    if half_width is None:
-        half_width = auto_half_width(mu.support_radius)
+    half_width = auto_half_width(mu.support_radius)
     kit = _kit(grid_n, half_width, 2)
-    f, mu_s, trace, ratio = _solve_raw(
-        mu, grid_n, half_width, tol, max_iter, mollify, reflect=False)
+    f, mu_s, trace, ratio = _solve_raw(mu, grid_n, reflect=False)
     i0, j0 = _node_index(kit, 0.0 + 0.0j)
     i1, _ = _node_index(kit, 1.0 + 0.0j)
     f = (f - f[i0, j0]) / (f[i1, j0] - f[i0, j0])
@@ -559,25 +559,21 @@ def solve_plane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
         conformal_region=(supp + 3 * kit.spacing, math.inf))
 
 
-def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
-                    tol=1e-11, max_iter=400, mollify=True,
-                    truncation=None) -> QuasiconformalMap:
+def solve_halfplane(mu: BeltramiCoefficient,
+                    grid_n=1024) -> QuasiconformalMap:
     """Self-map of U with dilatation mu, fixing 0, 1, infinity on R.
 
     The coefficient is extended to the lower half-plane by the reflection
     conj(mu(conj z)), which makes the plane solution commute with z -> conj z
-    and hence preserve R; a real affine correction pins 0 and 1.
+    and hence preserve R; a real affine correction pins 0 and 1.  The grid
+    half-width is auto_half_width(mu.support_radius); a coefficient with
+    unbounded support is truncated at 0.85 of it.
     """
     if mu.domain is not DomainTag.UPPER_HALF_PLANE:
         raise SolverError("solve_halfplane expects an upper half-plane coefficient")
-    if half_width is None:
-        half_width = auto_half_width(mu.support_radius)
-    if not np.isfinite(mu.support_radius) and truncation is None:
-        truncation = 0.85 * half_width
+    half_width = auto_half_width(mu.support_radius)
     kit = _kit(grid_n, half_width, 2)
-    f, mu_s, trace, ratio = _solve_raw(
-        mu, grid_n, half_width, tol, max_iter, mollify, reflect=True,
-        truncation=truncation)
+    f, mu_s, trace, ratio = _solve_raw(mu, grid_n, reflect=True)
     i0, j0 = _node_index(kit, 0.0 + 0.0j)
     i1, _ = _node_index(kit, 1.0 + 0.0j)
     a, b = f[i0, j0].real, f[i1, j0].real
@@ -586,26 +582,25 @@ def solve_halfplane(mu: BeltramiCoefficient, grid_n=1024, half_width=None,
     if defect > 1e-6:
         raise SolverError(f"reflection symmetry defect {defect:.2e} on R", trace)
     return _solved_map(half_width, f, mu_s, trace, ratio,
-                       _reflected_jump_circles(mu, True),
+                       _reflected_jump_circles(mu),
                        symmetry_defect=defect)
 
 
-def solve_disk(mu: BeltramiCoefficient, grid_n=1024, tol=1e-11,
-               max_iter=400) -> QuasiconformalMap:
+def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     """Self-map f^mu of the unit disk fixing the boundary points 1, -1, -i.
 
-    Cayley conjugate of the symmetrized half-plane solve.  Coefficients
-    supported on all of D transport to an unbounded region of U and are
-    truncated at the grid margin: the transported modulus of Ahlfors-Weill
-    data decays like |w|^-2, and the truncation perturbs the map only at
-    higher order after renormalization.  The disk map is resampled on a
-    grid of min(grid_n, 512) nodes over [-1.25, 1.25]^2.
+    Cayley conjugate of solve_halfplane on the transported coefficient.
+    Coefficients supported on all of D transport to an unbounded region of
+    U, which solve_halfplane truncates inside its grid margin: the
+    transported modulus of Ahlfors-Weill data decays like |w|^-2, and the
+    truncation perturbs the map only at higher order after renormalization.
+    The disk map is resampled on a grid of min(grid_n, 512) nodes over
+    [-1.25, 1.25]^2.
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise SolverError("solve_disk expects a unit-disk coefficient")
     mu_u = cayley(mu, CayleyDirection.DISK_TO_HALF_PLANE)
-    half_width = auto_half_width(mu_u.support_radius)
-    fu = solve_halfplane(mu_u, grid_n, half_width, tol, max_iter)
+    fu = solve_halfplane(mu_u, grid_n)
 
     def outer(z):
         z = np.asarray(z, dtype=complex)
@@ -718,14 +713,6 @@ def compose(f: QuasiconformalMap, g: QuasiconformalMap) -> QuasiconformalMap:
             return f(g(z))
         qc.outer_eval = outer
     return qc
-
-
-def invert_map(f: QuasiconformalMap) -> QuasiconformalMap:
-    """Grid-sampled inverse map over f's grid box (image side)."""
-    inv = invert(f)
-    vals = inv(f.grid.nodes())
-    grid = ComplexGrid(f.grid.center, f.grid.half_width, vals)
-    return QuasiconformalMap(normalization=f.normalization, grid=grid)
 
 
 def chain_rule(mu: BeltramiCoefficient, nu: BeltramiCoefficient,

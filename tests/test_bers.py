@@ -13,7 +13,6 @@ from teichkit.bers import (
     hyperbolic_distortion,
     laurent_coefficients,
     local_section,
-    reflection,
     schwarzian,
 )
 from teichkit.domains import ComplexGrid, HolomorphicFunction
@@ -61,9 +60,11 @@ def test_laurent_pole_pair_exact():
 def test_laurent_coefficient_decay_geometric():
     # Schwarzian tail coefficients of the closed-form family decay
     # geometrically in the order
-    S = schwarzian(phi_series(0.3, 0.5).plus(
-        HolomorphicFunction([1], [1.0], domain=DomainTag.EXTERIOR_DISK)),
-        out_orders=range(-20, 2))
+    phi = phi_series(0.3, 0.5)  # orders -24 .. 0
+    f = HolomorphicFunction(np.append(phi.orders, 1),
+                            np.append(phi.coeffs, 1.0), r_inner=phi.r_inner,
+                            domain=DomainTag.EXTERIOR_DISK)  # phi + z
+    S = schwarzian(f, out_orders=range(-20, 2))
     mags = {int(n): abs(c) for n, c in zip(S.orders, S.coeffs) if abs(c) > 0}
     # use the even orders where the family lives
     seq = [mags[n] for n in (-4, -6, -8, -10) if n in mags]
@@ -350,27 +351,6 @@ def test_bilip_multi_step():
 def test_bilip_rejects_bad_delta():
     with pytest.raises(ValueError):
         bilipschitz_representative(BeltramiCoefficient.zero(), delta=0.5)
-
-
-# ---------------------------------------------------------------------------
-# reflection
-
-
-def test_reflection_identity_case():
-    refl = reflection(BeltramiCoefficient.zero(), grid_n=256)
-    z = np.array([0.5 + 0j, 0.3 + 0.2j])
-    assert np.abs(refl.j(z) - 1.0 / np.conj(z)).max() < 1e-9
-    assert refl.j(np.array([0.5 + 0j]))[0] == pytest.approx(2.0, abs=1e-9)
-    # j o j = id
-    assert np.abs(refl.j(refl.j(z)) - z).max() < 1e-8
-    # exact constant for the standard reflection is 4
-    assert refl.eq3_constant == pytest.approx(4.0, rel=1e-2)
-
-
-def test_reflection_fixes_image_curve(mu_03_05):
-    refl = reflection(mu_03_05, grid_n=TEST_GRID_N)
-    assert refl.fixed_curve_defect < 1e-3
-    assert np.isfinite(refl.eq3_constant)
 
 
 # ---------------------------------------------------------------------------

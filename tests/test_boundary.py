@@ -12,14 +12,12 @@ from teichkit.boundary import (
     besov_seminorm,
     boundary_trace,
     log_derivative,
-    prebesov_log_derivative,
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
     _certified_far_field,
 )
-from teichkit.bers import laurent_coefficients, schwarzian
-from teichkit.domains import HolomorphicFunction, analytic_besov_norm, ap_norm
+from teichkit.domains import HolomorphicFunction, analytic_besov_norm
 from teichkit.solver import SolverError, invert
 
 from conftest import TEST_GRID_N
@@ -397,37 +395,3 @@ def test_roundtrip_reads_no_bers_norms(monkeypatch):
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     ext = ba_extend(line_homeo(lambda x: x + 0.5 * np.tanh(x)))
     assert np.isfinite(roundtrip_phi_distance(mu, ext, grid_n=128))
-
-
-# ---------------------------------------------------------------------------
-# prebesov (log f' vs S_f)
-
-
-def test_prebesov_mobius():
-    M = laurent_coefficients(lambda z: (2 * z + 0.3) / (0.02 * z + 1),
-                             0.0, 0.5, range(0, 40))
-    M.domain = DomainTag.UNIT_DISK
-    S = schwarzian(M)
-    zt = 0.6 * np.exp(1j * np.linspace(0, 6, 9))
-    assert np.abs(S.eval(zt)).max() < 1e-9
-    rep = prebesov_log_derivative(M, 2)
-    assert not rep.divergent and np.isfinite(rep.value)
-
-
-def test_prebesov_family_joint_finiteness():
-    ratios = []
-    for k in (0.1, 0.2, 0.3):
-        f = laurent_coefficients(lambda z, kk=k: z + kk / z, 0.0, 2.0,
-                                 range(-12, 2))
-        pre = prebesov_log_derivative(f, 2)
-        S = schwarzian(f)
-        ap = ap_norm(S, 2)
-        assert not pre.divergent and not ap.divergent
-        ratios.append(pre.value / ap.value)
-    assert max(ratios) / min(ratios) < 5.0
-
-
-def test_prebesov_rejects_vanishing_derivative():
-    f = laurent_coefficients(lambda z: z + 4.0 / z, 0.0, 2.0, range(-8, 3))
-    with pytest.raises(ValueError):
-        prebesov_log_derivative(f, 2)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -34,6 +35,12 @@ def test_config_validation():
                                     "tolerances": {"x": -1.0}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"command": "besov", "p": 1.0})
+    for n in (0, 512.0):
+        with pytest.raises(ValueError, match="grid n"):
+            ExperimentConfig.from_dict({"command": "solve", "grid": {"n": n}})
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must"):
+            ExperimentConfig.from_dict({"command": "norm", "p": p})
 
 
 def test_norm_command_closed_form():
@@ -90,7 +97,7 @@ def test_error_surfaced_with_stage():
 
 
 def test_constants_rows_and_running_max(tmp_path):
-    rows = estimate_constants(p_list=(2.0,), grid_n=TEST_GRID_N)
+    rows = estimate_constants(p_list=(2.0,))
     assert len(rows) == 9
     rm = [r["running_max"] for r in rows]
     assert rm[-1] == rm[-2]
@@ -125,8 +132,6 @@ def test_roundtrip_matches_characterization_stage():
 
 
 def test_roundtrip_divergent_skips():
-    import math
-
     mu = BeltramiCoefficient("UpperHalfPlane",
                              lambda z: 0.3 * z / np.conj(z), math.inf, 0.3)
     rep = roundtrip(mu, 2.0, grid_n=256)

@@ -112,8 +112,9 @@ def test_mp_norm_constant_divergent():
 
 
 def test_mp_norm_rejects():
-    with pytest.raises(ValueError):
-        mp_norm(BeltramiCoefficient.zero(), 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            mp_norm(BeltramiCoefficient.zero(), p)
     with pytest.raises(DomainError):
         mp_norm(BeltramiCoefficient.zero(DomainTag.PLANE), 2)
 
@@ -189,8 +190,9 @@ def test_ap_norm_against_quadrature_oracle():
 def test_ap_zero_and_range():
     zero = HolomorphicFunction.zero(DomainTag.EXTERIOR_DISK)
     assert ap_norm(zero, 2).value == 0.0
-    with pytest.raises(ValueError):
-        ap_norm(zero, 0.9)
+    for p in (0.9, math.nan):
+        with pytest.raises(ValueError):
+            ap_norm(zero, p)
 
 
 def test_ainf_ap_embedding_ratio_bounded():
@@ -300,8 +302,7 @@ def _term_by_term(self, w, der=0):
     return out
 
 
-@pytest.mark.parametrize("premap", [None, "cayley", "cayley_inverse",
-                                    "inversion"])
+@pytest.mark.parametrize("premap", [None, "cayley_inverse"])
 @pytest.mark.parametrize("orders,center", [
     ([-7, -4, -1, 0, 2, 5], 0.0),
     ([-12, -11, -3, 1], 0.3 - 0.2j),
@@ -316,8 +317,7 @@ def test_series_horner_matches_term_by_term(monkeypatch, premap, orders,
     # points whose pulled-back u = w - center lies in 0.5 <= |u| <= 2
     u = (0.5 + 1.5 * rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     w = center + u
-    inverse = {None: lambda v: v, "cayley": cayley_inverse,
-               "cayley_inverse": cayley_map, "inversion": lambda v: 1.0 / v}
+    inverse = {None: lambda v: v, "cayley_inverse": cayley_map}
     z = inverse[premap](w)
     got = [f.eval(z, der) for der in range(4)]
     monkeypatch.setattr(HolomorphicFunction, "_series_eval", _term_by_term)

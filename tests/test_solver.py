@@ -24,7 +24,7 @@ from teichkit import (
 )
 from teichkit import solver
 from teichkit.domains import ComplexGrid, cayley
-from teichkit.solver import _kit, invert_map, sample_coefficient
+from teichkit.solver import _binomial_blur, _kit, sample_coefficient
 
 from conftest import TEST_GRID_N
 
@@ -38,7 +38,7 @@ def indicator_disk_samples(n=512, L=4.0, r=1.0):
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
-    return ComplexGrid(0.0, L, sample_coefficient(ind, n, L, mollify=False))
+    return ComplexGrid(0.0, L, sample_coefficient(ind, n, L))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_beurling_indicator_closed_form():
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
-    samples = ComplexGrid(0.0, L, sample_coefficient(ind, n, L, mollify=True))
+    samples = ComplexGrid(0.0, L, _binomial_blur(sample_coefficient(ind, n, L)))
     T = beurling_transform(samples).values
     exact = np.where(np.abs(Z) < r, 0.0,
                      -(r * r) / np.where(Z == 0, 1, Z * Z))
@@ -167,11 +167,11 @@ def test_solve_plane_rejects_large_sup_norm():
 
 
 def test_solve_plane_support_margin():
-    mu = BeltramiCoefficient(DomainTag.PLANE,
-                             lambda z: np.where(np.abs(z) < 3.9, 0.2, 0.0),
-                             3.9, 0.2)
-    with pytest.raises(SolverError):
-        solve_plane(mu, grid_n=128, half_width=4.0)
+    # support without bound fills the widest chart up to its edge
+    mu = BeltramiCoefficient(DomainTag.PLANE, lambda z: np.full_like(z, 0.2),
+                             math.inf, 0.2)
+    with pytest.raises(SolverError, match="margin"):
+        solve_plane(mu, grid_n=128)
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +187,21 @@ def fresh_cache(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("through_disk", [False, True])
-def test_solve_cache_keys_on_tolerance(fresh_cache, through_disk):
-    mu = BeltramiCoefficient.constant_disk(0.5, 0.5)
-    loose = solve_plane(mu, 256, tol=1e-2)
+def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache, through_disk):
+    # welding solves the same half-plane coefficient on the plane (mu
+    # extended by zero) and as a self-map of U (mu reflected across R)
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                  "DiskToHalfPlane")
+    plane = solve_plane(mu_u, 128)
     if through_disk:
         solver._MEMO.clear()
-    tight = solve_plane(mu, 256, tol=1e-11)
-    assert loose.iteration_trace[-1] >= 1e-11
-    assert tight.iteration_trace[-1] < 1e-11
-    assert len(tight.iteration_trace) > len(loose.iteration_trace)
-
-
-@pytest.mark.parametrize("through_disk", [False, True])
-def test_solve_cache_keys_on_mollify(fresh_cache, through_disk):
-    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    solve_plane(mu, 128, mollify=True)
-    if through_disk:
-        solver._MEMO.clear()
-    raw = solve_plane(mu, 128, mollify=False)
-    assert np.array_equal(raw.mu_samples,
-                          sample_coefficient(mu, 128, 4.0, mollify=False))
+    half = solve_halfplane(mu_u, 128)
+    assert len(list(fresh_cache.iterdir())) == 2
+    assert np.array_equal(plane.mu_samples,
+                          _binomial_blur(sample_coefficient(mu_u, 128, 4.0)))
+    assert np.array_equal(
+        half.mu_samples,
+        _binomial_blur(sample_coefficient(mu_u, 128, 4.0, reflect=True)))
 
 
 def test_solve_cache_leaves_one_file(fresh_cache):
@@ -403,7 +398,11 @@ def test_invert_identity():
 
 
 def test_compose_with_inverse_is_identity(plane_03_05):
-    inv_map = invert_map(plane_03_05)
+    grid = plane_03_05.grid
+    inv_map = QuasiconformalMap(
+        normalization=plane_03_05.normalization,
+        grid=ComplexGrid(grid.center, grid.half_width,
+                         invert(plane_03_05)(grid.nodes())))
     ident = compose(plane_03_05, inv_map)
     z = np.array([0.3 + 0.2j, 1.0 + 1.0j, -0.5 - 0.5j])
     assert np.abs(ident(z) - z).max() < 1e-6
