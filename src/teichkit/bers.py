@@ -225,14 +225,14 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
 
 
 def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient,
-               tol=1e-2, p=2.0, grid_n=512):
+               tol=1e-2, grid_n=512):
     """Teichmueller equivalence test: Phi(mu1) = Phi(mu2) up to tol.
 
     Returns (verdict, distance) with distance the sup discrepancy of the
     Bers images over the test circles.
     """
-    t1 = bers_map(mu1, p=p, grid_n=grid_n)
-    t2 = bers_map(mu2, p=p, grid_n=grid_n)
+    t1 = bers_map(mu1, grid_n=grid_n)
+    t2 = bers_map(mu2, grid_n=grid_n)
     dist = t1.distance_to(t2)
     return dist <= tol, dist
 

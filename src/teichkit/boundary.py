@@ -691,7 +691,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
     if ext is not None and all(flags):
         try:
-            dist = roundtrip_phi_distance(mu, ext, p=p, grid_n=grid_n)
+            dist = roundtrip_phi_distance(mu, ext, grid_n=grid_n)
             stages["roundtrip"] = {"phi_distance": dist}
         except Exception as exc:  # noqa: BLE001
             stages["roundtrip"] = {"error": str(exc)}
@@ -730,7 +730,7 @@ def _cayley_boundary(obj: BoundaryFunction, direction):
 
 
 def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
-                           p=2.0, grid_n=512):
+                           grid_n=512):
     """Bers-image distance between mu and its heat-kernel re-extension.
 
     Both coefficients are transported to the disk and compared through the
@@ -742,6 +742,6 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     mu_d = mu if mu.domain is DomainTag.UNIT_DISK else \
         cayley(mu, CayleyDirection.HALF_PLANE_TO_DISK)
     ext_d = cayley(extension_mu, CayleyDirection.HALF_PLANE_TO_DISK)
-    t1 = bers_map(mu_d, p=p, grid_n=grid_n)
-    t2 = bers_map(ext_d, p=p, grid_n=grid_n)
+    t1 = bers_map(mu_d, grid_n=grid_n)
+    t2 = bers_map(ext_d, grid_n=grid_n)
     return t1.distance_to(t2, circles=(2.0,), n=32)

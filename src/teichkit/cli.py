@@ -72,13 +72,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        for name in ("grid", "tolerances"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a JSON object, "
+                                 f"got {getattr(self, name)!r}")
         n = self.grid.get("n", 512)
         if not isinstance(n, int) or n < 1 or n & (n - 1):
             raise ValueError(
                 f"grid n must be a positive int power of two, got {n!r}")
         for name, val in self.tolerances.items():
-            if not val > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
+            if not isinstance(val, (int, float)) or not val > 0:
+                raise ValueError(
+                    f"tolerance {name!r} must be a positive number, got {val!r}")
         if not isinstance(self.p, (int, float)) \
                 or not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
@@ -376,7 +381,7 @@ def roundtrip(mu: BeltramiCoefficient, p=2.0, grid_n=512, tolerance=0.1):
         return {"skipped": True, "reason": "Besov seminorm divergent",
                 "besov": besov_rep.to_json_dict()}
     ext = ba_extend(weld.h)
-    dist = roundtrip_phi_distance(mu, ext, p=p, grid_n=grid_n)
+    dist = roundtrip_phi_distance(mu, ext, grid_n=grid_n)
     return {"skipped": False, "phi_distance": dist,
             "within_tolerance": dist <= tolerance,
             "besov": besov_rep.to_json_dict()}

@@ -263,6 +263,8 @@ class BeltramiCoefficient:
         if not abs(k) < 1:
             raise ValueError("|k| must be < 1")
         r = float(r)
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {r!r}")
 
         def f(z):
             return np.where(np.abs(z) < r, k, 0.0)

@@ -18,6 +18,11 @@ upper half-plane, extending it by the reflection conj(mu(conj z)) across R
 solving on the plane, renormalizing by a real affine map fixing 0, 1, inf,
 and conjugating back.  Symmetry forces |f| = 1 on the unit circle, and
 fixing 0, 1, inf on R corresponds to fixing -1, -i, 1 on S.
+
+solve_plane and solve_halfplane share one body, _solve: chart choice
+(auto_half_width), the memo and the disk cache under TEICHKIT_CACHE_DIR
+(one uncompressed npz per _solve_key), and the plane or half-plane
+normalization all live there.
 """
 
 from __future__ import annotations
@@ -109,12 +114,9 @@ class _SpectralKit:
         self.Z = off[:, None] + 1j * off[None, :]
 
     def apply(self, h, mult):
-        if self.pad == 1:
-            return sfft.ifft2(mult * sfft.fft2(h))
         m = self.pad * self.n
-        hp = np.zeros((m, m), dtype=complex)
-        hp[: self.n, : self.n] = h
-        return sfft.ifft2(mult * sfft.fft2(hp))[: self.n, : self.n]
+        return sfft.ifft2(mult * sfft.fft2(h, s=(m, m)),
+                          overwrite_x=True)[: self.n, : self.n]
 
     def beurling(self, h):
         return self.apply(h, self.mult_T)
@@ -209,10 +211,6 @@ def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
 def _binomial_blur(a):
     out = 0.25 * np.roll(a, 1, 0) + 0.5 * a + 0.25 * np.roll(a, -1, 0)
     return 0.25 * np.roll(out, 1, 1) + 0.5 * out + 0.25 * np.roll(out, -1, 1)
-
-
-def _reflected_jump_circles(mu):
-    return list(mu.jump_circles) + [(np.conj(c), r) for c, r in mu.jump_circles]
 
 
 def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
@@ -413,7 +411,7 @@ def _write_cache(path, **arrays):
                                prefix=".solve_tmp_", suffix=".npz")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -422,17 +420,6 @@ def _write_cache(path, **arrays):
 
 _MEMO = {}
 _MEMO_CAP = 24
-
-
-def _memo_get(key):
-    return _MEMO.get(key)
-
-
-def _memo_put(key, value):
-    if key is not None:
-        if len(_MEMO) >= _MEMO_CAP:
-            _MEMO.pop(next(iter(_MEMO)))
-        _MEMO[key] = value
 
 
 def _neumann(kit, mu_s):
@@ -475,64 +462,73 @@ def _fd_residual(qc, mu_s, jump_circles):
     return float(res[mask].max() / np.abs(dz).max())
 
 
-def _solve_raw(mu, grid_n, reflect):
-    """Unnormalized plane solution z + P[h] on the chart of mu.
+def _solve(mu, grid_n, reflect):
+    """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    The chart half-width is auto_half_width(mu.support_radius); with
-    reflect=True mu is a half-plane coefficient extended across R (see
-    sample_coefficient).  The samples get one mass-preserving binomial
-    blur, which keeps closed-form agreement at O(spacing^2) while
-    suppressing the spectral ringing of sharp interfaces.
+    The raw solution z + P[h] on the chart of mu comes from the memo (which
+    holds read-only arrays), the disk cache or the Neumann iteration on the
+    samples of mu (see sample_coefficient), given one mass-preserving
+    binomial blur that keeps closed-form agreement at O(spacing^2) while
+    suppressing the spectral ringing of sharp interfaces.  A complex affine
+    map (plane) or real affine map (half-plane, whose reflection symmetry
+    is checked on R) pins the grid nodes 0 and 1.  The far field is fitted
+    through the map's own spline on a circle of radius 0.855 half_width;
+    the residual is the Beltrami defect against the samples off the jumps.
     """
+    half_width = auto_half_width(mu.support_radius)
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
-    memo_key = _solve_key(mu, grid_n, reflect)
-    hit = _memo_get(memo_key)
-    if hit is not None:
-        return hit
-    path = _cache_path(memo_key)
-    if path and os.path.exists(path):
-        with np.load(path) as z:
-            out = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
-        _memo_put(memo_key, out)
-        return out
-    half_width = auto_half_width(mu.support_radius)
     kit = _kit(grid_n, half_width, 2)
-    mu_s = _binomial_blur(sample_coefficient(mu, grid_n, half_width, reflect))
-    _check_margin(ComplexGrid(0.0, half_width, mu_s), "coefficient support")
-    h, trace, ratio = _neumann(kit, mu_s)
-    f = kit.Z + kit.cauchy(h)
-    if path:
-        _write_cache(path, f=f, mu_s=mu_s, trace=np.array(trace),
-                     ratio=ratio)
-    out = f, mu_s, trace, ratio
-    _memo_put(memo_key, out)
-    return out
+    key = _solve_key(mu, grid_n, reflect)
+    raw = _MEMO.get(key)
+    if raw is None:
+        path = _cache_path(key)
+        if path and os.path.exists(path):
+            with np.load(path) as z:
+                raw = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
+        else:
+            mu_s = _binomial_blur(
+                sample_coefficient(mu, grid_n, half_width, reflect))
+            _check_margin(ComplexGrid(0.0, half_width, mu_s),
+                          "coefficient support")
+            h, trace, ratio = _neumann(kit, mu_s)
+            raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
+            if path:
+                _write_cache(path, f=raw[0], mu_s=mu_s, trace=np.array(trace),
+                             ratio=ratio)
+        raw[0].flags.writeable = raw[1].flags.writeable = False
+        if key is not None:
+            if len(_MEMO) >= _MEMO_CAP:
+                _MEMO.pop(next(iter(_MEMO)))
+            _MEMO[key] = raw
+    f, mu_s, trace, ratio = raw
 
-
-def _node_index(kit, z):
-    d = kit.spacing
-    i = int(round((z.real + kit.half_width) / d))
-    j = int(round((z.imag + kit.half_width) / d))
-    node = kit.Z[i, j]
-    if abs(node - z) > 1e-9:
-        raise SolverError(f"normalization point {z} is not a grid node")
-    return i, j
-
-
-def _solved_map(half_width, f, mu_s, trace, ratio, jump_circles, **fields):
-    """QuasiconformalMap of a normalized plane-grid solve f.
-
-    Its far field is fitted through the map's own spline on a circle of
-    radius 0.855 half_width, inside the spline window; its residual is the
-    finite-difference Beltrami defect against mu_s off jump_circles.
-    """
+    j0 = round(half_width / kit.spacing)
+    i0, i1 = (round((x + half_width) / kit.spacing) for x in (0.0, 1.0))
+    for i, x in ((i0, 0.0), (i1, 1.0)):
+        if abs(kit.Z[i, j0] - x) > 1e-9:
+            raise SolverError(f"normalization point {x} is not a grid node")
+    a, b = f[i0, j0], f[i1, j0]
+    if reflect:
+        a, b = a.real, b.real
+    f = (f - a) / (b - a)
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
-        convergence_ratio=ratio, iteration_trace=trace, **fields)
+        convergence_ratio=ratio, iteration_trace=list(trace))
+    jumps = list(mu.jump_circles)
+    if reflect:
+        qc.symmetry_defect = float(np.max(np.abs(f[:, j0].imag)))
+        if qc.symmetry_defect > 1e-6:
+            raise SolverError("reflection symmetry defect "
+                              f"{qc.symmetry_defect:.2e} on R", trace)
+        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
+    else:
+        supp = mu.support_radius if np.isfinite(mu.support_radius) \
+            else half_width
+        qc.conformal_region = (supp + 3 * kit.spacing, math.inf)
     qc.far_field = _far_field_series(qc, MARGIN_FRACTION * half_width * 0.95)
-    qc.residual = _fd_residual(qc, mu_s, jump_circles)
+    qc.residual = _fd_residual(qc, mu_s, jumps)
     return qc
 
 
@@ -547,16 +543,7 @@ def solve_plane(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     Raises SolverError with the iteration trace on non-convergence, and on
     support reaching the outer margin (aliasing guard).
     """
-    half_width = auto_half_width(mu.support_radius)
-    kit = _kit(grid_n, half_width, 2)
-    f, mu_s, trace, ratio = _solve_raw(mu, grid_n, reflect=False)
-    i0, j0 = _node_index(kit, 0.0 + 0.0j)
-    i1, _ = _node_index(kit, 1.0 + 0.0j)
-    f = (f - f[i0, j0]) / (f[i1, j0] - f[i0, j0])
-    supp = mu.support_radius if np.isfinite(mu.support_radius) else half_width
-    return _solved_map(
-        half_width, f, mu_s, trace, ratio, mu.jump_circles,
-        conformal_region=(supp + 3 * kit.spacing, math.inf))
+    return _solve(mu, grid_n, reflect=False)
 
 
 def solve_halfplane(mu: BeltramiCoefficient,
@@ -571,19 +558,7 @@ def solve_halfplane(mu: BeltramiCoefficient,
     """
     if mu.domain is not DomainTag.UPPER_HALF_PLANE:
         raise SolverError("solve_halfplane expects an upper half-plane coefficient")
-    half_width = auto_half_width(mu.support_radius)
-    kit = _kit(grid_n, half_width, 2)
-    f, mu_s, trace, ratio = _solve_raw(mu, grid_n, reflect=True)
-    i0, j0 = _node_index(kit, 0.0 + 0.0j)
-    i1, _ = _node_index(kit, 1.0 + 0.0j)
-    a, b = f[i0, j0].real, f[i1, j0].real
-    f = (f - a) / (b - a)
-    defect = float(np.max(np.abs(f[:, j0].imag)))
-    if defect > 1e-6:
-        raise SolverError(f"reflection symmetry defect {defect:.2e} on R", trace)
-    return _solved_map(half_width, f, mu_s, trace, ratio,
-                       _reflected_jump_circles(mu),
-                       symmetry_defect=defect)
+    return _solve(mu, grid_n, reflect=True)
 
 
 def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:

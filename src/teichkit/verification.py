@@ -275,7 +275,7 @@ def check_9_roundtrip():
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     weld = welding(mu, grid_n=512)
     ext = ba_extend(weld.h)
-    dist = roundtrip_phi_distance(mu, ext, p=2.0, grid_n=512)
+    dist = roundtrip_phi_distance(mu, ext, grid_n=512)
     return CheckResult(9, "roundtrip through log-derivative and extension",
                        dist <= 0.1,
                        {"phi_distance": dist, "tolerance": 0.1},

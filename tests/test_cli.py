@@ -35,6 +35,11 @@ def test_config_validation():
                                     "tolerances": {"x": -1.0}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"command": "besov", "p": 1.0})
+    with pytest.raises(ValueError, match="tolerance 'residual'"):
+        ExperimentConfig.from_dict({"command": "norm",
+                                    "tolerances": {"residual": "1e-3"}})
+    with pytest.raises(ValueError, match="grid"):
+        ExperimentConfig.from_dict({"command": "norm", "grid": 512})
     for n in (0, 512.0):
         with pytest.raises(ValueError, match="grid n"):
             ExperimentConfig.from_dict({"command": "solve", "grid": {"n": n}})
@@ -49,6 +54,14 @@ def test_norm_command_closed_form():
     val = res.reports["mp_norm"]["value"]
     assert val == pytest.approx(0.30700, abs=1e-3)
     assert not res.verdicts["divergent"]
+
+
+@pytest.mark.parametrize("command", ["norm", "bers"])
+def test_command_rejects_nan_radius(command):
+    res = run(cfg(command, mu_spec={"kind": "constant_disk", "k": 0.3,
+                                    "r": math.nan}))
+    assert res.verdicts == {"failed": True}
+    assert "r must be finite" in res.reports["error"]["message"]
 
 
 def test_bers_command_zero_coefficient():

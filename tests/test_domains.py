@@ -119,6 +119,17 @@ def test_mp_norm_rejects():
         mp_norm(BeltramiCoefficient.zero(DomainTag.PLANE), 2)
 
 
+@pytest.mark.parametrize("r", [math.nan, -0.5, math.inf])
+def test_constant_disk_rejects_bad_radius(r):
+    with pytest.raises(ValueError, match="r must be finite"):
+        BeltramiCoefficient.constant_disk(0.3, r)
+
+
+def test_constant_disk_accepts_zero_radius():
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.0)
+    assert mu.eval(np.array([0j, 0.5])).tolist() == [0j, 0j]
+
+
 def test_mp_norm_halfplane_matches_disk_transport():
     mu = BeltramiCoefficient.constant_disk(0.25, 0.5)
     mu_u = cayley(mu, "DiskToHalfPlane")

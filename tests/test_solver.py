@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
 
 from teichkit import (
@@ -125,6 +126,19 @@ def test_beurling_indicator_closed_form():
     assert np.abs(T - exact)[m].max() < 5e-3
 
 
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("mult", ["mult_T", "mult_P"])
+def test_spectral_apply_matches_hand_padded_reference(rng, n, pad, mult):
+    kit = solver._SpectralKit(n, 4.0, pad)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = pad * n
+    hp = np.zeros((m, m), dtype=complex)
+    hp[:n, :n] = h
+    ref = scipy.fft.ifft2(getattr(kit, mult) * scipy.fft.fft2(hp))[:n, :n]
+    assert np.array_equal(kit.apply(h, getattr(kit, mult)), ref)
+
+
 # ---------------------------------------------------------------------------
 # solve_plane
 
@@ -224,10 +238,27 @@ def test_solve_cache_failed_write_leaves_no_file(fresh_cache, monkeypatch):
             file.write(b"PK partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", torn_write)
+    monkeypatch.setattr(np, "savez", torn_write)
     with pytest.raises(OSError, match="disk full"):
         solve_plane(BeltramiCoefficient.constant_disk(0.3, 0.5), 128)
     assert list(fresh_cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("from_disk", [False, True])
+def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    first = solve_plane(mu, 128)
+    if from_disk:
+        solver._MEMO.clear()
+        first = solve_plane(mu, 128)  # read back from the file
+    with pytest.raises(ValueError, match="read-only"):
+        first.mu_samples[0, 0] = 1.0
+    trace = list(first.iteration_trace)
+    first.iteration_trace.append(-1.0)
+    again = solve_plane(mu, 128)
+    assert again.iteration_trace == trace
+    assert np.array_equal(again.mu_samples,
+                          _binomial_blur(sample_coefficient(mu, 128, 4.0)))
 
 
 def test_qcmap_declares_solver_attributes(mu_03_05):
