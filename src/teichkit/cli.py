@@ -58,6 +58,11 @@ COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
             "extend", "characterize", "roundtrip", "constants", "verify-all")
 
 
+# fields each coefficient spec kind must carry (BeltramiCoefficient.from_spec)
+_SPEC_FIELDS = {"constant_disk": ("k", "r"), "grid": ("grid", "domain"),
+                "table": ("points", "values", "domain")}
+
+
 @dataclass
 class ExperimentConfig:
     command: str
@@ -72,10 +77,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        for name in ("grid", "tolerances"):
+        for name in ("mu_spec", "grid", "tolerances", "extra"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object, "
                                  f"got {getattr(self, name)!r}")
+        kind = self.mu_spec.get("kind")
+        for key in _SPEC_FIELDS.get(kind, ()):
+            if key not in self.mu_spec:
+                raise ValueError(f"mu_spec of kind {kind!r} lacks {key!r}")
         n = self.grid.get("n", 512)
         if not isinstance(n, int) or n < 1 or n & (n - 1):
             raise ValueError(

@@ -6,11 +6,16 @@ is built from the Neumann iteration
     h <- mu * (1 + T[h]),        f = z + P[h],
 
 where T is the Beurling transform (Fourier multiplier conj(W)/W) and P the
-solid Cauchy transform (multiplier -2i/W), both applied on a 2x zero-padded
-torus.  Relative to the free-plane kernel 1/(pi u), the periodic P kernel
-carries a background term -conj(u)/A and a cubic Weierstrass-series term
-(Eisenstein constant G4); both are restored from moments of h, after which
-the closed-form test maps are reproduced to a few 1e-4.
+solid Cauchy transform (multiplier -2i/W), both defined on a 2x zero-padded
+torus.  h vanishes off the support of mu, so the iteration runs only on the
+smallest square of nodes holding that support (nb nodes a side): the
+kernel of T is cut to the offsets of a torus of about 2 nb nodes, which
+applies the padded torus's T exactly there at two (2 nb)^2 FFTs per step.
+P is applied once, on the full padded torus.  Relative to the free-plane
+kernel 1/(pi u), the periodic P kernel carries a background term
+-conj(u)/A and a cubic Weierstrass-series term (Eisenstein constant G4);
+both are restored from moments of h, after which the closed-form test maps
+are reproduced to a few 1e-4.
 
 Disk self-maps f^mu are obtained by transporting the coefficient to the
 upper half-plane, extending it by the reflection conj(mu(conj z)) across R
@@ -33,7 +38,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -93,30 +98,51 @@ class Normalization(str, enum.Enum):
     FIX_THREE_BOUNDARY_POINTS = "FixThreeBoundaryPoints"
 
 
+def _beurling_symbol(W):
+    """The Beurling multiplier conj(W)/W, set to 0 at W = 0."""
+    mult = np.conj(W)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult /= W
+    mult[W == 0] = 0.0
+    return mult
+
+
 class _SpectralKit:
-    """Multiplier arrays for one (n, half_width, pad) configuration."""
+    """Multipliers for one (n, half_width, pad) configuration, each built on
+    first use: most kits serve only their nodes Z and the Cauchy transform."""
 
     def __init__(self, n, half_width, pad=2):
         self.n = n
         self.half_width = float(half_width)
         self.pad = pad
         self.spacing = 2.0 * self.half_width / n
-        m = pad * n
-        w = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
-        W = w[:, None] + 1j * w[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.mult_T = np.conj(W) / W
-            self.mult_P = -2j / W
-        self.mult_T[0, 0] = 0.0
-        self.mult_P[0, 0] = 0.0
-        self.torus_area = (m * self.spacing) ** 2
+        self.torus_area = (pad * n * self.spacing) ** 2
         off = -self.half_width + self.spacing * np.arange(n)
         self.Z = off[:, None] + 1j * off[None, :]
 
-    def apply(self, h, mult):
-        m = self.pad * self.n
+    def _wavenumbers(self, rows=slice(None)):
+        """W = wx + i wy on the padded torus, for the given rows of wx."""
+        w = 2.0 * np.pi * sfft.fftfreq(self.pad * self.n, d=self.spacing)
+        return w[rows, None] + 1j * w[None, :]
+
+    @cached_property
+    def mult_T(self):
+        return _beurling_symbol(self._wavenumbers())
+
+    @cached_property
+    def mult_P(self):
+        W = self._wavenumbers()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mult = np.divide(-2j, W, out=W)
+        mult[0, 0] = 0.0
+        return mult
+
+    @staticmethod
+    def apply(h, mult):
+        """Multiplier mult on the torus of its shape, h zero-padded to it."""
+        m, n = mult.shape[0], h.shape[0]
         return sfft.ifft2(mult * sfft.fft2(h, s=(m, m)),
-                          overwrite_x=True)[: self.n, : self.n]
+                          overwrite_x=True)[:n, :n]
 
     def beurling(self, h):
         return self.apply(h, self.mult_T)
@@ -142,6 +168,45 @@ class _SpectralKit:
 @lru_cache(maxsize=8)
 def _kit(n, half_width, pad=2):
     return _SpectralKit(n, half_width, pad)
+
+
+# rows of the padded torus's Beurling multiplier transformed at once
+_BOX_ROWS = 128
+
+
+def _box_multiplier(kit, nb):
+    """T of the kit's padded torus between the nodes of an nb x nb square, as
+    a multiplier on the torus of next_fast_len(2 nb) nodes.
+
+    The kernel of T is cut to the node offsets of that smaller torus, which
+    holds every offset between two nodes of the square once, so for data on
+    the square the small torus applies exactly the kit's T.  The kernel is
+    transformed back from the multiplier _BOX_ROWS rows at a time and kept
+    only at those offsets, so no (2N)^2 array is built.
+    """
+    m = sfft.next_fast_len(2 * nb)
+    side = kit.pad * kit.n
+    idx = np.arange(m)
+    idx[nb:] += side - m  # offsets -(m - nb) .. -1
+    cols = np.empty((side, m), dtype=complex)
+    for r0 in range(0, side, _BOX_ROWS):
+        rows = slice(r0, r0 + _BOX_ROWS)
+        cols[rows] = sfft.ifft(_beurling_symbol(kit._wavenumbers(rows)),
+                               axis=1, overwrite_x=True)[:, idx]
+    kernel = sfft.ifft(cols, axis=0, overwrite_x=True)[idx]
+    return sfft.fft2(kernel, overwrite_x=True)
+
+
+def _support_box(mu_s):
+    """Slices of the smallest square of nodes holding the nonzero mu_s (one
+    node when mu_s is zero)."""
+    nz = mu_s != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 1), slice(0, 1)
+    nb = max(rows[-1] - rows[0], cols[-1] - cols[0]) + 1
+    i0, j0 = (min(lo, mu_s.shape[0] - nb) for lo in (rows[0], cols[0]))
+    return slice(i0, i0 + nb), slice(j0, j0 + nb)
 
 
 def auto_half_width(reach):
@@ -378,9 +443,10 @@ def identity_map(n=64):
 # Core solve
 
 
-# Bump when the stored arrays or the meaning of a solve input change, so
-# that files written by an older layout are never read back.
-_CACHE_SCHEMA = 2
+# Bump when the stored arrays, the meaning of a solve input or the
+# solver's arithmetic change, so that files written by an older layout or
+# solver are never read back.
+_CACHE_SCHEMA = 3
 
 
 def _solve_key(mu, grid_n, reflect):
@@ -418,16 +484,28 @@ def _write_cache(path, **arrays):
         raise
 
 
+# Solve memo, oldest entry first; entries are evicted in that order while
+# their arrays (f and mu_s) hold more than _MEMO_BYTES.
 _MEMO = {}
-_MEMO_CAP = 24
+_MEMO_BYTES = 256 * 2 ** 20
 
 
 def _neumann(kit, mu_s):
-    h = mu_s.copy()
+    """h = mu_s (1 + T[h]) by fixed-point iteration; returns (h, trace of
+    sup steps, contraction ratio).
+
+    h vanishes wherever mu_s does, so the iteration runs on the support box
+    of mu_s alone (_support_box), with the kit's T restricted to it
+    (_box_multiplier), and h is scattered back onto the kit's grid.
+    """
+    box = _support_box(mu_s)
+    mu_b = mu_s[box]
+    mult = _box_multiplier(kit, mu_b.shape[0])
+    h = mu_b.copy()
     trace = []
     grow = 0
     for _ in range(NEUMANN_MAX_ITER):
-        hn = mu_s * (1.0 + kit.beurling(h))
+        hn = mu_b * (1.0 + kit.apply(h, mult))
         delta = float(np.max(np.abs(hn - h)))
         h = hn
         trace.append(delta)
@@ -445,7 +523,9 @@ def _neumann(kit, mu_s):
         raise SolverError("Neumann iteration did not converge", trace)
     ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e4 * NEUMANN_TOL]
     ratio = max(ratios[1:]) if len(ratios) > 2 else (ratios[-1] if ratios else 0.0)
-    return h, trace, ratio
+    out = np.zeros_like(mu_s)
+    out[box] = h
+    return out, trace, ratio
 
 
 def _fd_residual(qc, mu_s, jump_circles):
@@ -466,8 +546,10 @@ def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
     The raw solution z + P[h] on the chart of mu comes from the memo (which
-    holds read-only arrays), the disk cache or the Neumann iteration on the
-    samples of mu (see sample_coefficient), given one mass-preserving
+    holds read-only arrays, at most _MEMO_BYTES of them), the disk cache or
+    the Neumann iteration, which runs on the support box of the samples of
+    mu (see sample_coefficient and _neumann) while P stays on the full
+    padded torus.  The samples are given one mass-preserving
     binomial blur that keeps closed-form agreement at O(spacing^2) while
     suppressing the spectral ringing of sharp interfaces.  A complex affine
     map (plane) or real affine map (half-plane, whose reflection symmetry
@@ -498,9 +580,10 @@ def _solve(mu, grid_n, reflect):
                              ratio=ratio)
         raw[0].flags.writeable = raw[1].flags.writeable = False
         if key is not None:
-            if len(_MEMO) >= _MEMO_CAP:
-                _MEMO.pop(next(iter(_MEMO)))
             _MEMO[key] = raw
+            while sum(r[0].nbytes + r[1].nbytes
+                      for r in _MEMO.values()) > _MEMO_BYTES:
+                _MEMO.pop(next(iter(_MEMO)))
     f, mu_s, trace, ratio = raw
 
     j0 = round(half_width / kit.spacing)

@@ -46,6 +46,18 @@ def test_config_validation():
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError, match="p must"):
             ExperimentConfig.from_dict({"command": "norm", "p": p})
+    with pytest.raises(ValueError, match="mu_spec must"):
+        ExperimentConfig.from_dict({"command": "norm", "mu_spec": 3})
+    with pytest.raises(ValueError, match="extra must"):
+        ExperimentConfig("solve", extra=5)
+    for key in ("k", "r"):
+        spec = {"kind": "constant_disk", "k": 0.3, "r": 0.5}
+        del spec[key]
+        with pytest.raises(ValueError, match=f"lacks '{key}'"):
+            ExperimentConfig.from_dict({"command": "norm", "mu_spec": spec})
+    with pytest.raises(ValueError, match="kind 'table' lacks 'values'"):
+        ExperimentConfig.from_dict({"command": "norm", "mu_spec": {
+            "kind": "table", "points": [], "domain": "UnitDisk"}})
 
 
 def test_norm_command_closed_form():

@@ -139,6 +139,85 @@ def test_spectral_apply_matches_hand_padded_reference(rng, n, pad, mult):
     assert np.array_equal(kit.apply(h, getattr(kit, mult)), ref)
 
 
+def _bump(Z):
+    """Smooth bump supported in |z - 0.2 + 0.1i| < 1."""
+    r2 = np.abs(Z - 0.2 + 0.1j) ** 2
+    return np.where(r2 < 1, np.exp(-1 / np.maximum(1 - r2, 1e-300)), 0) \
+        * (1 + Z)
+
+
+@pytest.mark.parametrize("data", [_bump, lambda Z: np.exp(-np.abs(Z) ** 2)])
+def test_box_beurling_matches_full_grid(data):
+    # the bump's box is 64 of 256 nodes a side; the Gaussian's is the chart
+    n, L = 256, 4.0
+    kit = _kit(n, L)
+    h = data(kit.Z)
+    box = solver._support_box(h)
+    nb = h[box].shape[0]
+    assert nb == (64 if data is _bump else n)
+    got = kit.apply(h[box], solver._box_multiplier(kit, nb))
+    full = kit.beurling(h)[box]  # what beurling_transform applies
+    assert np.abs(got - full).max() / np.abs(full).max() < 1e-12
+
+
+def test_box_beurling_indicator_closed_form():
+    # as test_beurling_indicator_closed_form, on the indicator's support box
+    n, L, r = 512, 4.0, 0.5
+    kit = _kit(n, L)
+    ind = BeltramiCoefficient(DomainTag.PLANE,
+                              lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
+                              r, 0.5, jump_circles=((0.0, r),))
+    samples = _binomial_blur(sample_coefficient(ind, n, L))
+    box = solver._support_box(samples)
+    nb = samples[box].shape[0]
+    T = kit.apply(samples[box], solver._box_multiplier(kit, nb))
+    Z = kit.Z[box]
+    exact = np.where(np.abs(Z) < r, 0.0, -(r * r) / np.where(Z == 0, 1, Z * Z))
+    m = np.abs(np.abs(Z) - r) > 3 * kit.spacing
+    assert m.sum() > 0.5 * m.size
+    assert np.abs(T - exact)[m].max() < 5e-3
+
+
+def _full_torus_neumann(kit, mu_s):
+    """Reference: the Neumann iteration with T on the whole padded torus."""
+    h = mu_s.copy()
+    trace = []
+    for _ in range(solver.NEUMANN_MAX_ITER):
+        hn = mu_s * (1.0 + kit.beurling(h))
+        trace.append(float(np.max(np.abs(hn - h))))
+        h = hn
+        if trace[-1] < solver.NEUMANN_TOL:
+            return h, trace
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_box_neumann_matches_full_torus(reflect):
+    n = 256
+    mu = BeltramiCoefficient.constant_disk(0.7, 0.45)
+    if reflect:  # welding's half-plane coefficient, reach 3 of half-width 4
+        mu = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                    "DiskToHalfPlane")
+    kit = _kit(n, 4.0)
+    mu_s = _binomial_blur(sample_coefficient(mu, n, 4.0, reflect=reflect))
+    nb = mu_s[solver._support_box(mu_s)].shape[0]
+    assert nb == (195 if reflect else 31)
+    h, trace, _ = solver._neumann(kit, mu_s)
+    ref, ref_trace = _full_torus_neumann(kit, mu_s)
+    assert len(trace) == len(ref_trace)
+    assert np.abs(h - ref).max() < 1e-12
+
+
+def test_support_box_of_zero_and_edge_data():
+    mu_s = np.zeros((64, 64), dtype=complex)
+    assert solver._support_box(mu_s) == (slice(0, 1), slice(0, 1))
+    mu_s[60:64, 10:12] = 0.3  # 4 x 2 nodes at the grid edge
+    rows, cols = solver._support_box(mu_s)
+    assert (rows.start, rows.stop, cols.start, cols.stop) == (60, 64, 10, 14)
+    h, trace, _ = solver._neumann(_kit(64, 4.0), np.zeros((64, 64), complex))
+    assert not h.any() and trace == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # solve_plane
 
@@ -188,6 +267,14 @@ def test_solve_plane_support_margin():
         solve_plane(mu, grid_n=128)
 
 
+def test_solve_plane_bounded_support_reaching_margin():
+    # reach 3.5 sits on a node at N = 64; the blur carries it one cell on,
+    # past 0.9 of half-width 4, so the margin guard fires before any box
+    mu = BeltramiCoefficient.constant_disk(0.2, 3.5, DomainTag.PLANE)
+    with pytest.raises(SolverError, match="outer 10% margin"):
+        solve_plane(mu, grid_n=64)
+
+
 # ---------------------------------------------------------------------------
 # solve cache
 
@@ -227,6 +314,37 @@ def test_solve_cache_leaves_one_file(fresh_cache):
     again = solve_plane(mu, 128)  # read back from the file
     assert np.array_equal(again.grid.values, first.grid.values)
     assert again.iteration_trace == first.iteration_trace
+
+
+def test_solve_cache_ignores_older_schema_files(fresh_cache, monkeypatch):
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_CACHE_SCHEMA", 2)
+        old = solver._cache_path(solver._solve_key(mu, 128, False))
+    kit = _kit(128, 4.0)
+    solver._write_cache(old, f=np.zeros_like(kit.Z), mu_s=np.zeros_like(kit.Z),
+                        trace=np.array([0.0]), ratio=0.0)
+    f = solve_plane(mu, 128)
+    assert np.abs(f.grid.values - kit.Z).max() > 1e-3  # not the stored zeros
+    assert len(f.iteration_trace) > 1
+    assert len(list(fresh_cache.iterdir())) == 2
+
+
+def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
+    entry = 2 * 64 * 64 * 16  # f and mu_s, complex, at N = 64
+    monkeypatch.setattr(solver, "_MEMO_BYTES", 2 * entry + entry // 2)
+    mus = [BeltramiCoefficient.constant_disk(0.3, r) for r in (0.3, 0.4, 0.5)]
+    keys = [solver._solve_key(mu, 64, False) for mu in mus]
+    for mu in mus[:2]:
+        solve_plane(mu, 64)
+    assert list(solver._MEMO) == keys[:2]
+    solve_plane(mus[2], 64)
+    assert list(solver._MEMO) == keys[1:]
+    assert sum(r[0].nbytes + r[1].nbytes
+               for r in solver._MEMO.values()) == 2 * entry
+    monkeypatch.setattr(solver, "_MEMO_BYTES", entry - 1)
+    solve_plane(mus[0], 64)  # larger than the cap alone: kept nowhere
+    assert solver._MEMO == {}
 
 
 def test_solve_cache_failed_write_leaves_no_file(fresh_cache, monkeypatch):
