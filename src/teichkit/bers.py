@@ -77,13 +77,12 @@ class BersConsistencyError(RuntimeError):
     """Laurent data from different circles disagree beyond tolerance."""
 
 
-def laurent_coefficients(f, center, radius, orders, n_samples=1024,
-                         check_tol=1e-8,
-                         noise_rel=1e-12) -> HolomorphicFunction:
+def laurent_coefficients(f, center, radius, orders,
+                         check_tol=1e-8) -> HolomorphicFunction:
     """Laurent coefficients of f on the circle |z - center| = radius.
 
-    Fourier analysis of circle samples; coefficients below the relative
-    noise floor are zeroed.  The series is validated against held-out
+    Fourier analysis of 1024 circle samples; coefficients below 1e-12 of
+    the largest are zeroed.  The series is validated against held-out
     samples at intermediate angles (resampling residual, must stay below
     check_tol relative to the sample scale).  QuasiconformalMap inputs are
     first checked for conformality on the circle: |dbar f| / |df| above
@@ -98,12 +97,11 @@ def laurent_coefficients(f, center, radius, orders, n_samples=1024,
             raise NonHolomorphicError(
                 f"|dbar f|/|df| = {defect:.2e} on |z - {center}| = {radius}")
 
-    m = 2 * n_samples
+    m = 2048
     th = 2.0 * np.pi * np.arange(m) / m
     zc = center + radius * np.exp(1j * th)
     vals = np.asarray(f(zc), dtype=complex)
-    orders, coeffs = _circle_coefficients(vals[0::2], radius, orders,
-                                          noise_rel)
+    orders, coeffs = _circle_coefficients(vals[0::2], radius, orders, 1e-12)
     series = HolomorphicFunction(orders, coeffs, center=center,
                                  r_inner=radius * 0.999, r_outer=math.inf,
                                  domain=DomainTag.EXTERIOR_DISK,

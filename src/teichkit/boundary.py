@@ -487,15 +487,8 @@ def welding_identity_check(weld: WeldingResult):
     log_gp_at_h = np.interp(hxm, ym, log_gp_y.real) + \
         1j * np.interp(hxm, ym, log_gp_y.imag)
 
-    lhs = log_gp_at_h + dh
-    resid = np.abs(lhs - log_fp)
-    return {
-        "sup_discrepancy": float(resid.max()),
-        "rms_discrepancy": float(np.sqrt(np.mean(resid ** 2))),
-        "params": xm,
-        "lhs": lhs,
-        "rhs": log_fp,
-    }
+    resid = np.abs(log_gp_at_h + dh - log_fp)
+    return {"sup_discrepancy": float(resid.max())}
 
 
 def _midpoint_log_deriv_real(u, x):
@@ -636,6 +629,15 @@ def _extension_mp_norm(h: BoundaryHomeomorphism, p, kernel="gaussian"):
     return ext, mp_norm(ext, p, levels=3)
 
 
+def _stage_failure(exc):
+    """Report entry of a failed stage: its message, exception type and, for
+    a SolverError, the iteration trace."""
+    out = {"error": str(exc), "type": type(exc).__name__}
+    if isinstance(exc, SolverError):
+        out["trace"] = exc.trace
+    return out
+
+
 def besov_characterization_check(mu: BeltramiCoefficient, p,
                                  boundary_map: BoundaryHomeomorphism = None,
                                  grid_n=512):
@@ -655,7 +657,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
         stages["mp_norm_mu"] = rep.to_json_dict()
         report["verdicts"]["mu_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001 - reported per stage
-        stages["mp_norm_mu"] = {"error": str(exc)}
+        stages["mp_norm_mu"] = _stage_failure(exc)
 
     h = boundary_map
     if h is None:
@@ -665,7 +667,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
             stages["welding"] = {"consistency_sup": weld.consistency_sup,
                                  "imag_defect": weld.imag_defect}
         except Exception as exc:  # noqa: BLE001
-            stages["welding"] = {"error": str(exc)}
+            stages["welding"] = _stage_failure(exc)
             report["verdicts"]["coherent"] = False
             return report
     else:
@@ -676,7 +678,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
         stages["besov_log_derivative"] = rep.to_json_dict()
         report["verdicts"]["besov_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001
-        stages["besov_log_derivative"] = {"error": str(exc)}
+        stages["besov_log_derivative"] = _stage_failure(exc)
 
     ext = None
     try:
@@ -684,7 +686,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
         stages["mp_norm_extension"] = rep.to_json_dict()
         report["verdicts"]["extension_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001
-        stages["mp_norm_extension"] = {"error": str(exc)}
+        stages["mp_norm_extension"] = _stage_failure(exc)
 
     flags = [v for k, v in report["verdicts"].items()]
     report["verdicts"]["coherent"] = len(set(flags)) <= 1
@@ -694,7 +696,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
             dist = roundtrip_phi_distance(mu, ext, grid_n=grid_n)
             stages["roundtrip"] = {"phi_distance": dist}
         except Exception as exc:  # noqa: BLE001
-            stages["roundtrip"] = {"error": str(exc)}
+            stages["roundtrip"] = _stage_failure(exc)
     else:
         stages["roundtrip"] = {"skipped": "divergent or failed stage upstream"}
     return report

@@ -8,8 +8,9 @@ Subcommands mirror the toolkit pipelines:
 Each run emits a deterministic JSON report (sorted keys; wall_time is the
 only field that varies between identical runs).  Coefficients arrive as
 JSON specs: {"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid",
-...}, or {"kind": "table", ...}.  Solver outputs are memoized under
-TEICHKIT_CACHE_DIR keyed by the coefficient spec hash and grid.
+...}, or {"kind": "table", ...}.  A failed run reports the failing stage,
+the exception type and its message under reports["error"].  Solves are
+memoized in the process only, so repeated stages of one run reuse them.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     try:
         reports, verdicts = _DISPATCH[config.command](config)
     except Exception as exc:  # noqa: BLE001 - surfaced in the report
-        reports = {"error": {"stage": config.command, "message": str(exc)}}
+        reports = {"error": {"stage": config.command, "message": str(exc),
+                             "type": type(exc).__name__}}
         verdicts = {"failed": True}
     result = ExperimentResult(
         config={"command": config.command, "mu_spec": config.mu_spec,

@@ -136,11 +136,6 @@ def _b64_encode_complex(values):
     return base64.b64encode(pairs.tobytes()).decode("ascii")
 
 
-def _b64_decode_complex(text, shape):
-    pairs = np.frombuffer(base64.b64decode(text), dtype="<f8")
-    return (pairs[0::2] + 1j * pairs[1::2]).reshape(shape)
-
-
 @dataclass
 class ComplexGrid:
     """Uniform N x N complex samples on a square of half-width L.
@@ -195,10 +190,32 @@ class ComplexGrid:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"grid must be a JSON object, got {type(d).__name__}")
+        for key in ("n", "data", "center", "half_width"):
+            if key not in d:
+                raise ValueError(f"grid lacks {key!r}")
         n = d["n"]
-        values = _b64_decode_complex(d["data"], (n, n))
-        cx, cy = d["center"]
-        return cls(center=cx + 1j * cy, half_width=d["half_width"], values=values)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"grid n must be a positive int, got {n!r}")
+        try:
+            pairs = np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"grid data is not base64 float64: {exc}") from None
+        if pairs.size != 2 * n * n:
+            raise ValueError(f"grid data holds {pairs.size // 2} values, "
+                             f"n = {n} needs {n * n}")
+        hw, center = d["half_width"], d["center"]
+        if not isinstance(hw, (int, float)) or not 0 < hw < math.inf:
+            raise ValueError(
+                f"grid half_width must be a positive number, got {hw!r}")
+        if not isinstance(center, (list, tuple)) or len(center) != 2 \
+                or not all(isinstance(c, (int, float)) for c in center):
+            raise ValueError(f"grid center must be an [x, y] pair, "
+                             f"got {center!r}")
+        return cls(center=center[0] + 1j * center[1], half_width=hw,
+                   values=(pairs[0::2] + 1j * pairs[1::2]).reshape(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +291,7 @@ class BeltramiCoefficient:
                    meta={"kind": "constant_disk", "k": k, "r": r})
 
     @classmethod
-    def from_grid(cls, grid: ComplexGrid, domain, sup_norm=None):
+    def from_grid(cls, grid: ComplexGrid, domain):
         from scipy.interpolate import RegularGridInterpolator
 
         x, y = grid.axes()
@@ -287,20 +304,35 @@ class BeltramiCoefficient:
             pts = np.stack([z.real, z.imag], axis=-1)
             return interp(pts)
 
-        sn = float(np.max(np.abs(grid.values))) if sup_norm is None else sup_norm
         rad = grid.half_width * math.sqrt(2.0) + abs(grid.center)
-        return cls(domain, f, rad, sn)
+        return cls(domain, f, rad, float(np.max(np.abs(grid.values))))
 
     @classmethod
-    def from_table(cls, points, values, domain, sup_norm=None):
-        """Tabulated coefficient: nearest-point evaluation, zero off-table."""
+    def from_table(cls, points, values, domain):
+        """Tabulated coefficient: nearest-point evaluation, zero off-table.
+
+        points is a non-empty list of [x, y] pairs and values holds one
+        complex number per point.
+        """
         from scipy.spatial import cKDTree
 
-        pts = np.asarray(points, dtype=float)
-        vals = np.asarray(values, dtype=complex)
+        try:
+            pts = np.asarray(points, dtype=float)
+            vals = np.asarray(values, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table points and values must be numbers: "
+                             f"{exc}") from None
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+            raise ValueError("table points must be a non-empty list of "
+                             f"[x, y] pairs, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("table points must be finite")
+        if vals.shape != (len(pts),):
+            raise ValueError(f"table values must hold one number per point "
+                             f"({len(pts)}), got shape {vals.shape}")
         tree = cKDTree(pts)
         rad = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-        cell = max(rad / max(len(vals), 1) ** 0.5, 1e-3)
+        cell = max(rad / len(vals) ** 0.5, 1e-3)
 
         def f(z):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -308,8 +340,7 @@ class BeltramiCoefficient:
             # nearest-neighbour lookup only within the sampled cloud
             return np.where(dist < 4 * cell, vals[idx], 0.0)
 
-        sn = float(np.max(np.abs(vals))) if sup_norm is None else sup_norm
-        return cls(domain, f, rad, sn)
+        return cls(domain, f, rad, float(np.max(np.abs(vals))))
 
     def scaled(self, c):
         if not abs(c) * self.sup_norm < 1:
@@ -487,12 +518,12 @@ class HolomorphicFunction:
             orders[::-1], self.coeffs[::-1], 0.0,
             0.0, 1.0 / max(self.r_inner, 1e-300), DomainTag.UNIT_DISK)
 
-    def growth_order(self, tol_rel=1e-10):
-        """Largest order carrying a coefficient above the relative floor."""
+    def growth_order(self):
+        """Largest order carrying a coefficient above 1e-10 of the largest."""
         mags = np.abs(self.coeffs)
         if not mags.size or mags.max() == 0.0:
             return -np.inf
-        keep = mags > tol_rel * mags.max()
+        keep = mags > 1e-10 * mags.max()
         return int(self.orders[keep].max())
 
     def to_json_dict(self):
@@ -641,14 +672,14 @@ def _require_exterior_series(phi: HolomorphicFunction):
             "series grows at infinity; weighted sup/integral cannot be finite")
 
 
-def ainf_norm(phi: HolomorphicFunction, levels=4):
+def ainf_norm(phi: HolomorphicFunction):
     """sup over D* of (|z|^2-1)^2 |phi(z)|, via psi(w) = w^-4 phi(1/w)."""
     if not np.any(phi.coeffs):
         return NormReport(0.0, [(1, 0.0)], False, 0.0)
     _require_exterior_series(phi)
     psi = phi.inverted_disk_rep()
     resolutions, values = [], []
-    for lev in range(levels):
+    for lev in range(4):
         m = 64 * 2 ** lev
         nth = 128 * 2 ** lev
         # radii clustered toward both 0 (decay test) and 1 (weight zero)
@@ -664,7 +695,7 @@ def ainf_norm(phi: HolomorphicFunction, levels=4):
     return NormReport.from_ladder(resolutions, values)
 
 
-def ap_norm(phi: HolomorphicFunction, p, levels=4):
+def ap_norm(phi: HolomorphicFunction, p):
     """A_p integral norm on D*, computed exactly on the inverted disk.
 
     int_{D*} |phi|^p (|z|^2-1)^{2p-2} dA  ==  int_D |psi|^p (1-|w|^2)^{2p-2} dA
@@ -683,10 +714,10 @@ def ap_norm(phi: HolomorphicFunction, p, levels=4):
         w = np.where(w == 0, 1e-300, w)
         return np.abs(psi.eval(w)) ** p * (1.0 - np.abs(w) ** 2) ** (2 * p - 2)
 
-    return _disk_ladder(integrand, levels=levels, power=p)
+    return _disk_ladder(integrand, power=p)
 
 
-def analytic_besov_norm(phi: HolomorphicFunction, p, levels=4):
+def analytic_besov_norm(phi: HolomorphicFunction, p):
     """Analytic Besov seminorm ( int |phi'|^p (1-|z|^2)^{p-2} dA )^{1/p}.
 
     Defined on D; on U the integrand |phi_*'|^p (2 Im zeta)^{p-2} is evaluated
@@ -707,7 +738,7 @@ def analytic_besov_norm(phi: HolomorphicFunction, p, levels=4):
                 (2.0 * zeta.imag) ** (p - 2.0) * jac
     else:
         raise DomainError("analytic Besov norm defined on D or U")
-    return _disk_ladder(integrand, levels=levels, power=p)
+    return _disk_ladder(integrand, power=p)
 
 
 # ---------------------------------------------------------------------------

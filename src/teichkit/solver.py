@@ -25,18 +25,14 @@ and conjugating back.  Symmetry forces |f| = 1 on the unit circle, and
 fixing 0, 1, inf on R corresponds to fixing -1, -i, 1 on S.
 
 solve_plane and solve_halfplane share one body, _solve: chart choice
-(auto_half_width), the memo and the disk cache under TEICHKIT_CACHE_DIR
-(one uncompressed npz per _solve_key), and the plane or half-plane
-normalization all live there.
+(auto_half_width), the in-process memo keyed by _solve_key, and the plane
+or half-plane normalization all live there.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -443,45 +439,15 @@ def identity_map(n=64):
 # Core solve
 
 
-# Bump when the stored arrays, the meaning of a solve input or the
-# solver's arithmetic change, so that files written by an older layout or
-# solver are never read back.
-_CACHE_SCHEMA = 3
-
-
 def _solve_key(mu, grid_n, reflect):
-    """Identity of one raw solve; None when mu carries no cache token.
+    """Memo key of one raw solve; None when mu carries no cache token.
 
-    The key names both the in-memory memo entry and the disk cache file.
     A raw solve's output is fixed by mu, grid_n and reflect: the chart and
     the truncation are derived from mu, everything else is a constant.
     """
     if mu.cache_token is None:
         return None
-    ident = f"{_CACHE_SCHEMA}|{mu.cache_token}|{grid_n}|{reflect}"
-    return hashlib.sha256(ident.encode()).hexdigest()[:24]
-
-
-def _cache_path(key):
-    root = os.environ.get("TEICHKIT_CACHE_DIR")
-    if not root or key is None:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"solve_{key}.npz")
-
-
-def _write_cache(path, **arrays):
-    """Write an npz file atomically: a temp file in the same directory is
-    renamed over path, so a concurrent reader never sees a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                               prefix=".solve_tmp_", suffix=".npz")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    return mu.cache_token, grid_n, reflect
 
 
 # Solve memo, oldest entry first; entries are evicted in that order while
@@ -546,10 +512,10 @@ def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
     The raw solution z + P[h] on the chart of mu comes from the memo (which
-    holds read-only arrays, at most _MEMO_BYTES of them), the disk cache or
-    the Neumann iteration, which runs on the support box of the samples of
-    mu (see sample_coefficient and _neumann) while P stays on the full
-    padded torus.  The samples are given one mass-preserving
+    holds read-only arrays, at most _MEMO_BYTES of them) or the Neumann
+    iteration, which runs on the support box of the samples of mu (see
+    sample_coefficient and _neumann) while P stays on the full padded
+    torus.  The samples are given one mass-preserving
     binomial blur that keeps closed-form agreement at O(spacing^2) while
     suppressing the spectral ringing of sharp interfaces.  A complex affine
     map (plane) or real affine map (half-plane, whose reflection symmetry
@@ -564,20 +530,12 @@ def _solve(mu, grid_n, reflect):
     key = _solve_key(mu, grid_n, reflect)
     raw = _MEMO.get(key)
     if raw is None:
-        path = _cache_path(key)
-        if path and os.path.exists(path):
-            with np.load(path) as z:
-                raw = z["f"], z["mu_s"], list(z["trace"]), float(z["ratio"])
-        else:
-            mu_s = _binomial_blur(
-                sample_coefficient(mu, grid_n, half_width, reflect))
-            _check_margin(ComplexGrid(0.0, half_width, mu_s),
-                          "coefficient support")
-            h, trace, ratio = _neumann(kit, mu_s)
-            raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
-            if path:
-                _write_cache(path, f=raw[0], mu_s=mu_s, trace=np.array(trace),
-                             ratio=ratio)
+        mu_s = _binomial_blur(
+            sample_coefficient(mu, grid_n, half_width, reflect))
+        _check_margin(ComplexGrid(0.0, half_width, mu_s),
+                      "coefficient support")
+        h, trace, ratio = _neumann(kit, mu_s)
+        raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
         raw[0].flags.writeable = raw[1].flags.writeable = False
         if key is not None:
             _MEMO[key] = raw

@@ -119,6 +119,28 @@ def test_error_surfaced_with_stage():
     assert res.verdicts.get("failed")
     assert res.reports["error"]["stage"] == "solve"
     assert "Neumann" in res.reports["error"]["message"]
+    assert res.reports["error"]["type"] == "SolverError"
+
+
+def test_malformed_table_spec_names_field():
+    res = run(cfg("norm", mu_spec={"kind": "table", "domain": "UnitDisk",
+                                   "points": [[0.0, 0.0], [0.1, 0.0]],
+                                   "values": [0.1]}, grid={"n": 64}))
+    assert res.verdicts == {"failed": True}
+    assert res.reports["error"]["type"] == "ValueError"
+    assert "table values" in res.reports["error"]["message"]
+
+
+def test_characterization_stage_failure_keeps_type_and_trace():
+    # sup-norm 0.95 is outside the Neumann regime: welding fails, and its
+    # stage record keeps the exception type and the (empty) trace
+    rep = besov_characterization_check(
+        BeltramiCoefficient.constant_disk(0.95, 0.5), 2, grid_n=64)
+    weld = rep["stages"]["welding"]
+    assert weld["type"] == "SolverError"
+    assert "Neumann regime" in weld["error"]
+    assert weld["trace"] == []
+    assert rep["verdicts"]["coherent"] is False
 
 
 def test_constants_rows_and_running_max(tmp_path):

@@ -402,6 +402,42 @@ def test_grid_validation():
         ComplexGrid(0.0, 1.0, np.full((4, 4), np.nan))
 
 
+_TABLE_PTS = [[0.0, 0.0], [0.1, 0.0]]
+
+
+@pytest.mark.parametrize("points, values, field", [
+    (_TABLE_PTS, [0.1], "values"),  # fewer values than points
+    ([], [], "points"),
+    ([0.0, 0.1], [0.1, 0.1], "points"),  # 1-D points
+    (_TABLE_PTS, [[0.1, 0.0], [0.1, 0.0]], "values"),  # [re, im] pairs
+    ([[0.0, math.nan], [0.1, 0.0]], [0.1, 0.1], "points"),
+], ids=["short_values", "empty", "flat_points", "pair_values", "nan_point"])
+def test_from_table_rejects_malformed_input(points, values, field):
+    with pytest.raises(ValueError, match=f"table {field}"):
+        BeltramiCoefficient.from_table(points, values, DomainTag.UNIT_DISK)
+
+
+def _grid_dict():
+    return ComplexGrid(0.0, 1.0, np.zeros((32, 32))).to_json_dict()
+
+
+@pytest.mark.parametrize("grid, match", [
+    (dict(_grid_dict(), n=64), "grid data holds 1024 values, n = 64"),
+    ({k: v for k, v in _grid_dict().items() if k != "data"},
+     "grid lacks 'data'"),
+    (dict(_grid_dict(), n=0), "grid n must be"),
+    (dict(_grid_dict(), data="not base64!"), "grid data is not base64"),
+    (3, "grid must be a JSON object"),
+    (dict(_grid_dict(), half_width=-1.0), "grid half_width must be"),
+    (dict(_grid_dict(), half_width="1"), "grid half_width must be"),
+    (dict(_grid_dict(), center=0.0), "grid center must be"),
+], ids=["n_mismatch", "no_data", "zero_n", "bad_base64", "not_object",
+        "negative_half_width", "text_half_width", "scalar_center"])
+def test_grid_from_json_rejects_malformed_input(grid, match):
+    with pytest.raises(ValueError, match=match):
+        ComplexGrid.from_json_dict(grid)
+
+
 def test_from_table_matches_dense_nearest_point(rng):
     pts = rng.uniform(-0.8, 0.8, size=(60, 2))
     vals = 0.5 * (rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60))

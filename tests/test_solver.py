@@ -280,54 +280,27 @@ def test_solve_plane_bounded_support_reaching_margin():
 
 
 @pytest.fixture
-def fresh_cache(monkeypatch, tmp_path):
-    """Empty memo and an empty disk cache directory for one test."""
+def fresh_cache(monkeypatch):
+    """Empty solve memo for one test."""
     monkeypatch.setattr(solver, "_MEMO", {})
-    monkeypatch.setenv("TEICHKIT_CACHE_DIR", str(tmp_path))
-    return tmp_path
 
 
-@pytest.mark.parametrize("through_disk", [False, True])
+# memo only: a solve never goes through a file
+@pytest.mark.parametrize("through_disk", [False])
 def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache, through_disk):
     # welding solves the same half-plane coefficient on the plane (mu
     # extended by zero) and as a self-map of U (mu reflected across R)
     mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
                   "DiskToHalfPlane")
     plane = solve_plane(mu_u, 128)
-    if through_disk:
-        solver._MEMO.clear()
     half = solve_halfplane(mu_u, 128)
-    assert len(list(fresh_cache.iterdir())) == 2
+    assert list(solver._MEMO) == [(mu_u.cache_token, 128, False),
+                                  (mu_u.cache_token, 128, True)]
     assert np.array_equal(plane.mu_samples,
                           _binomial_blur(sample_coefficient(mu_u, 128, 4.0)))
     assert np.array_equal(
         half.mu_samples,
         _binomial_blur(sample_coefficient(mu_u, 128, 4.0, reflect=True)))
-
-
-def test_solve_cache_leaves_one_file(fresh_cache):
-    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    first = solve_plane(mu, 128)
-    (name,) = [p.name for p in fresh_cache.iterdir()]  # no temp file left
-    assert name.startswith("solve_") and name.endswith(".npz")
-    solver._MEMO.clear()
-    again = solve_plane(mu, 128)  # read back from the file
-    assert np.array_equal(again.grid.values, first.grid.values)
-    assert again.iteration_trace == first.iteration_trace
-
-
-def test_solve_cache_ignores_older_schema_files(fresh_cache, monkeypatch):
-    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_CACHE_SCHEMA", 2)
-        old = solver._cache_path(solver._solve_key(mu, 128, False))
-    kit = _kit(128, 4.0)
-    solver._write_cache(old, f=np.zeros_like(kit.Z), mu_s=np.zeros_like(kit.Z),
-                        trace=np.array([0.0]), ratio=0.0)
-    f = solve_plane(mu, 128)
-    assert np.abs(f.grid.values - kit.Z).max() > 1e-3  # not the stored zeros
-    assert len(f.iteration_trace) > 1
-    assert len(list(fresh_cache.iterdir())) == 2
 
 
 def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
@@ -347,28 +320,20 @@ def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
     assert solver._MEMO == {}
 
 
-def test_solve_cache_failed_write_leaves_no_file(fresh_cache, monkeypatch):
-    def torn_write(file, **arrays):
-        if isinstance(file, str):
-            with open(file, "wb") as fh:
-                fh.write(b"PK partial")
-        else:
-            file.write(b"PK partial")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(np, "savez", torn_write)
-    with pytest.raises(OSError, match="disk full"):
-        solve_plane(BeltramiCoefficient.constant_disk(0.3, 0.5), 128)
-    assert list(fresh_cache.iterdir()) == []
+def test_solve_writes_no_files(fresh_cache, monkeypatch, tmp_path):
+    # solves are memoized in the process only, whatever the environment
+    monkeypatch.setenv("TEICHKIT_CACHE_DIR", str(tmp_path))
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    solve_plane(mu, 128)
+    solve_halfplane(cayley(mu, "DiskToHalfPlane"), 128)
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("from_disk", [False, True])
+# memo only: a solve is never read back from a file
+@pytest.mark.parametrize("from_disk", [False])
 def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     first = solve_plane(mu, 128)
-    if from_disk:
-        solver._MEMO.clear()
-        first = solve_plane(mu, 128)  # read back from the file
     with pytest.raises(ValueError, match="read-only"):
         first.mu_samples[0, 0] = 1.0
     trace = list(first.iteration_trace)
