@@ -1,14 +1,16 @@
 """Schwarzian derivatives, the Bers embedding, and its sections.
 
 The Bers image of a disk coefficient mu is the Schwarzian derivative of the
-plane solution restricted to the exterior disk, extracted through Laurent
-analysis on circles in the conformal region:
+plane solution restricted to the exterior disk:
 
     Phi(mu) = S_{f_mu | D*},   S_f = f'''/f' - (3/2) (f''/f')^2.
 
-Two Teichmueller classes agree exactly when their Bers images agree; the
-numerical test compares images in the sup metric on the circles
-|z| in {1.5, 2, 3}.
+Off the support of h = dbar f_mu, f_mu = z + sum_n c_n z^(-n-1) with the
+moments c_n = (1/pi) int h w^n dA, and S_f ignores f's affine
+normalization, so Phi(mu) is read from the moments of h on its support box
+(solver._box_solve) without assembling f on the grid.  Two Teichmueller
+classes agree exactly when their Bers images agree; the numerical test
+compares images in the sup metric on the circles |z| in {1.5, 2, 3}.
 
 The Ahlfors-Weill section sigma(phi)(u) = -(1/2) (z u)^2 (1-|z|^2)^2 phi(z)
 at u = 1/conj(z) collapses, in terms of the inverted representation
@@ -44,11 +46,11 @@ from .solver import (
     Normalization,
     QuasiconformalMap,
     SolverError,
+    _box_solve,
     chain_rule,
     compose,
     dilatation,
     solve_disk,
-    solve_plane,
 )
 
 __all__ = [
@@ -74,7 +76,8 @@ class NonHolomorphicError(ValueError):
 
 
 class BersConsistencyError(RuntimeError):
-    """Laurent data from different circles disagree beyond tolerance."""
+    """The moment series of f disagrees with the direct Cauchy sum of h
+    beyond tolerance: the series was cut too early."""
 
 
 def laurent_coefficients(f, center, radius, orders,
@@ -196,28 +199,74 @@ class TeichmullerPoint:
         }
 
 
+# the moment series of f is cut where (reach / anchor)^n <= MOMENT_TAIL
+MOMENT_TAIL = 1e-13
+
+# points of a test circle per block of the direct Cauchy sum
+_SUM_BLOCK = 8
+
+
+def _moment_count(reach):
+    """Number of moments c_0 .. c_{n-1} whose series is exact to MOMENT_TAIL
+    on the smallest test circle, for h supported in |w| <= reach."""
+    anchor = DEFAULT_CIRCLES[0]
+    if reach == 0.0:
+        return 0
+    if reach >= anchor:
+        raise BersConsistencyError(
+            f"support reach {reach:.3f} is not inside |z| = {anchor}")
+    return math.ceil(math.log(MOMENT_TAIL) / math.log(reach / anchor))
+
+
+def _cauchy_sum(z, w, hdA):
+    """z + (1/pi) sum h dA / (z - w) directly, a block of points at a time."""
+    out = z.copy()
+    for i in range(0, z.size, _SUM_BLOCK):
+        d = z[i:i + _SUM_BLOCK, None] - w
+        out[i:i + _SUM_BLOCK] += np.reciprocal(d, out=d) @ hdA / np.pi
+    return out
+
+
 def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
     """Bers Schwarzian derivative map Phi(mu) = S_{f_mu | D*}.
 
-    Solves the plane equation with mu extended by zero off D, reads Laurent
-    data on the smallest test circle, and validates it against the other
-    circles (mutual sup discrepancy beyond 1e-3 raises BersConsistencyError
-    with the measured discrepancy).
+    Solves for h with mu extended by zero off D, on the support box of its
+    samples, and forms the moments c_n = (1/pi) sum h w^n dA of the nonzero
+    h; their number follows from the reach of h (_moment_count).  The series
+    z + sum c_n z^(-n-1), anchored on the smallest test circle, gives Phi
+    through schwarzian.  It is checked against the direct Cauchy sum
+    z + (1/pi) sum h dA / (z - w) on the other test circles: a sup
+    discrepancy beyond 1e-3 raises BersConsistencyError with the measured
+    discrepancy.  Both sides sum the same discrete h, so the check guards
+    the cut of the series alone; errors of h itself, or of the grid solve
+    (torus images, far field), do not show in it.
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise ValueError("bers_map expects a unit-disk coefficient")
-    f = solve_plane(mu, grid_n=grid_n)
+    sol = _box_solve(mu, grid_n, False)
+    nz = sol.h != 0
+    w = sol.nodes[nz]
+    hdA = sol.h[nz] * sol.spacing ** 2
+    reach = float(np.max(np.abs(w), initial=0.0))
+    moments = np.empty(_moment_count(reach), dtype=complex)
+    term = hdA / np.pi
+    for n in range(moments.size):
+        moments[n] = term.sum()
+        term = term * w
     first, *others = DEFAULT_CIRCLES
-    series = laurent_coefficients(f, 0.0, first, range(-20, 2),
-                                  check_tol=1e-5)
+    series = HolomorphicFunction(
+        np.r_[1, -1 - np.arange(moments.size)], np.r_[1.0, moments],
+        r_inner=first * 0.999, domain=DomainTag.EXTERIOR_DISK,
+        anchor_radius=first)
     th = 2.0 * np.pi * np.arange(256) / 256
     for rho in others:
         zc = rho * np.exp(1j * th)
-        disc = float(np.max(np.abs(series.eval(zc) - f(zc))) / rho)
+        disc = float(np.max(np.abs(series.eval(zc) - _cauchy_sum(zc, w, hdA)))
+                     / rho)
         if disc > 1e-3:
             raise BersConsistencyError(
-                f"Laurent data from |z|={first} disagrees with samples "
-                f"on |z|={rho}: discrepancy {disc:.2e}")
+                f"moment series anchored on |z|={first} disagrees with the "
+                f"Cauchy sum on |z|={rho}: discrepancy {disc:.2e}")
     phi = schwarzian(series)
     return TeichmullerPoint(bers_image=phi, p=float(p))
 

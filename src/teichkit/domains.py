@@ -610,12 +610,26 @@ def _graded_radial_mesh(n_shells, nodes_per_shell, offset=0.5):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _polar_nodes(s, th):
+    """Nodes s e^{i th} of the polar mesh, radii along axis 0."""
+    return s[:, None] * np.exp(1j * th[None, :])
+
+
+def _polar_series(f, s, th):
+    """A plain series about 0 on the polar mesh s x th, as one matrix
+    product (s^n a_n) @ e^{i n th} over its nonzero terms a_n z^n."""
+    keep = f.coeffs != 0
+    n = f.orders[keep]
+    return (s[:, None] ** n * f.coeffs[keep]) @ np.exp(1j * n[:, None] * th)
+
+
 def _disk_ladder(integrand, levels=4, power=1.0):
     """Refinement ladder for int_D F dA in polar coordinates.
 
-    integrand(z) must be vectorised and already contain the weight; the
-    ladder value at each level is (integral)^(1/power).  Level lev has
-    6 + lev dyadic shells of 48 * 2^lev nodes and 64 * 2^lev angles.
+    integrand(s, th) gets the radii s and angles th of the mesh and returns
+    F on it (radii along axis 0), weight included; the ladder value at each
+    level is (integral)^(1/power).  Level lev has 6 + lev dyadic shells of
+    48 * 2^lev nodes and 64 * 2^lev angles.
     """
     resolutions, values = [], []
     for lev in range(levels):
@@ -625,8 +639,7 @@ def _disk_ladder(integrand, levels=4, power=1.0):
         off = (0.5 + lev * _JITTER) % 1.0
         s, ws = _graded_radial_mesh(shells, nper, off)
         th = 2.0 * np.pi * (np.arange(nth) + 0.5) / nth
-        Z = s[:, None] * np.exp(1j * th[None, :])
-        F = integrand(Z)
+        F = integrand(s, th)
         integral = float(np.sum(F.real * (s * ws)[:, None]) * (2.0 * np.pi / nth))
         resolutions.append(nper * nth)
         values.append(max(integral, 0.0) ** (1.0 / power))
@@ -657,9 +670,9 @@ def mp_norm(mu: BeltramiCoefficient, p, levels=4):
     else:
         raise DomainError(f"mp_norm not defined on {mu.domain.value}")
 
-    def integrand(z):
-        w = (1.0 - np.abs(z) ** 2) ** -2
-        return np.abs(sample(z)) ** p * w
+    def integrand(s, th):
+        w = ((1.0 - s ** 2) ** -2)[:, None]
+        return np.abs(sample(_polar_nodes(s, th))) ** p * w
 
     return _disk_ladder(integrand, levels=levels, power=p)
 
@@ -688,8 +701,8 @@ def ainf_norm(phi: HolomorphicFunction):
             1.0 - np.geomspace(0.5, 2.0 ** -(6 + 2 * lev), m // 2),
         ])
         th = 2.0 * np.pi * np.arange(nth) / nth
-        Z = r[:, None] * np.exp(1j * th[None, :])
-        vals = (1.0 - np.abs(Z) ** 2) ** 2 * np.abs(psi.eval(Z))
+        vals = ((1.0 - r ** 2) ** 2)[:, None] * \
+            np.abs(_polar_series(psi, r, th))
         resolutions.append(m * nth)
         values.append(float(vals.max()))
     return NormReport.from_ladder(resolutions, values)
@@ -710,9 +723,9 @@ def ap_norm(phi: HolomorphicFunction, p):
     _require_exterior_series(phi)
     psi = phi.inverted_disk_rep()
 
-    def integrand(w):
-        w = np.where(w == 0, 1e-300, w)
-        return np.abs(psi.eval(w)) ** p * (1.0 - np.abs(w) ** 2) ** (2 * p - 2)
+    def integrand(s, th):
+        return np.abs(_polar_series(psi, s, th)) ** p * \
+            ((1.0 - s ** 2) ** (2 * p - 2))[:, None]
 
     return _disk_ladder(integrand, power=p)
 
@@ -727,11 +740,13 @@ def analytic_besov_norm(phi: HolomorphicFunction, p):
     if p <= 1.0:
         raise ValueError("analytic Besov norms require p > 1")
     if phi.domain is DomainTag.UNIT_DISK:
-        def integrand(z):
+        def integrand(s, th):
+            z = _polar_nodes(s, th)
             return np.abs(phi.eval(z, der=1)) ** p * \
                 (1.0 - np.abs(z) ** 2) ** (p - 2.0)
     elif phi.domain is DomainTag.UPPER_HALF_PLANE:
-        def integrand(z):
+        def integrand(s, th):
+            z = _polar_nodes(s, th)
             zeta = cayley_map(z)
             jac = np.abs(cayley_map_deriv(z)) ** 2
             return np.abs(phi.eval(zeta, der=1)) ** p * \

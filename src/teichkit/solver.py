@@ -24,9 +24,12 @@ solving on the plane, renormalizing by a real affine map fixing 0, 1, inf,
 and conjugating back.  Symmetry forces |f| = 1 on the unit circle, and
 fixing 0, 1, inf on R corresponds to fixing -1, -i, 1 on S.
 
-solve_plane and solve_halfplane share one body, _solve: chart choice
-(auto_half_width), the in-process memo keyed by _solve_key, and the plane
-or half-plane normalization all live there.
+A solve has two parts.  The box-level part (_box_solve) picks the chart
+(auto_half_width), samples mu and runs the Neumann iteration; it returns h
+and the samples on their support box, which is all the Bers map reads (the
+moments of h).  The grid-level part (_solve, the body of solve_plane and
+solve_halfplane) applies P on the full torus and normalizes; its raw
+solution is memoized in the process, keyed by _solve_key.
 """
 
 from __future__ import annotations
@@ -143,18 +146,21 @@ class _SpectralKit:
     def beurling(self, h):
         return self.apply(h, self.mult_T)
 
+    def moments(self, h):
+        """Moments of h dA against 1, z, z^2, z^3 and conj(z), summed over
+        the support box of h (h vanishes off it)."""
+        box = _support_box(h)
+        Z, hb = self.Z[box], h[box] * self.spacing ** 2
+        return (hb.sum(), (Z * hb).sum(), (Z * Z * hb).sum(),
+                (Z * Z * Z * hb).sum(), (np.conj(Z) * hb).sum())
+
     def cauchy(self, h):
         """Padded-spectral P plus the lattice moment corrections."""
         out = self.apply(h, self.mult_P)
         if self.pad == 1:
             return out
-        cell = self.spacing ** 2
         Z = self.Z
-        m0 = h.sum() * cell
-        m1 = (Z * h).sum() * cell
-        m2 = (Z * Z * h).sum() * cell
-        m3 = (Z * Z * Z * h).sum() * cell
-        mc = (np.conj(Z) * h).sum() * cell
+        m0, m1, m2, m3, mc = self.moments(h)
         out = out + (m0 * np.conj(Z) - mc) / self.torus_area
         c4 = G4_SQUARE / (np.pi * self.torus_area ** 2)
         out = out + c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
@@ -456,16 +462,36 @@ _MEMO = {}
 _MEMO_BYTES = 256 * 2 ** 20
 
 
-def _neumann(kit, mu_s):
-    """h = mu_s (1 + T[h]) by fixed-point iteration; returns (h, trace of
+@dataclass(frozen=True)
+class _BoxSolve:
+    """h of one solve on the support box of its samples mu_s: the nb x nb
+    grid nodes at box (row and column slices of the chart's grid), spacing
+    apart.  h and mu_s vanish off the box; mu_s is kept on the whole grid,
+    as the grid-level part hands it out."""
+
+    half_width: float
+    box: tuple
+    h: np.ndarray
+    mu_s: np.ndarray
+    spacing: float
+    trace: list
+    ratio: float
+
+    @property
+    def nodes(self):
+        x, y = (-self.half_width + self.spacing * np.arange(s.start, s.stop)
+                for s in self.box)
+        return x[:, None] + 1j * y[None, :]
+
+
+def _neumann(kit, mu_b):
+    """h = mu_b (1 + T[h]) by fixed-point iteration; returns (h, trace of
     sup steps, contraction ratio).
 
-    h vanishes wherever mu_s does, so the iteration runs on the support box
-    of mu_s alone (_support_box), with the kit's T restricted to it
-    (_box_multiplier), and h is scattered back onto the kit's grid.
+    mu_b is a square of grid nodes holding the support of the samples
+    (_support_box): h vanishes wherever they do, so the iteration runs on
+    that square alone, with the kit's T restricted to it (_box_multiplier).
     """
-    box = _support_box(mu_s)
-    mu_b = mu_s[box]
     mult = _box_multiplier(kit, mu_b.shape[0])
     h = mu_b.copy()
     trace = []
@@ -489,9 +515,37 @@ def _neumann(kit, mu_s):
         raise SolverError("Neumann iteration did not converge", trace)
     ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e4 * NEUMANN_TOL]
     ratio = max(ratios[1:]) if len(ratios) > 2 else (ratios[-1] if ratios else 0.0)
-    out = np.zeros_like(mu_s)
-    out[box] = h
-    return out, trace, ratio
+    return h, trace, ratio
+
+
+def _box_solve(mu, grid_n, reflect):
+    """Box-level part of a solve: h on the support box of the samples of
+    mu, with no grid-level P and no memo.
+
+    mu is sampled on its chart (auto_half_width, sample_coefficient) and
+    given one mass-preserving binomial blur that keeps closed-form agreement
+    at O(spacing^2) while suppressing the spectral ringing of sharp
+    interfaces; after the margin guard, the Neumann iteration runs on the
+    support box of the samples.
+    """
+    half_width = auto_half_width(mu.support_radius)
+    if mu.sup_norm >= 0.9:
+        raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
+    kit = _kit(grid_n, half_width, 2)
+    mu_s = _binomial_blur(sample_coefficient(mu, grid_n, half_width, reflect))
+    _check_margin(ComplexGrid(0.0, half_width, mu_s), "coefficient support")
+    box = _support_box(mu_s)
+    h, trace, ratio = _neumann(kit, mu_s[box])
+    return _BoxSolve(half_width, box, h, mu_s, kit.spacing, trace, ratio)
+
+
+def _on_chart(kit, sol):
+    """h of a box solve scattered onto the kit's grid, with its samples
+    mu_s, trace and ratio.  The box h is dropped on return, so it is not
+    held through the grid-level part."""
+    h = np.zeros_like(kit.Z)
+    h[sol.box] = sol.h
+    return h, sol.mu_s, sol.trace, sol.ratio
 
 
 def _fd_residual(qc, mu_s, jump_circles):
@@ -512,29 +566,21 @@ def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
     The raw solution z + P[h] on the chart of mu comes from the memo (which
-    holds read-only arrays, at most _MEMO_BYTES of them) or the Neumann
-    iteration, which runs on the support box of the samples of mu (see
-    sample_coefficient and _neumann) while P stays on the full padded
-    torus.  The samples are given one mass-preserving
-    binomial blur that keeps closed-form agreement at O(spacing^2) while
-    suppressing the spectral ringing of sharp interfaces.  A complex affine
+    holds read-only arrays, at most _MEMO_BYTES of them) or from the
+    box-level part (_box_solve), whose h is scattered onto the chart and
+    given P on the full padded torus.  A complex affine
     map (plane) or real affine map (half-plane, whose reflection symmetry
     is checked on R) pins the grid nodes 0 and 1.  The far field is fitted
     through the map's own spline on a circle of radius 0.855 half_width;
     the residual is the Beltrami defect against the samples off the jumps.
     """
     half_width = auto_half_width(mu.support_radius)
-    if mu.sup_norm >= 0.9:
-        raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
     kit = _kit(grid_n, half_width, 2)
     key = _solve_key(mu, grid_n, reflect)
     raw = _MEMO.get(key)
     if raw is None:
-        mu_s = _binomial_blur(
-            sample_coefficient(mu, grid_n, half_width, reflect))
-        _check_margin(ComplexGrid(0.0, half_width, mu_s),
-                      "coefficient support")
-        h, trace, ratio = _neumann(kit, mu_s)
+        h, mu_s, trace, ratio = _on_chart(kit, _box_solve(mu, grid_n,
+                                                          reflect))
         raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
         raw[0].flags.writeable = raw[1].flags.writeable = False
         if key is not None:

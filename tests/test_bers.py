@@ -1,9 +1,19 @@
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from teichkit import BeltramiCoefficient, DomainTag, ainf_norm, ap_norm
+from teichkit import (
+    BeltramiCoefficient,
+    DomainTag,
+    ainf_norm,
+    ap_norm,
+    bers,
+    solve_plane,
+    solver,
+)
 from teichkit.bers import (
+    BersConsistencyError,
     NonHolomorphicError,
     ahlfors_weill,
     bers_map,
@@ -150,6 +160,44 @@ def test_bers_map_norms_lazy_json_unchanged(mu_03_05):
         "circles_checked": list(pt.circles_checked),
     }
     assert json.dumps(pt.to_json_dict()) == json.dumps(eager)
+
+
+def test_bers_map_builds_no_grid_transform(monkeypatch):
+    # the image comes from the moments of h on its support box: no Cauchy
+    # multiplier, spline or far field on the chart, and no memo entry
+    monkeypatch.setattr(solver, "_MEMO", {})
+    monkeypatch.setattr(solver, "_kit", lru_cache(maxsize=8)(
+        solver._SpectralKit))
+    bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=128)
+    assert "mult_P" not in vars(solver._kit(128, 4.0, 2))
+    assert solver._MEMO == {}
+
+
+def _ring(z):
+    """0.5 (conj z / |z|)^3 on 0.7 < |z| < 0.95: h carries a large c_3."""
+    return np.where(np.abs(z) > 0.7,
+                    0.5 * (np.conj(z) / np.maximum(np.abs(z), 0.7)) ** 3, 0.0)
+
+
+def test_bers_map_checks_the_moment_tail(monkeypatch):
+    mu = BeltramiCoefficient(DomainTag.UNIT_DISK, _ring, 0.95, 0.5,
+                             jump_circles=((0.0, 0.7), (0.0, 0.95)))
+    bers_map(mu, grid_n=128)  # enough moments: consistent
+    monkeypatch.setattr(bers, "_moment_count", lambda reach: 3)
+    with pytest.raises(BersConsistencyError, match="discrepancy"):
+        bers_map(mu, grid_n=128)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6])
+def test_bers_map_matches_the_spline_path(k):
+    # the moment series against Laurent analysis of the assembled plane
+    # solution on |z| = 1.5, the image's former source
+    mu = BeltramiCoefficient.constant_disk(k, 0.5)
+    spline = schwarzian(laurent_coefficients(
+        solve_plane(mu, 512), 0.0, 1.5, range(-20, 2), check_tol=1e-5))
+    got = bers_map(mu, grid_n=512).bers_image.eval(Z32)
+    want = spline.eval(Z32)
+    assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
 
 def test_bers_map_mobius_invariance(plane_03_05):

@@ -18,6 +18,7 @@ from teichkit import (
     hyperbolic_density,
     mp_norm,
 )
+from teichkit import domains
 from teichkit.domains import (
     ComplexGrid,
     _circle_coefficients,
@@ -204,6 +205,31 @@ def test_ap_zero_and_range():
     for p in (0.9, math.nan):
         with pytest.raises(ValueError):
             ap_norm(zero, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_ladders_match_pointwise_series_eval(monkeypatch, p):
+    # the A_p and A_inf ladders evaluate psi as one matrix product on their
+    # polar mesh; the reference evaluates it point by point on the same mesh
+    slow = HolomorphicFunction([-2, -4], [1.0, 1.0], r_inner=1.0,
+                               domain=DomainTag.EXTERIOR_DISK)  # psi ~ w^-2
+    const = HolomorphicFunction([0], [1.0], r_inner=1.0,
+                                domain=DomainTag.EXTERIOR_DISK)  # psi = w^-4
+    phis = (exterior_series(closed_form_phi(0.3, 0.5)), slow, const)
+    fast = [(ap_norm(phi, p), ainf_norm(phi)) for phi in phis]
+    monkeypatch.setattr(domains, "_polar_series", lambda f, s, th:
+                        f.eval(domains._polar_nodes(s, th)))
+    ref = [(ap_norm(phi, p), ainf_norm(phi)) for phi in phis]
+    for got, want in zip(sum(fast, ()), sum(ref, ())):
+        assert got.divergent == want.divergent
+        assert [n for n, _ in got.refinements] == \
+            [n for n, _ in want.refinements]
+        for (_, a), (_, b) in zip(got.refinements, want.refinements):
+            assert abs(a - b) <= 1e-13 * abs(b)
+    (ap_closed, ainf_closed), (_, ainf_slow), (ap_const, ainf_const) = fast
+    assert not ap_closed.divergent and not ainf_closed.divergent
+    assert ainf_slow.divergent and ainf_const.divergent
+    assert ap_const.divergent == (p == 2.0)
 
 
 def test_ainf_ap_embedding_ratio_bounded():

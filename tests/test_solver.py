@@ -75,6 +75,18 @@ def test_cauchy_disk_indicator_closed_form():
     assert np.abs(P - exact)[m].max() < 1e-3
 
 
+def test_cauchy_moments_on_the_box_match_full_grid_sums():
+    n, L = 256, 4.0
+    kit = _kit(n, L)
+    Z = kit.Z
+    h = _bump(Z)
+    assert h[solver._support_box(h)].shape[0] == 64
+    full = [(w * h).sum() * kit.spacing ** 2
+            for w in (1.0, Z, Z * Z, Z * Z * Z, np.conj(Z))]
+    for got, want in zip(kit.moments(h), full):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_cauchy_margin_guard():
     g = grid_of(lambda Z: np.ones_like(Z), n=64)
     with pytest.raises(SolverError):
@@ -200,12 +212,15 @@ def test_box_neumann_matches_full_torus(reflect):
                     "DiskToHalfPlane")
     kit = _kit(n, 4.0)
     mu_s = _binomial_blur(sample_coefficient(mu, n, 4.0, reflect=reflect))
-    nb = mu_s[solver._support_box(mu_s)].shape[0]
+    box = solver._support_box(mu_s)
+    nb = mu_s[box].shape[0]
     assert nb == (195 if reflect else 31)
-    h, trace, _ = solver._neumann(kit, mu_s)
+    h, trace, _ = solver._neumann(kit, mu_s[box])
     ref, ref_trace = _full_torus_neumann(kit, mu_s)
     assert len(trace) == len(ref_trace)
-    assert np.abs(h - ref).max() < 1e-12
+    assert np.abs(h - ref[box]).max() < 1e-12
+    ref[box] = 0.0
+    assert not ref.any()  # h vanishes off the box
 
 
 def test_support_box_of_zero_and_edge_data():
@@ -318,6 +333,19 @@ def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
     monkeypatch.setattr(solver, "_MEMO_BYTES", entry - 1)
     solve_plane(mus[0], 64)  # larger than the cap alone: kept nowhere
     assert solver._MEMO == {}
+
+
+def test_repeated_plane_solve_runs_one_cauchy_transform(fresh_cache,
+                                                        monkeypatch):
+    calls = []
+    cauchy = solver._SpectralKit.cauchy
+    monkeypatch.setattr(solver._SpectralKit, "cauchy",
+                        lambda kit, h: calls.append(1) or cauchy(kit, h))
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    first = solve_plane(mu, 128)
+    again = solve_plane(mu, 128)
+    assert len(calls) == 1
+    assert np.array_equal(first.grid.values, again.grid.values)
 
 
 def test_solve_writes_no_files(fresh_cache, monkeypatch, tmp_path):
