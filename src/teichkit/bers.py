@@ -245,8 +245,8 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
         raise ValueError("bers_map expects a unit-disk coefficient")
     sol = _box_solve(mu, grid_n, False)
     nz = sol.h != 0
-    w = sol.nodes[nz]
-    hdA = sol.h[nz] * sol.spacing ** 2
+    w = sol.kit.nodes(sol.box)[nz]
+    hdA = sol.h[nz] * sol.kit.spacing ** 2
     reach = float(np.max(np.abs(w), initial=0.0))
     moments = np.empty(_moment_count(reach), dtype=complex)
     term = hdA / np.pi

@@ -242,6 +242,9 @@ class BeltramiCoefficient:
         self.meta = dict(meta or {})
         if not self.sup_norm < 1.0:
             raise ValueError(f"sup_norm must be < 1, got {self.sup_norm}")
+        if not self.support_radius >= 0.0:
+            raise ValueError("support_radius must be >= 0 (math.inf for "
+                             f"unbounded support), got {self.support_radius}")
 
     def _mask(self, z):
         keep = np.ones(z.shape, dtype=bool)
@@ -500,10 +503,6 @@ class HolomorphicFunction:
     __call__ = eval
 
     # -- structure ---------------------------------------------------------
-
-    def coefficient(self, n):
-        j = np.nonzero(self.orders == n)[0]
-        return complex(self.coeffs[j[0]]) if j.size else 0.0
 
     def inverted_disk_rep(self):
         """psi(w) = w^-4 phi(1/w) for an exterior-disk series about 0.

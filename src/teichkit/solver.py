@@ -7,10 +7,14 @@ is built from the Neumann iteration
 
 where T is the Beurling transform (Fourier multiplier conj(W)/W) and P the
 solid Cauchy transform (multiplier -2i/W), both defined on a 2x zero-padded
-torus.  h vanishes off the support of mu, so the iteration runs only on the
-smallest square of nodes holding that support (nb nodes a side): the
+torus.  h vanishes off the support of mu, so mu is sampled only on a node
+square about 0 that holds its support, and the iteration runs only on the
+smallest square of nodes holding the samples (nb nodes a side): the
 kernel of T is cut to the offsets of a torus of about 2 nb nodes, which
 applies the padded torus's T exactly there at two (2 nb)^2 FFTs per step.
+That kernel is built from a quarter of the padded torus's frequencies with
+real DCT-I and DST-I transforms (_box_multiplier), so a box solve builds no
+array of the whole chart or the padded torus.
 P is applied once, on the full padded torus.  Relative to the free-plane
 kernel 1/(pi u), the periodic P kernel carries a background term
 -conj(u)/A and a cubic Weierstrass-series term (Eisenstein constant G4);
@@ -28,8 +32,9 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 (auto_half_width), samples mu and runs the Neumann iteration; it returns h
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
-solve_halfplane) applies P on the full torus and normalizes; its raw
-solution is memoized in the process, keyed by _solve_key.
+solve_halfplane) scatters both onto the chart, applies P on the full torus
+and normalizes; its raw solution is memoized in the process, keyed by
+_solve_key.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def _beurling_symbol(W):
 
 class _SpectralKit:
     """Multipliers for one (n, half_width, pad) configuration, each built on
-    first use: most kits serve only their nodes Z and the Cauchy transform."""
+    first use: a box solve reads none of them, nor the nodes Z."""
 
     def __init__(self, n, half_width, pad=2):
         self.n = n
@@ -116,13 +121,20 @@ class _SpectralKit:
         self.pad = pad
         self.spacing = 2.0 * self.half_width / n
         self.torus_area = (pad * n * self.spacing) ** 2
-        off = -self.half_width + self.spacing * np.arange(n)
-        self.Z = off[:, None] + 1j * off[None, :]
 
-    def _wavenumbers(self, rows=slice(None)):
-        """W = wx + i wy on the padded torus, for the given rows of wx."""
+    def nodes(self, box):
+        """Grid nodes at box, a pair of (row, column) slices of the chart."""
+        off = -self.half_width + self.spacing * np.arange(self.n)
+        return off[box[0], None] + 1j * off[None, box[1]]
+
+    @cached_property
+    def Z(self):
+        return self.nodes((slice(None), slice(None)))
+
+    def _wavenumbers(self):
+        """W = wx + i wy on the padded torus."""
         w = 2.0 * np.pi * sfft.fftfreq(self.pad * self.n, d=self.spacing)
-        return w[rows, None] + 1j * w[None, :]
+        return w[:, None] + 1j * w[None, :]
 
     @cached_property
     def mult_T(self):
@@ -172,43 +184,105 @@ def _kit(n, half_width, pad=2):
     return _SpectralKit(n, half_width, pad)
 
 
-# rows of the padded torus's Beurling multiplier transformed at once
-_BOX_ROWS = 128
-
-
 def _box_multiplier(kit, nb):
     """T of the kit's padded torus between the nodes of an nb x nb square, as
-    a multiplier on the torus of next_fast_len(2 nb) nodes.
+    a multiplier on the torus of m = next_fast_len(2 nb) nodes.
 
     The kernel of T is cut to the node offsets of that smaller torus, which
     holds every offset between two nodes of the square once, so for data on
-    the square the small torus applies exactly the kit's T.  The kernel is
-    transformed back from the multiplier _BOX_ROWS rows at a time and kept
-    only at those offsets, so no (2N)^2 array is built.
+    the square the small torus applies exactly the kit's T.
+
+    The kernel is built from a quarter of the padded torus (M = 2N nodes a
+    side, M even).  The symbol conj(W)/W = (j - ik)^2 / (j^2 + k^2) depends
+    only on the integer frequencies (j, k) in [-M/2, M/2), so with
+    K(a, b) = M^-2 sum S(j, k) exp(2 pi i (j a + k b) / M):
+
+    - Re S is even in j and in k, and j = -M/2 aliases +M/2, so its part of
+      K is C(|a|, |b|) / M^2, C the DCT-I of Re S on [0, M/2]^2 along both
+      axes;
+    - Im S = -2jk / (j^2 + k^2) is odd in j and in k on [1 - M/2, M/2 - 1]^2,
+      so its part there is -i sign(a) sign(b) D(|a|, |b|) / M^2, D the DST-I
+      of Im S on [1, M/2 - 1]^2 along both axes;
+    - the Nyquist row j = -M/2 has no mirror.  It adds
+      (i/M) (-1)^a ifft(Im S(-M/2, .))[b]
+      = -(-1)^a sign(b) R(|b|) / M - i (-1)^(a+b) / M^2,
+      R the DST-I of k / (k^2 + M^2/4) on [1, M/2 - 1].  The Nyquist column
+      k = -M/2 adds the same with a and b swapped, and their shared corner,
+      Im S = -1, is added back once: + i (-1)^(a+b) / M^2.
+
+    Only the first transform pass runs over the whole quarter; the second
+    runs over the offsets |a| <= m - nb that the small torus needs, and the
+    kernel is gathered from its values there for each of the four sign
+    pairs of (a, b).  No array of the whole padded torus is built.
     """
     m = sfft.next_fast_len(2 * nb)
-    side = kit.pad * kit.n
-    idx = np.arange(m)
-    idx[nb:] += side - m  # offsets -(m - nb) .. -1
-    cols = np.empty((side, m), dtype=complex)
-    for r0 in range(0, side, _BOX_ROWS):
-        rows = slice(r0, r0 + _BOX_ROWS)
-        cols[rows] = sfft.ifft(_beurling_symbol(kit._wavenumbers(rows)),
-                               axis=1, overwrite_x=True)[:, idx]
-    kernel = sfft.ifft(cols, axis=0, overwrite_x=True)[idx]
+    M = kit.pad * kit.n
+    half = M // 2
+    off = np.r_[0:nb, nb - m:0]  # the small torus's offsets, on the M-torus
+    off = (off + half) % M - half
+    a = np.abs(off)
+    rows = a.max() + 1
+    j = np.arange(half + 1, dtype=float)
+    j2 = j * j
+    r2 = j2[:, None] + j2[None, :]
+    r2[0, 0] = 1.0  # S(0, 0) = 0
+    re = j2[:, None] - j2[None, :]
+    re /= r2
+    odd = np.multiply.outer(-2.0 * j[1:half], j[1:half])
+    odd /= r2[1:half, 1:half]
+    del r2
+    re = sfft.dct(sfft.dct(re, type=1, axis=0, overwrite_x=True)[:rows],
+                  type=1, axis=1, overwrite_x=True)[:, :rows] / M ** 2
+    w = min(rows, half) - 1  # offsets 1 .. w where the DST-I terms live
+    im = np.zeros((rows, rows))
+    odd = sfft.dst(odd, type=1, axis=0, overwrite_x=True)[:w]
+    im[1:1 + w, 1:1 + w] = sfft.dst(odd, type=1, axis=1,
+                                    overwrite_x=True)[:, :w] / -M ** 2
+    del odd
+    r = np.zeros(rows)
+    r[1:1 + w] = sfft.dst(j[1:half] / (half ** 2 + j2[1:half]), type=1)[:w]
+    alt = 1.0 - 2.0 * (np.arange(rows) & 1)  # (-1)^|a|
+    nyq = np.multiply.outer(alt, r / -M)
+    corner = np.multiply.outer(alt, alt / -M ** 2)
+    # K on the offsets |a|, |b| < rows with signs (sa, sb) of a and b
+    quads = np.empty((2, rows, 2, rows), dtype=complex)
+    for p, sa in enumerate((1.0, -1.0)):
+        for q, sb in enumerate((1.0, -1.0)):
+            quads[p, :, q].real = re + sb * nyq + sa * nyq.T
+            quads[p, :, q].imag = (sa * sb) * im + corner
+    del re, im, nyq, corner
+    at = a + rows * (off < 0)
+    kernel = quads.reshape(2 * rows, 2 * rows)[np.ix_(at, at)]
+    del quads
     return sfft.fft2(kernel, overwrite_x=True)
 
 
-def _support_box(mu_s):
-    """Slices of the smallest square of nodes holding the nonzero mu_s (one
-    node when mu_s is zero)."""
+def _support_box(mu_s, n=None, at=0):
+    """Slices of the smallest square of chart nodes holding the nonzero mu_s,
+    kept inside the chart of n nodes a side (one node when mu_s is zero).
+    mu_s holds the chart nodes from (at, at) on; by default it is the whole
+    chart."""
+    n = mu_s.shape[0] if n is None else n
     nz = mu_s != 0
     rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
     if rows.size == 0:
-        return slice(0, 1), slice(0, 1)
+        return slice(at, at + 1), slice(at, at + 1)
     nb = max(rows[-1] - rows[0], cols[-1] - cols[0]) + 1
-    i0, j0 = (min(lo, mu_s.shape[0] - nb) for lo in (rows[0], cols[0]))
+    i0, j0 = (min(lo + at, n - nb) for lo in (rows[0], cols[0]))
     return slice(i0, i0 + nb), slice(j0, j0 + nb)
+
+
+def _take(a, a_box, box):
+    """a, given on the chart nodes a_box, on the chart nodes box (zero off
+    a_box); the boxes overlap."""
+    out = np.zeros(tuple(t.stop - t.start for t in box), dtype=a.dtype)
+    src, dst = [], []
+    for s, t in zip(a_box, box):
+        lo, hi = max(s.start, t.start), min(s.stop, t.stop)
+        src.append(slice(lo - s.start, hi - s.start))
+        dst.append(slice(lo - t.start, hi - t.start))
+    out[tuple(dst)] = a[tuple(src)]
+    return out
 
 
 def auto_half_width(reach):
@@ -229,19 +303,20 @@ def auto_half_width(reach):
     raise SolverError(f"coefficient support reach {reach:.2f} exceeds grid limits")
 
 
-def _check_margin(grid: ComplexGrid, what="support"):
-    vals = np.abs(grid.values)
+def _check_margin(values, Z, half_width, what="support"):
+    """Raise when values above 1e-6 of their largest modulus sit at nodes Z
+    (relative to the chart's center) in the outer 10% of the chart."""
+    vals = np.abs(values)
     if vals.max() == 0.0:
         return
     mask = vals > 1e-6 * vals.max()
     if not mask.any():
         return
-    Z = grid.nodes() - grid.center
     reach = max(np.abs(Z.real[mask]).max(), np.abs(Z.imag[mask]).max())
-    if reach > MARGIN_FRACTION * grid.half_width:
+    if reach > MARGIN_FRACTION * half_width:
         raise SolverError(
             f"{what} touches the outer 10% margin of the grid "
-            f"(reach {reach:.3f} of half-width {grid.half_width:.3f})")
+            f"(reach {reach:.3f} of half-width {half_width:.3f})")
 
 
 def cauchy_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
@@ -252,7 +327,7 @@ def cauchy_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
     """
     if grid.center != 0:
         raise SolverError("spectral transforms expect a grid centered at 0")
-    _check_margin(grid)
+    _check_margin(grid.values, grid.nodes(), grid.half_width)
     kit = _kit(grid.n, grid.half_width, pad)
     return ComplexGrid(grid.center, grid.half_width, kit.cauchy(grid.values))
 
@@ -266,7 +341,8 @@ def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
     if grid.center != 0:
         raise SolverError("spectral transforms expect a grid centered at 0")
     if pad > 1:
-        _check_margin(grid)  # torus-native pad=1 has no aliasing margin
+        # torus-native pad=1 has no aliasing margin
+        _check_margin(grid.values, grid.nodes(), grid.half_width)
     kit = _kit(grid.n, grid.half_width, pad)
     return ComplexGrid(grid.center, grid.half_width, kit.beurling(grid.values))
 
@@ -281,19 +357,39 @@ def _binomial_blur(a):
 
 
 def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
-    """Sample mu on the solver grid.
+    """Sample mu on the node square of the solver grid that holds its
+    support; returns (box, samples), box being the square's (row, column)
+    slices of the n x n chart.
+
+    mu vanishes off |z| <= R, R its support radius; reflect=True extends a
+    half-plane coefficient by conj(mu(conj z)) across R, and if its support
+    is unbounded, it is first truncated to R = 0.85 half_width, inside the
+    grid margin.  The square is centred on node 0 and holds |z| <= R grown
+    by three nodes.  The samples reach at most one node past |z| = R (a
+    supersampled cell that a jump circle cuts) and _binomial_blur spreads
+    them by one more, so the square's outer ring stays zero and the blur's
+    wrap-around at its edge reads zeros: blurred on the square, the samples
+    equal those of the whole chart.  The square is symmetric about y = 0,
+    so the reflection maps it onto itself.  With R not finite, or a square
+    that would not fit inside rows and columns 1 .. n - 1, it is the whole
+    chart.
 
     Cells cut by a declared jump circle are supersampled to their cell
-    average.  reflect=True extends a half-plane coefficient by
-    conj(mu(conj z)) across R; if its support is unbounded, it is first
-    truncated to |z| <= 0.85 half_width, inside the grid margin.
+    average.
     """
     kit = _kit(n, half_width, 2)
-    Z = kit.Z
     d = kit.spacing
     truncation = math.inf
     if reflect and not np.isfinite(mu.support_radius):
         truncation = 0.85 * half_width
+    reach = min(mu.support_radius, truncation)
+    box = slice(0, n)
+    if math.isfinite(reach):
+        mid, k = n // 2, math.ceil(reach / d) + 3  # node 0 is (mid, mid)
+        if k < mid:
+            box = slice(mid - k, mid + k + 1)
+    box = box, box
+    Z = kit.nodes(box)
     vals = mu.eval(Z)
     vals[np.abs(Z) > truncation] = 0.0
     for c, r in mu.jump_circles:
@@ -310,11 +406,13 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
         vals[near] = sv.mean(axis=1)
     if reflect:
         vals[Z.imag <= 0] = 0.0
-        flipped = np.conj(vals[:, ::-1])
+        cols = np.arange(n)[box[1]]
+        src = n - cols - cols[0]  # y-node j reflects to node n - j
+        ok = (src >= 0) & (src < cols.size)
         ref = np.zeros_like(vals)
-        ref[:, 1:] = flipped[:, :-1]  # y-node j reflects to node n - j
+        ref[:, ok] = np.conj(vals[:, src[ok]])
         vals = vals + np.where(Z.imag < 0, ref, 0.0)
-    return vals
+    return box, vals
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +562,16 @@ _MEMO_BYTES = 256 * 2 ** 20
 
 @dataclass(frozen=True)
 class _BoxSolve:
-    """h of one solve on the support box of its samples mu_s: the nb x nb
-    grid nodes at box (row and column slices of the chart's grid), spacing
-    apart.  h and mu_s vanish off the box; mu_s is kept on the whole grid,
-    as the grid-level part hands it out."""
+    """h of one solve and the samples mu_s it solved for, on the support box
+    of mu_s: the nb x nb nodes of the kit's grid at box (row and column
+    slices).  Both vanish off the box."""
 
-    half_width: float
+    kit: _SpectralKit
     box: tuple
     h: np.ndarray
     mu_s: np.ndarray
-    spacing: float
     trace: list
     ratio: float
-
-    @property
-    def nodes(self):
-        x, y = (-self.half_width + self.spacing * np.arange(s.start, s.stop)
-                for s in self.box)
-        return x[:, None] + 1j * y[None, :]
 
 
 def _neumann(kit, mu_b):
@@ -522,30 +612,33 @@ def _box_solve(mu, grid_n, reflect):
     """Box-level part of a solve: h on the support box of the samples of
     mu, with no grid-level P and no memo.
 
-    mu is sampled on its chart (auto_half_width, sample_coefficient) and
-    given one mass-preserving binomial blur that keeps closed-form agreement
-    at O(spacing^2) while suppressing the spectral ringing of sharp
-    interfaces; after the margin guard, the Neumann iteration runs on the
-    support box of the samples.
+    mu is sampled on the node square of its chart (auto_half_width) that
+    holds its support (sample_coefficient), and given one mass-preserving
+    binomial blur that keeps closed-form agreement at O(spacing^2) while
+    suppressing the spectral ringing of sharp interfaces; after the margin
+    guard, the Neumann iteration runs on the support box of the samples.
+    No array of the whole chart is built.
     """
     half_width = auto_half_width(mu.support_radius)
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
     kit = _kit(grid_n, half_width, 2)
-    mu_s = _binomial_blur(sample_coefficient(mu, grid_n, half_width, reflect))
-    _check_margin(ComplexGrid(0.0, half_width, mu_s), "coefficient support")
-    box = _support_box(mu_s)
-    h, trace, ratio = _neumann(kit, mu_s[box])
-    return _BoxSolve(half_width, box, h, mu_s, kit.spacing, trace, ratio)
+    box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
+    mu_s = _binomial_blur(mu_s)
+    _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
+    support = _support_box(mu_s, grid_n, box[0].start)
+    mu_s = _take(mu_s, box, support)
+    h, trace, ratio = _neumann(kit, mu_s)
+    return _BoxSolve(kit, support, h, mu_s, trace, ratio)
 
 
 def _on_chart(kit, sol):
-    """h of a box solve scattered onto the kit's grid, with its samples
-    mu_s, trace and ratio.  The box h is dropped on return, so it is not
-    held through the grid-level part."""
-    h = np.zeros_like(kit.Z)
-    h[sol.box] = sol.h
-    return h, sol.mu_s, sol.trace, sol.ratio
+    """h and the samples mu_s of a box solve scattered onto the kit's grid,
+    with its trace and ratio.  The box arrays are dropped on return, so they
+    are not held through the grid-level part."""
+    chart = (slice(0, kit.n),) * 2
+    return (_take(sol.h, sol.box, chart), _take(sol.mu_s, sol.box, chart),
+            sol.trace, sol.ratio)
 
 
 def _fd_residual(qc, mu_s, jump_circles):

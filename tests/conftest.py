@@ -6,6 +6,12 @@ from teichkit import BeltramiCoefficient, solve_disk, solve_plane
 TEST_GRID_N = 512
 
 
+def coefficient(f, n):
+    """Coefficient of order n of the series f (0 when f has no such order)."""
+    j = np.nonzero(f.orders == n)[0]
+    return complex(f.coeffs[j[0]]) if j.size else 0.0
+
+
 @pytest.fixture(scope="session")
 def mu_03_05():
     return BeltramiCoefficient.constant_disk(0.3, 0.5)

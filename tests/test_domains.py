@@ -26,6 +26,8 @@ from teichkit.domains import (
     cayley_map,
 )
 
+from conftest import coefficient
+
 
 def closed_form_phi(k, r):
     """Bers image of k chi_{rD}: -6 k r^2 / (z^2 - k r^2)^2 on the exterior."""
@@ -129,6 +131,15 @@ def test_constant_disk_rejects_bad_radius(r):
 def test_constant_disk_accepts_zero_radius():
     mu = BeltramiCoefficient.constant_disk(0.3, 0.0)
     assert mu.eval(np.array([0j, 0.5])).tolist() == [0j, 0j]
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan])
+def test_coefficient_rejects_bad_support_radius(radius):
+    # a radius of -1 used to solve to the identity map with all-zero
+    # samples, and NaN used to mean unbounded support
+    with pytest.raises(ValueError, match="support_radius"):
+        BeltramiCoefficient(DomainTag.PLANE, lambda z: np.full_like(z, 0.2),
+                            radius, 0.2)
 
 
 def test_mp_norm_halfplane_matches_disk_transport():
@@ -406,9 +417,9 @@ def test_circle_coefficients_match_per_order_loop(n, radius):
 def test_series_identity_roundtrip():
     f = HolomorphicFunction.from_callable_on_circle(
         lambda z: z + 0.075 / z, 0.0, 2.0, range(-8, 3))
-    assert f.coefficient(1) == pytest.approx(1.0, abs=1e-10)
-    assert f.coefficient(-1) == pytest.approx(0.075, abs=1e-10)
-    assert abs(f.coefficient(0)) < 1e-12
+    assert coefficient(f, 1) == pytest.approx(1.0, abs=1e-10)
+    assert coefficient(f, -1) == pytest.approx(0.075, abs=1e-10)
+    assert abs(coefficient(f, 0)) < 1e-12
 
 
 def test_grid_serialization_roundtrip():

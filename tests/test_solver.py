@@ -35,11 +35,49 @@ def grid_of(fn, n=512, L=4.0):
     return ComplexGrid(0.0, L, fn(kit.Z))
 
 
+def chart_samples(mu, n, L, reflect=False):
+    """sample_coefficient's samples scattered onto the whole n x n chart."""
+    box, vals = sample_coefficient(mu, n, L, reflect)
+    return solver._take(vals, box, (slice(0, n), slice(0, n)))
+
+
+def full_chart_samples(mu, n, half_width, reflect=False):
+    """Reference: mu sampled on every node of the chart (sample_coefficient
+    samples only the square that holds mu's support)."""
+    kit = _kit(n, half_width, 2)
+    Z = kit.Z
+    d = kit.spacing
+    truncation = math.inf
+    if reflect and not np.isfinite(mu.support_radius):
+        truncation = 0.85 * half_width
+    vals = mu.eval(Z)
+    vals[np.abs(Z) > truncation] = 0.0
+    for c, r in mu.jump_circles:
+        near = np.abs(np.abs(Z - c) - r) < 1.5 * d
+        if not near.any():
+            continue
+        sub = 8
+        off = (np.arange(sub) + 0.5) / sub - 0.5
+        OX, OY = np.meshgrid(off, off, indexing="ij")
+        patch = (OX + 1j * OY).ravel() * d
+        zs = Z[near][:, None] + patch[None, :]
+        sv = mu.eval(zs)
+        sv[np.abs(zs) > truncation] = 0.0
+        vals[near] = sv.mean(axis=1)
+    if reflect:
+        vals[Z.imag <= 0] = 0.0
+        flipped = np.conj(vals[:, ::-1])
+        ref = np.zeros_like(vals)
+        ref[:, 1:] = flipped[:, :-1]  # y-node j reflects to node n - j
+        vals = vals + np.where(Z.imag < 0, ref, 0.0)
+    return vals
+
+
 def indicator_disk_samples(n=512, L=4.0, r=1.0):
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
-    return ComplexGrid(0.0, L, sample_coefficient(ind, n, L))
+    return ComplexGrid(0.0, L, chart_samples(ind, n, L))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +167,7 @@ def test_beurling_indicator_closed_form():
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
-    samples = ComplexGrid(0.0, L, _binomial_blur(sample_coefficient(ind, n, L)))
+    samples = ComplexGrid(0.0, L, _binomial_blur(chart_samples(ind, n, L)))
     T = beurling_transform(samples).values
     exact = np.where(np.abs(Z) < r, 0.0,
                      -(r * r) / np.where(Z == 0, 1, Z * Z))
@@ -179,7 +217,7 @@ def test_box_beurling_indicator_closed_form():
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
-    samples = _binomial_blur(sample_coefficient(ind, n, L))
+    samples = _binomial_blur(chart_samples(ind, n, L))
     box = solver._support_box(samples)
     nb = samples[box].shape[0]
     T = kit.apply(samples[box], solver._box_multiplier(kit, nb))
@@ -211,7 +249,7 @@ def test_box_neumann_matches_full_torus(reflect):
         mu = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
                     "DiskToHalfPlane")
     kit = _kit(n, 4.0)
-    mu_s = _binomial_blur(sample_coefficient(mu, n, 4.0, reflect=reflect))
+    mu_s = _binomial_blur(chart_samples(mu, n, 4.0, reflect=reflect))
     box = solver._support_box(mu_s)
     nb = mu_s[box].shape[0]
     assert nb == (195 if reflect else 31)
@@ -231,6 +269,86 @@ def test_support_box_of_zero_and_edge_data():
     assert (rows.start, rows.stop, cols.start, cols.stop) == (60, 64, 10, 14)
     h, trace, _ = solver._neumann(_kit(64, 4.0), np.zeros((64, 64), complex))
     assert not h.any() and trace == [0.0]
+
+
+def _row_block_box_multiplier(kit, nb, rows=128):
+    """Reference: the box multiplier from the full (2N)^2 Beurling symbol,
+    transformed back to the kernel `rows` rows at a time."""
+    m = scipy.fft.next_fast_len(2 * nb)
+    side = kit.pad * kit.n
+    idx = np.arange(m)
+    idx[nb:] += side - m  # offsets -(m - nb) .. -1
+    w = 2.0 * np.pi * scipy.fft.fftfreq(side, d=kit.spacing)
+    cols = np.empty((side, m), dtype=complex)
+    for r0 in range(0, side, rows):
+        W = w[r0:r0 + rows, None] + 1j * w[None, :]
+        cols[r0:r0 + rows] = scipy.fft.ifft(solver._beurling_symbol(W),
+                                            axis=1)[:, idx]
+    kernel = scipy.fft.ifft(cols, axis=0)[idx]
+    return scipy.fft.fft2(kernel)
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_box_multiplier_matches_row_block_reference(n):
+    # nb = 1; an nb whose torus m = next_fast_len(2 nb) has m - nb > nb;
+    # and nb = N, whose torus is the whole padded one
+    kit = _kit(n, 4.0)
+    for nb in (1, 31, n):
+        if nb == 31:
+            assert scipy.fft.next_fast_len(2 * nb) - nb > nb
+        got = solver._box_multiplier(kit, nb)
+        want = _row_block_box_multiplier(kit, nb)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def _coefficient_cases():
+    gauss = BeltramiCoefficient(  # unbounded support: the whole chart
+        DomainTag.PLANE, lambda z: 0.3 * np.exp(-np.abs(z) ** 2), math.inf,
+        0.3)
+    tail = BeltramiCoefficient(  # truncated at 0.85 of half-width 16
+        DomainTag.UPPER_HALF_PLANE, lambda z: 0.4j / (1 + np.abs(z) ** 2),
+        math.inf, 0.4)
+    weld = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                  "DiskToHalfPlane")
+    return {
+        "constant_disk": (BeltramiCoefficient.constant_disk(0.7, 0.45),
+                          False),
+        "welding": (weld, True),
+        "unbounded_halfplane": (tail, True),
+        "unbounded_plane": (gauss, False),
+    }
+
+
+@pytest.mark.parametrize("case", list(_coefficient_cases()))
+def test_box_sampling_matches_full_chart(fresh_cache, case):
+    mu, reflect = _coefficient_cases()[case]
+    n = 128
+    L = solver.auto_half_width(mu.support_radius)
+    ref = _binomial_blur(full_chart_samples(mu, n, L, reflect))
+    box = solver._support_box(ref)
+    h, trace, _ = solver._neumann(_kit(n, L), ref[box])
+    sol = solver._box_solve(mu, n, reflect)
+    assert sol.box == box and sol.trace == trace
+    assert np.array_equal(sol.h, h)
+    assert np.array_equal(sol.mu_s, ref[box])
+    assert np.array_equal(solver._solve(mu, n, reflect).mu_samples, ref)
+
+
+@pytest.mark.parametrize("n, r", [(64, 3.5), (64, 7.0)])
+def test_box_sampling_margin_guard(n, r):
+    # support radius 7/8 of the half-width, on a node: the samples' blur
+    # reaches past 0.9 of it, and the guard on the box says what the full
+    # chart's says
+    mu = BeltramiCoefficient.constant_disk(0.2, r, DomainTag.PLANE)
+    L = solver.auto_half_width(r)
+    assert r == 0.875 * L
+    ref = _binomial_blur(full_chart_samples(mu, n, L))
+    with pytest.raises(SolverError) as want:
+        solver._check_margin(ref, _kit(n, L).Z, L, "coefficient support")
+    with pytest.raises(SolverError, match="outer 10% margin") as got:
+        solver._box_solve(mu, n, False)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +430,10 @@ def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache, through_disk):
     assert list(solver._MEMO) == [(mu_u.cache_token, 128, False),
                                   (mu_u.cache_token, 128, True)]
     assert np.array_equal(plane.mu_samples,
-                          _binomial_blur(sample_coefficient(mu_u, 128, 4.0)))
+                          _binomial_blur(full_chart_samples(mu_u, 128, 4.0)))
     assert np.array_equal(
         half.mu_samples,
-        _binomial_blur(sample_coefficient(mu_u, 128, 4.0, reflect=True)))
+        _binomial_blur(full_chart_samples(mu_u, 128, 4.0, reflect=True)))
 
 
 def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
@@ -369,7 +487,7 @@ def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
     again = solve_plane(mu, 128)
     assert again.iteration_trace == trace
     assert np.array_equal(again.mu_samples,
-                          _binomial_blur(sample_coefficient(mu, 128, 4.0)))
+                          _binomial_blur(full_chart_samples(mu, 128, 4.0)))
 
 
 def test_qcmap_declares_solver_attributes(mu_03_05):
