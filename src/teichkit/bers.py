@@ -80,34 +80,32 @@ class BersConsistencyError(RuntimeError):
     beyond tolerance: the series was cut too early."""
 
 
-def laurent_coefficients(f, center, radius, orders,
+def laurent_coefficients(f, radius, orders,
                          check_tol=1e-8) -> HolomorphicFunction:
-    """Laurent coefficients of f on the circle |z - center| = radius.
+    """Laurent coefficients about 0 of f on the circle |z| = radius.
 
     Fourier analysis of 1024 circle samples; coefficients below 1e-12 of
-    the largest are zeroed.  The series is validated against held-out
+    the largest are zeroed.  The series is validated against 1024 held-out
     samples at intermediate angles (resampling residual, must stay below
-    check_tol relative to the sample scale).  QuasiconformalMap inputs are
-    first checked for conformality on the circle: |dbar f| / |df| above
-    1e-2 raises NonHolomorphicError.
+    check_tol relative to the scale of all 2048 samples).  QuasiconformalMap
+    inputs are first checked for conformality on the circle: |dbar f| / |df|
+    above 1e-2 raises NonHolomorphicError.
     """
     if isinstance(f, QuasiconformalMap):
         th = 2.0 * np.pi * np.arange(64) / 64
-        zc = center + radius * np.exp(1j * th)
+        zc = radius * np.exp(1j * th)
         dz, dbar = f.partials_at(zc)
         defect = float(np.max(np.abs(dbar)) / np.max(np.abs(dz)))
         if defect > 1e-2:
             raise NonHolomorphicError(
-                f"|dbar f|/|df| = {defect:.2e} on |z - {center}| = {radius}")
+                f"|dbar f|/|df| = {defect:.2e} on |z| = {radius}")
 
     m = 2048
     th = 2.0 * np.pi * np.arange(m) / m
-    zc = center + radius * np.exp(1j * th)
+    zc = radius * np.exp(1j * th)
     vals = np.asarray(f(zc), dtype=complex)
     orders, coeffs = _circle_coefficients(vals[0::2], radius, orders, 1e-12)
-    series = HolomorphicFunction(orders, coeffs, center=center,
-                                 r_inner=radius * 0.999, r_outer=math.inf,
-                                 domain=DomainTag.EXTERIOR_DISK,
+    series = HolomorphicFunction(orders, coeffs, DomainTag.EXTERIOR_DISK,
                                  anchor_radius=radius)
     held_out = vals[1::2]
     resid = float(np.max(np.abs(series.eval(zc[1::2]) - held_out)))
@@ -116,7 +114,7 @@ def laurent_coefficients(f, center, radius, orders,
     if check_tol is not None and series.resample_residual > check_tol:
         raise NonHolomorphicError(
             f"resampling residual {series.resample_residual:.2e} exceeds "
-            f"{check_tol:.2e} on |z - {center}| = {radius}")
+            f"{check_tol:.2e} on |z| = {radius}")
     return series
 
 
@@ -125,34 +123,31 @@ def schwarzian(f: HolomorphicFunction, out_orders=None,
     """Schwarzian derivative S_f = f'''/f' - 1.5 (f''/f')^2 of a series.
 
     Derivatives come from the coefficient representation; the quotient is
-    resampled at 512 points of a circle back into a series.  Raises when
-    f' vanishes on the sampling annulus.
+    resampled at 512 points of |z| = sample_radius, by default the series'
+    anchor circle, back into a series.  Raises when f' vanishes there.
     """
     if sample_radius is None:
-        if f.anchor_radius is not None:
-            sample_radius = f.anchor_radius
-        elif math.isinf(f.r_outer):
-            sample_radius = max(1.5 * max(f.r_inner, 0.1), 1.5)
-        else:
-            sample_radius = math.sqrt(max(f.r_inner, 1e-6) * f.r_outer)
+        sample_radius = f.anchor_radius
+    if sample_radius is None:
+        raise ValueError("schwarzian needs sample_radius or a series with "
+                         "an anchor_radius")
     if out_orders is None:
         if f.domain is DomainTag.EXTERIOR_DISK and f.growth_order() <= 1:
             out_orders = range(-28, -3)  # normalized tails decay like z^-4
         else:
             out_orders = range(0, 24)
-    th = 2.0 * np.pi * np.arange(512) / 512
-    zc = f.center + sample_radius * np.exp(1j * th)
-    f1 = f.eval(zc, der=1)
-    if np.min(np.abs(f1)) < 1e-9 * np.max(np.abs(f1)):
-        raise ValueError("f' vanishes on the sampling circle")
-    f2 = f.eval(zc, der=2)
-    f3 = f.eval(zc, der=3)
-    svals = f3 / f1 - 1.5 * (f2 / f1) ** 2
-    orders, coeffs = _circle_coefficients(svals, sample_radius, out_orders,
-                                          1e-12)
-    return HolomorphicFunction(orders, coeffs, center=f.center,
-                               r_inner=f.r_inner, r_outer=f.r_outer,
-                               domain=f.domain, anchor_radius=sample_radius)
+
+    def quotient(zc):
+        f1 = f.eval(zc, der=1)
+        if np.min(np.abs(f1)) < 1e-9 * np.max(np.abs(f1)):
+            raise ValueError("f' vanishes on the sampling circle")
+        f2 = f.eval(zc, der=2)
+        f3 = f.eval(zc, der=3)
+        return f3 / f1 - 1.5 * (f2 / f1) ** 2
+
+    return HolomorphicFunction.from_callable_on_circle(
+        quotient, sample_radius, out_orders, n_samples=512, noise_rel=1e-12,
+        domain=f.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +251,7 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
     first, *others = DEFAULT_CIRCLES
     series = HolomorphicFunction(
         np.r_[1, -1 - np.arange(moments.size)], np.r_[1.0, moments],
-        r_inner=first * 0.999, domain=DomainTag.EXTERIOR_DISK,
-        anchor_radius=first)
+        DomainTag.EXTERIOR_DISK, anchor_radius=first)
     th = 2.0 * np.pi * np.arange(256) / 256
     for rho in others:
         zc = rho * np.exp(1j * th)

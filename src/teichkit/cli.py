@@ -8,9 +8,10 @@ Subcommands mirror the toolkit pipelines:
 Each run emits a deterministic JSON report (sorted keys; wall_time is the
 only field that varies between identical runs).  Coefficients arrive as
 JSON specs: {"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid",
-...}, or {"kind": "table", ...}.  A failed run reports the failing stage,
-the exception type and its message under reports["error"].  Solves are
-memoized in the process only, so repeated stages of one run reuse them.
+...}, or {"kind": "table", ...}; a config key the command does not read is
+rejected.  A failed run reports the failing stage, the exception type and
+its message under reports["error"].  Solves are memoized in the process
+only, so repeated stages of one run reuse them.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
 _SPEC_FIELDS = {"constant_disk": ("k", "r"), "grid": ("grid", "domain"),
                 "table": ("points", "values", "domain")}
 
+_FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
+# config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
+_EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
+               "extend": ("kernel",), "constants": ("family", "p_list")}
+
 
 @dataclass
 class ExperimentConfig:
@@ -82,6 +88,10 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object, "
                                  f"got {getattr(self, name)!r}")
+        for key in self.extra:
+            if key not in _EXTRA_KEYS.get(self.command, ()):
+                raise ValueError(
+                    f"config key {key!r} is not read by {self.command}")
         kind = self.mu_spec.get("kind")
         for key in _SPEC_FIELDS.get(kind, ()):
             if key not in self.mu_spec:
@@ -103,11 +113,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: v for k, v in d.items()
-                 if k in ("command", "mu_spec", "p", "grid", "tolerances",
-                          "output_path")}
-        extra = {k: v for k, v in d.items() if k not in known}
-        return cls(**known, extra=extra)
+        """Config from a JSON object; extras may sit in an "extra" object."""
+        known = {k: v for k, v in d.items() if k in _FIELDS}
+        extra = {k: v for k, v in d.items() if k not in _FIELDS}
+        nested = extra.pop("extra", {})
+        if not isinstance(nested, dict):
+            raise ValueError(f"extra must be a JSON object, got {nested!r}")
+        return cls(**known, extra={**nested, **extra})
 
 
 @dataclass
@@ -349,8 +361,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
             from .bers import laurent_coefficients
 
             phi = laurent_coefficients(
-                lambda z: -6.0 * a / (z * z - a) ** 2, 0.0, 1.5,
-                range(-24, 1))
+                lambda z: -6.0 * a / (z * z - a) ** 2, 1.5, range(-24, 1))
             num = ap_norm(phi, p).value
             den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
             ai = ainf_norm(phi).value
@@ -406,9 +417,11 @@ def _parse_tol(values):
     out = {}
     for item in values or ():
         name, _, val = item.partition("=")
-        if not val:
-            raise SystemExit(f"--tol expects name=value, got {item!r}")
-        out[name] = float(val)
+        try:
+            out[name] = float(val)
+        except ValueError:
+            raise SystemExit(f"--tol expects name=number, got {item!r}") \
+                from None
     return out
 
 
@@ -433,39 +446,50 @@ def build_parser():
     return ap
 
 
-def _config_from_args(args):
-    base = {
-        "command": args.command,
-        "mu_spec": {"kind": "constant_disk", "k": args.k, "r": args.r},
-    }
+def _over(base, top):
+    """top laid over base; a base that is not a dict stays to be rejected."""
+    return {**base, **top} if isinstance(base, dict) else base
+
+
+def _with_flags(entry, args, tol, out):
+    """Config dict of the flags laid over entry: --p, --grid-n, --tol and
+    out win, the command and --k/--r fill only what entry leaves out."""
+    d = {"command": args.command,
+         "mu_spec": {"kind": "constant_disk", "k": args.k, "r": args.r},
+         **entry}
+    if out:
+        d["output_path"] = out
     if args.p is not None:
-        base["p"] = args.p
+        d["p"] = args.p
     if args.grid_n is not None:
-        base["grid"] = {"n": args.grid_n}
-    if args.tol:
-        base["tolerances"] = _parse_tol(args.tol)
-    if args.out:
-        base["output_path"] = args.out
-    return base
+        d["grid"] = _over(d.get("grid", {}), {"n": args.grid_n})
+    if tol:
+        d["tolerances"] = _over(d.get("tolerances", {}), tol)
+    return d
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    tol = _parse_tol(args.tol)
+    raw = {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        raw_list = raw if isinstance(raw, list) else [raw]
-        for d in raw_list:
-            d.setdefault("command", args.command)
-            if args.grid_n is not None:
-                d.setdefault("grid", {})["n"] = args.grid_n
-            if args.p is not None:
-                d.setdefault("p", args.p)
-            if args.tol:
-                d.setdefault("tolerances", {}).update(_parse_tol(args.tol))
-        configs = [ExperimentConfig.from_dict(d) for d in raw_list]
-    else:
-        configs = [ExperimentConfig.from_dict(_config_from_args(args))]
+    array = isinstance(raw, list)
+    entries = raw if array else [raw]
+    # --out is the report path of a single run, else the merged file
+    out = args.out if len(entries) == 1 else None
+    configs = []
+    for i, entry in enumerate(entries):
+        where = f"--config entry {i}" if array else \
+            "--config" if args.config else "command line"
+        if not isinstance(entry, dict):
+            raise SystemExit(f"{where} must be a JSON object, got {entry!r}")
+        try:
+            configs.append(ExperimentConfig.from_dict(
+                _with_flags(entry, args, tol, out)))
+        except ValueError as exc:
+            raise SystemExit(f"{where}: {exc}") from None
 
     if len(configs) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

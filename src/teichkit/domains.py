@@ -378,7 +378,7 @@ class BeltramiCoefficient:
 def _circle_coefficients(vals, radius, orders, noise_rel):
     """Sorted orders and series coefficients from samples on a circle.
 
-    vals[j] is the function at center + radius exp(2 pi i j / n).  The FFT
+    vals[j] is the function at radius exp(2 pi i j / n).  The FFT
     term of order k sits at index k mod n; orders outside the sampled band
     [-(n // 2), (n - 1) // 2] and terms below noise_rel times the largest
     FFT term are zero.
@@ -397,28 +397,22 @@ def _circle_coefficients(vals, radius, orders, noise_rel):
 
 
 class HolomorphicFunction:
-    """Taylor/Laurent coefficient representation with derivatives to order 3.
+    """Taylor/Laurent series about 0 with derivatives to order 3.
 
-    orders[i] is the power of (z - center) carried by coeffs[i].  A Laurent
-    representation is valid on the annulus (r_inner, r_outer); a Taylor one
-    on |z - center| < r_outer.  premap is None or "cayley_inverse"; the
-    latter precomposes with H^{-1}, which carries Cayley push-forwards
-    phi_* = phi o H^{-1} without resampling.
+    orders[i] is the power of z carried by coeffs[i]; negative orders make
+    a Laurent series, as for the Bers image on D*.  premap is None or
+    "cayley_inverse"; the latter precomposes with H^{-1}, which carries
+    Cayley push-forwards phi_* = phi o H^{-1} without resampling.
     """
 
-    def __init__(self, orders, coeffs, center=0.0, r_inner=0.0,
-                 r_outer=math.inf, domain=DomainTag.UNIT_DISK, premap=None,
-                 resample_residual=None, anchor_radius=None):
+    def __init__(self, orders, coeffs, domain=DomainTag.UNIT_DISK,
+                 premap=None, anchor_radius=None):
         self.orders = np.asarray(orders, dtype=int)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.orders.shape != self.coeffs.shape:
             raise ValueError("orders and coeffs must align")
-        self.center = complex(center)
-        self.r_inner = float(r_inner)
-        self.r_outer = float(r_outer)
         self.domain = DomainTag(domain)
         self.premap = premap
-        self.resample_residual = resample_residual
         # circle the coefficients were analysed on; evaluation noise is
         # smallest there and grows like (r/anchor)^n away from it
         self.anchor_radius = anchor_radius
@@ -430,15 +424,15 @@ class HolomorphicFunction:
         return cls([0], [0.0], domain=domain)
 
     @classmethod
-    def from_callable_on_circle(cls, fn, center, radius, orders,
-                                n_samples=1024, noise_rel=1e-13, **kw):
-        """Fourier-analyse samples on a circle into series coefficients."""
+    def from_callable_on_circle(cls, fn, radius, orders, n_samples=1024,
+                                noise_rel=1e-13, **kw):
+        """Fourier-analyse samples on |z| = radius into series coefficients."""
         th = 2.0 * np.pi * np.arange(n_samples) / n_samples
-        zc = center + radius * np.exp(1j * th)
+        zc = radius * np.exp(1j * th)
         orders, coeffs = _circle_coefficients(fn(zc), radius, orders,
                                               noise_rel)
         kw.setdefault("anchor_radius", radius)
-        return cls(orders, coeffs, center=center, **kw)
+        return cls(orders, coeffs, **kw)
 
     # -- evaluation --------------------------------------------------------
 
@@ -456,7 +450,7 @@ class HolomorphicFunction:
         m = lo..hi with lo <= 0 <= hi (gaps as zeros); the powers m >= 0
         are summed by Horner in u and the powers m < 0 by Horner in 1/u.
         """
-        u = np.asarray(w, dtype=complex) - self.center
+        u = np.asarray(w, dtype=complex)
         fac = np.ones(self.orders.shape)
         for q in range(der):
             fac *= self.orders - q
@@ -510,12 +504,11 @@ class HolomorphicFunction:
         Requires a plain Laurent representation.  psi is a series in w whose
         negative orders flag decay slower than |z|^-4 at infinity.
         """
-        if self.premap is not None or self.center != 0.0:
-            raise ValueError("inversion needs a plain series about 0")
+        if self.premap is not None:
+            raise ValueError("inversion needs a plain series")
         orders = [-n - 4 for n in self.orders]
-        return HolomorphicFunction(
-            orders[::-1], self.coeffs[::-1], 0.0,
-            0.0, 1.0 / max(self.r_inner, 1e-300), DomainTag.UNIT_DISK)
+        return HolomorphicFunction(orders[::-1], self.coeffs[::-1],
+                                   DomainTag.UNIT_DISK)
 
     def growth_order(self):
         """Largest order carrying a coefficient above 1e-10 of the largest."""
@@ -524,16 +517,6 @@ class HolomorphicFunction:
             return -np.inf
         keep = mags > 1e-10 * mags.max()
         return int(self.orders[keep].max())
-
-    def to_json_dict(self):
-        return {
-            "center": [self.center.real, self.center.imag],
-            "annulus": [self.r_inner, self.r_outer],
-            "domain": self.domain.value,
-            "premap": self.premap,
-            "coefficients": [[int(n), c.real, c.imag]
-                             for n, c in zip(self.orders, self.coeffs)],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +830,9 @@ def _cayley_holomorphic(obj: HolomorphicFunction, direction):
     if direction is CayleyDirection.DISK_TO_HALF_PLANE:
         if obj.domain is not DomainTag.UNIT_DISK or obj.premap is not None:
             raise DomainError("expected a plain disk-series function")
-        return HolomorphicFunction(
-            obj.orders, obj.coeffs, obj.center, obj.r_inner, obj.r_outer,
-            DomainTag.UPPER_HALF_PLANE, premap="cayley_inverse")
+        return HolomorphicFunction(obj.orders, obj.coeffs,
+                                   DomainTag.UPPER_HALF_PLANE,
+                                   premap="cayley_inverse")
     if obj.premap != "cayley_inverse":
         raise DomainError("expected a Cayley push-forward to transport back")
-    return HolomorphicFunction(
-        obj.orders, obj.coeffs, obj.center, obj.r_inner, obj.r_outer,
-        DomainTag.UNIT_DISK, premap=None)
+    return HolomorphicFunction(obj.orders, obj.coeffs, DomainTag.UNIT_DISK)

@@ -524,9 +524,8 @@ FAR_FIELD_SAMPLES = 512
 
 def _far_field_series(fn, rho):
     return HolomorphicFunction.from_callable_on_circle(
-        fn, 0.0, rho, range(-12, 2), n_samples=FAR_FIELD_SAMPLES,
-        noise_rel=1e-12,
-        r_inner=rho, r_outer=math.inf, domain=DomainTag.EXTERIOR_DISK)
+        fn, rho, range(-12, 2), n_samples=FAR_FIELD_SAMPLES,
+        noise_rel=1e-12, domain=DomainTag.EXTERIOR_DISK)
 
 
 def identity_map(n=64):

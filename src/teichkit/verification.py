@@ -122,7 +122,7 @@ def check_3_douglas_lemma6():
         "z2": HolomorphicFunction([2], [1.0]),
         "z3": HolomorphicFunction([3], [1.0]),
         "inv": HolomorphicFunction.from_callable_on_circle(
-            lambda z: 1 / (z - 2.0), 0.0, 0.7, range(0, 48), r_outer=1.999),
+            lambda z: 1 / (z - 2.0), 0.7, range(0, 48)),
     }
     cps = {}
     for p in (1.5, 2.0, 3.0):
@@ -144,7 +144,7 @@ def check_4_ahlfors_weill():
     t0 = time.time()
     worst = 0.0
     for k in (0.02, 0.05, 0.08, 0.1, 0.12):
-        phi = laurent_coefficients(_phi_exact(k, 0.5), 0.0, 1.5, range(-24, 1))
+        phi = laurent_coefficients(_phi_exact(k, 0.5), 1.5, range(-24, 1))
         sig = ahlfors_weill(phi)
         got = bers_map(sig, grid_n=512).bers_image
         worst = max(worst, float(np.abs(got.eval(Z32) - phi.eval(Z32)).max()))

@@ -38,8 +38,7 @@ def phi_closed_form(k, r):
 
 
 def phi_series(k, r, rho=1.5):
-    return laurent_coefficients(phi_closed_form(k, r), 0.0, rho,
-                                range(-24, 1))
+    return laurent_coefficients(phi_closed_form(k, r), rho, range(-24, 1))
 
 
 def synthetic_disk_map(fn, n=256):
@@ -54,13 +53,13 @@ def synthetic_disk_map(fn, n=256):
 
 
 def test_laurent_identity():
-    f = laurent_coefficients(lambda z: z, 0.0, 2.0, range(-4, 3))
+    f = laurent_coefficients(lambda z: z, 2.0, range(-4, 3))
     assert coefficient(f, 1) == pytest.approx(1.0, abs=1e-12)
     assert all(abs(coefficient(f, n)) < 1e-12 for n in (-2, -1, 0, 2))
 
 
 def test_laurent_pole_pair_exact():
-    f = laurent_coefficients(lambda z: z + 0.075 / z, 0.0, 2.0, range(-8, 3))
+    f = laurent_coefficients(lambda z: z + 0.075 / z, 2.0, range(-8, 3))
     assert coefficient(f, 1) == pytest.approx(1.0, abs=1e-10)
     assert coefficient(f, -1) == pytest.approx(0.075, abs=1e-10)
     assert f.resample_residual < 1e-10
@@ -71,8 +70,9 @@ def test_laurent_coefficient_decay_geometric():
     # geometrically in the order
     phi = phi_series(0.3, 0.5)  # orders -24 .. 0
     f = HolomorphicFunction(np.append(phi.orders, 1),
-                            np.append(phi.coeffs, 1.0), r_inner=phi.r_inner,
-                            domain=DomainTag.EXTERIOR_DISK)  # phi + z
+                            np.append(phi.coeffs, 1.0),
+                            DomainTag.EXTERIOR_DISK,
+                            anchor_radius=phi.anchor_radius)  # phi + z
     S = schwarzian(f, out_orders=range(-20, 2))
     mags = {int(n): abs(c) for n, c in zip(S.orders, S.coeffs) if abs(c) > 0}
     # use the even orders where the family lives
@@ -83,7 +83,7 @@ def test_laurent_coefficient_decay_geometric():
 
 def test_laurent_rejects_nonholomorphic(plane_03_05):
     with pytest.raises(NonHolomorphicError):
-        laurent_coefficients(plane_03_05, 0.0, 0.4, range(-8, 3))
+        laurent_coefficients(plane_03_05, 0.4, range(-8, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +92,14 @@ def test_laurent_rejects_nonholomorphic(plane_03_05):
 
 def test_schwarzian_mobius_annihilation():
     M = laurent_coefficients(lambda z: (2 * z + 0.3) / (0.02 * z + 1),
-                             0.0, 2.0, range(0, 40))
+                             2.0, range(0, 40))
     S = schwarzian(M)
     zt = 2.5 * np.exp(1j * np.linspace(0, 6, 9))
     assert np.abs(S.eval(zt)).max() < 1e-9
 
 
 def test_schwarzian_closed_form():
-    f = laurent_coefficients(lambda z: z + 0.3 / z, 0.0, 2.0, range(-12, 2))
+    f = laurent_coefficients(lambda z: z + 0.3 / z, 2.0, range(-12, 2))
     S = schwarzian(f)
     assert S.eval(2.0 + 0j) == pytest.approx(-6 * 0.3 / 3.7 ** 2, abs=1e-9)
     zt = 2.5 * np.exp(1j * np.linspace(0, 6, 9))
@@ -108,11 +108,11 @@ def test_schwarzian_closed_form():
 
 
 def test_schwarzian_cocycle():
-    f = laurent_coefficients(lambda z: z + 0.3 / z, 0.0, 2.0, range(-12, 2))
+    f = laurent_coefficients(lambda z: z + 0.3 / z, 2.0, range(-12, 2))
     S = schwarzian(f)
     Mf = laurent_coefficients(
         lambda z: (2 * (z + 0.3 / z) + 0.3) / (0.02 * (z + 0.3 / z) + 1),
-        0.0, 2.0, range(-24, 40))
+        2.0, range(-24, 40))
     SMf = schwarzian(Mf, out_orders=range(-28, -3))
     zt = 2.0 * np.exp(1j * np.linspace(0.2, 6, 7))
     assert np.abs(SMf.eval(zt) - S.eval(zt)).max() < 1e-8
@@ -120,9 +120,18 @@ def test_schwarzian_cocycle():
 
 def test_schwarzian_rejects_vanishing_derivative():
     # f(z) = z + 4/z has f'(+-2) = 0 on the sampling circle
-    f = laurent_coefficients(lambda z: z + 4.0 / z, 0.0, 2.0, range(-8, 3))
+    f = laurent_coefficients(lambda z: z + 4.0 / z, 2.0, range(-8, 3))
     with pytest.raises(ValueError):
         schwarzian(f, sample_radius=2.0)
+
+
+def test_schwarzian_needs_a_sampling_circle():
+    f = HolomorphicFunction([1, -1], [1.0, 0.3], DomainTag.EXTERIOR_DISK)
+    with pytest.raises(ValueError, match="sample_radius or .* anchor_radius"):
+        schwarzian(f)
+    S = schwarzian(f, sample_radius=2.0)
+    assert S.anchor_radius == 2.0
+    assert S.eval(2.5 + 0j) == pytest.approx(-6 * 0.3 / 5.95 ** 2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +204,7 @@ def test_bers_map_matches_the_spline_path(k):
     # solution on |z| = 1.5, the image's former source
     mu = BeltramiCoefficient.constant_disk(k, 0.5)
     spline = schwarzian(laurent_coefficients(
-        solve_plane(mu, 512), 0.0, 1.5, range(-20, 2), check_tol=1e-5))
+        solve_plane(mu, 512), 1.5, range(-20, 2), check_tol=1e-5))
     got = bers_map(mu, grid_n=512).bers_image.eval(Z32)
     want = spline.eval(Z32)
     assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
@@ -207,9 +216,9 @@ def test_bers_map_mobius_invariance(plane_03_05):
     def M(w):
         return (2 * w + 0.3) / (0.02 * w + 1)
 
-    s1 = laurent_coefficients(plane_03_05, 0.0, 1.5, range(-20, 2),
+    s1 = laurent_coefficients(plane_03_05, 1.5, range(-20, 2),
                               check_tol=1e-5)
-    s2 = laurent_coefficients(lambda t: M(plane_03_05(t)), 0.0, 1.5,
+    s2 = laurent_coefficients(lambda t: M(plane_03_05(t)), 1.5,
                               range(-20, 40), check_tol=1e-5)
     S1 = schwarzian(s1)
     S2 = schwarzian(s2, out_orders=range(-28, -3))
@@ -294,8 +303,7 @@ def test_aw_sup_norm_is_half_ainf():
 
 
 def test_aw_rejects_large_phi():
-    big = HolomorphicFunction([-4], [30.0], domain=DomainTag.EXTERIOR_DISK,
-                              r_inner=1.0)
+    big = HolomorphicFunction([-4], [30.0], DomainTag.EXTERIOR_DISK)
     with pytest.raises(ValueError):
         ahlfors_weill(big)
 
@@ -421,7 +429,7 @@ def test_local_section_tracks_target(mu_03_05):
     base_map = base.meta["final_map"]
     psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
     phi = laurent_coefficients(
-        lambda z: 0.1 * phi_closed_form(0.1, 0.5)(z), 0.0, 1.5, range(-24, 1))
+        lambda z: 0.1 * phi_closed_form(0.1, 0.5)(z), 1.5, range(-24, 1))
     nu = local_section(base, psi, phi, grid_n=TEST_GRID_N, base_map=base_map)
     got = bers_map(nu, grid_n=TEST_GRID_N).bers_image
     target = psi.eval(Z32) + phi.eval(Z32)
@@ -436,8 +444,7 @@ def test_local_section_continuity(mu_03_05):
     gaps = []
     for eps in (0.1, 0.05, 0.025):
         phi = laurent_coefficients(
-            lambda t: eps * phi_closed_form(0.1, 0.5)(t), 0.0, 1.5,
-            range(-24, 1))
+            lambda t: eps * phi_closed_form(0.1, 0.5)(t), 1.5, range(-24, 1))
         nu = local_section(base, psi, phi, grid_n=256, base_map=base_map)
         gaps.append(np.abs(nu.eval(z) - base.eval(z)).max())
     assert gaps[2] < gaps[0]
@@ -447,7 +454,6 @@ def test_local_section_continuity(mu_03_05):
 def test_local_section_rejects_large_phi(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=256)
     psi = bers_map(base, grid_n=256).bers_image
-    big = HolomorphicFunction([-4], [10.0], domain=DomainTag.EXTERIOR_DISK,
-                              r_inner=1.0)
+    big = HolomorphicFunction([-4], [10.0], DomainTag.EXTERIOR_DISK)
     with pytest.raises(ValueError):
         local_section(base, psi, big, epsilon=0.5, grid_n=256)

@@ -185,7 +185,7 @@ def test_lemma6_comparability(p):
         "z2": HolomorphicFunction([2], [1.0]),
         "z3": HolomorphicFunction([3], [1.0]),
         "inv": HolomorphicFunction.from_callable_on_circle(
-            lambda z: 1 / (z - 2.0), 0.0, 0.7, range(0, 48), r_outer=1.999),
+            lambda z: 1 / (z - 2.0), 0.7, range(0, 48)),
     }
     ratios = []
     for phi in fams.values():

@@ -9,6 +9,7 @@ import pytest
 from teichkit.cli import (
     ExperimentConfig,
     estimate_constants,
+    main,
     roundtrip,
     run,
     write_constants_csv,
@@ -102,8 +103,75 @@ def test_mu_spec_grid_and_table_kinds():
     assert abs(mu_t.eval(0.1 + 0.1j) - 0.2) < 1e-12
 
 
+def test_config_rejects_unread_key():
+    with pytest.raises(ValueError, match="'gird'"):
+        ExperimentConfig.from_dict({"command": "norm", "gird": {"n": 64}})
+    # each command reads its own extras only
+    with pytest.raises(ValueError, match="'delta'"):
+        ExperimentConfig.from_dict({"command": "solve", "delta": 0.3})
+    with pytest.raises(ValueError, match="'kernel'"):
+        ExperimentConfig.from_dict({"command": "norm",
+                                    "extra": {"kernel": "box"}})
+    with pytest.raises(ValueError, match="extra must"):
+        ExperimentConfig.from_dict({"command": "solve", "extra": True})
+
+
+def test_report_config_roundtrips():
+    c = cfg("solve", self_map=True, grid={"n": 64})
+    echoed = json.loads(run(c).to_json())["config"]
+    assert echoed["extra"] == {"self_map": True}
+    assert ExperimentConfig.from_dict(echoed) == c
+
+
+def _cli_report(tmp_path, entry, *flags):
+    opath = tmp_path / "out.json"
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({**entry, "output_path": str(opath)}))
+    assert main(["norm", "--config", str(cpath), *flags]) == 0
+    return json.loads(opath.read_text())["config"]
+
+
+def test_cli_out_flag_writes_a_single_config_run(tmp_path):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps([{"command": "norm", "grid": {"n": 64}}]))
+    opath = tmp_path / "out.json"
+    assert main(["norm", "--config", str(cpath), "--out", str(opath)]) == 0
+    assert json.loads(opath.read_text())["command"] == "norm"
+
+
+def test_cli_p_flag_wins_over_config(tmp_path):
+    entry = {"command": "norm", "p": 3.0, "grid": {"n": 64}}
+    assert _cli_report(tmp_path, entry)["p"] == 3.0
+    assert _cli_report(tmp_path, entry, "--p", "2")["p"] == 2.0
+
+
+def test_cli_k_r_fill_a_missing_mu_spec(tmp_path):
+    entry = {"command": "norm", "grid": {"n": 64}}
+    got = _cli_report(tmp_path, entry, "--k", "0.1", "--r", "0.4")
+    assert got["mu_spec"] == {"kind": "constant_disk", "k": 0.1, "r": 0.4}
+    entry["mu_spec"] = {"kind": "constant_disk", "k": 0.2, "r": 0.5}
+    got = _cli_report(tmp_path, entry, "--k", "0.1", "--r", "0.4")
+    assert got["mu_spec"] == entry["mu_spec"]
+
+
+@pytest.mark.parametrize("raw,where", [
+    ([{"command": "norm"}, 7], "--config entry 1 "),
+    (7, "--config must"),
+])
+def test_cli_rejects_config_that_is_not_an_object(tmp_path, raw, where):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit, match=where):
+        main(["norm", "--config", str(cpath)])
+
+
+def test_cli_rejects_tolerance_that_is_not_a_number():
+    with pytest.raises(SystemExit, match="name=number, got 'residual=abc'"):
+        main(["solve", "--tol", "residual=abc"])
+
+
 def test_run_determinism():
-    c = cfg("norm", p=2.0, seed=11)
+    c = cfg("norm", p=2.0)
     j1 = json.loads(run(c).to_json())
     j2 = json.loads(run(c).to_json())
     j1.pop("wall_time")
