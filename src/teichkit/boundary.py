@@ -46,6 +46,7 @@ from .solver import (
     QuasiconformalMap,
     SolverError,
     _far_field_series,
+    _support_box,
     invert,
     solve_halfplane,
     solve_plane,
@@ -336,6 +337,42 @@ def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
 N_BOUNDARY = 2049
 T_BOUNDARY = 40.0
 
+# nodes by which the rectangle of the self-map's nonzero samples on L is
+# grown before g's coefficient is read there: one for np.gradient's
+# stencil, one for partials_at's linear interpolation, and one spare
+SUPPORT_GROWTH = 3
+
+
+def _in_rect(z, lo, hi):
+    """z inside the closed rectangle with corners lo and hi."""
+    return (z.real >= lo.real) & (z.real <= hi.real) & \
+        (z.imag >= lo.imag) & (z.imag <= hi.imag)
+
+
+def _solved_support(selfmap):
+    """Corners (lo, hi) of the rectangle S of the self-map's chart nodes that
+    holds its nonzero samples on L, grown by SUPPORT_GROWTH nodes, and of
+    the bounding box of its image, grown by two spacings; None when the
+    samples vanish there.
+
+    The self-map is a homeomorphism, so it carries S into the box that
+    bounds its image of S's edges, read at the nodes along them.
+    """
+    grid = selfmap.grid
+    lower = selfmap.mu_samples[:, :grid.n // 2]  # columns y < 0
+    if not lower.any():
+        return None
+    g = SUPPORT_GROWTH
+    x, y = (axis[max(0, box.start - g):box.stop + g]
+            for axis, box in zip(grid.axes(), _support_box(lower)))
+    edges = np.concatenate([x + 1j * y[0], x + 1j * y[-1],
+                            x[0] + 1j * y, x[-1] + 1j * y])
+    image = selfmap(edges)
+    pad = 2.0 * grid.spacing * (1 + 1j)
+    return ((complex(x[0], y[0]), complex(x[-1], y[-1])),
+            (complex(image.real.min(), image.imag.min()) - pad,
+             complex(image.real.max(), image.imag.max()) + pad))
+
 
 def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
@@ -343,6 +380,14 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     f_mu is conformal on L with dilatation mu on U; g is conformal on U with
     the dilatation of the reflected inverse self-map on L; h is compared
     against the direct boundary trace of the self-map f^mu (consistency_sup).
+    g's coefficient nu is read by Newton inversion through the self-map,
+    and only on the image of the solved support: nu(zeta) is the
+    finite-difference dilatation of the self-map's grid spline at
+    v = f^mu^-1(zeta) where v lies in the rectangle S of its nonzero
+    samples on L (grown by SUPPORT_GROWTH nodes), and 0 elsewhere, where
+    the exact dilatation is 0.  Only the zeta inside the bounding box of
+    f^mu(S) are inverted, and that box sets nu's support radius; mu = 0
+    gives nu = 0 with no inversion.
     On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
     from a Laurent series fitted once on |z| = T_BOUNDARY and certified on
@@ -355,21 +400,28 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
 
     # reflected-inverse coefficient on L via the chain rule at nu = dil(selfmap)
     inv_self = invert(selfmap)
+    rect, image = _solved_support(selfmap) or (None, None)
 
     def mu_bar_inv(zeta):
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        v = inv_self(zeta)
-        dz, dbar = selfmap.partials_at(v)
-        dz = np.where(np.abs(dz) < 1e-14, 1.0, dz)
-        nu_c = dbar / dz
-        return -nu_c * (dz / np.conj(dz))
+        out = np.zeros(zeta.shape, dtype=complex)
+        inside = _in_rect(zeta, *image) if image else False
+        if not np.any(inside):
+            return out
+        v = inv_self(zeta[inside])
+        in_s = _in_rect(v, *rect)
+        nu = np.zeros(v.shape, dtype=complex)
+        if in_s.any():
+            dz, dbar = selfmap.partials_at(v[in_s])
+            dz = np.where(np.abs(dz) < 1e-14, 1.0, dz)
+            nu_c = dbar / dz
+            nu[in_s] = -nu_c * (dz / np.conj(dz))
+        out[inside] = nu
+        return out
 
-    # support: image of the reflected support disk
-    rad = mu_u.support_radius
-    th = np.linspace(0, 2 * np.pi, 65)[:-1]
-    probe = rad * np.exp(1j * th)
-    probe = probe[probe.imag < -1e-3]
-    reach = float(np.max(np.abs(selfmap(probe)))) * 1.15 if probe.size else rad
+    # support: the disk about 0 through the image box's farthest corner
+    reach = max(abs(complex(a.real, b.imag)) for a in image for b in image) \
+        if image else 0.0
     nu_inv = BeltramiCoefficient(
         DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm)
     g = solve_plane(nu_inv, grid_n=grid_n)

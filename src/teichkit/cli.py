@@ -68,6 +68,10 @@ _FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
 # config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
 _EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
                "extend": ("kernel",), "constants": ("family", "p_list")}
+# tolerance names each command reads (ExperimentConfig.tolerances)
+_TOL_KEYS = {"solve": ("residual",), "aw": ("section",),
+             "bilip": ("equivalence",), "weld": ("consistency", "identity"),
+             "roundtrip": ("roundtrip",)}
 
 
 @dataclass
@@ -104,6 +108,9 @@ class ExperimentConfig:
             if not isinstance(val, (int, float)) or not val > 0:
                 raise ValueError(
                     f"tolerance {name!r} must be a positive number, got {val!r}")
+            if name not in _TOL_KEYS.get(self.command, ()):
+                raise ValueError(
+                    f"tolerance {name!r} is not read by {self.command}")
         if not isinstance(self.p, (int, float)) \
                 or not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
@@ -315,7 +322,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         reports=reports, verdicts=verdicts, wall_time=time.time() - t0,
         versions=_versions())
     if config.output_path:
-        with open(config.output_path, "w") as fh:
+        # constants keeps its CSV table at output_path, the report beside it
+        path = config.output_path + \
+            (".json" if config.command == "constants" else "")
+        with open(path, "w") as fh:
             fh.write(result.to_json())
     return result
 

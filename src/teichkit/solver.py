@@ -9,9 +9,10 @@ where T is the Beurling transform (Fourier multiplier conj(W)/W) and P the
 solid Cauchy transform (multiplier -2i/W), both defined on a 2x zero-padded
 torus.  h vanishes off the support of mu, so mu is sampled only on a node
 square about 0 that holds its support, and the iteration runs only on the
-smallest square of nodes holding the samples (nb nodes a side): the
-kernel of T is cut to the offsets of a torus of about 2 nb nodes, which
-applies the padded torus's T exactly there at two (2 nb)^2 FFTs per step.
+smallest rectangle of nodes holding the samples (nb_a x nb_b nodes): the
+kernel of T is cut to the offsets of a torus of about 2 nb_a x 2 nb_b
+nodes, which applies the padded torus's T exactly there at two FFTs of
+that torus per step.
 That kernel is built from a quarter of the padded torus's frequencies with
 real DCT-I and DST-I transforms (_box_multiplier), so a box solve builds no
 array of the whole chart or the padded torus.
@@ -150,10 +151,11 @@ class _SpectralKit:
 
     @staticmethod
     def apply(h, mult):
-        """Multiplier mult on the torus of its shape, h zero-padded to it."""
-        m, n = mult.shape[0], h.shape[0]
-        return sfft.ifft2(mult * sfft.fft2(h, s=(m, m)),
-                          overwrite_x=True)[:n, :n]
+        """Multiplier mult on the torus of its shape, h zero-padded to it;
+        the result is cropped to h's shape."""
+        na, nb = h.shape
+        return sfft.ifft2(mult * sfft.fft2(h, s=mult.shape),
+                          overwrite_x=True)[:na, :nb]
 
     def beurling(self, h):
         return self.apply(h, self.mult_T)
@@ -184,13 +186,14 @@ def _kit(n, half_width, pad=2):
     return _SpectralKit(n, half_width, pad)
 
 
-def _box_multiplier(kit, nb):
-    """T of the kit's padded torus between the nodes of an nb x nb square, as
-    a multiplier on the torus of m = next_fast_len(2 nb) nodes.
+def _box_multiplier(kit, shape):
+    """T of the kit's padded torus between the nodes of an nb_a x nb_b
+    rectangle (shape), as a multiplier on the torus of m_a x m_b nodes,
+    m = next_fast_len(2 nb) along each axis.
 
     The kernel of T is cut to the node offsets of that smaller torus, which
-    holds every offset between two nodes of the square once, so for data on
-    the square the small torus applies exactly the kit's T.
+    holds every offset between two nodes of the rectangle once, so for data
+    on the rectangle the small torus applies exactly the kit's T.
 
     The kernel is built from a quarter of the padded torus (M = 2N nodes a
     side, M even).  The symbol conj(W)/W = (j - ik)^2 / (j^2 + k^2) depends
@@ -211,17 +214,19 @@ def _box_multiplier(kit, nb):
       Im S = -1, is added back once: + i (-1)^(a+b) / M^2.
 
     Only the first transform pass runs over the whole quarter; the second
-    runs over the offsets |a| <= m - nb that the small torus needs, and the
-    kernel is gathered from its values there for each of the four sign
-    pairs of (a, b).  No array of the whole padded torus is built.
+    runs over the offsets |a| <= m - nb that the small torus needs along
+    its axis, and the kernel is gathered from its values there for each of
+    the four sign pairs of (a, b), rows and columns by their own offsets.
+    No array of the whole padded torus is built.
     """
-    m = sfft.next_fast_len(2 * nb)
     M = kit.pad * kit.n
     half = M // 2
-    off = np.r_[0:nb, nb - m:0]  # the small torus's offsets, on the M-torus
-    off = (off + half) % M - half
-    a = np.abs(off)
-    rows = a.max() + 1
+    offs = []  # each axis's small-torus offsets, on the M-torus
+    for nb in shape:
+        m = sfft.next_fast_len(2 * nb)
+        off = np.r_[0:nb, nb - m:0]
+        offs.append((off + half) % M - half)
+    ra, rb = (np.abs(off).max() + 1 for off in offs)
     j = np.arange(half + 1, dtype=float)
     j2 = j * j
     r2 = j2[:, None] + j2[None, :]
@@ -231,45 +236,51 @@ def _box_multiplier(kit, nb):
     odd = np.multiply.outer(-2.0 * j[1:half], j[1:half])
     odd /= r2[1:half, 1:half]
     del r2
-    re = sfft.dct(sfft.dct(re, type=1, axis=0, overwrite_x=True)[:rows],
-                  type=1, axis=1, overwrite_x=True)[:, :rows] / M ** 2
-    w = min(rows, half) - 1  # offsets 1 .. w where the DST-I terms live
-    im = np.zeros((rows, rows))
-    odd = sfft.dst(odd, type=1, axis=0, overwrite_x=True)[:w]
-    im[1:1 + w, 1:1 + w] = sfft.dst(odd, type=1, axis=1,
-                                    overwrite_x=True)[:, :w] / -M ** 2
+    re = sfft.dct(sfft.dct(re, type=1, axis=0, overwrite_x=True)[:ra],
+                  type=1, axis=1, overwrite_x=True)[:, :rb] / M ** 2
+    # offsets 1 .. w where the DST-I terms live, along each axis
+    wa, wb = min(ra, half) - 1, min(rb, half) - 1
+    im = np.zeros((ra, rb))
+    odd = sfft.dst(odd, type=1, axis=0, overwrite_x=True)[:wa]
+    im[1:1 + wa, 1:1 + wb] = sfft.dst(odd, type=1, axis=1,
+                                      overwrite_x=True)[:, :wb] / -M ** 2
     del odd
-    r = np.zeros(rows)
+    w = max(wa, wb)
+    r = np.zeros(max(ra, rb))
     r[1:1 + w] = sfft.dst(j[1:half] / (half ** 2 + j2[1:half]), type=1)[:w]
-    alt = 1.0 - 2.0 * (np.arange(rows) & 1)  # (-1)^|a|
-    nyq = np.multiply.outer(alt, r / -M)
-    corner = np.multiply.outer(alt, alt / -M ** 2)
-    # K on the offsets |a|, |b| < rows with signs (sa, sb) of a and b
-    quads = np.empty((2, rows, 2, rows), dtype=complex)
+    alt = 1.0 - 2.0 * (np.arange(r.size) & 1)  # (-1)^|a|
+    nyq_a = np.multiply.outer(alt[:ra], r[:rb] / -M)  # the Nyquist row
+    nyq_b = np.multiply.outer(r[:ra] / -M, alt[:rb])  # the Nyquist column
+    corner = np.multiply.outer(alt[:ra], alt[:rb] / -M ** 2)
+    # K on the offsets |a| < ra, |b| < rb with signs (sa, sb) of a and b
+    quads = np.empty((2, ra, 2, rb), dtype=complex)
     for p, sa in enumerate((1.0, -1.0)):
         for q, sb in enumerate((1.0, -1.0)):
-            quads[p, :, q].real = re + sb * nyq + sa * nyq.T
+            quads[p, :, q].real = re + sb * nyq_a + sa * nyq_b
             quads[p, :, q].imag = (sa * sb) * im + corner
-    del re, im, nyq, corner
-    at = a + rows * (off < 0)
-    kernel = quads.reshape(2 * rows, 2 * rows)[np.ix_(at, at)]
+    del re, im, nyq_a, nyq_b, corner
+    at = [np.abs(off) + n * (off < 0) for off, n in zip(offs, (ra, rb))]
+    kernel = quads.reshape(2 * ra, 2 * rb)[np.ix_(*at)]
     del quads
     return sfft.fft2(kernel, overwrite_x=True)
 
 
 def _support_box(mu_s, n=None, at=0):
-    """Slices of the smallest square of chart nodes holding the nonzero mu_s,
-    kept inside the chart of n nodes a side (one node when mu_s is zero).
-    mu_s holds the chart nodes from (at, at) on; by default it is the whole
-    chart."""
+    """Slices of the smallest rectangle of chart nodes holding the nonzero
+    mu_s, kept inside the chart of n nodes a side (one node when mu_s is
+    zero).  mu_s holds the chart nodes from (at, at) on; by default it is
+    the whole chart."""
     n = mu_s.shape[0] if n is None else n
     nz = mu_s != 0
     rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
     if rows.size == 0:
         return slice(at, at + 1), slice(at, at + 1)
-    nb = max(rows[-1] - rows[0], cols[-1] - cols[0]) + 1
-    i0, j0 = (min(lo + at, n - nb) for lo in (rows[0], cols[0]))
-    return slice(i0, i0 + nb), slice(j0, j0 + nb)
+    box = []
+    for idx in (rows, cols):
+        nb = idx[-1] - idx[0] + 1
+        i0 = min(idx[0] + at, n - nb)
+        box.append(slice(i0, i0 + nb))
+    return tuple(box)
 
 
 def _take(a, a_box, box):
@@ -562,7 +573,7 @@ _MEMO_BYTES = 256 * 2 ** 20
 @dataclass(frozen=True)
 class _BoxSolve:
     """h of one solve and the samples mu_s it solved for, on the support box
-    of mu_s: the nb x nb nodes of the kit's grid at box (row and column
+    of mu_s: the rectangle of the kit's grid nodes at box (row and column
     slices).  Both vanish off the box."""
 
     kit: _SpectralKit
@@ -577,11 +588,12 @@ def _neumann(kit, mu_b):
     """h = mu_b (1 + T[h]) by fixed-point iteration; returns (h, trace of
     sup steps, contraction ratio).
 
-    mu_b is a square of grid nodes holding the support of the samples
-    (_support_box): h vanishes wherever they do, so the iteration runs on
-    that square alone, with the kit's T restricted to it (_box_multiplier).
+    mu_b is the smallest rectangle of grid nodes holding the support of the
+    samples (_support_box): h vanishes wherever they do, so the iteration
+    runs on that rectangle alone, with the kit's T restricted to it
+    (_box_multiplier).
     """
-    mult = _box_multiplier(kit, mu_b.shape[0])
+    mult = _box_multiplier(kit, mu_b.shape)
     h = mu_b.copy()
     trace = []
     grow = 0
@@ -674,6 +686,7 @@ def _solve(mu, grid_n, reflect):
         h, mu_s, trace, ratio = _on_chart(kit, _box_solve(mu, grid_n,
                                                           reflect))
         raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
+        del h  # P read it: free the chart array before the residual
         raw[0].flags.writeable = raw[1].flags.writeable = False
         if key is not None:
             _MEMO[key] = raw

@@ -20,7 +20,8 @@ from teichkit.boundary import (
     _certified_far_field,
 )
 from teichkit.domains import HolomorphicFunction, analytic_besov_norm
-from teichkit.solver import SolverError, invert
+from teichkit.solver import SolverError, _support_box, invert, \
+    solve_halfplane
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -217,6 +218,40 @@ def test_welding_consistency(weld_02):
     assert weld_02.consistency_sup <= 1e-2
     assert weld_02.imag_defect < 5e-2
     assert np.all(np.diff(weld_02.h.values) > 0)
+
+
+def _dilate(mask):
+    """mask grown by one node along each axis and diagonal."""
+    out = mask.copy()
+    for i in (-1, 0, 1):
+        for j in (-1, 0, 1):
+            out |= np.roll(mask, (i, j), axis=(0, 1))
+    return out
+
+
+def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
+    # g's coefficient is read only where the self-map's inverse lands in the
+    # rectangle S of its nonzero samples on L, grown by 3 nodes; g's samples
+    # are that coefficient blurred over one node
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5),
+                  "DiskToHalfPlane")
+    selfmap = solve_halfplane(mu_u, grid_n=TEST_GRID_N)
+    n = selfmap.grid.n
+    lower = selfmap.mu_samples[:, :n // 2] != 0
+    rows = np.flatnonzero(lower.any(axis=1))
+    cols = np.flatnonzero(lower.any(axis=0))
+    x, y = selfmap.grid.axes()
+    g = weld_02.g_map
+    nz = g.mu_samples != 0
+    near = _dilate(nz)
+    v = invert(selfmap)(g.grid.nodes()[near])
+    in_s = np.zeros_like(nz)
+    in_s[near] = (v.real >= x[rows[0] - 3]) & (v.real <= x[rows[-1] + 3]) & \
+        (v.imag >= y[cols[0] - 3]) & (v.imag <= y[cols[-1] + 3])
+    assert nz.any() and not (nz & ~_dilate(in_s)).any()
+    # g's Neumann iteration runs on the rectangle of its nonzero samples
+    box = _support_box(g.mu_samples)
+    assert max(s.stop - s.start for s in box) <= 140
 
 
 def test_welding_far_field_matches_newton(weld_02):

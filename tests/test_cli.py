@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -116,6 +117,25 @@ def test_config_rejects_unread_key():
         ExperimentConfig.from_dict({"command": "solve", "extra": True})
 
 
+def test_config_rejects_tolerance_its_command_does_not_read():
+    # a misspelled name would otherwise run silently with the default
+    with pytest.raises(ValueError, match="tolerance 'residul' is not read"):
+        ExperimentConfig.from_dict({"command": "solve",
+                                    "tolerances": {"residul": 1e-9}})
+    with pytest.raises(ValueError, match="'residual' is not read by weld"):
+        ExperimentConfig.from_dict({"command": "weld",
+                                    "tolerances": {"residual": 1e-3}})
+    c = ExperimentConfig.from_dict({
+        "command": "weld", "tolerances": {"consistency": 1e-2,
+                                          "identity": 5e-2}})
+    assert c.tolerances == {"consistency": 1e-2, "identity": 5e-2}
+
+
+def test_cli_rejects_tolerance_name_its_command_does_not_read():
+    with pytest.raises(SystemExit, match="'residul' is not read by solve"):
+        main(["solve", "--tol", "residul=1e-9"])
+
+
 def test_report_config_roundtrips():
     c = cfg("solve", self_map=True, grid={"n": 64})
     echoed = json.loads(run(c).to_json())["config"]
@@ -222,6 +242,25 @@ def test_constants_rows_and_running_max(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["k", "r", "p"]
     assert len(path.read_text().splitlines()) == 10
+
+
+def test_cli_constants_out_keeps_the_csv(tmp_path):
+    # --out names the CSV table; the JSON report is written beside it
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"command": "constants",
+                                 "family": [[0.1, 0.3]]}))
+    opath = tmp_path / "c.csv"
+    assert main(["constants", "--config", str(cpath), "--out",
+                 str(opath)]) == 0
+    with open(opath, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["k", "r", "p", "mp_norm", "ap_phi", "ratio",
+                      "running_max", "ainf_phi", "cp_ratio", "douglas_p2"]
+    assert len(rows) == 1 and [float(v) for v in rows[0][:3]] == [0.1, 0.3,
+                                                                  2.0]
+    report = json.loads((tmp_path / "c.csv.json").read_text())
+    assert report["command"] == "constants"
+    assert report["reports"]["rows"][0]["k"] == 0.1
 
 
 def test_constants_single_zero_row():

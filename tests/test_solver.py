@@ -203,9 +203,8 @@ def test_box_beurling_matches_full_grid(data):
     kit = _kit(n, L)
     h = data(kit.Z)
     box = solver._support_box(h)
-    nb = h[box].shape[0]
-    assert nb == (64 if data is _bump else n)
-    got = kit.apply(h[box], solver._box_multiplier(kit, nb))
+    assert h[box].shape == ((64, 64) if data is _bump else (n, n))
+    got = kit.apply(h[box], solver._box_multiplier(kit, h[box].shape))
     full = kit.beurling(h)[box]  # what beurling_transform applies
     assert np.abs(got - full).max() / np.abs(full).max() < 1e-12
 
@@ -219,8 +218,8 @@ def test_box_beurling_indicator_closed_form():
                               r, 0.5, jump_circles=((0.0, r),))
     samples = _binomial_blur(chart_samples(ind, n, L))
     box = solver._support_box(samples)
-    nb = samples[box].shape[0]
-    T = kit.apply(samples[box], solver._box_multiplier(kit, nb))
+    T = kit.apply(samples[box], solver._box_multiplier(kit,
+                                                      samples[box].shape))
     Z = kit.Z[box]
     exact = np.where(np.abs(Z) < r, 0.0, -(r * r) / np.where(Z == 0, 1, Z * Z))
     m = np.abs(np.abs(Z) - r) > 3 * kit.spacing
@@ -251,8 +250,8 @@ def test_box_neumann_matches_full_torus(reflect):
     kit = _kit(n, 4.0)
     mu_s = _binomial_blur(chart_samples(mu, n, 4.0, reflect=reflect))
     box = solver._support_box(mu_s)
-    nb = mu_s[box].shape[0]
-    assert nb == (195 if reflect else 31)
+    # the reflected support is two disks stacked along y
+    assert mu_s[box].shape == ((89, 195) if reflect else (31, 31))
     h, trace, _ = solver._neumann(kit, mu_s[box])
     ref, ref_trace = _full_torus_neumann(kit, mu_s)
     assert len(trace) == len(ref_trace)
@@ -266,25 +265,29 @@ def test_support_box_of_zero_and_edge_data():
     assert solver._support_box(mu_s) == (slice(0, 1), slice(0, 1))
     mu_s[60:64, 10:12] = 0.3  # 4 x 2 nodes at the grid edge
     rows, cols = solver._support_box(mu_s)
-    assert (rows.start, rows.stop, cols.start, cols.stop) == (60, 64, 10, 14)
+    assert (rows.start, rows.stop, cols.start, cols.stop) == (60, 64, 10, 12)
     h, trace, _ = solver._neumann(_kit(64, 4.0), np.zeros((64, 64), complex))
     assert not h.any() and trace == [0.0]
 
 
-def _row_block_box_multiplier(kit, nb, rows=128):
-    """Reference: the box multiplier from the full (2N)^2 Beurling symbol,
-    transformed back to the kernel `rows` rows at a time."""
-    m = scipy.fft.next_fast_len(2 * nb)
+def _row_block_box_multiplier(kit, shape, rows=128):
+    """Reference: the multiplier of an nb_a x nb_b box (shape) from the full
+    (2N)^2 Beurling symbol, transformed back to the kernel `rows` rows at a
+    time."""
     side = kit.pad * kit.n
-    idx = np.arange(m)
-    idx[nb:] += side - m  # offsets -(m - nb) .. -1
+    idx = []
+    for nb in shape:
+        m = scipy.fft.next_fast_len(2 * nb)
+        i = np.arange(m)
+        i[nb:] += side - m  # offsets -(m - nb) .. -1
+        idx.append(i)
     w = 2.0 * np.pi * scipy.fft.fftfreq(side, d=kit.spacing)
-    cols = np.empty((side, m), dtype=complex)
+    cols = np.empty((side, idx[1].size), dtype=complex)
     for r0 in range(0, side, rows):
         W = w[r0:r0 + rows, None] + 1j * w[None, :]
         cols[r0:r0 + rows] = scipy.fft.ifft(solver._beurling_symbol(W),
-                                            axis=1)[:, idx]
-    kernel = scipy.fft.ifft(cols, axis=0)[idx]
+                                            axis=1)[:, idx[1]]
+    kernel = scipy.fft.ifft(cols, axis=0)[idx[0]]
     return scipy.fft.fft2(kernel)
 
 
@@ -296,10 +299,23 @@ def test_box_multiplier_matches_row_block_reference(n):
     for nb in (1, 31, n):
         if nb == 31:
             assert scipy.fft.next_fast_len(2 * nb) - nb > nb
-        got = solver._box_multiplier(kit, nb)
-        want = _row_block_box_multiplier(kit, nb)
+        got = solver._box_multiplier(kit, (nb, nb))
+        want = _row_block_box_multiplier(kit, (nb, nb))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_box_multiplier_of_a_rectangle_matches_row_block_reference(n):
+    # rectangles of the square cases' sides, each axis gathered by its own
+    # offsets, in both orientations
+    kit = _kit(n, 4.0)
+    for shape in ((1, 31), (31, n), (n, 1), (n // 2 + 3, 31)):
+        got = solver._box_multiplier(kit, shape)
+        want = _row_block_box_multiplier(kit, shape)
+        assert got.shape == want.shape == tuple(
+            scipy.fft.next_fast_len(2 * nb) for nb in shape)
+        assert np.abs(got - want).max() <= 2.5e-15
 
 
 def _coefficient_cases():
