@@ -359,12 +359,12 @@ def _solved_support(selfmap):
     bounds its image of S's edges, read at the nodes along them.
     """
     grid = selfmap.grid
-    lower = selfmap.mu_samples[:, :grid.n // 2]  # columns y < 0
+    lower = selfmap.mu_samples[:, :grid.n // 2 - selfmap.support[1].start]
     if not lower.any():
         return None
     g = SUPPORT_GROWTH
-    x, y = (axis[max(0, box.start - g):box.stop + g]
-            for axis, box in zip(grid.axes(), _support_box(lower)))
+    x, y = (axis[max(0, s.start - g):s.stop + g] for axis, s in
+            zip(grid.axes(), _support_box(lower, selfmap.support)))
     edges = np.concatenate([x + 1j * y[0], x + 1j * y[-1],
                             x[0] + 1j * y, x[-1] + 1j * y])
     image = selfmap(edges)

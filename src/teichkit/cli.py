@@ -9,9 +9,10 @@ Each run emits a deterministic JSON report (sorted keys; wall_time is the
 only field that varies between identical runs).  Coefficients arrive as
 JSON specs: {"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid",
 ...}, or {"kind": "table", ...}; a config key the command does not read is
-rejected.  A failed run reports the failing stage, the exception type and
-its message under reports["error"].  Solves are memoized in the process
-only, so repeated stages of one run reuse them.
+rejected, as is a spec field its kind does not read.  A failed run reports
+the failing stage, the exception type and its message under
+reports["error"].  Solves are memoized in the process only, so repeated
+stages of one run reuse them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,9 +62,12 @@ COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
             "extend", "characterize", "roundtrip", "constants", "verify-all")
 
 
-# fields each coefficient spec kind must carry (BeltramiCoefficient.from_spec)
-_SPEC_FIELDS = {"constant_disk": ("k", "r"), "grid": ("grid", "domain"),
-                "table": ("points", "values", "domain")}
+# fields each coefficient spec kind must carry, and those it may carry
+# besides (BeltramiCoefficient.from_spec)
+_SPEC_FIELDS = {"constant_disk": (("k", "r"), ("domain",)),
+                "grid": (("grid", "domain"), ()),
+                "table": (("points", "values", "domain"), ()),
+                "zero": ((), ("domain",))}
 
 _FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
 # config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
@@ -72,6 +77,12 @@ _EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
 _TOL_KEYS = {"solve": ("residual",), "aw": ("section",),
              "bilip": ("equivalence",), "weld": ("consistency", "identity"),
              "roundtrip": ("roundtrip",)}
+
+
+def _check_number(name, val):
+    """Raise unless val is a real number; a bool is not one."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {val!r}")
 
 
 @dataclass
@@ -97,22 +108,43 @@ class ExperimentConfig:
                 raise ValueError(
                     f"config key {key!r} is not read by {self.command}")
         kind = self.mu_spec.get("kind")
-        for key in _SPEC_FIELDS.get(kind, ()):
+        if kind not in _SPEC_FIELDS:
+            raise ValueError(f"mu_spec kind {kind!r} is unknown")
+        need, may = _SPEC_FIELDS[kind]
+        for key in need:
             if key not in self.mu_spec:
                 raise ValueError(f"mu_spec of kind {kind!r} lacks {key!r}")
+        for key, val in self.mu_spec.items():
+            if key not in ("kind", *need, *may):
+                raise ValueError(
+                    f"mu_spec key {key!r} is not read by kind {kind!r}")
+            if key in ("k", "r"):
+                _check_number(f"mu_spec {key}", val)
+        for key in self.grid:
+            if key != "n":
+                raise ValueError(f"grid key {key!r} is not read (only 'n')")
         n = self.grid.get("n", 512)
-        if not isinstance(n, int) or n < 1 or n & (n - 1):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2 \
+                or n & (n - 1):
             raise ValueError(
-                f"grid n must be a positive int power of two, got {n!r}")
+                f"grid n must be an int power of two >= 2, got {n!r}")
         for name, val in self.tolerances.items():
-            if not isinstance(val, (int, float)) or not val > 0:
+            _check_number(f"tolerance {name!r}", val)
+            if not val > 0:
                 raise ValueError(
                     f"tolerance {name!r} must be a positive number, got {val!r}")
             if name not in _TOL_KEYS.get(self.command, ()):
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
-        if not isinstance(self.p, (int, float)) \
-                or not (math.isfinite(self.p) and self.p >= 1):
+        if "delta" in self.extra:
+            _check_number("delta", self.extra["delta"])
+        for val in self.extra.get("p_list", ()):
+            _check_number("p_list entry", val)
+        for pair in self.extra.get("family") or ():
+            for val in pair:
+                _check_number("family entry", val)
+        _check_number("p", self.p)
+        if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
         if self.command in ("besov", "characterize", "roundtrip") \
                 and not self.p > 1:

@@ -473,9 +473,11 @@ class HolomorphicFunction:
         return out
 
     def eval(self, z, der=0):
-        """Evaluate the function or its derivative (der <= 3) at z."""
-        if der > 3:
-            raise ValueError("derivatives supported up to order 3")
+        """Evaluate the function or its derivative of order der (0 to 3)
+        at z."""
+        if isinstance(der, bool) or not isinstance(der, (int, np.integer)) \
+                or not 0 <= der <= 3:
+            raise ValueError(f"der must be 0, 1, 2 or 3, got {der!r}")
         z = np.asarray(z, dtype=complex)
         if self.premap is None:
             return self._series_eval(z, der)

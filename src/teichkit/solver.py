@@ -33,8 +33,9 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 (auto_half_width), samples mu and runs the Neumann iteration; it returns h
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
-solve_halfplane) scatters both onto the chart, applies P on the full torus
-and normalizes; its raw solution is memoized in the process, keyed by
+solve_halfplane) scatters h alone onto the chart, applies P on the full
+torus and normalizes; the samples stay on the support box.  Its raw
+solution (f and the box samples) is memoized in the process, keyed by
 _solve_key.
 """
 
@@ -160,21 +161,21 @@ class _SpectralKit:
     def beurling(self, h):
         return self.apply(h, self.mult_T)
 
-    def moments(self, h):
-        """Moments of h dA against 1, z, z^2, z^3 and conj(z), summed over
-        the support box of h (h vanishes off it)."""
-        box = _support_box(h)
-        Z, hb = self.Z[box], h[box] * self.spacing ** 2
+    def moments(self, box, h_box):
+        """Moments of h dA against 1, z, z^2, z^3 and conj(z), for h given
+        as h_box on the grid nodes at box and vanishing off them."""
+        Z, hb = self.nodes(box), h_box * self.spacing ** 2
         return (hb.sum(), (Z * hb).sum(), (Z * Z * hb).sum(),
                 (Z * Z * Z * hb).sum(), (np.conj(Z) * hb).sum())
 
-    def cauchy(self, h):
-        """Padded-spectral P plus the lattice moment corrections."""
+    def cauchy(self, h, box):
+        """Padded-spectral P of the chart array h plus the lattice moment
+        corrections; h vanishes off the grid nodes at box."""
         out = self.apply(h, self.mult_P)
         if self.pad == 1:
             return out
         Z = self.Z
-        m0, m1, m2, m3, mc = self.moments(h)
+        m0, m1, m2, m3, mc = self.moments(box, h[box])
         out = out + (m0 * np.conj(Z) - mc) / self.torus_area
         c4 = G4_SQUARE / (np.pi * self.torus_area ** 2)
         out = out + c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
@@ -265,22 +266,17 @@ def _box_multiplier(kit, shape):
     return sfft.fft2(kernel, overwrite_x=True)
 
 
-def _support_box(mu_s, n=None, at=0):
+def _support_box(mu_s, at=None):
     """Slices of the smallest rectangle of chart nodes holding the nonzero
-    mu_s, kept inside the chart of n nodes a side (one node when mu_s is
-    zero).  mu_s holds the chart nodes from (at, at) on; by default it is
+    mu_s (one node when mu_s is zero).  mu_s holds the chart nodes from the
+    first node of the box at (row and column slices) on; by default it is
     the whole chart."""
-    n = mu_s.shape[0] if n is None else n
+    starts = (0, 0) if at is None else (s.start for s in at)
     nz = mu_s != 0
-    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
-    if rows.size == 0:
-        return slice(at, at + 1), slice(at, at + 1)
-    box = []
-    for idx in (rows, cols):
-        nb = idx[-1] - idx[0] + 1
-        i0 = min(idx[0] + at, n - nb)
-        box.append(slice(i0, i0 + nb))
-    return tuple(box)
+    idx = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    if idx[0].size == 0:
+        return tuple(slice(a, a + 1) for a in starts)
+    return tuple(slice(a + i[0], a + i[-1] + 1) for a, i in zip(starts, idx))
 
 
 def _take(a, a_box, box):
@@ -340,7 +336,8 @@ def cauchy_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
         raise SolverError("spectral transforms expect a grid centered at 0")
     _check_margin(grid.values, grid.nodes(), grid.half_width)
     kit = _kit(grid.n, grid.half_width, pad)
-    return ComplexGrid(grid.center, grid.half_width, kit.cauchy(grid.values))
+    return ComplexGrid(grid.center, grid.half_width,
+                       kit.cauchy(grid.values, _support_box(grid.values)))
 
 
 def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
@@ -436,13 +433,17 @@ class QuasiconformalMap:
 
     Evaluation uses bicubic interpolation inside the grid; outside it falls
     back to the Laurent far field (conformal tail) or an explicit outer
-    evaluator when one exists.
+    evaluator when one exists.  A plane or half-plane solve keeps the
+    coefficient samples it solved for as mu_samples, on the rectangle of
+    grid nodes at support (row and column slices) that holds their nonzero
+    values; they vanish off it.
     """
 
     normalization: Normalization
     grid: ComplexGrid
     conformal_region: tuple | None = None
     mu_samples: np.ndarray | None = None
+    support: tuple | None = None
     residual: float | None = None
     convergence_ratio: float | None = None
     iteration_trace: list = field(default_factory=list, repr=False)
@@ -546,7 +547,7 @@ def identity_map(n=64):
     return QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
         conformal_region=(0.0, math.inf), mu_samples=np.zeros((n, n)),
-        residual=0.0, far_field=ff)
+        support=(slice(0, n), slice(0, n)), residual=0.0, far_field=ff)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +566,8 @@ def _solve_key(mu, grid_n, reflect):
 
 
 # Solve memo, oldest entry first; entries are evicted in that order while
-# their arrays (f and mu_s) hold more than _MEMO_BYTES.
+# their arrays (f on the chart and mu_s on its support box) hold more than
+# _MEMO_BYTES.
 _MEMO = {}
 _MEMO_BYTES = 256 * 2 ** 20
 
@@ -637,26 +639,20 @@ def _box_solve(mu, grid_n, reflect):
     box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
     mu_s = _binomial_blur(mu_s)
     _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
-    support = _support_box(mu_s, grid_n, box[0].start)
+    support = _support_box(mu_s, box)
     mu_s = _take(mu_s, box, support)
     h, trace, ratio = _neumann(kit, mu_s)
     return _BoxSolve(kit, support, h, mu_s, trace, ratio)
 
 
-def _on_chart(kit, sol):
-    """h and the samples mu_s of a box solve scattered onto the kit's grid,
-    with its trace and ratio.  The box arrays are dropped on return, so they
-    are not held through the grid-level part."""
-    chart = (slice(0, kit.n),) * 2
-    return (_take(sol.h, sol.box, chart), _take(sol.mu_s, sol.box, chart),
-            sol.trace, sol.ratio)
-
-
-def _fd_residual(qc, mu_s, jump_circles):
-    """Beltrami defect |dbar f - mu_s df| / max|df| on the grid nodes inside
-    the margin and more than 3 cells off every jump circle."""
+def _fd_residual(qc, jump_circles):
+    """Beltrami defect |dbar f - mu df| / max|df|, mu the map's samples, on
+    the grid nodes inside the margin and more than 3 cells off every jump
+    circle."""
     dz, dbar = qc.partial_grids()
-    res = np.abs(dbar - mu_s * dz)
+    res = np.abs(dbar)  # mu vanishes off its support box
+    box = qc.support
+    res[box] = np.abs(dbar[box] - qc.mu_samples * dz[box])
     kit = _kit(qc.grid.n, qc.grid.half_width, 2)
     Z = kit.Z
     mask = (np.abs(Z.real) < MARGIN_FRACTION * kit.half_width) & \
@@ -669,10 +665,11 @@ def _fd_residual(qc, mu_s, jump_circles):
 def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    The raw solution z + P[h] on the chart of mu comes from the memo (which
-    holds read-only arrays, at most _MEMO_BYTES of them) or from the
-    box-level part (_box_solve), whose h is scattered onto the chart and
-    given P on the full padded torus.  A complex affine
+    The raw solution z + P[h] on the chart of mu, and the samples on their
+    support box, come from the memo (which holds read-only arrays, at most
+    _MEMO_BYTES of them) or from the box-level part (_box_solve), whose h
+    alone is scattered onto the chart for P on the full padded torus.  A
+    complex affine
     map (plane) or real affine map (half-plane, whose reflection symmetry
     is checked on R) pins the grid nodes 0 and 1.  The far field is fitted
     through the map's own spline on a circle of radius 0.855 half_width;
@@ -683,17 +680,18 @@ def _solve(mu, grid_n, reflect):
     key = _solve_key(mu, grid_n, reflect)
     raw = _MEMO.get(key)
     if raw is None:
-        h, mu_s, trace, ratio = _on_chart(kit, _box_solve(mu, grid_n,
-                                                          reflect))
-        raw = kit.Z + kit.cauchy(h), mu_s, trace, ratio
-        del h  # P read it: free the chart array before the residual
+        sol = _box_solve(mu, grid_n, reflect)
+        h = _take(sol.h, sol.box, (slice(0, grid_n),) * 2)
+        raw = (kit.Z + kit.cauchy(h, sol.box), sol.mu_s, sol.box, sol.trace,
+               sol.ratio)
+        del sol, h  # P read h: free it before the residual
         raw[0].flags.writeable = raw[1].flags.writeable = False
         if key is not None:
             _MEMO[key] = raw
             while sum(r[0].nbytes + r[1].nbytes
                       for r in _MEMO.values()) > _MEMO_BYTES:
                 _MEMO.pop(next(iter(_MEMO)))
-    f, mu_s, trace, ratio = raw
+    f, mu_s, support, trace, ratio = raw
 
     j0 = round(half_width / kit.spacing)
     i0, i1 = (round((x + half_width) / kit.spacing) for x in (0.0, 1.0))
@@ -707,7 +705,8 @@ def _solve(mu, grid_n, reflect):
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
-        convergence_ratio=ratio, iteration_trace=list(trace))
+        support=support, convergence_ratio=ratio,
+        iteration_trace=list(trace))
     jumps = list(mu.jump_circles)
     if reflect:
         qc.symmetry_defect = float(np.max(np.abs(f[:, j0].imag)))
@@ -720,7 +719,7 @@ def _solve(mu, grid_n, reflect):
             else half_width
         qc.conformal_region = (supp + 3 * kit.spacing, math.inf)
     qc.far_field = _far_field_series(qc, MARGIN_FRACTION * half_width * 0.95)
-    qc.residual = _fd_residual(qc, mu_s, jumps)
+    qc.residual = _fd_residual(qc, jumps)
     return qc
 
 

@@ -198,6 +198,41 @@ def test_bers_map_checks_the_moment_tail(monkeypatch):
         bers_map(mu, grid_n=128)
 
 
+def test_bers_moment_cut_certificate_is_sound(monkeypatch):
+    # the closed-form tail bound holds against the direct Cauchy sum of the
+    # same h on |z| in {1.5, 2, 3}, for short cuts and for the chosen one,
+    # and bers_map raises exactly when it exceeds the tolerance
+    mu = BeltramiCoefficient(DomainTag.UNIT_DISK, _ring, 0.95, 0.5,
+                             jump_circles=((0.0, 0.7), (0.0, 0.95)))
+    sol = solver._box_solve(mu, 128, False)
+    nz = sol.h != 0
+    w = sol.kit.nodes(sol.box)[nz]
+    hdA = sol.h[nz] * sol.kit.spacing ** 2
+    reach = float(np.abs(w).max())
+    mass = float(np.abs(hdA).sum()) / np.pi
+    th = 2.0 * np.pi * np.arange(256) / 256
+    raised = []
+    for count in (3, 6, 12, bers._moment_count(reach)):
+        moments = [(hdA * w ** n).sum() / np.pi for n in range(count)]
+        worst = 0.0
+        for rho in (1.5, 2.0, 3.0):
+            z = rho * np.exp(1j * th)
+            direct = z + (hdA / (z[:, None] - w)).sum(axis=1) / np.pi
+            series = z + sum(c * z ** (-n - 1) for n, c in enumerate(moments))
+            worst = max(worst, np.abs(series - direct).max() / rho)
+        bound = bers._tail_bound(mass, reach, count)
+        assert worst <= bound
+        monkeypatch.setattr(bers, "_moment_count", lambda reach: count)
+        try:
+            bers_map(mu, grid_n=128)
+            raised.append(False)
+        except BersConsistencyError as exc:
+            assert "discrepancy" in str(exc)
+            raised.append(True)
+        assert raised[-1] == (bound > 1e-3)
+    assert raised[0] and not raised[-1]
+
+
 @pytest.mark.parametrize("k", [0.3, 0.6])
 def test_bers_map_matches_the_spline_path(k):
     # the moment series against Laurent analysis of the assembled plane

@@ -229,6 +229,13 @@ def _dilate(mask):
     return out
 
 
+def _on_chart(qc):
+    """A solve's samples on its whole chart, zero off their support box."""
+    out = np.zeros((qc.grid.n,) * 2, dtype=complex)
+    out[qc.support] = qc.mu_samples
+    return out
+
+
 def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     # g's coefficient is read only where the self-map's inverse lands in the
     # rectangle S of its nonzero samples on L, grown by 3 nodes; g's samples
@@ -237,12 +244,12 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
                   "DiskToHalfPlane")
     selfmap = solve_halfplane(mu_u, grid_n=TEST_GRID_N)
     n = selfmap.grid.n
-    lower = selfmap.mu_samples[:, :n // 2] != 0
+    lower = _on_chart(selfmap)[:, :n // 2] != 0
     rows = np.flatnonzero(lower.any(axis=1))
     cols = np.flatnonzero(lower.any(axis=0))
     x, y = selfmap.grid.axes()
     g = weld_02.g_map
-    nz = g.mu_samples != 0
+    nz = _on_chart(g) != 0
     near = _dilate(nz)
     v = invert(selfmap)(g.grid.nodes()[near])
     in_s = np.zeros_like(nz)
@@ -250,8 +257,8 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
         (v.imag >= y[cols[0] - 3]) & (v.imag <= y[cols[-1] + 3])
     assert nz.any() and not (nz & ~_dilate(in_s)).any()
     # g's Neumann iteration runs on the rectangle of its nonzero samples
-    box = _support_box(g.mu_samples)
-    assert max(s.stop - s.start for s in box) <= 140
+    assert g.support == _support_box(nz)
+    assert max(s.stop - s.start for s in g.support) <= 140
 
 
 def test_welding_far_field_matches_newton(weld_02):

@@ -60,6 +60,49 @@ def test_config_validation():
     with pytest.raises(ValueError, match="kind 'table' lacks 'values'"):
         ExperimentConfig.from_dict({"command": "norm", "mu_spec": {
             "kind": "table", "points": [], "domain": "UnitDisk"}})
+    # grid carries only n, an int power of two >= 2
+    with pytest.raises(ValueError, match="grid key 'N'"):
+        ExperimentConfig.from_dict({"command": "norm", "grid": {"N": 64}})
+    for n in (1, True):
+        with pytest.raises(ValueError, match="grid n"):
+            ExperimentConfig.from_dict({"command": "solve", "grid": {"n": n}})
+    # mu_spec carries kind and only the fields its kind reads
+    disk = {"kind": "constant_disk", "k": 0.3, "r": 0.5}
+    for spec, field in (({**disk, "domian": "UpperHalfPlane"}, "domian"),
+                        ({"kind": "zero", "k": 0.3}, "k"),
+                        ({"kind": "grid", "grid": {}, "domain": "UnitDisk",
+                          "values": []}, "values")):
+        with pytest.raises(ValueError, match=f"mu_spec key '{field}'"):
+            ExperimentConfig.from_dict({"command": "norm", "mu_spec": spec})
+    with pytest.raises(ValueError, match="mu_spec kind 'disk'"):
+        ExperimentConfig.from_dict({"command": "norm",
+                                    "mu_spec": {"kind": "disk"}})
+    # a bool is not a number
+    for key in ("k", "r"):
+        with pytest.raises(ValueError, match=f"mu_spec {key} must be"):
+            ExperimentConfig.from_dict({"command": "norm",
+                                        "mu_spec": {**disk, key: True}})
+    with pytest.raises(ValueError, match="p must be a number"):
+        ExperimentConfig.from_dict({"command": "norm", "p": True})
+    with pytest.raises(ValueError, match="tolerance 'residual' must be"):
+        ExperimentConfig.from_dict({"command": "solve",
+                                    "tolerances": {"residual": True}})
+    with pytest.raises(ValueError, match="delta must be"):
+        ExperimentConfig.from_dict({"command": "bilip", "delta": True})
+    with pytest.raises(ValueError, match="p_list entry must be"):
+        ExperimentConfig.from_dict({"command": "constants",
+                                    "p_list": [2.0, True]})
+    with pytest.raises(ValueError, match="family entry must be"):
+        ExperimentConfig.from_dict({"command": "constants",
+                                    "family": [[0.1, True]]})
+    # every kind's full spec, and what perfbench sends, stay valid
+    for spec in (disk, {**disk, "domain": "UpperHalfPlane"},
+                 {"kind": "zero"}, {"kind": "zero", "domain": "UnitDisk"},
+                 {"kind": "grid", "grid": {}, "domain": "UnitDisk"},
+                 {"kind": "table", "points": [], "values": [],
+                  "domain": "UnitDisk"}):
+        ExperimentConfig.from_dict({"command": "norm", "mu_spec": spec,
+                                    "grid": {"n": 2}})
 
 
 def test_norm_command_closed_form():

@@ -349,6 +349,14 @@ def test_series_derivative_matches_finite_difference():
     assert np.abs(phi.eval(z, der=1) - fd).max() / np.abs(fd).max() < 1e-6
 
 
+def test_series_eval_accepts_only_derivative_orders_0_to_3():
+    f = HolomorphicFunction([1, 2], [1.0, 1.0])  # z + z^2
+    assert [f.eval(0.5, der=d) for d in range(4)] == [0.75, 2.0, 2.0, 0.0]
+    for der in (-1, 4, 1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="der must be"):
+            f.eval(0.5, der=der)
+
+
 def _term_by_term(self, w, der=0):
     """Reference series evaluation: one power of u per term."""
     u = np.asarray(w, dtype=complex)

@@ -118,10 +118,11 @@ def test_cauchy_moments_on_the_box_match_full_grid_sums():
     kit = _kit(n, L)
     Z = kit.Z
     h = _bump(Z)
-    assert h[solver._support_box(h)].shape[0] == 64
+    box = solver._support_box(h)
+    assert h[box].shape[0] == 64
     full = [(w * h).sum() * kit.spacing ** 2
             for w in (1.0, Z, Z * Z, Z * Z * Z, np.conj(Z))]
-    for got, want in zip(kit.moments(h), full):
+    for got, want in zip(kit.moments(box, h[box]), full):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -348,7 +349,11 @@ def test_box_sampling_matches_full_chart(fresh_cache, case):
     assert sol.box == box and sol.trace == trace
     assert np.array_equal(sol.h, h)
     assert np.array_equal(sol.mu_s, ref[box])
-    assert np.array_equal(solver._solve(mu, n, reflect).mu_samples, ref)
+    qc = solver._solve(mu, n, reflect)
+    assert qc.support == box
+    assert np.array_equal(qc.mu_samples, ref[box])
+    ref[box] = 0.0
+    assert not ref.any()  # the samples vanish off their support box
 
 
 @pytest.mark.parametrize("n, r", [(64, 3.5), (64, 7.0)])
@@ -445,17 +450,20 @@ def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache, through_disk):
     half = solve_halfplane(mu_u, 128)
     assert list(solver._MEMO) == [(mu_u.cache_token, 128, False),
                                   (mu_u.cache_token, 128, True)]
-    assert np.array_equal(plane.mu_samples,
-                          _binomial_blur(full_chart_samples(mu_u, 128, 4.0)))
-    assert np.array_equal(
-        half.mu_samples,
-        _binomial_blur(full_chart_samples(mu_u, 128, 4.0, reflect=True)))
+    for qc, reflect in ((plane, False), (half, True)):
+        ref = _binomial_blur(full_chart_samples(mu_u, 128, 4.0, reflect))
+        assert np.array_equal(qc.mu_samples, ref[qc.support])
+        ref[qc.support] = 0.0
+        assert not ref.any()
 
 
 def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
-    entry = 2 * 64 * 64 * 16  # f and mu_s, complex, at N = 64
-    monkeypatch.setattr(solver, "_MEMO_BYTES", 2 * entry + entry // 2)
     mus = [BeltramiCoefficient.constant_disk(0.3, r) for r in (0.3, 0.4, 0.5)]
+    # f on the chart and mu_s on its support box, complex, at N = 64
+    entry = [64 * 64 * 16 + solver._box_solve(mu, 64, False).mu_s.nbytes
+             for mu in mus]
+    assert entry[0] < entry[1] < entry[2] < 2 * 64 * 64 * 16
+    monkeypatch.setattr(solver, "_MEMO_BYTES", sum(entry) - 1)
     keys = [solver._solve_key(mu, 64, False) for mu in mus]
     for mu in mus[:2]:
         solve_plane(mu, 64)
@@ -463,8 +471,8 @@ def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
     solve_plane(mus[2], 64)
     assert list(solver._MEMO) == keys[1:]
     assert sum(r[0].nbytes + r[1].nbytes
-               for r in solver._MEMO.values()) == 2 * entry
-    monkeypatch.setattr(solver, "_MEMO_BYTES", entry - 1)
+               for r in solver._MEMO.values()) == entry[1] + entry[2]
+    monkeypatch.setattr(solver, "_MEMO_BYTES", entry[0] - 1)
     solve_plane(mus[0], 64)  # larger than the cap alone: kept nowhere
     assert solver._MEMO == {}
 
@@ -474,7 +482,8 @@ def test_repeated_plane_solve_runs_one_cauchy_transform(fresh_cache,
     calls = []
     cauchy = solver._SpectralKit.cauchy
     monkeypatch.setattr(solver._SpectralKit, "cauchy",
-                        lambda kit, h: calls.append(1) or cauchy(kit, h))
+                        lambda kit, h, box: calls.append(1)
+                        or cauchy(kit, h, box))
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     first = solve_plane(mu, 128)
     again = solve_plane(mu, 128)
@@ -502,8 +511,9 @@ def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
     first.iteration_trace.append(-1.0)
     again = solve_plane(mu, 128)
     assert again.iteration_trace == trace
-    assert np.array_equal(again.mu_samples,
-                          _binomial_blur(full_chart_samples(mu, 128, 4.0)))
+    ref = _binomial_blur(full_chart_samples(mu, 128, 4.0))
+    assert again.support == first.support
+    assert np.array_equal(again.mu_samples, ref[again.support])
 
 
 def test_qcmap_declares_solver_attributes(mu_03_05):
