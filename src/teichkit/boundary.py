@@ -286,8 +286,8 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     growth.
     """
     p = float(p)
-    if p <= 1.0:
-        raise ValueError("boundary Besov seminorms require p > 1")
+    if not 1.0 < p < math.inf:  # also rejects NaN
+        raise ValueError(f"Besov seminorms require 1 < p < inf, got p = {p}")
     circle = u.domain == "circle"
     kernel = _circle_kernel if circle else _line_kernel
     resolutions, values = [], []

@@ -616,7 +616,8 @@ def _neumann(kit, mu_b):
             grow = 0
     else:
         raise SolverError("Neumann iteration did not converge", trace)
-    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e4 * NEUMANN_TOL]
+    # steps below 1e-4 x the first one carry rounding, not the contraction
+    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e-4 * trace[0]]
     ratio = max(ratios[1:]) if len(ratios) > 2 else (ratios[-1] if ratios else 0.0)
     return h, trace, ratio
 

@@ -171,6 +171,16 @@ def test_bers_map_norms_lazy_json_unchanged(mu_03_05):
     assert json.dumps(pt.to_json_dict()) == json.dumps(eager)
 
 
+def test_ap_norm_of_a_bers_image_is_the_weil_petersson_sum(mu_03_05):
+    # at p = 2, pi sum |a_n|^2 2/((n+1)(n+2)(n+3)) over psi's coefficients
+    phi = bers_map(mu_03_05, grid_n=256).bers_image
+    psi = phi.inverted_disk_rep()
+    n = psi.orders
+    exact = np.sqrt(np.pi * np.sum(
+        np.abs(psi.coeffs) ** 2 * 2.0 / ((n + 1) * (n + 2) * (n + 3))))
+    assert abs(ap_norm(phi, 2).value - exact) <= 1e-12 * exact
+
+
 def test_bers_map_builds_no_grid_transform(monkeypatch):
     # the image comes from the moments of h on its support box: no nodes of
     # the whole chart, no padded-torus multiplier, spline or far field, and

@@ -347,6 +347,14 @@ def test_cli_entry_point_runs():
     assert payload["command"] == "norm"
 
 
+def test_python_m_teichkit_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "teichkit", "norm", "--k", "0.3", "--r", "0.5",
+         "--p", "2"], capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0
+    assert "mp_norm" in json.loads(out.stdout)["reports"]
+
+
 def test_cli_config_array(tmp_path):
     configs = [
         {"command": "norm", "mu_spec": {"kind": "constant_disk", "k": 0.1,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from teichkit import (
     BeltramiCoefficient,
@@ -19,6 +19,7 @@ from teichkit import (
     mp_norm,
 )
 from teichkit import domains
+from teichkit.boundary import BoundaryFunction, besov_seminorm
 from teichkit.domains import (
     ComplexGrid,
     _circle_coefficients,
@@ -217,9 +218,6 @@ def test_ap_zero_and_range():
             ap_norm(zero, p)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the A_p ladder reads poles of psi at 0 as finite; "
-    "the verdict should come from psi's lowest order"))
 @pytest.mark.parametrize("order,p", [
     *((n, p) for n in (-1, -2) for p in (1.0, 1.5, 2.0)),
     (-3, 2.0),
@@ -253,7 +251,41 @@ def test_ladders_match_pointwise_series_eval(monkeypatch, p):
     (ap_closed, ainf_closed), (_, ainf_slow), (ap_const, ainf_const) = fast
     assert not ap_closed.divergent and not ainf_closed.divergent
     assert ainf_slow.divergent and ainf_const.divergent
-    assert ap_const.divergent == (p == 2.0)
+    assert ap_const.divergent
+
+
+@pytest.mark.parametrize("k,p", [
+    *((k, p) for k in (4, 6) for p in (1.0, 1.5, 2.0, 3.0)),
+    (3, 1.0), (3, 1.5),
+])
+def test_ap_norm_of_a_power_matches_beta_closed_form(k, p):
+    # psi = w^(k-4): int_D |w|^((k-4)p) (1-|w|^2)^(2p-2) dA
+    # = pi B((k-4)p/2 + 1, 2p - 1); z^-3 is finite below p = 2 (2 pi at 1)
+    rep = ap_norm(HolomorphicFunction([-k], [1.0], DomainTag.EXTERIOR_DISK), p)
+    exact = (math.pi * special.beta((k - 4) * p / 2 + 1, 2 * p - 1)) ** (1 / p)
+    assert not rep.divergent
+    assert abs(rep.value - exact) <= 1e-12 * exact
+    assert rep.error_estimate <= 1e-12 * rep.value
+
+
+def test_ap_norm_reports_its_cap():
+    # psi = w - 0.5 vanishes inside D, so |psi| has a cone there and the
+    # rule converges only algebraically: it stops at its largest order and
+    # reports the last gap, which must bound the error
+    phi = HolomorphicFunction([-5, -4], [1.0, -0.5], DomainTag.EXTERIOR_DISK)
+    rep = ap_norm(phi, 1.0)
+
+    def ring(s):
+        val, _ = integrate.quad(lambda th: abs(s * np.exp(1j * th) - 0.5),
+                                0.0, math.pi, epsabs=1e-13, epsrel=1e-13,
+                                limit=500)
+        return 2.0 * s * val
+
+    ref, _ = integrate.quad(ring, 0.0, 1.0, points=[0.5], epsabs=1e-13,
+                            epsrel=1e-13, limit=500)
+    assert not rep.divergent
+    assert rep.error_estimate > 1e-12 * rep.value
+    assert abs(rep.value - ref) <= 10 * rep.error_estimate
 
 
 def test_ainf_ap_embedding_ratio_bounded():
@@ -296,6 +328,45 @@ def test_besov_p_variants_against_quadrature():
             lambda s: 2 * math.pi * s * (1 - s * s) ** (p - 2), 0.0, 1.0)
         assert analytic_besov_norm(phi, p).value == pytest.approx(
             val ** (1 / p), rel=2e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_besov_of_a_power_matches_beta_closed_form(n, p):
+    # int_D n^p |z|^((n-1)p) (1-|z|^2)^(p-2) dA = pi n^p B((n-1)p/2 + 1, p-1)
+    phi = HolomorphicFunction([n], [1.0])
+    exact = (math.pi * n ** p * special.beta((n - 1) * p / 2 + 1, p - 1)) \
+        ** (1 / p)
+    rep = analytic_besov_norm(phi, p)
+    assert abs(rep.value - exact) <= 1e-12 * exact
+    # the U integrand of the Cayley push-forward is the D integrand
+    rep_u = analytic_besov_norm(cayley(phi, "DiskToHalfPlane"), p)
+    assert abs(rep_u.value - rep.value) <= 1e-12 * rep.value
+
+
+def test_besov_on_the_half_plane_needs_a_cayley_push_forward():
+    plain = HolomorphicFunction([1], [1.0], DomainTag.UPPER_HALF_PLANE)
+    with pytest.raises(DomainError):
+        analytic_besov_norm(plain, 2)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+@pytest.mark.parametrize("norm", ["mp_norm", "ap_norm",
+                                  "analytic_besov_norm", "besov_seminorm"])
+def test_norms_reject_non_finite_p(norm, p):
+    th = 2 * np.pi * np.arange(64) / 64
+    call = {
+        "mp_norm": lambda: mp_norm(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                                   p),
+        "ap_norm": lambda: ap_norm(HolomorphicFunction(
+            [-4], [1.0], DomainTag.EXTERIOR_DISK), p),
+        "analytic_besov_norm": lambda: analytic_besov_norm(
+            HolomorphicFunction([1], [1.0]), p),
+        "besov_seminorm": lambda: besov_seminorm(
+            BoundaryFunction(th, np.exp(1j * th), "circle"), p),
+    }[norm]
+    with pytest.raises(ValueError, match=f"p = {p}"):
+        call()
 
 
 def test_besov_cayley_invariance():

@@ -372,6 +372,17 @@ def test_box_sampling_margin_guard(n, r):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("k", [0.3, 0.6])
+def test_neumann_ratio_does_not_read_rounding(k):
+    # the contraction ratio comes from steps well above rounding, so a
+    # change of mu by one part in 2^50 leaves it in place
+    sol = solver._box_solve(BeltramiCoefficient.constant_disk(k, 0.5), 256,
+                            False)
+    for scale in (1 + 2.0 ** -50, 1 - 2.0 ** -50):
+        _, _, ratio = solver._neumann(sol.kit, sol.mu_s * scale)
+        assert abs(ratio - sol.ratio) < 1e-10 * sol.ratio
+
+
 # ---------------------------------------------------------------------------
 # solve_plane
 
