@@ -8,7 +8,8 @@ plane solution restricted to the exterior disk:
 Off the support of h = dbar f_mu, f_mu = z + sum_n c_n z^(-n-1) with the
 moments c_n = (1/pi) int h w^n dA, and S_f ignores f's affine
 normalization, so Phi(mu) is read from the moments of h on its support box
-(solver._box_solve) without assembling f on the grid.  Two Teichmueller
+(solver._box_solve) without assembling f on the grid; S_f then follows
+by series arithmetic, with no sampling circle.  Two Teichmueller
 classes agree exactly when their Bers images agree; the numerical test
 compares images in the sup metric on the circles |z| in {1.5, 2, 3}.
 
@@ -105,8 +106,7 @@ def laurent_coefficients(f, radius, orders,
     zc = radius * np.exp(1j * th)
     vals = np.asarray(f(zc), dtype=complex)
     orders, coeffs = _circle_coefficients(vals[0::2], radius, orders, 1e-12)
-    series = HolomorphicFunction(orders, coeffs, DomainTag.EXTERIOR_DISK,
-                                 anchor_radius=radius)
+    series = HolomorphicFunction(orders, coeffs, DomainTag.EXTERIOR_DISK)
     held_out = vals[1::2]
     resid = float(np.max(np.abs(series.eval(zc[1::2]) - held_out)))
     scale = max(float(np.max(np.abs(vals))), 1e-30)
@@ -118,36 +118,39 @@ def laurent_coefficients(f, radius, orders,
     return series
 
 
-def schwarzian(f: HolomorphicFunction, out_orders=None,
-               sample_radius=None) -> HolomorphicFunction:
-    """Schwarzian derivative S_f = f'''/f' - 1.5 (f''/f')^2 of a series.
+def schwarzian(f: HolomorphicFunction) -> HolomorphicFunction:
+    """S_f = f'''/f' - 1.5 (f''/f')^2 of an exterior series about 0, by
+    truncated power-series arithmetic in w = 1/z.
 
-    Derivatives come from the coefficient representation; the quotient is
-    resampled at 512 points of |z| = sample_radius, by default the series'
-    anchor circle, back into a series.  Raises when f' vanishes there.
+    With f' = z^t b(w), f'' = z^(t-1) a2(w) and f''' = z^(t-2) a3(w),
+    S_f = z^-2 (q3 - 1.5 q2^2) for q = a / b, by the division recurrence
+    q_j = (a_j - sum_{i<j} q_i b_{j-i}) / b_0.  f down to z^-K fixes S_f
+    down to z^-(t+K+3), and no further.  Where f is locally univalent at
+    infinity (t = 0 or -2) S_f = O(z^-4), so z + sum_{n<K} c_n z^(-n-1)
+    gives the orders z^-4 .. z^-(K+3) (none for K = 0).
     """
-    if sample_radius is None:
-        sample_radius = f.anchor_radius
-    if sample_radius is None:
-        raise ValueError("schwarzian needs sample_radius or a series with "
-                         "an anchor_radius")
-    if out_orders is None:
-        if f.domain is DomainTag.EXTERIOR_DISK and f.growth_order() <= 1:
-            out_orders = range(-28, -3)  # normalized tails decay like z^-4
-        else:
-            out_orders = range(0, 24)
-
-    def quotient(zc):
-        f1 = f.eval(zc, der=1)
-        if np.min(np.abs(f1)) < 1e-9 * np.max(np.abs(f1)):
-            raise ValueError("f' vanishes on the sampling circle")
-        f2 = f.eval(zc, der=2)
-        f3 = f.eval(zc, der=3)
-        return f3 / f1 - 1.5 * (f2 / f1) ** 2
-
-    return HolomorphicFunction.from_callable_on_circle(
-        quotient, sample_radius, out_orders, n_samples=512, noise_rel=1e-12,
-        domain=f.domain)
+    if f.domain is not DomainTag.EXTERIOR_DISK or f.premap is not None:
+        raise ValueError(
+            f"schwarzian expects a plain exterior series about 0, got a "
+            f"{f.domain.value} series with premap {f.premap!r}")
+    d1 = f.orders * f.coeffs
+    nz = d1 != 0
+    if not nz.any():
+        raise ValueError("f' vanishes identically: f is constant")
+    n, d1 = f.orders[nz], d1[nz]
+    t = n.max() - 1
+    size = t + 2 - f.orders.min()
+    # f^(d)'s term of order n - d sits at w^(t + 1 - n), for each d
+    a = np.zeros((3, size), dtype=complex)
+    np.add.at(a, (slice(None), t + 1 - n),
+              [d1, (n - 1) * d1, (n - 1) * (n - 2) * d1])
+    b, q = a[0], np.zeros((2, size), dtype=complex)
+    for i in range(size):
+        q[:, i] = (a[1:, i] - q[:, :i] @ b[i:0:-1]) / b[0]
+    s = q[1] - 1.5 * np.convolve(q[0], q[0])[:size]
+    lead = 2 if t in (0, -2) else 0
+    return HolomorphicFunction(-2 - np.arange(lead, size), s[lead:],
+                               DomainTag.EXTERIOR_DISK)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +231,15 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
 
     Solves for h with mu extended by zero off D, on the support box of its
     samples, and forms the moments c_n = (1/pi) sum h w^n dA of the nonzero
-    h; their number follows from the reach of h (_moment_count).  The series
-    z + sum c_n z^(-n-1), anchored on the smallest test circle, gives Phi
-    through schwarzian.  Its cut is certified against the Cauchy integral
-    z + (1/pi) sum h dA / (z - w) of the same discrete h in closed form
-    (_tail_bound): a bound on the discrepancy / |z| over |z| >= 1.5 that
-    is not below 1e-3 (or is NaN) raises BersConsistencyError.  The bound
-    guards the cut of the series alone; errors of h itself, or of the grid
-    solve (torus images, far field), do not show in it.
+    h; their number K follows from the reach of h (_moment_count).  The
+    series z + sum c_n z^(-n-1) gives Phi through schwarzian, on the orders
+    z^-4 .. z^-(K+3) that K moments determine.  Its cut is certified
+    against the Cauchy integral z + (1/pi) sum h dA / (z - w) of the same
+    discrete h in closed form (_tail_bound): a bound on the discrepancy / |z|
+    over |z| >= 1.5 that is not below 1e-3 (or is NaN) raises
+    BersConsistencyError.  The bound guards the cut of the series alone;
+    errors of h itself, or of the grid solve (torus images, far field), do
+    not show in it.
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise ValueError("bers_map expects a unit-disk coefficient")
@@ -257,9 +261,8 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
             f"discrepancy up to {bound:.2e}")
     series = HolomorphicFunction(
         np.r_[1, -1 - np.arange(moments.size)], np.r_[1.0, moments],
-        DomainTag.EXTERIOR_DISK, anchor_radius=DEFAULT_CIRCLES[0])
-    phi = schwarzian(series)
-    return TeichmullerPoint(bers_image=phi, p=float(p))
+        DomainTag.EXTERIOR_DISK)
+    return TeichmullerPoint(bers_image=schwarzian(series), p=float(p))
 
 
 def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient,

@@ -31,8 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bers import bers_map, bilipschitz_representative, equivalent, \
-    hyperbolic_distortion, ahlfors_weill
+from .bers import _moment_count, ahlfors_weill, bers_map, \
+    bilipschitz_representative, equivalent, hyperbolic_distortion, schwarzian
 from .boundary import (
     _extension_mp_norm,
     _log_derivative_besov,
@@ -140,9 +140,14 @@ class ExperimentConfig:
             _check_number("delta", self.extra["delta"])
         for val in self.extra.get("p_list", ()):
             _check_number("p_list entry", val)
-        for pair in self.extra.get("family") or ():
-            for val in pair:
+        family = self.extra.get("family") or []
+        for pair in family if isinstance(family, (list, tuple)) else [family]:
+            is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
+            for val in pair if is_pair else ():
                 _check_number("family entry", val)
+            if not (is_pair and abs(pair[0]) < 1 and 0 <= pair[1] <= 1):
+                raise ValueError(f"family entry must be a pair [k, r] with "
+                                 f"|k| < 1 and 0 <= r <= 1, got {pair!r}")
         _check_number("p", self.p)
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
@@ -392,27 +397,22 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
                 analytic_besov_norm(HolomorphicFunction([1], [1.0]), 2).value
         running = 0.0
         for k, r in family:
-            if k == 0:
-                rows.append({"k": k, "r": r, "p": p, "mp_norm": 0.0,
-                             "ap_phi": 0.0, "ratio": "NA",
-                             "running_max": "NA", "ainf_phi": 0.0,
-                             "cp_ratio": "NA",
-                             "douglas_p2": douglas if p == 2.0 else ""})
-                continue
-            a = k * r * r
-            from .bers import laurent_coefficients
-
-            phi = laurent_coefficients(
-                lambda z: -6.0 * a / (z * z - a) ** 2, 1.5, range(-24, 1))
-            num = ap_norm(phi, p).value
-            den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
-            ai = ainf_norm(phi).value
-            ratio = num / den
-            running = max(running, ratio)
+            a = k * r * r  # mu = 0 a.e. when a = 0: a row of zeros and NA
+            num = den = ai = 0.0
+            if a != 0:
+                # the exact map z + a/z, carried as far as bers_map would
+                K = _moment_count(math.sqrt(abs(a)))
+                phi = schwarzian(HolomorphicFunction(
+                    np.r_[1, -1 - np.arange(K)],
+                    np.r_[1.0, a, np.zeros(K - 1)], DomainTag.EXTERIOR_DISK))
+                num = ap_norm(phi, p).value
+                den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
+                ai = ainf_norm(phi).value
+                running = max(running, num / den)
             rows.append({"k": k, "r": r, "p": p, "mp_norm": den,
-                         "ap_phi": num, "ratio": ratio,
-                         "running_max": running, "ainf_phi": ai,
-                         "cp_ratio": ai / num,
+                         "ap_phi": num, "ratio": num / den if a else "NA",
+                         "running_max": running if a else "NA",
+                         "ainf_phi": ai, "cp_ratio": ai / num if a else "NA",
                          "douglas_p2": douglas if p == 2.0 else ""})
     return rows
 

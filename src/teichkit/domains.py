@@ -408,16 +408,13 @@ class HolomorphicFunction:
     """
 
     def __init__(self, orders, coeffs, domain=DomainTag.UNIT_DISK,
-                 premap=None, anchor_radius=None):
+                 premap=None):
         self.orders = np.asarray(orders, dtype=int)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.orders.shape != self.coeffs.shape:
             raise ValueError("orders and coeffs must align")
         self.domain = DomainTag(domain)
         self.premap = premap
-        # circle the coefficients were analysed on; evaluation noise is
-        # smallest there and grows like (r/anchor)^n away from it
-        self.anchor_radius = anchor_radius
 
     # -- constructors ------------------------------------------------------
 
@@ -433,7 +430,6 @@ class HolomorphicFunction:
         zc = radius * np.exp(1j * th)
         orders, coeffs = _circle_coefficients(fn(zc), radius, orders,
                                               noise_rel)
-        kw.setdefault("anchor_radius", radius)
         return cls(orders, coeffs, **kw)
 
     # -- evaluation --------------------------------------------------------

@@ -121,8 +121,8 @@ def check_3_douglas_lemma6():
         "z": HolomorphicFunction([1], [1.0]),
         "z2": HolomorphicFunction([2], [1.0]),
         "z3": HolomorphicFunction([3], [1.0]),
-        "inv": HolomorphicFunction.from_callable_on_circle(
-            lambda z: 1 / (z - 2.0), 0.7, range(0, 48)),
+        "inv": HolomorphicFunction(np.arange(48),  # 1/(z - 2)
+                                   -0.5 ** np.arange(1.0, 49.0)),
     }
     cps = {}
     for p in (1.5, 2.0, 3.0):

@@ -71,9 +71,8 @@ def test_laurent_coefficient_decay_geometric():
     phi = phi_series(0.3, 0.5)  # orders -24 .. 0
     f = HolomorphicFunction(np.append(phi.orders, 1),
                             np.append(phi.coeffs, 1.0),
-                            DomainTag.EXTERIOR_DISK,
-                            anchor_radius=phi.anchor_radius)  # phi + z
-    S = schwarzian(f, out_orders=range(-20, 2))
+                            DomainTag.EXTERIOR_DISK)  # phi + z
+    S = schwarzian(f)
     mags = {int(n): abs(c) for n, c in zip(S.orders, S.coeffs) if abs(c) > 0}
     # use the even orders where the family lives
     seq = [mags[n] for n in (-4, -6, -8, -10) if n in mags]
@@ -90,48 +89,74 @@ def test_laurent_rejects_nonholomorphic(plane_03_05):
 # schwarzian
 
 
+def mobius(w):
+    """A Moebius map with its pole at 0.1, inside the images tested here."""
+    return (2 * w + 0.3) / (w - 0.1)
+
+
+def exterior_map(a):
+    """z + a/z as an exterior series with zeros down to the order bers_map
+    would carry for reach sqrt(a)."""
+    K = bers._moment_count(np.sqrt(a))
+    return HolomorphicFunction(np.r_[1, -1 - np.arange(K)],
+                               np.r_[1.0, a, np.zeros(K - 1)],
+                               DomainTag.EXTERIOR_DISK)
+
+
 def test_schwarzian_mobius_annihilation():
-    M = laurent_coefficients(lambda z: (2 * z + 0.3) / (0.02 * z + 1),
-                             2.0, range(0, 40))
+    # mobius(z) = 2 + sum_n 0.5 * 0.1^n z^(-n-1)
+    M = HolomorphicFunction(np.r_[0, -1 - np.arange(40)],
+                            np.r_[2.0, 0.5 * 0.1 ** np.arange(40)],
+                            DomainTag.EXTERIOR_DISK)
     S = schwarzian(M)
     zt = 2.5 * np.exp(1j * np.linspace(0, 6, 9))
     assert np.abs(S.eval(zt)).max() < 1e-9
 
 
 def test_schwarzian_closed_form():
-    f = laurent_coefficients(lambda z: z + 0.3 / z, 2.0, range(-12, 2))
-    S = schwarzian(f)
+    S = schwarzian(exterior_map(0.3))
     assert S.eval(2.0 + 0j) == pytest.approx(-6 * 0.3 / 3.7 ** 2, abs=1e-9)
+    assert S.eval(2.5 + 0j) == pytest.approx(-6 * 0.3 / 5.95 ** 2, abs=1e-9)
     zt = 2.5 * np.exp(1j * np.linspace(0, 6, 9))
     exact = -6 * 0.3 / (zt ** 2 - 0.3) ** 2
     assert np.abs(S.eval(zt) - exact).max() < 1e-9
 
 
-def test_schwarzian_cocycle():
-    f = laurent_coefficients(lambda z: z + 0.3 / z, 2.0, range(-12, 2))
+@pytest.mark.parametrize("a", [0.075, 0.5415])
+def test_schwarzian_of_z_plus_a_over_z_is_the_closed_form_series(a):
+    # S(z + a/z) = -6a/(z^2 - a)^2 = sum_m -6(m+1) a^(m+1) z^(-4-2m), on the
+    # orders z^-4 .. z^-(K+3) that K carried orders of f determine
+    f = exterior_map(a)
     S = schwarzian(f)
-    Mf = laurent_coefficients(
-        lambda z: (2 * (z + 0.3 / z) + 0.3) / (0.02 * (z + 0.3 / z) + 1),
-        2.0, range(-24, 40))
-    SMf = schwarzian(Mf, out_orders=range(-28, -3))
+    K = f.orders.size - 1
+    assert list(S.orders) == list(range(-4, -K - 4, -1))
+    even = S.orders % 2 == 0
+    m = (-4 - S.orders[even]) // 2
+    exact = -6 * (m + 1) * a ** (m + 1)
+    assert np.abs(S.coeffs[even] - exact).max() <= 1e-12
+    assert np.all(S.coeffs[~even] == 0)
+
+
+def test_schwarzian_cocycle():
+    # S(M o f) = S(f) for a Moebius M; M o f is one-sided on |z| > 0.55
+    S = schwarzian(exterior_map(0.3))
+    Mf = laurent_coefficients(lambda z: mobius(z + 0.3 / z), 2.0,
+                              range(-40, 1))
+    SMf = schwarzian(Mf)
     zt = 2.0 * np.exp(1j * np.linspace(0.2, 6, 7))
     assert np.abs(SMf.eval(zt) - S.eval(zt)).max() < 1e-8
 
 
-def test_schwarzian_rejects_vanishing_derivative():
-    # f(z) = z + 4/z has f'(+-2) = 0 on the sampling circle
-    f = laurent_coefficients(lambda z: z + 4.0 / z, 2.0, range(-8, 3))
-    with pytest.raises(ValueError):
-        schwarzian(f, sample_radius=2.0)
-
-
-def test_schwarzian_needs_a_sampling_circle():
-    f = HolomorphicFunction([1, -1], [1.0, 0.3], DomainTag.EXTERIOR_DISK)
-    with pytest.raises(ValueError, match="sample_radius or .* anchor_radius"):
-        schwarzian(f)
-    S = schwarzian(f, sample_radius=2.0)
-    assert S.anchor_radius == 2.0
-    assert S.eval(2.5 + 0j) == pytest.approx(-6 * 0.3 / 5.95 ** 2, abs=1e-9)
+def test_schwarzian_rejects_what_is_not_an_exterior_series():
+    with pytest.raises(ValueError, match="exterior series .* UnitDisk"):
+        schwarzian(HolomorphicFunction([1, 2], [1.0, 0.3]))
+    with pytest.raises(ValueError, match="premap 'cayley_inverse'"):
+        schwarzian(HolomorphicFunction([1, -1], [1.0, 0.3],
+                                       DomainTag.EXTERIOR_DISK,
+                                       premap="cayley_inverse"))
+    with pytest.raises(ValueError, match="f' vanishes identically"):
+        schwarzian(HolomorphicFunction([0, -1], [2.0, 0.0],
+                                       DomainTag.EXTERIOR_DISK))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +216,28 @@ def test_bers_map_builds_no_grid_transform(monkeypatch):
     bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=128)
     assert not {"Z", "mult_T", "mult_P"} & set(vars(solver._kit(128, 4.0, 2)))
     assert solver._MEMO == {}
+
+
+def test_bers_images_sample_no_circle(monkeypatch):
+    # bers_map and the constants table take their images from series
+    # arithmetic: no circle is sampled and fitted on the way
+    from teichkit import domains
+    from teichkit.cli import estimate_constants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Bers image was fitted on a circle")
+
+    monkeypatch.setattr(domains, "_circle_coefficients", refuse)
+    monkeypatch.setattr(bers, "_circle_coefficients", refuse)
+    monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
+                        classmethod(refuse))
+    phi = bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                   grid_n=128).bers_image
+    exact = phi_closed_form(0.3, 0.5)(Z32)
+    # the grid error at N = 128 is about 2%
+    assert np.abs(phi.eval(Z32) - exact).max() < 5e-2 * np.abs(exact).max()
+    rows = estimate_constants(family_spec=[(0.6, 0.95)], p_list=(1.0, 2.0))
+    assert all(np.isfinite(row["ap_phi"]) for row in rows)
 
 
 def _ring(z):
@@ -256,17 +303,15 @@ def test_bers_map_matches_the_spline_path(k):
 
 
 def test_bers_map_mobius_invariance(plane_03_05):
+    # the pole of mobius lies in the image of |z| < 1.5, so
+    # mobius o f is one-sided on |z| >= 1.5
     z = Z32
-
-    def M(w):
-        return (2 * w + 0.3) / (0.02 * w + 1)
-
     s1 = laurent_coefficients(plane_03_05, 1.5, range(-20, 2),
                               check_tol=1e-5)
-    s2 = laurent_coefficients(lambda t: M(plane_03_05(t)), 1.5,
-                              range(-20, 40), check_tol=1e-5)
+    s2 = laurent_coefficients(lambda t: mobius(plane_03_05(t)), 1.5,
+                              range(-40, 1), check_tol=1e-5)
     S1 = schwarzian(s1)
-    S2 = schwarzian(s2, out_orders=range(-28, -3))
+    S2 = schwarzian(s2)
     assert np.abs(S1.eval(z) - S2.eval(z)).max() < 1e-6
 
 

@@ -95,6 +95,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="family entry must be"):
         ExperimentConfig.from_dict({"command": "constants",
                                     "family": [[0.1, True]]})
+    # a family is a list of pairs [k, r] with |k| < 1 and 0 <= r <= 1:
+    # -6 k r^2 / (z^2 - k r^2)^2 is the Bers image of k chi_{rD} only there
+    for family in (0.3, [0.3], [[0.3]], [[0.3, 0.5, 0.1]], [[0.3, 1.5]],
+                   [[1.0, 0.5]], [[-1.2, 0.5]], [[0.3, -0.1]],
+                   [[math.nan, 0.5]], [[0.3, math.inf]]):
+        with pytest.raises(ValueError, match="family"):
+            ExperimentConfig.from_dict({"command": "constants",
+                                        "family": family})
+    ExperimentConfig.from_dict({"command": "constants",
+                                "family": [[-0.9, 1.0], [0.0, 0.0]]})
     # every kind's full spec, and what perfbench sends, stay valid
     for spec in (disk, {**disk, "domain": "UpperHalfPlane"},
                  {"kind": "zero"}, {"kind": "zero", "domain": "UnitDisk"},
@@ -306,10 +316,35 @@ def test_cli_constants_out_keeps_the_csv(tmp_path):
     assert report["reports"]["rows"][0]["k"] == 0.1
 
 
+def test_constants_runs_with_poles_near_the_unit_circle():
+    # k r^2 = 0.5415 puts the poles of -6a/(z^2 - a)^2 at |z| = 0.74; A_2 is
+    # the Weil-Petersson sum over psi(w) = -6a/(1 - a w^2)^2, 400 terms
+    res = run(ExperimentConfig.from_dict({
+        "command": "constants", "family": [[0.6, 0.95]], "p_list": [1, 2]}))
+    assert "error" not in res.reports
+    rows = res.reports["rows"]
+    assert [row["p"] for row in rows] == [1, 2]
+    assert all(math.isfinite(row["ap_phi"]) and row["ap_phi"] > 0
+               for row in rows)
+    a = 0.6 * 0.95 ** 2
+    m = np.arange(200)
+    n = 2 * m
+    exact = math.sqrt(np.pi * np.sum(
+        (6 * (m + 1) * a ** (m + 1)) ** 2 * 2.0 / ((n + 1) * (n + 2) * (n + 3))))
+    assert abs(rows[1]["ap_phi"] - exact) <= 1e-12 * exact
+
+
 def test_constants_single_zero_row():
     rows = estimate_constants(family_spec=[(0.0, 0.5)], p_list=(2.0,))
     assert rows[0]["ratio"] == "NA"
     assert rows[0]["running_max"] == "NA"
+
+
+def test_constants_zero_radius_row():
+    # r = 0 makes mu vanish a.e.: a zero row, not a division by zero
+    rows = estimate_constants(family_spec=[(0.3, 0.0)], p_list=(1.0,))
+    assert rows[0]["mp_norm"] == rows[0]["ap_phi"] == 0.0
+    assert rows[0]["ratio"] == "NA"
 
 
 def test_roundtrip_finite():
