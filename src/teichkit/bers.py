@@ -38,7 +38,6 @@ from .domains import (
     DomainTag,
     HolomorphicFunction,
     NormReport,
-    _circle_coefficients,
     ainf_norm,
     ap_norm,
     hyperbolic_density,
@@ -85,12 +84,12 @@ def laurent_coefficients(f, radius, orders,
                          check_tol=1e-8) -> HolomorphicFunction:
     """Laurent coefficients about 0 of f on the circle |z| = radius.
 
-    Fourier analysis of 1024 circle samples; coefficients below 1e-12 of
-    the largest are zeroed.  The series is validated against 1024 held-out
-    samples at intermediate angles (resampling residual, must stay below
-    check_tol relative to the scale of all 2048 samples).  QuasiconformalMap
-    inputs are first checked for conformality on the circle: |dbar f| / |df|
-    above 1e-2 raises NonHolomorphicError.
+    The fit is HolomorphicFunction.from_callable_on_circle at 1024 samples,
+    with coefficients below 1e-12 of the largest zeroed.  Its held-out
+    residual, relative to its sample scale, must stay below check_tol
+    (NonHolomorphicError otherwise).  QuasiconformalMap inputs are first
+    checked for conformality on the circle: |dbar f| / |df| above 1e-2
+    raises NonHolomorphicError.
     """
     if isinstance(f, QuasiconformalMap):
         th = 2.0 * np.pi * np.arange(64) / 64
@@ -101,19 +100,12 @@ def laurent_coefficients(f, radius, orders,
             raise NonHolomorphicError(
                 f"|dbar f|/|df| = {defect:.2e} on |z| = {radius}")
 
-    m = 2048
-    th = 2.0 * np.pi * np.arange(m) / m
-    zc = radius * np.exp(1j * th)
-    vals = np.asarray(f(zc), dtype=complex)
-    orders, coeffs = _circle_coefficients(vals[0::2], radius, orders, 1e-12)
-    series = HolomorphicFunction(orders, coeffs, DomainTag.EXTERIOR_DISK)
-    held_out = vals[1::2]
-    resid = float(np.max(np.abs(series.eval(zc[1::2]) - held_out)))
-    scale = max(float(np.max(np.abs(vals))), 1e-30)
-    series.resample_residual = resid / scale
-    if check_tol is not None and series.resample_residual > check_tol:
+    series = HolomorphicFunction.from_callable_on_circle(
+        f, radius, orders, noise_rel=1e-12, domain=DomainTag.EXTERIOR_DISK)
+    resid = series.heldout_residual / max(series.sample_scale, 1e-30)
+    if check_tol is not None and resid > check_tol:
         raise NonHolomorphicError(
-            f"resampling residual {series.resample_residual:.2e} exceeds "
+            f"held-out residual {resid:.2e} exceeds "
             f"{check_tol:.2e} on |z| = {radius}")
     return series
 

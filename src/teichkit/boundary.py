@@ -40,12 +40,11 @@ from .domains import (
     mp_norm,
 )
 from .solver import (
-    FAR_FIELD_SAMPLES,
+    FAR_FIELD_FIT,
     NEWTON_TOL,
     Normalization,
     QuasiconformalMap,
     SolverError,
-    _far_field_series,
     _support_box,
     invert,
     solve_halfplane,
@@ -390,9 +389,9 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     gives nu = 0 with no inversion.
     On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
-    from a Laurent series fitted once on |z| = T_BOUNDARY and certified on
-    held-out points of that circle (SolverError when the fit misses
-    g^-1 o f_mu there by more than the Newton tolerance).
+    from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
+    SolverError when its held-out residual, the miss against g^-1 o f_mu
+    on the midpoints between the fit points, exceeds NEWTON_TOL.
     """
     mu_u = _to_halfplane(mu)
     f_mu = solve_plane(mu_u, grid_n=grid_n)
@@ -439,7 +438,13 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     trace = boundary_trace(selfmap, n_samples=1025)
     consistency = float(np.max(np.abs(hx - trace.eval(x))))
 
-    far = _certified_far_field(lambda z: g_inverse(f_mu(z)), T_BOUNDARY)
+    far = HolomorphicFunction.from_callable_on_circle(
+        lambda z: g_inverse(f_mu(z)), T_BOUNDARY, **FAR_FIELD_FIT)
+    if not far.heldout_residual <= NEWTON_TOL:
+        raise SolverError(
+            f"far-field Laurent fit misses on held-out points of "
+            f"|z| = {T_BOUNDARY:g} (residual {far.heldout_residual:.2e} "
+            f"> {NEWTON_TOL:.0e})")
 
     def h_far(t):
         return far.eval(t).real
@@ -456,24 +461,6 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     return WeldingResult(h=h, f_trace=f_trace, g_trace=g_trace,
                          consistency_sup=consistency,
                          imag_defect=imag_defect, f_map=f_mu, g_map=g)
-
-
-def _certified_far_field(fn, radius):
-    """Laurent series of fn on |z| >= radius, checked off its fit samples.
-
-    The series is fitted on FAR_FIELD_SAMPLES points of |z| = radius and
-    compared with fn on the FAR_FIELD_SAMPLES points halfway between them;
-    a held-out residual above NEWTON_TOL raises SolverError.
-    """
-    series = _far_field_series(fn, radius)
-    n = FAR_FIELD_SAMPLES
-    z = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
-    resid = float(np.max(np.abs(series.eval(z) - fn(z))))
-    if not resid <= NEWTON_TOL:
-        raise SolverError(
-            f"far-field Laurent fit misses on held-out points of "
-            f"|z| = {radius:g} (residual {resid:.2e} > {NEWTON_TOL:.0e})")
-    return series
 
 
 def _welding_param_grid(n, T):

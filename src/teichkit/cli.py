@@ -62,21 +62,16 @@ COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
             "extend", "characterize", "roundtrip", "constants", "verify-all")
 
 
-# fields each coefficient spec kind must carry, and those it may carry
-# besides (BeltramiCoefficient.from_spec)
-_SPEC_FIELDS = {"constant_disk": (("k", "r"), ("domain",)),
-                "grid": (("grid", "domain"), ()),
-                "table": (("points", "values", "domain"), ()),
-                "zero": ((), ("domain",))}
-
 _FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
 # config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
 _EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
                "extend": ("kernel",), "constants": ("family", "p_list")}
-# tolerance names each command reads (ExperimentConfig.tolerances)
-_TOL_KEYS = {"solve": ("residual",), "aw": ("section",),
-             "bilip": ("equivalence",), "weld": ("consistency", "identity"),
-             "roundtrip": ("roundtrip",)}
+# tolerances each command reads (ExperimentConfig.tolerances), with their
+# defaults
+_TOLERANCES = {"solve": {"residual": 1e-3}, "aw": {"section": 5e-3},
+               "bilip": {"equivalence": 1e-2},
+               "weld": {"consistency": 1e-2, "identity": 5e-2},
+               "roundtrip": {"roundtrip": 0.1}}
 
 
 def _check_number(name, val):
@@ -107,19 +102,10 @@ class ExperimentConfig:
             if key not in _EXTRA_KEYS.get(self.command, ()):
                 raise ValueError(
                     f"config key {key!r} is not read by {self.command}")
-        kind = self.mu_spec.get("kind")
-        if kind not in _SPEC_FIELDS:
-            raise ValueError(f"mu_spec kind {kind!r} is unknown")
-        need, may = _SPEC_FIELDS[kind]
-        for key in need:
-            if key not in self.mu_spec:
-                raise ValueError(f"mu_spec of kind {kind!r} lacks {key!r}")
-        for key, val in self.mu_spec.items():
-            if key not in ("kind", *need, *may):
-                raise ValueError(
-                    f"mu_spec key {key!r} is not read by kind {kind!r}")
-            if key in ("k", "r"):
-                _check_number(f"mu_spec {key}", val)
+        BeltramiCoefficient.check_spec(self.mu_spec, "mu_spec")
+        for key in ("k", "r"):
+            if key in self.mu_spec:
+                _check_number(f"mu_spec {key}", self.mu_spec[key])
         for key in self.grid:
             if key != "n":
                 raise ValueError(f"grid key {key!r} is not read (only 'n')")
@@ -133,7 +119,7 @@ class ExperimentConfig:
             if not val > 0:
                 raise ValueError(
                     f"tolerance {name!r} must be a positive number, got {val!r}")
-            if name not in _TOL_KEYS.get(self.command, ()):
+            if name not in _TOLERANCES.get(self.command, {}):
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
         if "delta" in self.extra:
@@ -206,8 +192,9 @@ def _mu(config: ExperimentConfig) -> BeltramiCoefficient:
     return BeltramiCoefficient.from_spec(config.mu_spec)
 
 
-def _tol(config, name, default):
-    return float(config.tolerances.get(name, default))
+def _tol(config, name):
+    return float(config.tolerances.get(
+        name, _TOLERANCES[config.command][name]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +210,13 @@ def _cmd_solve(cfg):
     mu = _mu(cfg)
     solver = solve_disk if cfg.extra.get("self_map") else solve_plane
     f = solver(mu, grid_n=cfg.grid.get("n", 512))
+    # a self-map's far field is its half-plane solve's
+    far = (f.halfplane_map or f).far_field
     reports = {"map": f.to_json_dict(),
                "residual": f.residual,
-               "convergence_ratio": f.convergence_ratio}
-    return reports, {"residual_ok": f.residual <= _tol(cfg, "residual", 1e-3)}
+               "convergence_ratio": f.convergence_ratio,
+               "far_field_residual": far.heldout_residual}
+    return reports, {"residual_ok": f.residual <= _tol(cfg, "residual")}
 
 
 def _cmd_bers(cfg):
@@ -241,7 +231,7 @@ def _cmd_aw(cfg):
     sig = ahlfors_weill(pt.bers_image)
     back = bers_map(sig, p=cfg.p, grid_n=cfg.grid.get("n", 512))
     err = back.distance_to(pt, circles=(2.0,), n=32)
-    tol = _tol(cfg, "section", 5e-3)
+    tol = _tol(cfg, "section")
     return ({"sigma_sup_norm": sig.sup_norm, "section_sup_error": err},
             {"section_ok": err <= tol})
 
@@ -250,7 +240,7 @@ def _cmd_bilip(cfg):
     mu = _mu(cfg)
     nu = bilipschitz_representative(mu, delta=cfg.extra.get("delta", 0.3),
                                     grid_n=cfg.grid.get("n", 512))
-    eq, dist = equivalent(nu, mu, tol=_tol(cfg, "equivalence", 1e-2),
+    eq, dist = equivalent(nu, mu, tol=_tol(cfg, "equivalence"),
                           grid_n=cfg.grid.get("n", 512))
     lo, hi = hyperbolic_distortion(nu.meta["final_map"])
     return ({"steps": nu.meta["steps"], "phi_distance": dist,
@@ -265,8 +255,8 @@ def _cmd_weld(cfg):
         weld.h.to_csv(cfg.output_path + ".h.csv")
         weld.f_trace.to_csv(cfg.output_path + ".f.csv")
         weld.g_trace.to_csv(cfg.output_path + ".g.csv")
-    tol_c = _tol(cfg, "consistency", 1e-2)
-    tol_i = _tol(cfg, "identity", 5e-2)
+    tol_c = _tol(cfg, "consistency")
+    tol_i = _tol(cfg, "identity")
     return ({"consistency_sup": weld.consistency_sup,
              "imag_defect": weld.imag_defect,
              "identity_sup": chk["sup_discrepancy"]},
@@ -299,7 +289,7 @@ def _cmd_characterize(cfg):
 
 def _cmd_roundtrip(cfg):
     rep = roundtrip(_mu(cfg), cfg.p, grid_n=cfg.grid.get("n", 512),
-                    tolerance=_tol(cfg, "roundtrip", 0.1))
+                    tolerance=_tol(cfg, "roundtrip"))
     verdict_keys = ("within_tolerance", "skipped")
     return ({"roundtrip": rep},
             {k: rep[k] for k in verdict_keys if k in rep})

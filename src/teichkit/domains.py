@@ -116,17 +116,6 @@ def cayley_map_deriv(z):
     return 2j / (z - 1.0) ** 2
 
 
-def cayley_inverse_deriv(w, order=1):
-    w = np.asarray(w, dtype=complex)
-    if order == 1:
-        return 2j / (w + 1j) ** 2
-    if order == 2:
-        return -4j / (w + 1j) ** 3
-    if order == 3:
-        return 12j / (w + 1j) ** 4
-    raise ValueError("derivative order up to 3")
-
-
 # ---------------------------------------------------------------------------
 # Grids
 
@@ -356,10 +345,37 @@ class BeltramiCoefficient:
             cache_token=None if self.cache_token is None
             else f"scaled:{c!r}:{self.cache_token}")
 
+    # fields each coefficient spec kind must carry, and those it may carry
+    # besides
+    _SPEC_FIELDS = {"constant_disk": (("k", "r"), ("domain",)),
+                    "grid": (("grid", "domain"), ()),
+                    "table": (("points", "values", "domain"), ()),
+                    "zero": ((), ("domain",))}
+
+    @classmethod
+    def check_spec(cls, spec, name):
+        """Raise ValueError, naming the spec as name, unless spec is an
+        object of a known kind carrying the fields its kind must carry and
+        no field its kind does not read."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"{name} must be a JSON object, got {spec!r}")
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in cls._SPEC_FIELDS:
+            raise ValueError(f"{name} kind {kind!r} is unknown")
+        need, may = cls._SPEC_FIELDS[kind]
+        for key in need:
+            if key not in spec:
+                raise ValueError(f"{name} of kind {kind!r} lacks {key!r}")
+        for key in spec:
+            if key not in ("kind", *need, *may):
+                raise ValueError(
+                    f"{name} key {key!r} is not read by kind {kind!r}")
+
     @classmethod
     def from_spec(cls, spec):
         """Parse the JSON coefficient specs accepted on the wire."""
-        kind = spec.get("kind")
+        cls.check_spec(spec, "coefficient spec")
+        kind = spec["kind"]
         if kind == "constant_disk":
             domain = spec.get("domain", DomainTag.UNIT_DISK.value)
             return cls.constant_disk(spec["k"], spec["r"], domain)
@@ -368,9 +384,7 @@ class BeltramiCoefficient:
             return cls.from_grid(grid, spec["domain"])
         if kind == "table":
             return cls.from_table(spec["points"], spec["values"], spec["domain"])
-        if kind == "zero":
-            return cls.zero(spec.get("domain", DomainTag.UNIT_DISK.value))
-        raise ValueError(f"unknown coefficient spec kind: {kind!r}")
+        return cls.zero(spec.get("domain", DomainTag.UNIT_DISK.value))
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +413,32 @@ def _circle_coefficients(vals, radius, orders, noise_rel):
 
 
 class HolomorphicFunction:
-    """Taylor/Laurent series about 0 with derivatives to order 3.
+    """Taylor/Laurent series about 0.
 
-    orders[i] is the power of z carried by coeffs[i]; negative orders make
-    a Laurent series, as for the Bers image on D*.  premap is None or
-    "cayley_inverse"; the latter precomposes with H^{-1}, which carries
-    Cayley push-forwards phi_* = phi o H^{-1} without resampling.
+    orders[i] is the integer power of z carried by coeffs[i]; negative
+    orders make a Laurent series, as for the Bers image on D*.  premap is
+    None or "cayley_inverse"; the latter precomposes with H^{-1}, which
+    carries Cayley push-forwards phi_* = phi o H^{-1} without resampling.
+    A series fitted on a circle (from_callable_on_circle) records its
+    held-out residual and sample scale; other series carry None there.
     """
 
     def __init__(self, orders, coeffs, domain=DomainTag.UNIT_DISK,
                  premap=None):
-        self.orders = np.asarray(orders, dtype=int)
+        given = np.asarray(orders)
+        self.orders = given.astype(int)
+        if np.any(self.orders != given):
+            raise ValueError(f"series orders must be integers, got "
+                             f"{given[self.orders != given].tolist()}")
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.orders.shape != self.coeffs.shape:
             raise ValueError("orders and coeffs must align")
+        if premap not in (None, "cayley_inverse"):
+            raise ValueError(f"unknown premap {premap!r}")
         self.domain = DomainTag(domain)
         self.premap = premap
+        self.heldout_residual = None
+        self.sample_scale = None
 
     # -- constructors ------------------------------------------------------
 
@@ -425,40 +449,43 @@ class HolomorphicFunction:
     @classmethod
     def from_callable_on_circle(cls, fn, radius, orders, n_samples=1024,
                                 noise_rel=1e-13, **kw):
-        """Fourier-analyse samples on |z| = radius into series coefficients."""
+        """Fourier-analyse samples on |z| = radius into series coefficients.
+
+        fn is fitted on the n_samples points radius e^{2 pi i j / n} and
+        called again on the n_samples midpoints between them: the series
+        records max |series - fn| there as heldout_residual, and max |fn|
+        over both point sets as sample_scale.
+        """
         th = 2.0 * np.pi * np.arange(n_samples) / n_samples
-        zc = radius * np.exp(1j * th)
-        orders, coeffs = _circle_coefficients(fn(zc), radius, orders,
+        vals = np.asarray(fn(radius * np.exp(1j * th)), dtype=complex)
+        orders, coeffs = _circle_coefficients(vals, radius, orders,
                                               noise_rel)
-        return cls(orders, coeffs, **kw)
+        series = cls(orders, coeffs, **kw)
+        th = 2.0 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
+        zm = radius * np.exp(1j * th)
+        held = np.asarray(fn(zm), dtype=complex)
+        series.heldout_residual = float(np.max(np.abs(series.eval(zm)
+                                                      - held)))
+        series.sample_scale = float(max(np.max(np.abs(vals)),
+                                        np.max(np.abs(held))))
+        return series
 
     # -- evaluation --------------------------------------------------------
 
-    def _pullback(self, z, order):
-        """Return (w, derivatives 1..order of the premap at z)."""
-        if self.premap != "cayley_inverse":
-            raise ValueError(f"unknown premap {self.premap!r}")
-        ders = [cayley_inverse_deriv(z, k) for k in range(1, order + 1)]
-        return cayley_inverse(z), ders
+    def _series_eval(self, u):
+        """The series at u by Horner's rule.
 
-    def _series_eval(self, w, der=0):
-        """der-th derivative of the series at w by Horner's rule.
-
-        The derivative's terms a_m u^m are laid out densely over
-        m = lo..hi with lo <= 0 <= hi (gaps as zeros); the powers m >= 0
-        are summed by Horner in u and the powers m < 0 by Horner in 1/u.
+        Its terms a_m u^m are laid out densely over m = lo..hi with
+        lo <= 0 <= hi (gaps as zeros); the powers m >= 0 are summed by
+        Horner in u and the powers m < 0 by Horner in 1/u.
         """
-        u = np.asarray(w, dtype=complex)
-        fac = np.ones(self.orders.shape)
-        for q in range(der):
-            fac *= self.orders - q
         # vanishing terms are dropped, so 1/u is formed only for a true
         # negative power and a Taylor series stays finite at u = 0
-        keep = (self.coeffs != 0) & (fac != 0)
-        exps = self.orders[keep] - der
+        keep = self.coeffs != 0
+        exps = self.orders[keep]
         lo, hi = exps.min(initial=0), exps.max(initial=0)
         a = np.zeros(hi - lo + 1, dtype=complex)
-        np.add.at(a, exps - lo, self.coeffs[keep] * fac[keep])
+        np.add.at(a, exps - lo, self.coeffs[keep])
         out = np.zeros_like(u)
         for c in a[-lo:][::-1]:  # orders hi .. 0
             out = out * u + c
@@ -470,29 +497,11 @@ class HolomorphicFunction:
             out = out + tail * v
         return out
 
-    def eval(self, z, der=0):
-        """Evaluate the function or its derivative of order der (0 to 3)
-        at z."""
-        if isinstance(der, bool) or not isinstance(der, (int, np.integer)) \
-                or not 0 <= der <= 3:
-            raise ValueError(f"der must be 0, 1, 2 or 3, got {der!r}")
+    def eval(self, z):
+        """Evaluate the function at z."""
         z = np.asarray(z, dtype=complex)
-        if self.premap is None:
-            return self._series_eval(z, der)
-        w, ders = self._pullback(z, der)
-        if der == 0:
-            return self._series_eval(w)
-        g1 = self._series_eval(w, 1)
-        m1 = ders[0]
-        if der == 1:
-            return g1 * m1
-        g2 = self._series_eval(w, 2)
-        m2 = ders[1]
-        if der == 2:
-            return g2 * m1 ** 2 + g1 * m2
-        g3 = self._series_eval(w, 3)
-        m3 = ders[2]
-        return g3 * m1 ** 3 + 3.0 * g2 * m1 * m2 + g1 * m3
+        return self._series_eval(z if self.premap is None
+                                 else cayley_inverse(z))
 
     __call__ = eval
 
@@ -813,7 +822,7 @@ def _cayley_beltrami(obj: BeltramiCoefficient, direction):
     else:
         if obj.domain is not DomainTag.UNIT_DISK:
             raise DomainError("expected a unit-disk coefficient")
-        M, dM = cayley_inverse, cayley_inverse_deriv
+        M, dM = cayley_inverse, lambda w: 2j / (w + 1j) ** 2
         image = cayley_map
         new_domain = DomainTag.UPPER_HALF_PLANE
         r = min(obj.support_radius, 1.0)

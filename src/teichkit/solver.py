@@ -530,20 +530,16 @@ class QuasiconformalMap:
         }
 
 
-# samples on the circle a far-field Laurent series is fitted from
-FAR_FIELD_SAMPLES = 512
-
-
-def _far_field_series(fn, rho):
-    return HolomorphicFunction.from_callable_on_circle(
-        fn, rho, range(-12, 2), n_samples=FAR_FIELD_SAMPLES,
-        noise_rel=1e-12, domain=DomainTag.EXTERIOR_DISK)
+# the circle fit of every far field: orders -12 .. 1 from 512 samples,
+# terms below 1e-12 of the largest zeroed
+FAR_FIELD_FIT = {"orders": range(-12, 2), "n_samples": 512,
+                 "noise_rel": 1e-12, "domain": DomainTag.EXTERIOR_DISK}
 
 
 def identity_map(n=64):
     kit = _kit(n, 4.0, 2)
     grid = ComplexGrid(0.0, 4.0, kit.Z.copy())
-    ff = _far_field_series(lambda z: z, 3.2)
+    ff = HolomorphicFunction([1], [1.0], DomainTag.EXTERIOR_DISK)
     return QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
         conformal_region=(0.0, math.inf), mu_samples=np.zeros((n, n)),
@@ -673,8 +669,9 @@ def _solve(mu, grid_n, reflect):
     complex affine
     map (plane) or real affine map (half-plane, whose reflection symmetry
     is checked on R) pins the grid nodes 0 and 1.  The far field is fitted
-    through the map's own spline on a circle of radius 0.855 half_width;
-    the residual is the Beltrami defect against the samples off the jumps.
+    (FAR_FIELD_FIT) through the map's own spline on the circle of radius
+    0.855 half_width; its held-out residual is recorded, not checked.  The
+    residual is the Beltrami defect against the samples off the jumps.
     """
     half_width = auto_half_width(mu.support_radius)
     kit = _kit(grid_n, half_width, 2)
@@ -719,7 +716,8 @@ def _solve(mu, grid_n, reflect):
         supp = mu.support_radius if np.isfinite(mu.support_radius) \
             else half_width
         qc.conformal_region = (supp + 3 * kit.spacing, math.inf)
-    qc.far_field = _far_field_series(qc, MARGIN_FRACTION * half_width * 0.95)
+    qc.far_field = HolomorphicFunction.from_callable_on_circle(
+        qc, MARGIN_FRACTION * half_width * 0.95, **FAR_FIELD_FIT)
     qc.residual = _fd_residual(qc, jumps)
     return qc
 
@@ -868,14 +866,12 @@ def invert(f: QuasiconformalMap):
 
 
 def compose(f: QuasiconformalMap, g: QuasiconformalMap) -> QuasiconformalMap:
-    """Sampled composition f o g on g's grid."""
+    """Sampled composition f o g on g's grid; off the chart it evaluates
+    f(g(z)) when g can be evaluated there."""
     vals = f(g.grid.values)
     grid = ComplexGrid(g.grid.center, g.grid.half_width, vals)
     qc = QuasiconformalMap(normalization=g.normalization, grid=grid)
-    if f.far_field is not None and g.far_field is not None:
-        qc.far_field = _far_field_series(
-            lambda z: f(g(z)), MARGIN_FRACTION * g.grid.half_width * 0.95)
-    elif g.outer_eval is not None or g.far_field is not None:
+    if g.outer_eval is not None or g.far_field is not None:
         def outer(z):
             return f(g(z))
         qc.outer_eval = outer

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from teichkit import BeltramiCoefficient, DomainTag, cayley, mp_norm
+from teichkit import boundary
 from teichkit.boundary import (
     BoundaryFunction,
     BoundaryHomeomorphism,
@@ -17,11 +18,10 @@ from teichkit.boundary import (
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
-    _certified_far_field,
 )
 from teichkit.domains import HolomorphicFunction, analytic_besov_norm
-from teichkit.solver import SolverError, _support_box, invert, \
-    solve_halfplane
+from teichkit.solver import FAR_FIELD_FIT, NEWTON_TOL, SolverError, \
+    _support_box, invert, solve_halfplane
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -276,12 +276,25 @@ def test_welding_far_field_matches_newton(weld_02):
     assert np.abs(ends - h.values[[0, -1]]).max() <= 1e-9
 
 
-def test_far_field_fit_certification_rejects_bad_fit():
-    ok = _certified_far_field(lambda z: z + 0.5 + 2.0 / z, 40.0)
+def test_far_field_fit_certification_rejects_bad_fit(monkeypatch):
+    fit = HolomorphicFunction.from_callable_on_circle.__func__
+    ok = fit(HolomorphicFunction, lambda z: z + 0.5 + 2.0 / z, 40.0,
+             **FAR_FIELD_FIT)
     assert coefficient(ok, -1) == pytest.approx(2.0, abs=1e-12)
-    # a pole at 30 inside |z| = 40 needs far more than the fitted orders
+    assert ok.heldout_residual <= NEWTON_TOL
+
+    # a pole at 30 inside |z| = 40 needs far more than the fitted orders:
+    # welding's fit of h there misses on the held-out points
+    def with_pole(cls, fn, radius, *args, **kwargs):
+        if radius != boundary.T_BOUNDARY:
+            return fit(cls, fn, radius, *args, **kwargs)
+        return fit(cls, lambda z: fn(z) + 1.0 / (z - 30.0), radius, *args,
+                   **kwargs)
+
+    monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
+                        classmethod(with_pole))
     with pytest.raises(SolverError, match="held-out"):
-        _certified_far_field(lambda z: z + 1.0 / (z - 30.0), 40.0)
+        welding(BeltramiCoefficient.zero(), grid_n=256)
 
 
 def test_welding_identity_eq4(weld_02):

@@ -9,14 +9,16 @@ import pytest
 
 from teichkit.cli import (
     ExperimentConfig,
+    _tol,
     estimate_constants,
     main,
     roundtrip,
     run,
     write_constants_csv,
 )
-from teichkit import BeltramiCoefficient
+from teichkit import BeltramiCoefficient, cayley, solve_halfplane, solve_plane
 from teichkit.boundary import besov_characterization_check
+from teichkit.solver import FAR_FIELD_FIT, MARGIN_FRACTION
 
 from conftest import TEST_GRID_N
 
@@ -157,6 +159,17 @@ def test_mu_spec_grid_and_table_kinds():
     assert abs(mu_t.eval(0.1 + 0.1j) - 0.2) < 1e-12
 
 
+def test_from_spec_enforces_the_spec_schema():
+    with pytest.raises(ValueError, match="kind 'constant_disk' lacks 'r'"):
+        BeltramiCoefficient.from_spec({"kind": "constant_disk", "k": 0.3})
+    with pytest.raises(ValueError,
+                       match="key 'R' is not read by kind 'constant_disk'"):
+        BeltramiCoefficient.from_spec(
+            {"kind": "constant_disk", "k": 0.3, "r": 0.5, "R": 1})
+    with pytest.raises(ValueError, match="kind 'disk' is unknown"):
+        BeltramiCoefficient.from_spec({"kind": "disk"})
+
+
 def test_config_rejects_unread_key():
     with pytest.raises(ValueError, match="'gird'"):
         ExperimentConfig.from_dict({"command": "norm", "gird": {"n": 64}})
@@ -182,6 +195,30 @@ def test_config_rejects_tolerance_its_command_does_not_read():
         "command": "weld", "tolerances": {"consistency": 1e-2,
                                           "identity": 5e-2}})
     assert c.tolerances == {"consistency": 1e-2, "identity": 5e-2}
+
+
+def test_tolerance_defaults_apply_where_the_config_is_silent():
+    c = ExperimentConfig.from_dict({"command": "weld",
+                                    "tolerances": {"identity": 0.2}})
+    assert (_tol(c, "consistency"), _tol(c, "identity")) == (1e-2, 0.2)
+    c = ExperimentConfig.from_dict({"command": "roundtrip"})
+    assert _tol(c, "roundtrip") == 0.1
+
+
+@pytest.mark.parametrize("self_map", [False, True])
+def test_solve_reports_the_far_field_residual(self_map):
+    # the held-out residual of the far field on the midpoints between its
+    # fit points; a self-map reports its half-plane solve's
+    rep = run(cfg("solve", grid={"n": 256}, self_map=self_map)).reports
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    f = solve_halfplane(cayley(mu, "DiskToHalfPlane"), 256) if self_map \
+        else solve_plane(mu, 256)
+    n = FAR_FIELD_FIT["n_samples"]
+    zm = MARGIN_FRACTION * f.grid.half_width * 0.95 * \
+        np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    want = float(np.abs(f.far_field.eval(zm) - f(zm)).max())
+    assert rep["far_field_residual"] == want
+    assert 0 < want < 1e-3
 
 
 def test_cli_rejects_tolerance_name_its_command_does_not_read():

@@ -412,32 +412,23 @@ def test_cayley_beltrami_preserves_modulus():
 # HolomorphicFunction basics
 
 
-def test_series_derivative_matches_finite_difference():
-    phi = HolomorphicFunction([-3, -1, 0, 2], [0.2j, 1.0, 0.5, 0.1])
-    z = np.array([1.0 + 0.5j, 2.0 - 1.0j])
-    h = 1e-5
-    fd = (phi.eval(z + h) - phi.eval(z - h)) / (2 * h)
-    assert np.abs(phi.eval(z, der=1) - fd).max() / np.abs(fd).max() < 1e-6
+def test_series_orders_must_be_integers():
+    with pytest.raises(ValueError, match=r"integers, got \[0.5\]"):
+        HolomorphicFunction([0.5], [1.0])
+    with pytest.raises(ValueError, match=r"got \[-1.5, 2.25\]"):
+        HolomorphicFunction([-1.5, 0.0, 2.25], [1.0, 1.0, 1.0])
+    # integral floats are orders
+    f = HolomorphicFunction(np.arange(48.0), np.ones(48))
+    assert f.orders.dtype.kind == "i"
+    assert np.array_equal(f.orders, np.arange(48))
 
 
-def test_series_eval_accepts_only_derivative_orders_0_to_3():
-    f = HolomorphicFunction([1, 2], [1.0, 1.0])  # z + z^2
-    assert [f.eval(0.5, der=d) for d in range(4)] == [0.75, 2.0, 2.0, 0.0]
-    for der in (-1, 4, 1.5, 1.0, True, "1"):
-        with pytest.raises(ValueError, match="der must be"):
-            f.eval(0.5, der=der)
-
-
-def _term_by_term(self, w, der=0):
+def _term_by_term(self, u):
     """Reference series evaluation: one power of u per term."""
-    u = np.asarray(w, dtype=complex)
     out = np.zeros_like(u)
     for n, c in zip(self.orders, self.coeffs):
-        fac = 1.0
-        for q in range(der):
-            fac *= n - q
-        if c != 0 and fac != 0.0:
-            out = out + c * fac * u ** (n - der)
+        if c != 0:
+            out = out + c * u ** n
     return out
 
 
@@ -458,19 +449,17 @@ def test_series_horner_matches_term_by_term(monkeypatch, premap, orders,
     w = center + u
     inverse = {None: lambda v: v, "cayley_inverse": cayley_map}
     z = inverse[premap](w)
-    got = [f.eval(z, der) for der in range(4)]
+    got = f.eval(z)
     monkeypatch.setattr(HolomorphicFunction, "_series_eval", _term_by_term)
-    for der in range(4):
-        ref = f.eval(z, der)
-        assert np.max(np.abs(got[der] - ref) / np.abs(ref)) < 1e-13
+    ref = f.eval(z)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
 
 def test_series_taylor_finite_at_center():
-    # order 0 drops out of the derivatives and the zero order -2 term is
-    # skipped, so no 1/z is formed at the center 0
+    # the zero order -2 term is skipped, so no 1/z is formed at the
+    # center 0
     f = HolomorphicFunction([-2, 0, 1, 2], [0.0, 1.0, 2.0, 3.0])
-    vals = [f.eval(0.0, der) for der in range(4)]
-    assert np.array_equal(vals, [1.0, 2.0, 6.0, 0.0])
+    assert f.eval(0.0) == 1.0
 
 
 def _circle_coefficients_loop(vals, radius, orders, noise_rel):
@@ -511,6 +500,27 @@ def test_series_identity_roundtrip():
     assert coefficient(f, 1) == pytest.approx(1.0, abs=1e-10)
     assert coefficient(f, -1) == pytest.approx(0.075, abs=1e-10)
     assert abs(coefficient(f, 0)) < 1e-12
+    assert f.heldout_residual < 1e-14
+    assert f.sample_scale == pytest.approx(2.0375, rel=1e-12)
+    assert HolomorphicFunction([1], [1.0]).heldout_residual is None
+
+
+def test_circle_fit_holds_out_the_midpoints():
+    # fitted on 8 points, z^8 aliases to z^0 and is missed by its full
+    # size on the midpoints, where the two differ by 2 r^8
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return z ** 8
+
+    f = HolomorphicFunction.from_callable_on_circle(fn, 0.9, range(-3, 4),
+                                                    n_samples=8)
+    assert [c.size for c in calls] == [8, 8]
+    mid = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+    assert np.abs(calls[1] - mid).max() < 1e-15
+    assert f.heldout_residual == pytest.approx(2 * 0.9 ** 8, rel=1e-12)
+    assert f.sample_scale == pytest.approx(0.9 ** 8, rel=1e-12)
 
 
 def test_grid_serialization_roundtrip():

@@ -24,7 +24,7 @@ from teichkit import (
     solve_plane,
 )
 from teichkit import solver
-from teichkit.domains import ComplexGrid, cayley
+from teichkit.domains import ComplexGrid, HolomorphicFunction, cayley
 from teichkit.solver import _binomial_blur, _kit, sample_coefficient
 
 from conftest import TEST_GRID_N
@@ -677,11 +677,13 @@ def test_far_field_fitted_through_the_maps_spline(mu_03_05):
         x, y = f.grid.axes()
         ire = RectBivariateSpline(x, y, f.grid.values.real, kx=3, ky=3)
         iim = RectBivariateSpline(x, y, f.grid.values.imag, kx=3, ky=3)
-        ref = solver._far_field_series(
+        ref = HolomorphicFunction.from_callable_on_circle(
             lambda z: ire.ev(z.real, z.imag) + 1j * iim.ev(z.real, z.imag),
-            solver.MARGIN_FRACTION * f.grid.half_width * 0.95)
+            solver.MARGIN_FRACTION * f.grid.half_width * 0.95,
+            **solver.FAR_FIELD_FIT)
         assert np.array_equal(f.far_field.orders, ref.orders)
         assert np.array_equal(f.far_field.coeffs, ref.coeffs)
+        assert f.far_field.heldout_residual == ref.heldout_residual
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +705,15 @@ def test_compose_with_inverse_is_identity(plane_03_05):
     ident = compose(plane_03_05, inv_map)
     z = np.array([0.3 + 0.2j, 1.0 + 1.0j, -0.5 - 0.5j])
     assert np.abs(ident(z) - z).max() < 1e-6
+
+
+def test_compose_evaluates_off_the_chart_through_both_maps(plane_03_05):
+    # identity_map carries the exact far field z, so off its chart the
+    # composition is plane_03_05 itself
+    comp = compose(plane_03_05, identity_map(128))
+    assert comp.far_field is None
+    z = np.array([5.0 + 0j, -4.0 + 3.9j, 0.5 - 6.0j])
+    assert np.array_equal(comp(z), plane_03_05(z))
 
 
 def test_invert_residual(plane_03_05):
