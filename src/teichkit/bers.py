@@ -251,10 +251,15 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
             f"moment series cut after {moments.size} moments: the Cauchy "
             f"integral on |z| >= {DEFAULT_CIRCLES[0]} may differ by a "
             f"discrepancy up to {bound:.2e}")
-    series = HolomorphicFunction(
+    return TeichmullerPoint(bers_image=schwarzian(_exterior_series(moments)),
+                            p=float(p))
+
+
+def _exterior_series(moments):
+    """z + sum_n c_n z^(-n-1) on the exterior disk, from the moments c_n."""
+    return HolomorphicFunction(
         np.r_[1, -1 - np.arange(moments.size)], np.r_[1.0, moments],
         DomainTag.EXTERIOR_DISK)
-    return TeichmullerPoint(bers_image=schwarzian(series), p=float(p))
 
 
 def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient,
@@ -304,9 +309,10 @@ def ahlfors_weill(phi: HolomorphicFunction) -> BeltramiCoefficient:
 def hyperbolic_distortion(f: QuasiconformalMap):
     """Hyperbolic bi-Lipschitz range of a disk self-map.
 
-    Samples rho(f(z)) |D_alpha f(z)| / rho(z) over the grid nodes with
-    |z| <= 0.98 and |f(z)| < 0.995, in 16 directions; returns
-    (L_min, L_max).
+    Ranges rho(f(z)) |D_alpha f(z)| / rho(z) over the grid nodes with
+    |z| <= 0.98 and |f(z)| < 0.995 and over all directions alpha; since
+    D_alpha f = f_z + f_zbar e^(-2i alpha), its modulus runs exactly over
+    [||f_z| - |f_zbar||, |f_z| + |f_zbar|].  Returns (L_min, L_max).
     """
     if f.normalization is not Normalization.FIX_THREE_BOUNDARY_POINTS:
         raise ValueError("hyperbolic distortion expects a disk self-map")
@@ -319,14 +325,9 @@ def hyperbolic_distortion(f: QuasiconformalMap):
     fz = vals[keep]
     rho_ratio = hyperbolic_density(DomainTag.UNIT_DISK, fz) / \
         hyperbolic_density(DomainTag.UNIT_DISK, z)
-    alphas = np.pi * np.arange(16) / 16
-    lo, hi = math.inf, 0.0
-    for a in alphas:
-        deriv = np.abs(dz[keep] + dbar[keep] * np.exp(-2j * a))
-        vals_a = rho_ratio * deriv
-        lo = min(lo, float(vals_a.min()))
-        hi = max(hi, float(vals_a.max()))
-    return lo, hi
+    a, b = np.abs(dz[keep]), np.abs(dbar[keep])
+    return float((rho_ratio * np.abs(a - b)).min()), \
+        float((rho_ratio * (a + b)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ together as
     f^mu|_R = g^-1 o f_mu|_R,
     log (g|_R)' o f^mu|_R + log (f^mu|_R)' = log (f_mu|_R)'.
 
+Boundary traces and the welding identity read these maps, and series, on
+the boundary itself: the solved grids cover R and the unit circle, and a
+series is a finite sum.
+
 The p-Besov seminorm on the circle or line is the double integral of
 |u(x1) - u(x2)|^p / |x1 - x2|^2 with a shrinking excluded diagonal band
 (Richardson-extrapolated in the band width, exponent p - 1) and, on the
@@ -35,6 +39,7 @@ from .domains import (
     DomainTag,
     HolomorphicFunction,
     NormReport,
+    analytic_besov_norm,
     cayley,
     CayleyDirection,
     mp_norm,
@@ -186,51 +191,31 @@ class BoundaryHomeomorphism(BoundaryFunction):
 
 
 def boundary_trace(f, n_samples=1024):
-    """Boundary values by radial (disk) or vertical (half-plane) extrapolation.
+    """Boundary values of a series or a solved self-map, read on the boundary.
 
-    Samples f at distances 2^-m from the boundary, m = 3..8, extrapolates
-    linearly in the distance, and flags parameters whose level sequence is
-    not Cauchy; more than 1% of them flagged is an error.
+    A series is evaluated at e^(i theta) on n_samples angles.  A disk
+    self-map is evaluated there through its grid spline and returned as the
+    lifted angle map.  A half-plane self-map is evaluated through its
+    spline on n_samples points of [-T, T], T = 0.85 half-width of its grid,
+    with its far field beyond T.
     """
-    ms = range(3, 9)
+    th = 2 * np.pi * np.arange(n_samples) / n_samples
     if isinstance(f, HolomorphicFunction):
-        th = 2 * np.pi * np.arange(n_samples) / n_samples
-        seq = [f.eval((1 - 2.0 ** -m) * np.exp(1j * th)) for m in ms]
-        vals, flags = _extrapolate_levels(seq)
-        if flags.mean() > 0.01:
-            raise ValueError("radial limits unreliable for the given function")
-        return BoundaryFunction(th, vals, "circle")
+        return BoundaryFunction(th, f.eval(np.exp(1j * th)), "circle")
     if not isinstance(f, QuasiconformalMap):
         raise TypeError("boundary_trace expects a map or holomorphic function")
     if f.normalization is Normalization.FIX_THREE_BOUNDARY_POINTS:
-        th = 2 * np.pi * np.arange(n_samples) / n_samples
-        seq = [f((1 - 2.0 ** -m) * np.exp(1j * th)) for m in ms]
-        vals, flags = _extrapolate_levels(seq)
-        if flags.mean() > 0.01:
-            raise ValueError("boundary trace unreliable (radial limits not Cauchy)")
-        ang = np.unwrap(np.angle(vals))
+        ang = np.unwrap(np.angle(f(np.exp(1j * th))))
         ang -= 2 * np.pi * np.round(ang[0] / (2 * np.pi))
         return BoundaryHomeomorphism(th, ang, "circle", fix_tol=None)
-    # half-plane self-map: trace along heights above R
     T = 0.85 * f.grid.half_width
     x = np.linspace(-T, T, n_samples)
-    seq = [f(x + 1j * 2.0 ** -m) for m in ms]
-    vals, flags = _extrapolate_levels(seq)
-    if flags.mean() > 0.01:
-        raise ValueError("boundary trace unreliable (vertical limits not Cauchy)")
 
     def far(t):
         return f.far_field.eval(t.astype(complex)).real
 
-    return BoundaryHomeomorphism(x, vals.real, "line", truncation=T,
-                                 extension=far, fix_tol=1e-4)
-
-
-def _extrapolate_levels(seq):
-    gaps = [np.abs(b - a) for a, b in zip(seq, seq[1:])]
-    flags = gaps[-1] > 1.05 * gaps[-2] + 1e-12
-    vals = 2 * seq[-1] - seq[-2]
-    return vals, flags
+    return BoundaryHomeomorphism(x, f(x.astype(complex)).real, "line",
+                                 truncation=T, extension=far, fix_tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +292,27 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     return NormReport.from_ladder(resolutions, values, power=p)
 
 
+def _douglas_z():
+    """Besov 2-seminorm of the trace of z on 512 angles (2 pi by Douglas'
+    formula), and its ratio to the analytic Besov norm of z (2 sqrt(pi))."""
+    z = HolomorphicFunction([1], [1.0])
+    trace = besov_seminorm(boundary_trace(z, 512), 2).value
+    return trace, trace / analytic_besov_norm(z, 2).value
+
+
 # ---------------------------------------------------------------------------
 # Conformal welding
 
 
 @dataclass
 class WeldingResult:
+    """The welding map h on R with its two checks, and the conformal maps
+    f_mu and g it welds (h = g^-1 o f_mu)."""
     h: BoundaryHomeomorphism
-    f_trace: BoundaryFunction
-    g_trace: BoundaryFunction
     consistency_sup: float
     imag_defect: float
-    f_map: QuasiconformalMap = field(repr=False, default=None)
-    g_map: QuasiconformalMap = field(repr=False, default=None)
+    f_map: QuasiconformalMap = field(repr=False)
+    g_map: QuasiconformalMap = field(repr=False)
 
 
 def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
@@ -330,9 +323,10 @@ def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
     raise ValueError("welding expects a coefficient on D or U")
 
 
-# h is sampled at N_BOUNDARY parameters of [-T_BOUNDARY, T_BOUNDARY]; its
-# far-field series is fitted on |z| = T_BOUNDARY, and the g trace covers
-# 1.5 T_BOUNDARY
+# h is sampled at N_BOUNDARY parameters of [-T_BOUNDARY, T_BOUNDARY] and
+# its far-field series is fitted on |z| = T_BOUNDARY; `teichkit weld --out`
+# writes f_mu on h's parameters and g on N_BOUNDARY of [-1.5 T_BOUNDARY,
+# 1.5 T_BOUNDARY]
 N_BOUNDARY = 2049
 T_BOUNDARY = 40.0
 
@@ -378,7 +372,9 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
 
     f_mu is conformal on L with dilatation mu on U; g is conformal on U with
     the dilatation of the reflected inverse self-map on L; h is compared
-    against the direct boundary trace of the self-map f^mu (consistency_sup).
+    against the boundary trace of the self-map f^mu, read on R through its
+    spline (consistency_sup).  The result carries f_mu and g, which the
+    welding identity check differentiates along R.
     g's coefficient nu is read by Newton inversion through the self-map,
     and only on the image of the solved support: nu(zeta) is the
     finite-difference dilatation of the self-map's grid spline at
@@ -452,14 +448,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     h = BoundaryHomeomorphism(x, hx, "line", truncation=T_BOUNDARY,
                               extension=h_far, fix_tol=1e-4,
                               meta={"normalization": "fix 0, 1, infinity"})
-    f_trace = BoundaryFunction(x, fx, "line", T_BOUNDARY,
-                               extension=lambda t: f_mu(t.astype(complex)))
-    xg = _welding_param_grid(N_BOUNDARY, T_BOUNDARY * 1.5)
-    g_trace = BoundaryFunction(xg, g(xg.astype(complex)), "line",
-                               T_BOUNDARY * 1.5,
-                               extension=lambda t: g(t.astype(complex)))
-    return WeldingResult(h=h, f_trace=f_trace, g_trace=g_trace,
-                         consistency_sup=consistency,
+    return WeldingResult(h=h, consistency_sup=consistency,
                          imag_defect=imag_defect, f_map=f_mu, g_map=g)
 
 
@@ -494,33 +483,28 @@ def welding_identity_check(weld: WeldingResult):
     """Check log(g|_R)' o h + log h' = log(f_mu|_R)' on 801 points of
     [-8, 8].
 
-    All three logarithmic derivatives are formed from difference quotients
-    along R (complex for the conformal traces, with unwrapped phases).
+    f_mu and g are read from the maps the welding solved (weld.f_map and
+    weld.g_map), h from its samples; all three logarithmic derivatives are
+    formed from difference quotients along R, at the midpoints.  log g' is
+    read on 801 points about h([-8, 8]) and interpolated linearly at h.
     """
     x = np.linspace(-8.0, 8.0, 801)
     hx = weld.h.eval(x)
-    dh = _midpoint_log_deriv_real(weld.h, x)
-
-    xm = 0.5 * (x[1:] + x[:-1])
-    log_fp = _log_deriv_complex(weld.f_trace, x)
+    log_fp = _log_quotients(x, weld.f_map(x.astype(complex)))
     y = np.linspace(min(hx[0], -8.0) - 0.5, max(hx[-1], 8.0) + 0.5, 801)
-    log_gp_y = _log_deriv_complex(weld.g_trace, y)
+    log_gp_y = _log_quotients(y, weld.g_map(y.astype(complex)))
     ym = 0.5 * (y[1:] + y[:-1])
-    hxm = weld.h.eval(xm)
+    hxm = weld.h.eval(0.5 * (x[1:] + x[:-1]))
     log_gp_at_h = np.interp(hxm, ym, log_gp_y.real) + \
         1j * np.interp(hxm, ym, log_gp_y.imag)
 
-    resid = np.abs(log_gp_at_h + dh - log_fp)
+    resid = np.abs(log_gp_at_h + _log_quotients(x, hx) - log_fp)
     return {"sup_discrepancy": float(resid.max())}
 
 
-def _midpoint_log_deriv_real(u, x):
-    v = u.eval(x)
-    return np.log(np.diff(v) / np.diff(x))
-
-
-def _log_deriv_complex(u, x):
-    v = u.eval(x)
+def _log_quotients(x, v):
+    """log of the difference quotients of the values v at x, with unwrapped
+    phase; real v increasing in x gives phase 0."""
     q = np.diff(v) / np.diff(x)
     return np.log(np.abs(q)) + 1j * np.unwrap(np.angle(q))
 

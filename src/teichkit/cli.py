@@ -31,14 +31,19 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bers import _moment_count, ahlfors_weill, bers_map, \
-    bilipschitz_representative, equivalent, hyperbolic_distortion, schwarzian
+from .bers import _exterior_series, _moment_count, ahlfors_weill, \
+    bers_map, bilipschitz_representative, equivalent, hyperbolic_distortion, \
+    schwarzian
 from .boundary import (
+    N_BOUNDARY,
+    T_BOUNDARY,
+    BoundaryFunction,
+    _douglas_z,
     _extension_mp_norm,
     _log_derivative_besov,
+    _welding_param_grid,
     ba_extend,
     besov_characterization_check,
-    besov_seminorm,
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
@@ -46,9 +51,7 @@ from .boundary import (
 from .domains import (
     BeltramiCoefficient,
     DomainTag,
-    HolomorphicFunction,
     ainf_norm,
-    analytic_besov_norm,
     ap_norm,
     cayley,
     mp_norm,
@@ -252,9 +255,13 @@ def _cmd_weld(cfg):
     weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
     chk = welding_identity_check(weld)
     if cfg.output_path:
+        # f_mu on h's parameters, g on a grid 1.5 times as wide
         weld.h.to_csv(cfg.output_path + ".h.csv")
-        weld.f_trace.to_csv(cfg.output_path + ".f.csv")
-        weld.g_trace.to_csv(cfg.output_path + ".g.csv")
+        xg = _welding_param_grid(N_BOUNDARY, 1.5 * T_BOUNDARY)
+        for name, fn, x, T in (("f", weld.f_map, weld.h.params, T_BOUNDARY),
+                               ("g", weld.g_map, xg, 1.5 * T_BOUNDARY)):
+            BoundaryFunction(x, fn(x.astype(complex)), "line", T).to_csv(
+                cfg.output_path + f".{name}.csv")
     tol_c = _tol(cfg, "consistency")
     tol_i = _tol(cfg, "identity")
     return ({"consistency_sup": weld.consistency_sup,
@@ -379,12 +386,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
     rows = []
     for p in p_list:
         if p == 2.0:
-            th = 2 * np.pi * np.arange(512) / 512
-            from .boundary import BoundaryFunction
-
-            u = BoundaryFunction(th, np.exp(1j * th), "circle")
-            douglas = besov_seminorm(u, 2).value / \
-                analytic_besov_norm(HolomorphicFunction([1], [1.0]), 2).value
+            douglas = _douglas_z()[1]
         running = 0.0
         for k, r in family:
             a = k * r * r  # mu = 0 a.e. when a = 0: a row of zeros and NA
@@ -392,9 +394,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
             if a != 0:
                 # the exact map z + a/z, carried as far as bers_map would
                 K = _moment_count(math.sqrt(abs(a)))
-                phi = schwarzian(HolomorphicFunction(
-                    np.r_[1, -1 - np.arange(K)],
-                    np.r_[1.0, a, np.zeros(K - 1)], DomainTag.EXTERIOR_DISK))
+                phi = schwarzian(_exterior_series(np.r_[a, np.zeros(K - 1)]))
                 num = ap_norm(phi, p).value
                 den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
                 ai = ainf_norm(phi).value

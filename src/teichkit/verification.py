@@ -22,8 +22,8 @@ from .bers import (
     laurent_coefficients,
 )
 from .boundary import (
-    BoundaryFunction,
     BoundaryHomeomorphism,
+    _douglas_z,
     ba_extend,
     besov_characterization_check,
     besov_seminorm,
@@ -110,12 +110,8 @@ def check_2_mp_norm():
 def check_3_douglas_lemma6():
     """Douglas equality at p=2 within 1%; Lemma-6 two-sided bounds per p."""
     t0 = time.time()
-    th = 2 * np.pi * np.arange(512) / 512
-    u = BoundaryFunction(th, np.exp(1j * th), "circle")
-    bnd = besov_seminorm(u, 2)
-    ana = analytic_besov_norm(HolomorphicFunction([1], [1.0]), 2)
-    ok = abs(bnd.value - 2 * math.pi) <= 0.01 * 2 * math.pi
-    douglas = bnd.value / ana.value
+    trace_z, douglas = _douglas_z()
+    ok = abs(trace_z - 2 * math.pi) <= 0.01 * 2 * math.pi
     ok &= abs(douglas - 2 * math.sqrt(math.pi)) <= 0.01 * 2 * math.sqrt(math.pi)
     family = {
         "z": HolomorphicFunction([1], [1.0]),
@@ -133,7 +129,7 @@ def check_3_douglas_lemma6():
         cps[p] = cp
         ok &= all(cp ** -1 <= r <= cp for r in ratios) and cp < 10.0
     return CheckResult(3, "Douglas equality and Lemma-6 comparability", ok,
-                       {"besov_trace_z": bnd.value, "two_pi": 2 * math.pi,
+                       {"besov_trace_z": trace_z, "two_pi": 2 * math.pi,
                         "douglas_ratio": douglas,
                         "two_sqrt_pi": 2 * math.sqrt(math.pi),
                         "C_p": cps}, time.time() - t0)

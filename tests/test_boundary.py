@@ -97,6 +97,36 @@ def test_trace_disk_solution_is_circle_homeo(disk_03_05):
     assert np.all(np.diff(tr.values) > 0)
 
 
+def test_trace_of_a_series_is_its_values_on_the_circle():
+    phi = HolomorphicFunction(np.arange(48), -0.5 ** np.arange(1.0, 49.0))
+    tr = boundary_trace(phi, n_samples=256)
+    th = 2 * np.pi * np.arange(256) / 256
+    assert np.array_equal(tr.params, th)
+    assert np.array_equal(tr.values, phi.eval(np.exp(1j * th)))
+
+
+def test_trace_of_a_disk_map_is_the_unwrapped_angle_on_the_circle(
+        disk_03_05):
+    tr = boundary_trace(disk_03_05, n_samples=512)
+    ang = np.unwrap(np.angle(disk_03_05(np.exp(1j * tr.params))))
+    assert abs(ang[0]) < 1e-6
+    assert np.array_equal(tr.values, ang)
+
+
+def test_trace_of_a_halfplane_map_reads_its_spline_on_the_line():
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5),
+                  "DiskToHalfPlane")
+    selfmap = solve_halfplane(mu_u, grid_n=256)
+    tr = boundary_trace(selfmap, n_samples=257)
+    T = 0.85 * selfmap.grid.half_width
+    assert tr.truncation == T and tr.params[0] == -T and tr.params[-1] == T
+    assert np.array_equal(tr.values, selfmap(tr.params.astype(complex)).real)
+    # beyond T the trace is the self-map's far field
+    t = np.array([-3 * T, -1.5 * T, 1.5 * T, 3 * T])
+    assert np.array_equal(tr.eval(t),
+                          selfmap.far_field.eval(t.astype(complex)).real)
+
+
 # ---------------------------------------------------------------------------
 # Besov seminorms
 
@@ -300,6 +330,12 @@ def test_far_field_fit_certification_rejects_bad_fit(monkeypatch):
 def test_welding_identity_eq4(weld_02):
     chk = welding_identity_check(weld_02)
     assert chk["sup_discrepancy"] <= 5e-2
+
+
+def test_welding_identity_differentiates_the_welded_maps(weld_02):
+    # log f' and log g' are read off f_mu and g themselves, not off
+    # piecewise-linear copies of them sampled along R
+    assert welding_identity_check(weld_02)["sup_discrepancy"] <= 6.0e-4
 
 
 def test_welding_affine_first_term_smoke(weld_02):

@@ -17,7 +17,7 @@ from teichkit.cli import (
     write_constants_csv,
 )
 from teichkit import BeltramiCoefficient, cayley, solve_halfplane, solve_plane
-from teichkit.boundary import besov_characterization_check
+from teichkit.boundary import besov_characterization_check, welding
 from teichkit.solver import FAR_FIELD_FIT, MARGIN_FRACTION
 
 from conftest import TEST_GRID_N
@@ -247,6 +247,38 @@ def test_cli_out_flag_writes_a_single_config_run(tmp_path):
     opath = tmp_path / "out.json"
     assert main(["norm", "--config", str(cpath), "--out", str(opath)]) == 0
     assert json.loads(opath.read_text())["command"] == "norm"
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["parameter", "value"]
+    return (np.array([float(t) for t, _ in rows]),
+            np.array([complex(v) for _, v in rows]))
+
+
+def test_cli_weld_out_writes_h_and_the_welded_maps(tmp_path):
+    out = str(tmp_path / "weld.json")
+    assert main(["weld", "--grid-n", "64", "--out", out]) == 0
+    weld = welding(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=64)
+    got = {}
+    for name, T in (("h", 40.0), ("f", 40.0), ("g", 60.0)):
+        t, v = _read_csv(f"{out}.{name}.csv")
+        with open(f"{out}.{name}.csv.json") as fh:
+            side = json.load(fh)
+        assert t.size == 2049
+        assert t[0] == -T and t[-1] == T
+        assert side["domain"] == "line" and side["truncation"] == T
+        got[name] = t, v
+    t, v = got["h"]
+    assert np.array_equal(t, weld.h.params)
+    assert np.array_equal(v.real, weld.h.values)
+    # f_mu on h's parameters, g on its own wider grid, read off the maps
+    t, v = got["f"]
+    assert np.array_equal(t, weld.h.params)
+    assert np.array_equal(v, weld.f_map(t.astype(complex)))
+    t, v = got["g"]
+    assert np.array_equal(v, weld.g_map(t.astype(complex)))
 
 
 def test_cli_p_flag_wins_over_config(tmp_path):

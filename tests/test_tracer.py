@@ -3,7 +3,10 @@
 The tracer (perfbench/tracer.py) wraps teichkit from the outside and reads
 the signatures of the solves, transforms and Besov sums, and attributes of
 their results; a change to any of them would otherwise show only in the
-benchmark's own self-test.
+benchmark's own self-test.  The benchmark's self-test also requires
+every span a per-layer metric reads to be wrapped and called; REACHED names
+the ones these ops reach, so a change that stops calling one (or renames
+it) fails here in seconds rather than in the two-minute self-test.
 """
 
 import json
@@ -16,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
+from metrics import PER_LAYER
 from tracer import Tracer
 
 tracer = Tracer()
@@ -36,9 +40,26 @@ print(json.dumps({{
     "errors": errors,
     "raised": sorted({{s[0] for s in tracer.spans if s[5] is not None}}),
     "called": sorted({{s[0] for s in tracer.spans}}),
+    "wrapped": sorted(tracer.wrapped),
+    "per_layer": sorted({{row[3] for row in PER_LAYER}} - {{None}}),
     "metrics": metrics,
 }}))
 """
+
+# metrics.PER_LAYER spans that bers, solve, weld and characterize at N = 64
+# and criterion 11 call
+REACHED = {
+    "solver.solve_plane", "solver.solve_halfplane", "solver.qcmap_eval",
+    "solver.invert",
+    "domains.series_eval", "domains.coef_eval", "domains.mp_norm",
+    "domains.ap_norm", "domains.ainf_norm",
+    "bers.bers_map", "bers.schwarzian",
+    "boundary.welding", "boundary.eval", "boundary.besov_seminorm",
+    "boundary.ba_extend", "boundary.extension_mu", "boundary.boundary_trace",
+    "boundary.log_derivative", "boundary.welding_identity_check",
+    "boundary.roundtrip_phi_distance",
+    "verification.check_11", "cli.run", "cli.to_json",
+}
 
 
 def test_tracer_runs_cli_commands_and_a_criterion():
@@ -51,8 +72,9 @@ def test_tracer_runs_cli_commands_and_a_criterion():
     assert got["errors"] == []
     assert got["raised"] == []
     called = set(got["called"])
-    assert {"solver.solve_plane", "solver.solve_halfplane", "cli.run",
-            "verification.check_11"} <= called
+    assert REACHED <= set(got["per_layer"])
+    assert REACHED - called == set()
+    assert REACHED - set(got["wrapped"]) == set()
     metrics = got["metrics"]
     assert metrics["solver.solve.calls"] > 0
     assert metrics["solver.neumann_iters"] > 0
