@@ -14,9 +14,11 @@ the boundary itself: the solved grids cover R and the unit circle, and a
 series is a finite sum.
 
 The p-Besov seminorm on the circle or line is the double integral of
-|u(x1) - u(x2)|^p / |x1 - x2|^2 with a shrinking excluded diagonal band
-(Richardson-extrapolated in the band width, exponent p - 1) and, on the
-line, truncation to [-T, T] with T on the refinement ladder {8, 16, 32}.
+|u(x1) - u(x2)|^p / |x1 - x2|^2 over uniform samples, summed one index
+offset at a time with the offsets of the diagonal band left out whole; the
+band's midpoint width shrinks with the spacing and is Richardson-
+extrapolated away (exponent p - 1).  On the line the integral is truncated
+to [-T, T] with T on the refinement ladder {8, 16, 32}.
 
 The heat-kernel extension F = phi_t * h + i t (phi_t * h') evaluates its
 convolutions on demand, so norm ladders can probe t -> 0 and |x| -> inf
@@ -225,55 +227,40 @@ def boundary_trace(f, n_samples=1024):
 def _band_extrapolate(ints, bands, p):
     """Richardson in the band width with exponent p-1 (Lipschitz model)."""
     q = p - 1.0
-    (d1, i1), (d2, i2) = (bands[-2], ints[-2]), (bands[-1], ints[-1])
+    (d1, d2), (i1, i2) = bands, ints
     return (i2 * d1 ** q - i1 * d2 ** q) / (d1 ** q - d2 ** q)
 
 
-def _banded_pair_sums(params, vals, p, kernel_den, bands):
-    """Sum of |v_i - v_j|^p / den_ij over ordered pairs i != j outside each
-    band.
+def _offset_sums(vals, p, dx, circle):
+    """For each index offset d = 1 .. n-1, sum_i |v_{i+d} - v_i|^p over the
+    uniform samples v, divided by the offset's squared distance: (d dx)^2
+    on the line, the squared chord (2 sin(d dx / 2))^2 on the circle.
 
-    Each term is symmetric in i and j, so the pairs are visited once per
-    index offset d = j - i >= 1 and the sum is doubled.
+    On the circle offsets d and n - d share a chord, and together they
+    hold every pair of angular separation min(d, n - d) once.
     """
-    totals = np.zeros(len(bands))
-    for d in range(1, params.size):
-        dist, den = kernel_den(params[d:], params[:-d])
-        ratio = np.abs(vals[d:] - vals[:-d]) ** p / den
-        for b, width in enumerate(bands):
-            totals[b] += ratio[dist > width].sum()
-    return 2.0 * totals
-
-
-# elementwise pair distances (compared with the band widths) and
-# |x1 - x2|^2, the squared chord on the circle; parameters are strictly
-# increasing, so distinct pairs have nonzero distance
-def _circle_kernel(t1, t2):
-    ang = np.abs(t1 - t2)
-    ang = np.minimum(ang, 2 * np.pi - ang)
-    return ang, (2 * np.sin(ang / 2)) ** 2
-
-
-def _line_kernel(t1, t2):
-    dist = np.abs(t1 - t2)
-    return dist, dist ** 2
+    offsets = np.arange(1, vals.size)
+    dist = 2 * np.sin(offsets * dx / 2) if circle else offsets * dx
+    num = [np.sum(np.abs(vals[d:] - vals[:-d]) ** p) for d in offsets]
+    return np.array(num) / dist ** 2
 
 
 def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     """p-Besov seminorm (iint |u(x1)-u(x2)|^p / |x1-x2|^2)^{1/p}.
 
-    Circle: refinement doubles the sample count.  Line: each level grows
-    the truncation T (8, 16, then 32 from the third level on) and
-    quadruples the sample count, so the spacing (and
-    with it the excluded diagonal band) shrinks while the tail extends;
-    divergences at the diagonal and at infinity both register as ladder
-    growth.
+    Each level sums the pairs of uniform samples one index offset at a
+    time, leaving out those at most k samples apart (k = 2, 1): the band
+    |x1 - x2| < (k + 1/2) dx of the midpoint rule, which Richardson in the
+    band width removes.  Circle: refinement doubles the sample count.
+    Line: each level grows the truncation T (8, 16, then 32 from the third
+    level on) and quadruples the sample count, so the spacing (and with it
+    the band) shrinks while the tail extends; divergences at the diagonal
+    and at infinity both register as ladder growth.
     """
     p = float(p)
     if not 1.0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"Besov seminorms require 1 < p < inf, got p = {p}")
     circle = u.domain == "circle"
-    kernel = _circle_kernel if circle else _line_kernel
     resolutions, values = [], []
     for lev in range(levels):
         if circle:
@@ -284,9 +271,11 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
             n = base_n * 4 ** lev + 1
             x = np.linspace(-T, T, n)
         dx = x[1] - x[0]
-        bands = [k * dx for k in (4, 2, 1)]
-        ints = _banded_pair_sums(x, u.eval(x), p, kernel, bands) * dx * dx
-        I = _band_extrapolate(list(ints), bands, p)
+        sums = _offset_sums(u.eval(x), p, dx, circle)
+        # on the circle offsets d >= n - k are also within k samples
+        ints = [2 * dx * dx * sums[k:n - 1 - k if circle else None].sum()
+                for k in (2, 1)]
+        I = _band_extrapolate(ints, [(k + 0.5) * dx for k in (2, 1)], p)
         resolutions.append(n)
         values.append(max(I, 0.0) ** (1 / p))
     return NormReport.from_ladder(resolutions, values, power=p)

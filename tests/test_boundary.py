@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from teichkit import BeltramiCoefficient, DomainTag, cayley, mp_norm
 from teichkit import boundary
@@ -162,39 +163,55 @@ def test_besov_rejects_small_p():
         besov_seminorm(u, 1.0)
 
 
-def _dense_pair_sums(x, v, p, circle, bands):
-    """Reference: every ordered pair i != j as one n x n matrix."""
+def _dense_pair_sums(x, v, p, circle, k):
+    """Reference: every ordered pair more than k samples apart, as one
+    n x n matrix of the sample distances."""
+    n = x.size
+    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     dist = np.abs(x[:, None] - x[None, :])
     if circle:
-        dist = np.minimum(dist, 2 * np.pi - dist)
-        den = (2 * np.sin(dist / 2)) ** 2
-    else:
-        den = dist ** 2
+        sep = np.minimum(sep, n - sep)
+        dist = 2 * np.sin(np.minimum(dist, 2 * np.pi - dist) / 2)
+    keep = sep > k
     num = np.abs(v[:, None] - v[None, :]) ** p
-    off = ~np.eye(x.size, dtype=bool)
-    return np.array([np.sum(num[off & (dist > w)] / den[off & (dist > w)])
-                     for w in bands])
+    return np.sum(num[keep] / dist[keep] ** 2)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_banded_pair_sums_match_dense_reference(p):
-    from teichkit.boundary import _banded_pair_sums, _circle_kernel, \
-        _line_kernel
-
-    rng = np.random.default_rng(3)
     th = 2 * np.pi * np.arange(256) / 256
     xl = np.linspace(-8, 8, 257)
-    xn = np.sort(rng.uniform(-5.0, 5.0, 300))
     cases = [(th, np.exp(1j * th) + 0.3 * np.cos(3 * th), True),
-             (xl, np.tanh(xl) + 0.1 * xl, False),
-             (xn, np.sin(xn) + 0.05 * xn ** 2, False)]
+             (xl, np.tanh(xl) + 0.1 * xl, False)]
     for x, v, circle in cases:
-        dx = x[1] - x[0]
-        bands = [k * dx for k in (4, 2, 1)]
-        got = _banded_pair_sums(x, v, p, _circle_kernel if circle
-                                else _line_kernel, bands)
-        ref = _dense_pair_sums(x, v, p, circle, bands)
-        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        n = x.size
+        sums = boundary._offset_sums(v, p, x[1] - x[0], circle)
+        d = np.arange(1, n)
+        sep = np.minimum(d, n - d) if circle else d
+        for k in (2, 1):
+            # each offset holds the pairs i < j once
+            got = 2 * sums[sep > k].sum()
+            ref = _dense_pair_sums(x, v, p, circle, k)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _monomial_besov(n, p):
+    """Exact p-Besov seminorm of e^(i n theta) on the circle:
+    (2 pi int_0^2pi |2 sin(n s / 2)|^p (2 sin(s / 2))^-2 ds)^(1/p)."""
+    val, _ = integrate.quad(
+        lambda s: abs(2 * math.sin(n * s / 2)) ** p
+        / (2 * math.sin(s / 2)) ** 2, 0.0, 2 * math.pi,
+        points=[2 * math.pi * j / n for j in range(1, n)], limit=200)
+    return (2 * math.pi * val) ** (1 / p)
+
+
+@pytest.mark.parametrize("p, rel", [(1.25, 5e-3), (1.5, 1e-3), (2.0, 1e-4),
+                                    (3.0, 1e-4)])
+def test_besov_monomial_traces_closed_form(p, rel):
+    for n in (1, 2, 3):
+        tr = boundary_trace(HolomorphicFunction([n], [1.0]), 1024)
+        assert besov_seminorm(tr, p).value == pytest.approx(
+            _monomial_besov(n, p), rel=rel)
 
 
 def test_besov_cayley_invariance():
@@ -338,15 +355,15 @@ def test_welding_identity_differentiates_the_welded_maps(weld_02):
     assert welding_identity_check(weld_02)["sup_discrepancy"] <= 6.0e-4
 
 
-def test_welding_affine_first_term_smoke(weld_02):
-    # replacing g by an affine map makes the first term a constant shift
-    x = np.linspace(-4, 4, 401)
+def test_welding_affine_first_term_smoke():
+    # the identity's log-derivatives come from _log_quotients: an affine
+    # map reads its constant log-slope, phase included
     y = np.linspace(-20, 20, 4001)
-    g_affine = BoundaryFunction(y, 2.0 * y + 1.0, "line", 20.0,
-                                extension=lambda t: 2.0 * t + 1.0)
-    q = np.diff(g_affine.eval(x)) / np.diff(x)
-    term = np.log(np.abs(q))
-    assert np.abs(term - math.log(2.0)).max() < 1e-12
+    real = boundary._log_quotients(y, 2.0 * y + 1.0)
+    assert np.abs(real - math.log(2.0)).max() < 1e-12
+    rot = boundary._log_quotients(y, (1 + 1j) * y)
+    assert np.abs(rot - (math.log(math.sqrt(2.0)) + 1j * math.pi / 4)).max() \
+        < 1e-12
 
 
 # ---------------------------------------------------------------------------

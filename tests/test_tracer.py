@@ -6,7 +6,10 @@ their results; a change to any of them would otherwise show only in the
 benchmark's own self-test.  The benchmark's self-test also requires
 every span a per-layer metric reads to be wrapped and called; REACHED names
 the ones these ops reach, so a change that stops calling one (or renames
-it) fails here in seconds rather than in the two-minute self-test.
+it) fails here in seconds rather than in the two-minute self-test.  A
+characterize stage that raises is recorded in its report, not raised, so
+the test also reads the report's stages: a hook that fails to bind a
+renamed parameter would otherwise go unseen.
 """
 
 import json
@@ -32,6 +35,9 @@ for command in ("bers", "solve", "weld", "characterize"):
     res.to_json()
     if "error" in res.reports:
         errors.append([command, res.reports["error"]])
+# characterize records a failed stage in its report and carries on
+stages = res.reports["characterization"]["stages"]
+errors += [[name, st] for name, st in stages.items() if "error" in st]
 check_11 = next(fn for fn in verification.ALL_CRITERIA
                 if fn.__name__.startswith("check_11_"))
 check_11()
@@ -79,3 +85,6 @@ def test_tracer_runs_cli_commands_and_a_criterion():
     assert metrics["solver.solve.calls"] > 0
     assert metrics["solver.neumann_iters"] > 0
     assert metrics["cli.errors"] == 0 and metrics["solver.errors"] == 0
+    # characterize's one line Besov ladder: n = 512 * 4^lev + 1 squared
+    assert metrics["boundary.besov_pairs_computed"] == \
+        513 ** 2 + 2049 ** 2 + 8193 ** 2
