@@ -115,9 +115,9 @@ class BoundaryFunction:
         inside = (t >= self.params[0]) & (t <= self.params[-1])
         if self.is_complex:
             out = (np.interp(t, self.params, self.values.real)
-                   + 1j * np.interp(t, self.params, self.values.imag)).astype(complex)
+                   + 1j * np.interp(t, self.params, self.values.imag))
         else:
-            out = np.interp(t, self.params, self.values).astype(float)
+            out = np.interp(t, self.params, self.values)
         if not np.all(inside):
             if self.extension is None:
                 # linear continuation with the edge slopes

@@ -28,6 +28,10 @@ from dataclasses import dataclass, field
 from functools import singledispatch
 
 import numpy as np
+# roots_jacobi imports scipy.linalg on its first call: load it with the
+# package, so that the first norm does not pay for the import
+import scipy.linalg  # noqa: F401
+from scipy import ndimage
 from scipy.special import roots_jacobi
 
 __all__ = [
@@ -161,6 +165,26 @@ class ComplexGrid:
         off = -self.half_width + self.spacing * np.arange(self.n)
         return self.center.real + off, self.center.imag + off
 
+    def coordinates(self, z):
+        """Fractional (row, column) node indices of the points z, stacked
+        on a first axis as scipy.ndimage.map_coordinates reads them."""
+        x, y = (a[0] for a in self.axes())
+        return np.stack([(z.real - x) / self.spacing,
+                         (z.imag - y) / self.spacing])
+
+    def interpolate_linear(self, values, z, fill):
+        """values, given on the grid nodes, read at the points z by linear
+        interpolation; fill at points off the square of nodes.  Whether a
+        point is on it is decided against the axes, so that rounding in
+        its fractional index cannot put a node on the edge off the grid."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        x, y = self.axes()
+        on = (z.real >= x[0]) & (z.real <= x[-1]) & \
+             (z.imag >= y[0]) & (z.imag <= y[-1])
+        crd = np.where(on, np.clip(self.coordinates(z), 0, self.n - 1), -1.0)
+        return ndimage.map_coordinates(values, crd, order=1, mode="constant",
+                                       cval=fill)
+
     def nodes(self):
         x, y = self.axes()
         X, Y = np.meshgrid(x, y, indexing="ij")
@@ -286,17 +310,10 @@ class BeltramiCoefficient:
 
     @classmethod
     def from_grid(cls, grid: ComplexGrid, domain):
-        from scipy.interpolate import RegularGridInterpolator
-
-        x, y = grid.axes()
-        interp = RegularGridInterpolator(
-            (x, y), grid.values, method="linear", bounds_error=False,
-            fill_value=0.0)
+        """Coefficient read linearly from the grid values; 0 off the grid."""
 
         def f(z):
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            pts = np.stack([z.real, z.imag], axis=-1)
-            return interp(pts)
+            return grid.interpolate_linear(grid.values, z, 0.0)
 
         rad = grid.half_width * math.sqrt(2.0) + abs(grid.center)
         return cls(domain, f, rad, float(np.max(np.abs(grid.values))))

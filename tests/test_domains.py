@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy.interpolate import RegularGridInterpolator
 
 from teichkit import (
     BeltramiCoefficient,
@@ -538,6 +539,68 @@ def test_grid_validation():
         ComplexGrid(0.0, 1.0, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ComplexGrid(0.0, 1.0, np.full((4, 4), np.nan))
+
+
+def _grid_spec(vals):
+    """A grid coefficient through its wire spec, on solve_disk's chart
+    (half-width 1.25, so the node spacing is dyadic) moved off 0."""
+    grid = ComplexGrid(0.25 - 0.5j, 1.25, vals)
+    mu = BeltramiCoefficient.from_spec(
+        {"kind": "grid", "grid": grid.to_json_dict(), "domain": "UnitDisk"})
+    return grid, mu
+
+
+def _linear_reference(grid, z):
+    """Cross-check: scipy.interpolate's linear grid interpolator."""
+    interp = RegularGridInterpolator(grid.axes(), grid.values,
+                                     method="linear")
+    return interp(np.stack([z.real, z.imag], axis=-1))
+
+
+def test_grid_spec_reads_nodes_exactly_and_zero_off_the_grid(rng):
+    vals = 0.5 * (rng.uniform(-1, 1, (32, 32))
+                  + 1j * rng.uniform(-1, 1, (32, 32)))
+    grid, mu = _grid_spec(vals)
+    assert np.array_equal(mu._func(grid.nodes()), vals)
+    x, y = grid.axes()
+    # past the last node, short of the square's edge; just below the first
+    # node; far off
+    off = np.array([x[-1] + 0.5 * grid.spacing + 1j * y[3],
+                    x[2] + 1j * (y[0] - 1e-9), -5.0 + 5.0j])
+    assert np.array_equal(mu._func(off), np.zeros(3))
+
+
+def test_grid_spec_reads_every_node_of_a_non_dyadic_grid(rng):
+    # nodes of a grid whose spacing is not dyadic have fractional indices
+    # off by a few ulp; the first and last rows and columns must still
+    # read their values, not the fill
+    n = 32
+    vals = 0.5 * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+    grid = ComplexGrid(0.1 + 0.3j, 1.3, vals)
+    mu = BeltramiCoefficient.from_grid(grid, DomainTag.UNIT_DISK)
+    assert np.abs(mu._func(grid.nodes()) - vals).max() <= \
+        2 * n * np.finfo(float).eps * np.abs(vals).max()
+
+
+def test_grid_spec_interpolates_linearly_between_nodes(rng):
+    n = 32
+    Z = ComplexGrid(0.25 - 0.5j, 1.25, np.zeros((n, n))).nodes()
+    x, y = Z.real[:, 0], Z.imag[0]
+    between = (rng.uniform(x[0], x[-1], (40, 30))
+               + 1j * rng.uniform(y[0], y[-1], (40, 30)))
+    # samples of a smooth coefficient agree with the reference to rounding
+    grid, mu = _grid_spec(0.4 * Z * np.exp(-np.abs(Z - 0.25 + 0.5j) ** 2))
+    got = mu._func(between)
+    assert got.shape == between.shape
+    assert np.abs(got - _linear_reference(grid, between)).max() <= \
+        1e-15 * np.abs(grid.values).max()
+    # rough samples: map_coordinates holds a point as an absolute fractional
+    # node index, exact to n ulp, so the two reads differ by up to n ulp of
+    # the largest jump between neighbouring nodes, at most 2 max|v|
+    grid, mu = _grid_spec(0.5 * (rng.uniform(-1, 1, (n, n))
+                                 + 1j * rng.uniform(-1, 1, (n, n))))
+    assert np.abs(mu._func(between) - _linear_reference(grid, between)).max() \
+        <= 2 * n * np.finfo(float).eps * np.abs(grid.values).max()
 
 
 _TABLE_PTS = [[0.0, 0.0], [0.1, 0.0]]

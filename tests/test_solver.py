@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
+from scipy import ndimage
+from scipy.interpolate import RegularGridInterpolator
 
 from teichkit import (
     BeltramiCoefficient,
@@ -633,14 +634,22 @@ def test_dilatation_of_disk_map_zeroes_nothing(disk_03_05):
     assert dilatation(disk_03_05).meta["zeroed_nodes"] == 0
 
 
-def _split_interpolation(axes, values, fill, z):
-    """Reference: real and imaginary parts interpolated apart."""
-    pts = np.stack([z.real, z.imag], axis=-1)
-    re = RegularGridInterpolator(axes, values.real, method="linear",
-                                 bounds_error=False, fill_value=fill.real)
-    im = RegularGridInterpolator(axes, values.imag, method="linear",
-                                 bounds_error=False, fill_value=fill.imag)
-    return re(pts) + 1j * im(pts)
+def _split_interpolation(grid, values, fill, z):
+    """Reference: real and imaginary parts read apart by the same order-1
+    map_coordinates call."""
+    crd = grid.coordinates(z)
+    re, im = (ndimage.map_coordinates(part, crd, order=1, mode="constant",
+                                      cval=cval)
+              for part, cval in ((values.real, fill.real),
+                                 (values.imag, fill.imag)))
+    return re + 1j * im
+
+
+def _grid_interpolator(grid, values, fill, z):
+    """Cross-check: scipy.interpolate's linear grid interpolator."""
+    interp = RegularGridInterpolator(grid.axes(), values, method="linear",
+                                     bounds_error=False, fill_value=fill)
+    return interp(np.stack([z.real, z.imag], axis=-1))
 
 
 # grid nodes, points between nodes, and points off the grid (fill values)
@@ -649,13 +658,14 @@ INTERP_POINTS = np.array([0.0, 1.0, 0.2 + 0.1j, 0.37 - 0.41j, 1.5 + 0.5j,
 
 
 def test_partials_at_matches_split_interpolators(plane_03_05):
-    dz, dbar = plane_03_05.partial_grids()
-    axes = plane_03_05.grid.axes()
-    got_dz, got_dbar = plane_03_05.partials_at(INTERP_POINTS)
-    assert np.array_equal(got_dz, _split_interpolation(
-        axes, dz, 1.0 + 0.0j, INTERP_POINTS))
-    assert np.array_equal(got_dbar, _split_interpolation(
-        axes, dbar, 0.0j, INTERP_POINTS))
+    grid = plane_03_05.grid
+    got = plane_03_05.partials_at(INTERP_POINTS)
+    for got_p, part, fill in zip(got, plane_03_05.partial_grids(),
+                                 (1.0 + 0.0j, 0.0j)):
+        assert np.array_equal(got_p, _split_interpolation(
+            grid, part, fill, INTERP_POINTS))
+        ref = _grid_interpolator(grid, part, fill, INTERP_POINTS)
+        assert np.abs(got_p - ref).max() <= 1e-15 * np.abs(part).max()
 
 
 def test_dilatation_matches_split_interpolators(plane_03_05):
@@ -664,26 +674,53 @@ def test_dilatation_matches_split_interpolators(plane_03_05):
     edge = np.ones(ratio.shape, dtype=bool)
     edge[2:-2, 2:-2] = False
     ratio[edge | (np.abs(ratio) >= 1.0)] = 0.0
-    ref = _split_interpolation(plane_03_05.grid.axes(), ratio, 0.0j,
-                               INTERP_POINTS)
+    grid = plane_03_05.grid
     # _func is the interpolator, before the support mask of eval
-    assert np.array_equal(dilatation(plane_03_05)._func(INTERP_POINTS), ref)
+    got = dilatation(plane_03_05)._func(INTERP_POINTS)
+    assert np.array_equal(got, _split_interpolation(grid, ratio, 0.0j,
+                                                    INTERP_POINTS))
+    ref = _grid_interpolator(grid, ratio, 0.0j, INTERP_POINTS)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ratio).max()
 
 
 def test_far_field_fitted_through_the_maps_spline(mu_03_05):
     maps = (solve_plane(mu_03_05, grid_n=256),
             solve_halfplane(cayley(mu_03_05, "DiskToHalfPlane"), grid_n=256))
     for f in maps:
-        x, y = f.grid.axes()
-        ire = RectBivariateSpline(x, y, f.grid.values.real, kx=3, ky=3)
-        iim = RectBivariateSpline(x, y, f.grid.values.imag, kx=3, ky=3)
+        pad = solver.SPLINE_PAD
+        coeffs = ndimage.spline_filter(
+            np.pad(f.grid.values, pad, mode="reflect", reflect_type="odd"),
+            order=3, mode="mirror", output=complex)
         ref = HolomorphicFunction.from_callable_on_circle(
-            lambda z: ire.ev(z.real, z.imag) + 1j * iim.ev(z.real, z.imag),
+            lambda z: ndimage.map_coordinates(
+                coeffs, f.grid.coordinates(z) + pad, order=3, mode="mirror",
+                prefilter=False),
             solver.MARGIN_FRACTION * f.grid.half_width * 0.95,
             **solver.FAR_FIELD_FIT)
         assert np.array_equal(f.far_field.orders, ref.orders)
         assert np.array_equal(f.far_field.coeffs, ref.coeffs)
         assert f.far_field.heldout_residual == ref.heldout_residual
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_affine_grids_are_read_exactly(n):
+    # the spline's edge condition must continue an affine map exactly up
+    # to the 0.9-margin square; a filter of the unpadded grid misses it
+    # by 7e-4 at N = 64
+    a, b, c = 1.3 - 0.4j, 0.2 + 0.1j, 0.25 + 0.05j
+    kit = _kit(n, 8.0)
+    affine = QuasiconformalMap(
+        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
+        grid=ComplexGrid(0.0, 8.0, a * kit.Z + b + c * np.conj(kit.Z)))
+    for f, exact in ((identity_map(n), lambda z: z),
+                     (affine, lambda z: a * z + b + c * np.conj(z))):
+        lim = solver.MARGIN_FRACTION * f.grid.half_width
+        s = np.linspace(-lim, lim, 181)
+        edges = np.concatenate([s + 1j * lim, s - 1j * lim,
+                                lim + 1j * s, -lim + 1j * s])
+        interior = (s[:, None] + 1j * s[None, :]).ravel()
+        for z in (edges, interior):
+            assert np.abs(f(z) - exact(z)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
