@@ -13,18 +13,17 @@ Boundary traces and the welding identity read these maps, and series, on
 the boundary itself: the solved grids cover R and the unit circle, and a
 series is a finite sum.
 
-The p-Besov seminorm on the circle or line is the double integral of
-|u(x1) - u(x2)|^p / |x1 - x2|^2 over uniform samples, summed one index
-offset at a time with the offsets of the diagonal band left out whole; the
-band's midpoint width shrinks with the spacing and is Richardson-
-extrapolated away (exponent p - 1).  On the line the integral is truncated
-to [-T, T] with T on the refinement ladder {8, 16, 32}.
+The p-Besov seminorm is the double integral of |u(x1) - u(x2)|^p /
+|x1 - x2|^2 over uniform samples on the circle, summed one index offset
+at a time with the offsets of the diagonal band left out whole; the band's
+midpoint width shrinks with the spacing and is Richardson-extrapolated
+away (exponent p - 1).  The measure dx1 dx2 / |x1 - x2|^2 is Moebius-
+invariant, so line data are read at x = -cot(theta/2) and go through the
+same circle rule, with no truncation.
 
 The heat-kernel extension F = phi_t * h + i t (phi_t * h') evaluates its
 convolutions on demand, so norm ladders can probe t -> 0 and |x| -> inf
-honestly; affine h yields mu = 0 identically.  The classical one-sided
-Beurling-Ahlfors average ("box") is kept as a comparison kernel only: it
-sends the identity to a shear with mu = 1/3.
+honestly; affine h yields mu = 0 identically.
 """
 
 from __future__ import annotations
@@ -231,51 +230,50 @@ def _band_extrapolate(ints, bands, p):
     return (i2 * d1 ** q - i1 * d2 ** q) / (d1 ** q - d2 ** q)
 
 
-def _offset_sums(vals, p, dx, circle):
+def _offset_sums(vals, p, dth):
     """For each index offset d = 1 .. n-1, sum_i |v_{i+d} - v_i|^p over the
-    uniform samples v, divided by the offset's squared distance: (d dx)^2
-    on the line, the squared chord (2 sin(d dx / 2))^2 on the circle.
+    samples v at n uniform angles of spacing dth, divided by the offset's
+    squared chord (2 sin(d dth / 2))^2.
 
-    On the circle offsets d and n - d share a chord, and together they
-    hold every pair of angular separation min(d, n - d) once.
+    Offsets d and n - d share a chord, and together they hold every pair
+    of angular separation min(d, n - d) once.
     """
     offsets = np.arange(1, vals.size)
-    dist = 2 * np.sin(offsets * dx / 2) if circle else offsets * dx
     num = [np.sum(np.abs(vals[d:] - vals[:-d]) ** p) for d in offsets]
-    return np.array(num) / dist ** 2
+    return np.array(num) / (2 * np.sin(offsets * dth / 2)) ** 2
 
 
 def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     """p-Besov seminorm (iint |u(x1)-u(x2)|^p / |x1-x2|^2)^{1/p}.
 
-    Each level sums the pairs of uniform samples one index offset at a
-    time, leaving out those at most k samples apart (k = 2, 1): the band
-    |x1 - x2| < (k + 1/2) dx of the midpoint rule, which Richardson in the
-    band width removes.  Circle: refinement doubles the sample count.
-    Line: each level grows the truncation T (8, 16, then 32 from the third
-    level on) and quadruples the sample count, so the spacing (and with it
-    the band) shrinks while the tail extends; divergences at the diagonal
-    and at infinity both register as ladder growth.
+    Each level sums the pairs of n uniform angles one index offset at a
+    time, each divided by its squared chord, leaving out those at most k
+    samples apart (k = 2, 1): the band |theta1 - theta2| < (k + 1/2) dtheta
+    of the midpoint rule, which Richardson in the band width removes.
+    Circle data are read at the angles 2 pi j / n, and n doubles per level.
+    Line data are read at x = -cot(theta/2) on the half-shifted angles
+    2 pi (j + 1/2) / n, which keep theta = 0 (x = infinity) off the grid;
+    there dx1 dx2 / |x1 - x2|^2 is dtheta1 dtheta2 over the squared chord,
+    so no truncation enters.  Their n quadruples per level: on a doubling
+    ladder the growth of a jump's divergence per level stays under
+    LADDER_GROWTH.
     """
     p = float(p)
     if not 1.0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"Besov seminorms require 1 < p < inf, got p = {p}")
-    circle = u.domain == "circle"
     resolutions, values = [], []
     for lev in range(levels):
-        if circle:
+        if u.domain == "circle":
             n = base_n * 2 ** lev
-            x = 2 * np.pi * np.arange(n) / n
+            vals = u.eval(2 * np.pi * np.arange(n) / n)
         else:
-            T = (8.0, 16.0, 32.0)[min(lev, 2)]
-            n = base_n * 4 ** lev + 1
-            x = np.linspace(-T, T, n)
-        dx = x[1] - x[0]
-        sums = _offset_sums(u.eval(x), p, dx, circle)
-        # on the circle offsets d >= n - k are also within k samples
-        ints = [2 * dx * dx * sums[k:n - 1 - k if circle else None].sum()
-                for k in (2, 1)]
-        I = _band_extrapolate(ints, [(k + 0.5) * dx for k in (2, 1)], p)
+            n = base_n * 4 ** lev
+            vals = u.eval(-1.0 / np.tan(np.pi * (np.arange(n) + 0.5) / n))
+        dth = 2 * np.pi / n
+        sums = _offset_sums(vals, p, dth)
+        # offsets d >= n - k are also within k samples
+        ints = [2 * dth * dth * sums[k:n - 1 - k].sum() for k in (2, 1)]
+        I = _band_extrapolate(ints, [(k + 0.5) * dth for k in (2, 1)], p)
         resolutions.append(n)
         values.append(max(I, 0.0) ** (1 / p))
     return NormReport.from_ladder(resolutions, values, power=p)
@@ -457,15 +455,26 @@ def _welding_param_grid(n, T):
 def log_derivative(h: BoundaryHomeomorphism) -> BoundaryFunction:
     """log of symmetric difference quotients at parameter midpoints.
 
-    Raises on non-positive quotients.
+    Beyond the midpoints it is the log of one centred difference quotient
+    of h.eval, with step 1e-4 max(1, |t|), so it reads h's own extension
+    (or its linear continuation).  Raises on non-positive quotients.
     """
     t = h.params
     quot = np.diff(h.values) / np.diff(t)
     if np.any(quot <= 0):
         raise ValueError("non-positive difference quotient; "
                          "monotonicity fails at sample scale")
+
+    def beyond(s):
+        step = 1e-4 * np.maximum(1.0, np.abs(s))
+        q = (h.eval(s + step) - h.eval(s - step)) / (2 * step)
+        if np.any(q <= 0):
+            raise ValueError("non-positive difference quotient of h's "
+                             "extension")
+        return np.log(q)
+
     return BoundaryFunction(0.5 * (t[1:] + t[:-1]), np.log(quot), h.domain,
-                            h.truncation)
+                            h.truncation, extension=beyond)
 
 
 def welding_identity_check(weld: WeldingResult):
@@ -511,46 +520,23 @@ _GAUSS_CUTOFF = 7.0
 _EXTEND_BLOCK = 2 ** 12
 
 
-def _kernel_table(kernel):
-    """Cell edges e and weights c of F(x + it) = sum_j c_j h(x + t v_j).
-
-    The nodes v_j are the midpoints of the uniform cells [e_j, e_j+1].
-    """
-    if kernel == "gaussian":
-        dv = 2 * _GAUSS_CUTOFF / (_GAUSS_NODES - 1)
-        edges = np.linspace(-_GAUSS_CUTOFF - dv / 2, _GAUSS_CUTOFF + dv / 2,
-                            _GAUSS_NODES + 1)
-        v = 0.5 * (edges[1:] + edges[:-1])
-        w = np.exp(-0.5 * v * v)
-        w /= w.sum()
-        # t (phi_t * h')(x) = sum v w h(x + t v) / sum v^2 w by parts; the
-        # second moment normalizes it so affine maps are reproduced exactly
-        c = w + 1j * v * w / (v * v * w).sum()
-    else:
-        # one-sided averages over (0, t) on either side of x
-        edges = np.arange(-_GAUSS_NODES, _GAUSS_NODES + 1) / _GAUSS_NODES
-        v = 0.5 * (edges[1:] + edges[:-1])
-        c = np.where(v > 0, 1 + 1j, 1 - 1j) / (2 * _GAUSS_NODES)
-    return edges, c
-
-
-def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
+def ba_extend(h: BoundaryHomeomorphism,
               sup_guard=0.995) -> BeltramiCoefficient:
     """Quasiconformal extension of h to U with on-demand dilatation.
 
-    gaussian (default): F(x + it) = (phi_t * h)(x) + i t (phi_t * h')(x)
-    with phi_t the unit-mass Gaussian of width t.  Affine h gives F affine,
-    hence mu = 0 exactly.  box: the classical one-sided average variant,
-    provided for comparison only (it shears the identity to mu = 1/3).
+    F(x + it) = (phi_t * h)(x) + i t (phi_t * h')(x) with phi_t the
+    unit-mass Gaussian of width t.  Affine h gives F affine, hence mu = 0
+    exactly.
 
-    Both kernels are a sum F = sum_j c_j h(x + t v_j) over uniform nodes,
-    so F_z and F_zbar are the sums of c_j (1 -+ i v_j) h'(x + t v_j) / 2.
+    F = sum_j c_j h(x + t v_j) is a sum over uniform nodes v_j, the
+    midpoints of the cells [e_j, e_j+1], so F_z and F_zbar are the sums of
+    c_j (1 -+ i v_j) h'(x + t v_j) / 2.
     The returned coefficient takes h' at node j as its exact average over
     the node's cell, a difference of h at the two cell edges: one read of
     h per edge, and no feature of h falls between nodes.  For increasing
-    h the gaussian kernel keeps |mu| <= 1, up to its second moment's
-    truncation defect (7e-11): |sum w (1 + iv)^2 s| <= sum w (1 + v^2) s
-    for cell slopes s >= 0.
+    h the kernel keeps |mu| <= 1, up to its second moment's truncation
+    defect (7e-11): |sum w (1 + iv)^2 s| <= sum w (1 + v^2) s for cell
+    slopes s >= 0.
     Norm ladders can probe arbitrarily small heights; |mu| >= sup_guard
     anywhere raises (extension not quasiconformal at this resolution).
     Points are evaluated in blocks of _EXTEND_BLOCK, which bounds memory
@@ -560,11 +546,16 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
     """
     if h.domain != "line":
         raise ValueError("ba_extend expects a line homeomorphism")
-    if kernel not in ("gaussian", "box"):
-        raise ValueError(f"unknown kernel {kernel!r}")
 
-    edges, c = _kernel_table(kernel)
+    dv = 2 * _GAUSS_CUTOFF / (_GAUSS_NODES - 1)
+    edges = np.linspace(-_GAUSS_CUTOFF - dv / 2, _GAUSS_CUTOFF + dv / 2,
+                        _GAUSS_NODES + 1)
     v = 0.5 * (edges[1:] + edges[:-1])
+    w = np.exp(-0.5 * v * v)
+    w /= w.sum()
+    # t (phi_t * h')(x) = sum v w h(x + t v) / sum v^2 w by parts; the
+    # second moment normalizes it so affine maps are reproduced exactly
+    c = w + 1j * v * w / (v * v * w).sum()
     zbar_w, z_w = c * (1 + 1j * v), c * (1 - 1j * v)
     weights = np.stack([zbar_w.real, zbar_w.imag, z_w.real, z_w.imag], axis=1)
 
@@ -606,7 +597,7 @@ def ba_extend(h: BoundaryHomeomorphism, kernel="gaussian",
     return BeltramiCoefficient(
         DomainTag.UPPER_HALF_PLANE, mu_func, math.inf,
         min(sup + 1e-6, 0.9995),
-        meta={"kind": f"ba_extend/{kernel}"})
+        meta={"kind": "ba_extend/gaussian"})
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +612,9 @@ def _log_derivative_besov(h: BoundaryHomeomorphism, p) -> NormReport:
     return besov_seminorm(log_derivative(h), p)
 
 
-def _extension_mp_norm(h: BoundaryHomeomorphism, p, kernel="gaussian"):
+def _extension_mp_norm(h: BoundaryHomeomorphism, p):
     """Heat-kernel extension of h and its 3-level M_p ladder report."""
-    ext = ba_extend(h, kernel=kernel)
+    ext = ba_extend(h)
     return ext, mp_norm(ext, p, levels=3)
 
 

@@ -68,7 +68,7 @@ COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
 _FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
 # config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
 _EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
-               "extend": ("kernel",), "constants": ("family", "p_list")}
+               "constants": ("family", "p_list")}
 # tolerances each command reads (ExperimentConfig.tolerances), with their
 # defaults
 _TOLERANCES = {"solve": {"residual": 1e-3}, "aw": {"section": 5e-3},
@@ -280,8 +280,7 @@ def _cmd_besov(cfg):
 
 def _cmd_extend(cfg):
     weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
-    ext, rep = _extension_mp_norm(weld.h, cfg.p,
-                                  cfg.extra.get("kernel", "gaussian"))
+    ext, rep = _extension_mp_norm(weld.h, cfg.p)
     return ({"extension_sup_norm": ext.sup_norm,
              "mp_norm_extension": rep.to_json_dict()},
             {"quasiconformal": ext.sup_norm < 1,

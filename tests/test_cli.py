@@ -179,6 +179,9 @@ def test_config_rejects_unread_key():
     with pytest.raises(ValueError, match="'kernel'"):
         ExperimentConfig.from_dict({"command": "norm",
                                     "extra": {"kernel": "box"}})
+    # extend has one kernel, the Gaussian, and reads no kernel key
+    with pytest.raises(ValueError, match="'kernel'"):
+        ExperimentConfig.from_dict({"command": "extend", "kernel": "box"})
     with pytest.raises(ValueError, match="extra must"):
         ExperimentConfig.from_dict({"command": "solve", "extra": True})
 
