@@ -16,7 +16,9 @@ that torus per step.
 That kernel is built from a quarter of the padded torus's frequencies with
 real DCT-I and DST-I transforms (_box_multiplier), so a box solve builds no
 array of the whole chart or the padded torus.
-P is applied once, on the full padded torus.  Relative to the free-plane
+P is applied once, on the full padded torus, with its symbol built a block
+of rows at a time and the torus freed before the result is corrected, so
+no array of the torus outlives the call.  Relative to the free-plane
 kernel 1/(pi u), the periodic P kernel carries a background term
 -conj(u)/A and a cubic Weierstrass-series term (Eisenstein constant G4);
 both are restored from moments of h, after which the closed-form test maps
@@ -34,7 +36,7 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
-torus and normalizes; the samples stay on the support box.  Its raw
+padded torus and normalizes; the samples stay on the support box.  Its raw
 solution (f and the box samples) is memoized in the process, keyed by
 _solve_key.
 """
@@ -110,6 +112,11 @@ class Normalization(str, enum.Enum):
     FIX_THREE_BOUNDARY_POINTS = "FixThreeBoundaryPoints"
 
 
+# rows of the padded torus whose multiplier is built at a time by
+# _SpectralKit.spectral: 64 rows of a 2048-node torus hold 2 MB
+SYMBOL_ROWS = 64
+
+
 def _beurling_symbol(W):
     """The Beurling multiplier conj(W)/W, set to 0 at W = 0."""
     mult = np.conj(W)
@@ -119,9 +126,20 @@ def _beurling_symbol(W):
     return mult
 
 
+def _cauchy_symbol(W):
+    """The Cauchy multiplier -2i/W, set to 0 at W = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = -2j / W
+    mult[W == 0] = 0.0
+    return mult
+
+
 class _SpectralKit:
-    """Multipliers for one (n, half_width, pad) configuration, each built on
-    first use: a box solve reads none of them, nor the nodes Z."""
+    """Grid and torus geometry of one (n, half_width, pad) configuration.
+
+    It keeps no array of the padded torus: spectral builds the symbol of T
+    or P afresh on each call, a block of SYMBOL_ROWS rows at a time.  The
+    chart nodes Z are built on first use; a box solve never reads them."""
 
     def __init__(self, n, half_width, pad=2):
         self.n = n
@@ -139,23 +157,6 @@ class _SpectralKit:
     def Z(self):
         return self.nodes((slice(None), slice(None)))
 
-    def _wavenumbers(self):
-        """W = wx + i wy on the padded torus."""
-        w = 2.0 * np.pi * sfft.fftfreq(self.pad * self.n, d=self.spacing)
-        return w[:, None] + 1j * w[None, :]
-
-    @cached_property
-    def mult_T(self):
-        return _beurling_symbol(self._wavenumbers())
-
-    @cached_property
-    def mult_P(self):
-        W = self._wavenumbers()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.divide(-2j, W, out=W)
-        mult[0, 0] = 0.0
-        return mult
-
     @staticmethod
     def apply(h, mult):
         """Multiplier mult on the torus of its shape, h zero-padded to it;
@@ -164,8 +165,22 @@ class _SpectralKit:
         return sfft.ifft2(mult * sfft.fft2(h, s=mult.shape),
                           overwrite_x=True)[:na, :nb]
 
+    def spectral(self, h, symbol):
+        """symbol(W) on the padded torus, W = wx + i wy its wavenumbers, h
+        zero-padded to it; the result is cropped to h's shape and copied
+        out, so the torus is freed on return."""
+        m = self.pad * self.n
+        w = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
+        spec = sfft.fft2(h, s=(m, m))
+        for start in range(0, m, SYMBOL_ROWS):
+            rows = slice(start, start + SYMBOL_ROWS)
+            # spec first (numpy's elision order); a * b and b * a round apart
+            spec[rows] *= symbol(w[rows, None] + 1j * w[None, :])
+        na, nb = h.shape
+        return sfft.ifft2(spec, overwrite_x=True)[:na, :nb].copy()
+
     def beurling(self, h):
-        return self.apply(h, self.mult_T)
+        return self.spectral(h, _beurling_symbol)
 
     def moments(self, box, h_box):
         """Moments of h dA against 1, z, z^2, z^3 and conj(z), for h given
@@ -177,7 +192,7 @@ class _SpectralKit:
     def cauchy(self, h, box):
         """Padded-spectral P of the chart array h plus the lattice moment
         corrections; h vanishes off the grid nodes at box."""
-        out = self.apply(h, self.mult_P)
+        out = self.spectral(h, _cauchy_symbol)
         if self.pad == 1:
             return out
         Z = self.Z

@@ -214,7 +214,8 @@ def test_bers_map_builds_no_grid_transform(monkeypatch):
     monkeypatch.setattr(solver, "_kit", lru_cache(maxsize=8)(
         solver._SpectralKit))
     bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=128)
-    assert not {"Z", "mult_T", "mult_P"} & set(vars(solver._kit(128, 4.0, 2)))
+    assert not [k for k, v in vars(solver._kit(128, 4.0, 2)).items()
+                if isinstance(v, np.ndarray)]
     assert solver._MEMO == {}
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -485,6 +486,27 @@ def test_characterization_finite_case():
     assert v["mu_finite"] and v["besov_finite"] and v["extension_finite"]
     assert v["coherent"]
     assert rep["stages"]["roundtrip"]["phi_distance"] <= 0.1
+
+
+def test_characterization_frees_the_welded_maps(monkeypatch):
+    # the extension stage reads h alone: f_mu and g are gone by then
+    welded, seen = [], []
+
+    def weld_and_watch(*args, **kwargs):
+        out = welding(*args, **kwargs)
+        welded.append(weakref.ref(out.f_map))
+        return out
+
+    def stop(h, p):
+        seen.append(welded[0]() is None)
+        raise RuntimeError("stop before the ladder")
+
+    monkeypatch.setattr(boundary, "welding", weld_and_watch)
+    monkeypatch.setattr(boundary, "_extension_mp_norm", stop)
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    rep = besov_characterization_check(mu, 2, grid_n=256)
+    assert rep["stages"]["mp_norm_extension"]["type"] == "RuntimeError"
+    assert seen == [True]
 
 
 def test_characterization_divergent_power_class():

@@ -181,14 +181,40 @@ def test_beurling_indicator_closed_form():
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("pad", [1, 2])
 @pytest.mark.parametrize("mult", ["mult_T", "mult_P"])
-def test_spectral_apply_matches_hand_padded_reference(rng, n, pad, mult):
+def test_spectral_apply_matches_hand_padded_reference(rng, monkeypatch, n,
+                                                       pad, mult):
+    # the kit builds the symbol a block of rows at a time (here blocks of 24
+    # rows, the last one short); the reference builds it whole and
+    # multiplies it into the transform in the same order, in place: symbol
+    # * spectrum may round differently
+    symbol = {"mult_T": solver._beurling_symbol,
+              "mult_P": solver._cauchy_symbol}[mult]
+    monkeypatch.setattr(solver, "SYMBOL_ROWS", 24)
     kit = solver._SpectralKit(n, 4.0, pad)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = pad * n
     hp = np.zeros((m, m), dtype=complex)
     hp[:n, :n] = h
-    ref = scipy.fft.ifft2(getattr(kit, mult) * scipy.fft.fft2(hp))[:n, :n]
-    assert np.array_equal(kit.apply(h, getattr(kit, mult)), ref)
+    w = 2.0 * np.pi * scipy.fft.fftfreq(m, d=kit.spacing)
+    spec = scipy.fft.fft2(hp)
+    spec *= symbol(w[:, None] + 1j * w[None, :])
+    ref = scipy.fft.ifft2(spec)[:n, :n]
+    assert np.array_equal(kit.spectral(h, symbol), ref)
+    if mult == "mult_T":
+        assert np.array_equal(kit.beurling(h), ref)
+    elif pad == 1:  # no lattice corrections on the unpadded torus
+        assert np.array_equal(kit.cauchy(h, solver._support_box(h)), ref)
+
+
+def test_spectral_kit_keeps_no_torus_array(rng):
+    # neither the kit nor a result holds an array of the (2n)^2 torus
+    n = 64
+    kit = solver._SpectralKit(n, 4.0, 2)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for out in (kit.cauchy(h, solver._support_box(h)), kit.beurling(h)):
+        assert out.base is None
+    assert not [k for k, v in vars(kit).items()
+                if isinstance(v, np.ndarray) and v.size >= (2 * n) ** 2]
 
 
 def _bump(Z):
