@@ -76,7 +76,8 @@ class BoundaryFunction:
 
     Circle parameters are angles covering [0, 2pi); line parameters are
     strictly increasing reals.  Evaluation is piecewise linear; an optional
-    exact callable extends evaluation beyond the sampled range.
+    exact callable extends evaluation of line data beyond the sampled
+    range, and without one a point beyond it raises ValueError.
     """
 
     def __init__(self, params, values, domain="line", truncation=None,
@@ -119,17 +120,10 @@ class BoundaryFunction:
             out = np.interp(t, self.params, self.values)
         if not np.all(inside):
             if self.extension is None:
-                # linear continuation with the edge slopes
-                lo_s = (self.values[1] - self.values[0]) / \
-                    (self.params[1] - self.params[0])
-                hi_s = (self.values[-1] - self.values[-2]) / \
-                    (self.params[-1] - self.params[-2])
-                low = t < self.params[0]
-                high = t > self.params[-1]
-                out[low] = self.values[0] + lo_s * (t[low] - self.params[0])
-                out[high] = self.values[-1] + hi_s * (t[high] - self.params[-1])
-            else:
-                out[~inside] = self.extension(t[~inside])
+                raise ValueError(
+                    f"line data sampled on [{self.params[0]:g}, "
+                    f"{self.params[-1]:g}] has no extension beyond it")
+            out[~inside] = self.extension(t[~inside])
         return out
 
     __call__ = eval
@@ -456,8 +450,8 @@ def log_derivative(h: BoundaryHomeomorphism) -> BoundaryFunction:
     """log of symmetric difference quotients at parameter midpoints.
 
     Beyond the midpoints it is the log of one centred difference quotient
-    of h.eval, with step 1e-4 max(1, |t|), so it reads h's own extension
-    (or its linear continuation).  Raises on non-positive quotients.
+    of h.eval, with step 1e-4 max(1, |t|), so it reads h's own extension.
+    Raises on non-positive quotients.
     """
     t = h.params
     quot = np.diff(h.values) / np.diff(t)
@@ -703,14 +697,21 @@ def _cayley_boundary(obj: BoundaryFunction, direction):
     if direction is CayleyDirection.DISK_TO_HALF_PLANE:
         if obj.domain != "circle":
             raise ValueError("expected circle data")
+        homeo = isinstance(obj, BoundaryHomeomorphism)
+
+        def to_line(v):
+            return -1.0 / np.tan(v / 2) if homeo else v
+
+        def exact(x):  # the data at theta = 2 atan2(1, -x)
+            return to_line(obj.eval(2.0 * np.arctan2(1.0, -x)))
+
         th = obj.params
         keep = th > 1e-9
         x = -1.0 / np.tan(th[keep] / 2)
         order = np.argsort(x)
-        vals = obj.values[keep][order]
-        if isinstance(obj, BoundaryHomeomorphism):
-            vals = -1.0 / np.tan(vals / 2)
-        return type(obj)(x[order], vals, "line", float(np.abs(x).max()))
+        vals = to_line(obj.values[keep][order])
+        return type(obj)(x[order], vals, "line", float(np.abs(x).max()),
+                         extension=exact)
     if obj.domain != "line":
         raise ValueError("expected line data")
     th = 2.0 * np.arctan2(1.0, -obj.params)

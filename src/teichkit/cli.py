@@ -41,6 +41,7 @@ from .boundary import (
     _douglas_z,
     _extension_mp_norm,
     _log_derivative_besov,
+    _to_halfplane,
     _welding_param_grid,
     ba_extend,
     besov_characterization_check,
@@ -48,14 +49,7 @@ from .boundary import (
     welding,
     welding_identity_check,
 )
-from .domains import (
-    BeltramiCoefficient,
-    DomainTag,
-    ainf_norm,
-    ap_norm,
-    cayley,
-    mp_norm,
-)
+from .domains import BeltramiCoefficient, ainf_norm, ap_norm, mp_norm
 from .solver import solve_disk, solve_plane
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run",
@@ -112,7 +106,7 @@ class ExperimentConfig:
         for key in self.grid:
             if key != "n":
                 raise ValueError(f"grid key {key!r} is not read (only 'n')")
-        n = self.grid.get("n", 512)
+        n = self.grid_n
         if isinstance(n, bool) or not isinstance(n, int) or n < 2 \
                 or n & (n - 1):
             raise ValueError(
@@ -126,9 +120,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
         if "delta" in self.extra:
-            _check_number("delta", self.extra["delta"])
-        for val in self.extra.get("p_list", ()):
-            _check_number("p_list entry", val)
+            delta = self.extra["delta"]
+            _check_number("delta", delta)
+            if not 0 < delta <= 1.0 / 3.0:
+                raise ValueError(f"delta must lie in (0, 1/3], got {delta!r}")
         family = self.extra.get("family") or []
         for pair in family if isinstance(family, (list, tuple)) else [family]:
             is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -137,12 +132,20 @@ class ExperimentConfig:
             if not (is_pair and abs(pair[0]) < 1 and 0 <= pair[1] <= 1):
                 raise ValueError(f"family entry must be a pair [k, r] with "
                                  f"|k| < 1 and 0 <= r <= 1, got {pair!r}")
-        _check_number("p", self.p)
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
+        for name, val in [("p", self.p)] + [
+                ("p_list entry", q) for q in self.extra.get("p_list", ())]:
+            _check_number(name, val)
+            if not (math.isfinite(val) and val >= 1):
+                raise ValueError(
+                    f"{name} must be finite and >= 1, got {val!r}")
         if self.command in ("besov", "characterize", "roundtrip") \
                 and not self.p > 1:
             raise ValueError(f"{self.command} requires p > 1")
+
+    @property
+    def grid_n(self):
+        """Grid resolution N of the run's solves; 512 when grid has no n."""
+        return self.grid.get("n", 512)
 
     @classmethod
     def from_dict(cls, d):
@@ -212,7 +215,7 @@ def _cmd_norm(cfg):
 def _cmd_solve(cfg):
     mu = _mu(cfg)
     solver = solve_disk if cfg.extra.get("self_map") else solve_plane
-    f = solver(mu, grid_n=cfg.grid.get("n", 512))
+    f = solver(mu, grid_n=cfg.grid_n)
     # a self-map's far field is its half-plane solve's
     far = (f.halfplane_map or f).far_field
     reports = {"map": f.to_json_dict(),
@@ -223,16 +226,16 @@ def _cmd_solve(cfg):
 
 
 def _cmd_bers(cfg):
-    pt = bers_map(_mu(cfg), p=cfg.p, grid_n=cfg.grid.get("n", 512))
+    pt = bers_map(_mu(cfg), p=cfg.p, grid_n=cfg.grid_n)
     return ({"teichmuller_point": pt.to_json_dict()},
             {"ainf_finite": not pt.ainf_report.divergent,
              "ap_finite": not pt.ap_norm_report.divergent})
 
 
 def _cmd_aw(cfg):
-    pt = bers_map(_mu(cfg), p=cfg.p, grid_n=cfg.grid.get("n", 512))
+    pt = bers_map(_mu(cfg), p=cfg.p, grid_n=cfg.grid_n)
     sig = ahlfors_weill(pt.bers_image)
-    back = bers_map(sig, p=cfg.p, grid_n=cfg.grid.get("n", 512))
+    back = bers_map(sig, p=cfg.p, grid_n=cfg.grid_n)
     err = back.distance_to(pt, circles=(2.0,), n=32)
     tol = _tol(cfg, "section")
     return ({"sigma_sup_norm": sig.sup_norm, "section_sup_error": err},
@@ -242,9 +245,9 @@ def _cmd_aw(cfg):
 def _cmd_bilip(cfg):
     mu = _mu(cfg)
     nu = bilipschitz_representative(mu, delta=cfg.extra.get("delta", 0.3),
-                                    grid_n=cfg.grid.get("n", 512))
+                                    grid_n=cfg.grid_n)
     eq, dist = equivalent(nu, mu, tol=_tol(cfg, "equivalence"),
-                          grid_n=cfg.grid.get("n", 512))
+                          grid_n=cfg.grid_n)
     lo, hi = hyperbolic_distortion(nu.meta["final_map"])
     return ({"steps": nu.meta["steps"], "phi_distance": dist,
              "distortion": [lo, hi]},
@@ -252,7 +255,7 @@ def _cmd_bilip(cfg):
 
 
 def _cmd_weld(cfg):
-    weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
+    weld = welding(_mu(cfg), grid_n=cfg.grid_n)
     chk = welding_identity_check(weld)
     if cfg.output_path:
         # f_mu on h's parameters, g on a grid 1.5 times as wide
@@ -272,14 +275,14 @@ def _cmd_weld(cfg):
 
 
 def _cmd_besov(cfg):
-    weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
+    weld = welding(_mu(cfg), grid_n=cfg.grid_n)
     rep = _log_derivative_besov(weld.h, cfg.p)
     return ({"besov_log_derivative": rep.to_json_dict()},
             {"finite": not rep.divergent})
 
 
 def _cmd_extend(cfg):
-    weld = welding(_mu(cfg), grid_n=cfg.grid.get("n", 512))
+    weld = welding(_mu(cfg), grid_n=cfg.grid_n)
     ext, rep = _extension_mp_norm(weld.h, cfg.p)
     return ({"extension_sup_norm": ext.sup_norm,
              "mp_norm_extension": rep.to_json_dict()},
@@ -289,12 +292,12 @@ def _cmd_extend(cfg):
 
 def _cmd_characterize(cfg):
     rep = besov_characterization_check(_mu(cfg), cfg.p,
-                                       grid_n=cfg.grid.get("n", 512))
+                                       grid_n=cfg.grid_n)
     return {"characterization": rep}, dict(rep["verdicts"])
 
 
 def _cmd_roundtrip(cfg):
-    rep = roundtrip(_mu(cfg), cfg.p, grid_n=cfg.grid.get("n", 512),
+    rep = roundtrip(_mu(cfg), cfg.p, grid_n=cfg.grid_n,
                     tolerance=_tol(cfg, "roundtrip"))
     verdict_keys = ("within_tolerance", "skipped")
     return ({"roundtrip": rep},
@@ -422,8 +425,7 @@ def roundtrip(mu: BeltramiCoefficient, p=2.0, grid_n=512, tolerance=0.1):
     Divergent inputs report the divergence and skip the distance, mirroring
     the characterization verdict structure.
     """
-    mu_u = mu if mu.domain is DomainTag.UPPER_HALF_PLANE else \
-        cayley(mu, "DiskToHalfPlane")
+    mu_u = _to_halfplane(mu)
     norm_rep = mp_norm(mu_u, p, levels=3)
     if norm_rep.divergent:
         return {"skipped": True, "reason": "mp_norm divergent",

@@ -36,9 +36,10 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
-padded torus and normalizes; the samples stay on the support box.  Its raw
-solution (f and the box samples) is memoized in the process, keyed by
-_solve_key.
+padded torus and normalizes; the samples stay on the support box.  The
+normalized chart f and the box samples are memoized in the process,
+read-only and keyed by _solve_key, and every map handed out for the key
+reads that one chart.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -137,9 +137,9 @@ def _cauchy_symbol(W):
 class _SpectralKit:
     """Grid and torus geometry of one (n, half_width, pad) configuration.
 
-    It keeps no array of the padded torus: spectral builds the symbol of T
-    or P afresh on each call, a block of SYMBOL_ROWS rows at a time.  The
-    chart nodes Z are built on first use; a box solve never reads them."""
+    It holds no array: spectral builds the symbol of T or P afresh on each
+    call, a block of SYMBOL_ROWS rows at a time, and each read of the chart
+    nodes Z builds them anew; a box solve never reads them."""
 
     def __init__(self, n, half_width, pad=2):
         self.n = n
@@ -149,11 +149,12 @@ class _SpectralKit:
         self.torus_area = (pad * n * self.spacing) ** 2
 
     def nodes(self, box):
-        """Grid nodes at box, a pair of (row, column) slices of the chart."""
+        """Grid nodes at box, a pair of (row, column) slices or index
+        lists of the chart."""
         off = -self.half_width + self.spacing * np.arange(self.n)
         return off[box[0], None] + 1j * off[None, box[1]]
 
-    @cached_property
+    @property
     def Z(self):
         return self.nodes((slice(None), slice(None)))
 
@@ -201,11 +202,6 @@ class _SpectralKit:
         c4 = G4_SQUARE / (np.pi * self.torus_area ** 2)
         out = out + c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
         return out
-
-
-@lru_cache(maxsize=8)
-def _kit(n, half_width, pad=2):
-    return _SpectralKit(n, half_width, pad)
 
 
 def _box_multiplier(kit, shape):
@@ -300,19 +296,6 @@ def _support_box(mu_s, at=None):
     return tuple(slice(a + i[0], a + i[-1] + 1) for a, i in zip(starts, idx))
 
 
-def _take(a, a_box, box):
-    """a, given on the chart nodes a_box, on the chart nodes box (zero off
-    a_box); the boxes overlap."""
-    out = np.zeros(tuple(t.stop - t.start for t in box), dtype=a.dtype)
-    src, dst = [], []
-    for s, t in zip(a_box, box):
-        lo, hi = max(s.start, t.start), min(s.stop, t.stop)
-        src.append(slice(lo - s.start, hi - s.start))
-        dst.append(slice(lo - t.start, hi - t.start))
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def auto_half_width(reach):
     """Smallest grid half-width (4, 8, or 16) fitting the support margin.
 
@@ -356,7 +339,7 @@ def cauchy_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
     if grid.center != 0:
         raise SolverError("spectral transforms expect a grid centered at 0")
     _check_margin(grid.values, grid.nodes(), grid.half_width)
-    kit = _kit(grid.n, grid.half_width, pad)
+    kit = _SpectralKit(grid.n, grid.half_width, pad)
     return ComplexGrid(grid.center, grid.half_width,
                        kit.cauchy(grid.values, _support_box(grid.values)))
 
@@ -372,7 +355,7 @@ def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
     if pad > 1:
         # torus-native pad=1 has no aliasing margin
         _check_margin(grid.values, grid.nodes(), grid.half_width)
-    kit = _kit(grid.n, grid.half_width, pad)
+    kit = _SpectralKit(grid.n, grid.half_width, pad)
     return ComplexGrid(grid.center, grid.half_width, kit.beurling(grid.values))
 
 
@@ -406,7 +389,7 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     Cells cut by a declared jump circle are supersampled to their cell
     average.
     """
-    kit = _kit(n, half_width, 2)
+    kit = _SpectralKit(n, half_width)
     d = kit.spacing
     truncation = math.inf
     if reflect and not np.isfinite(mu.support_radius):
@@ -559,8 +542,7 @@ FAR_FIELD_FIT = {"orders": range(-12, 2), "n_samples": 512,
 
 
 def identity_map(n=64):
-    kit = _kit(n, 4.0, 2)
-    grid = ComplexGrid(0.0, 4.0, kit.Z.copy())
+    grid = ComplexGrid(0.0, 4.0, _SpectralKit(n, 4.0).Z)
     ff = HolomorphicFunction([1], [1.0], DomainTag.EXTERIOR_DISK)
     return QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
@@ -573,9 +555,9 @@ def identity_map(n=64):
 
 
 def _solve_key(mu, grid_n, reflect):
-    """Memo key of one raw solve; None when mu carries no cache token.
+    """Memo key of one solve; None when mu carries no cache token.
 
-    A raw solve's output is fixed by mu, grid_n and reflect: the chart and
+    A solve's output is fixed by mu, grid_n and reflect: the chart and
     the truncation are derived from mu, everything else is a constant.
     """
     if mu.cache_token is None:
@@ -654,12 +636,14 @@ def _box_solve(mu, grid_n, reflect):
     half_width = auto_half_width(mu.support_radius)
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
-    kit = _kit(grid_n, half_width, 2)
+    kit = _SpectralKit(grid_n, half_width)
     box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
     mu_s = _binomial_blur(mu_s)
     _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
     support = _support_box(mu_s, box)
-    mu_s = _take(mu_s, box, support)
+    # a copy, so that the memo holds no larger base array
+    mu_s = mu_s[tuple(slice(s.start - b.start, s.stop - b.start)
+                      for s, b in zip(support, box))].copy()
     h, trace, ratio = _neumann(kit, mu_s)
     return _BoxSolve(kit, support, h, mu_s, trace, ratio)
 
@@ -672,67 +656,76 @@ def _fd_residual(qc, jump_circles):
     res = np.abs(dbar)  # mu vanishes off its support box
     box = qc.support
     res[box] = np.abs(dbar[box] - qc.mu_samples * dz[box])
-    kit = _kit(qc.grid.n, qc.grid.half_width, 2)
-    Z = kit.Z
-    mask = (np.abs(Z.real) < MARGIN_FRACTION * kit.half_width) & \
-           (np.abs(Z.imag) < MARGIN_FRACTION * kit.half_width)
+    grid = qc.grid
+    Z = grid.nodes()
+    lim = MARGIN_FRACTION * grid.half_width
+    mask = (np.abs(Z.real) < lim) & (np.abs(Z.imag) < lim)
     for c, r in jump_circles:
-        mask &= np.abs(np.abs(Z - c) - r) > 3 * kit.spacing
+        mask &= np.abs(np.abs(Z - c) - r) > 3 * grid.spacing
     return float(res[mask].max() / np.abs(dz).max())
+
+
+def _normalized_chart(mu, kit, reflect):
+    """Memo entry of one solve: (f, mu_s, support, trace, ratio, symmetry
+    defect), f read-only on the chart.  h (_box_solve) is scattered onto
+    the chart for P on the full padded torus, and z + P[h] is normalized in
+    place by a complex affine map (plane) or a real affine map (half-plane,
+    whose reflection symmetry is checked on R) pinning the nodes 0 and 1.
+    """
+    n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)
+    sol = _box_solve(mu, n, reflect)
+    h = np.zeros((n, n), dtype=complex)
+    h[sol.box] = sol.h
+    f = kit.cauchy(h, sol.box)
+    del h  # P read h: free it before the chart nodes
+    f += kit.Z
+    i0, i1 = (round((x + kit.half_width) / kit.spacing) for x in (0.0, 1.0))
+    if np.abs(kit.nodes(([i0, i1], [j0]))[:, 0] - (0.0, 1.0)).max() > 1e-9:
+        raise SolverError("normalization points 0 and 1 are not grid nodes")
+    a, b = f[i0, j0], f[i1, j0]
+    if reflect:
+        a, b = a.real, b.real
+    f -= a
+    f /= b - a
+    defect = None
+    if reflect:
+        defect = float(np.max(np.abs(f[:, j0].imag)))
+        if defect > 1e-6:
+            raise SolverError(f"reflection symmetry defect {defect:.2e} on R",
+                              sol.trace)
+    f.flags.writeable = sol.mu_s.flags.writeable = False
+    return f, sol.mu_s, sol.box, sol.trace, sol.ratio, defect
 
 
 def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    The raw solution z + P[h] on the chart of mu, and the samples on their
-    support box, come from the memo (which holds read-only arrays, at most
-    _MEMO_BYTES of them) or from the box-level part (_box_solve), whose h
-    alone is scattered onto the chart for P on the full padded torus.  A
-    complex affine
-    map (plane) or real affine map (half-plane, whose reflection symmetry
-    is checked on R) pins the grid nodes 0 and 1.  The far field is fitted
+    The normalized chart f and the samples on their support box come from
+    the memo (read-only arrays, at most _MEMO_BYTES of them) or from
+    _normalized_chart, and the map reads f itself.  The far field is fitted
     (FAR_FIELD_FIT) through the map's own spline on the circle of radius
     0.855 half_width; its held-out residual is recorded, not checked.  The
     residual is the Beltrami defect against the samples off the jumps.
     """
     half_width = auto_half_width(mu.support_radius)
-    kit = _kit(grid_n, half_width, 2)
+    kit = _SpectralKit(grid_n, half_width)
     key = _solve_key(mu, grid_n, reflect)
-    raw = _MEMO.get(key)
-    if raw is None:
-        sol = _box_solve(mu, grid_n, reflect)
-        h = _take(sol.h, sol.box, (slice(0, grid_n),) * 2)
-        raw = (kit.Z + kit.cauchy(h, sol.box), sol.mu_s, sol.box, sol.trace,
-               sol.ratio)
-        del sol, h  # P read h: free it before the residual
-        raw[0].flags.writeable = raw[1].flags.writeable = False
+    entry = _MEMO.get(key)
+    if entry is None:
+        entry = _normalized_chart(mu, kit, reflect)
         if key is not None:
-            _MEMO[key] = raw
-            while sum(r[0].nbytes + r[1].nbytes
-                      for r in _MEMO.values()) > _MEMO_BYTES:
+            _MEMO[key] = entry
+            while sum(e[0].nbytes + e[1].nbytes
+                      for e in _MEMO.values()) > _MEMO_BYTES:
                 _MEMO.pop(next(iter(_MEMO)))
-    f, mu_s, support, trace, ratio = raw
-
-    j0 = round(half_width / kit.spacing)
-    i0, i1 = (round((x + half_width) / kit.spacing) for x in (0.0, 1.0))
-    for i, x in ((i0, 0.0), (i1, 1.0)):
-        if abs(kit.Z[i, j0] - x) > 1e-9:
-            raise SolverError(f"normalization point {x} is not a grid node")
-    a, b = f[i0, j0], f[i1, j0]
-    if reflect:
-        a, b = a.real, b.real
-    f = (f - a) / (b - a)
+    f, mu_s, support, trace, ratio, defect = entry
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
         support=support, convergence_ratio=ratio,
-        iteration_trace=list(trace))
+        iteration_trace=list(trace), symmetry_defect=defect)
     jumps = list(mu.jump_circles)
     if reflect:
-        qc.symmetry_defect = float(np.max(np.abs(f[:, j0].imag)))
-        if qc.symmetry_defect > 1e-6:
-            raise SolverError("reflection symmetry defect "
-                              f"{qc.symmetry_defect:.2e} on R", trace)
         jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
     else:
         supp = mu.support_radius if np.isfinite(mu.support_radius) \
@@ -794,7 +787,8 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
         w = cayley_map(np.where(np.abs(z - 1.0) < 1e-12, 1.0 + 1e-12, z))
         return cayley_inverse(fu(w))
 
-    grid = ComplexGrid(0.0, 1.25, outer(_kit(min(grid_n, 512), 1.25, 2).Z))
+    grid = ComplexGrid(0.0, 1.25,
+                       outer(_SpectralKit(min(grid_n, 512), 1.25).Z))
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid,
         conformal_region=None, mu_samples=None,

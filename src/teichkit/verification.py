@@ -42,7 +42,7 @@ from .domains import (
 from .solver import (
     Normalization,
     QuasiconformalMap,
-    _kit,
+    _SpectralKit,
     beurling_transform,
     chain_rule,
     identity_map,
@@ -164,7 +164,7 @@ def check_5_chain_rule():
         chain_rule(mu, BeltramiCoefficient.zero(), ident).eval(z)
         - mu.eval(z)).max())
     k1, k2 = 0.4, 0.2
-    kit = _kit(256, 4.0)
+    kit = _SpectralKit(256, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + k2 * np.conj(kit.Z))
     f_aff = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid)
@@ -305,7 +305,7 @@ def check_11_beurling():
     """T[dbar phi] = d phi to 1e-6 relative; discrete isometry to 1e-10."""
     t0 = time.time()
     n, L = 256, 5.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     phi = np.exp(-np.abs(Z) ** 2)
     T = beurling_transform(ComplexGrid(0.0, L, -Z * phi)).values

@@ -1,4 +1,3 @@
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from teichkit.bers import (
     schwarzian,
 )
 from teichkit.domains import ComplexGrid, HolomorphicFunction
-from teichkit.solver import Normalization, QuasiconformalMap, _kit
+from teichkit.solver import Normalization, QuasiconformalMap, _SpectralKit
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -42,7 +41,7 @@ def phi_series(k, r, rho=1.5):
 
 
 def synthetic_disk_map(fn, n=256):
-    kit = _kit(n, 1.25)
+    kit = _SpectralKit(n, 1.25)
     return QuasiconformalMap(
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS,
         grid=ComplexGrid(0.0, 1.25, fn(kit.Z)), outer_eval=fn)
@@ -208,14 +207,15 @@ def test_ap_norm_of_a_bers_image_is_the_weil_petersson_sum(mu_03_05):
 
 def test_bers_map_builds_no_grid_transform(monkeypatch):
     # the image comes from the moments of h on its support box: no nodes of
-    # the whole chart, no padded-torus multiplier, spline or far field, and
+    # the whole chart, no padded-torus transform, spline or far field, and
     # no memo entry
+    def unread(kit, *args):
+        raise AssertionError("bers_map read the whole chart or torus")
+
     monkeypatch.setattr(solver, "_MEMO", {})
-    monkeypatch.setattr(solver, "_kit", lru_cache(maxsize=8)(
-        solver._SpectralKit))
+    monkeypatch.setattr(solver._SpectralKit, "Z", property(unread))
+    monkeypatch.setattr(solver._SpectralKit, "spectral", unread)
     bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=128)
-    assert not [k for k, v in vars(solver._kit(128, 4.0, 2)).items()
-                if isinstance(v, np.ndarray)]
     assert solver._MEMO == {}
 
 

@@ -232,6 +232,28 @@ def test_besov_cayley_invariance():
     assert b == pytest.approx(a, rel=1e-5)
 
 
+def test_line_data_without_extension_do_not_extrapolate():
+    # beyond the window line data read their extension; with none they
+    # raise, naming the window, where they once continued the edge slopes
+    x = np.linspace(-2.0, 3.0, 11)
+    u = BoundaryFunction(x, x ** 2, "line")
+    assert np.array_equal(u.eval(x), x ** 2)
+    for t in (-2.5, 3.5, [0.0, 4.0]):
+        with pytest.raises(ValueError, match=r"sampled on \[-2, 3\]"):
+            u.eval(t)
+    # circle data taken to the line carry the circle data as extension
+    th = 2 * np.pi * np.arange(64) / 64
+    circ = BoundaryFunction(th, np.cos(th), "circle")
+    line = cayley(circ, "DiskToHalfPlane")
+    far = np.array([-1e3, 50.0, 1e4])
+    assert np.array_equal(line.eval(far),
+                          circ.eval(2.0 * np.arctan2(1.0, -far)))
+    # the identity's lift, read on its first arc of the circle
+    homeo = cayley(BoundaryHomeomorphism(th, th, "circle"), "DiskToHalfPlane")
+    left = np.array([-1e3, -50.0])
+    assert np.abs(homeo.eval(left) - left).max() < 1e-9
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_lemma6_comparability(p):
     fams = {

@@ -97,6 +97,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="family entry must be"):
         ExperimentConfig.from_dict({"command": "constants",
                                     "family": [[0.1, True]]})
+    # p_list entries obey p's rule, and delta lies in (0, 1/3]
+    for p in (0.5, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p_list entry must be finite"):
+            ExperimentConfig.from_dict({"command": "constants",
+                                        "p_list": [2.0, p]})
+    for delta in (0.5, -1, 0.0, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/3\]"):
+            ExperimentConfig.from_dict({"command": "bilip", "delta": delta})
+    ExperimentConfig.from_dict({"command": "bilip", "delta": 1.0 / 3.0})
+    ExperimentConfig.from_dict({"command": "constants", "p_list": [1, 2.5]})
     # a family is a list of pairs [k, r] with |k| < 1 and 0 <= r <= 1:
     # -6 k r^2 / (z^2 - k r^2)^2 is the Bers image of k chi_{rD} only there
     for family in (0.3, [0.3], [[0.3]], [[0.3, 0.5, 0.1]], [[0.3, 1.5]],

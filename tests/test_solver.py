@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -26,26 +27,28 @@ from teichkit import (
 )
 from teichkit import solver
 from teichkit.domains import ComplexGrid, HolomorphicFunction, cayley
-from teichkit.solver import _binomial_blur, _kit, sample_coefficient
+from teichkit.solver import _SpectralKit, _binomial_blur, sample_coefficient
 
 from conftest import TEST_GRID_N
 
 
 def grid_of(fn, n=512, L=4.0):
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     return ComplexGrid(0.0, L, fn(kit.Z))
 
 
 def chart_samples(mu, n, L, reflect=False):
     """sample_coefficient's samples scattered onto the whole n x n chart."""
     box, vals = sample_coefficient(mu, n, L, reflect)
-    return solver._take(vals, box, (slice(0, n), slice(0, n)))
+    out = np.zeros((n, n), dtype=vals.dtype)
+    out[box] = vals
+    return out
 
 
 def full_chart_samples(mu, n, half_width, reflect=False):
     """Reference: mu sampled on every node of the chart (sample_coefficient
     samples only the square that holds mu's support)."""
-    kit = _kit(n, half_width, 2)
+    kit = _SpectralKit(n, half_width, 2)
     Z = kit.Z
     d = kit.spacing
     truncation = math.inf
@@ -92,7 +95,7 @@ def test_cauchy_zero():
 
 def test_cauchy_dbar_identity_on_bump():
     n, L = 1024, 4.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     h = np.exp(-2 * np.abs(Z) ** 2) * (Z - 0.3)
     P = cauchy_transform(ComplexGrid(0.0, L, h)).values
@@ -105,7 +108,7 @@ def test_cauchy_dbar_identity_on_bump():
 def test_cauchy_disk_indicator_closed_form():
     # P[chi_D] = conj(z) inside, 1/z outside (sign fixed by dbar P = h)
     n, L = 512, 4.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     P = cauchy_transform(indicator_disk_samples(n, L)).values
     exact = np.where(np.abs(Z) < 1, np.conj(Z), 1 / np.where(Z == 0, 1, Z))
@@ -116,7 +119,7 @@ def test_cauchy_disk_indicator_closed_form():
 
 def test_cauchy_moments_on_the_box_match_full_grid_sums():
     n, L = 256, 4.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     h = _bump(Z)
     box = solver._support_box(h)
@@ -145,7 +148,7 @@ def test_beurling_zero():
 def test_beurling_derivative_identity_gaussian():
     # T[dbar phi] = d phi for phi = exp(-|z|^2), both sides analytic
     n, L = 256, 5.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     phi = np.exp(-np.abs(Z) ** 2)
     T = beurling_transform(ComplexGrid(0.0, L, -Z * phi)).values
@@ -164,7 +167,7 @@ def test_beurling_indicator_closed_form():
     # T[chi_{rD}] = 0 inside, -r^2/z^2 outside; T is singular (not
     # smoothing), so the comparison uses the solver's mollified samples
     n, L, r = 512, 4.0, 0.5
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     Z = kit.Z
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
@@ -228,7 +231,7 @@ def _bump(Z):
 def test_box_beurling_matches_full_grid(data):
     # the bump's box is 64 of 256 nodes a side; the Gaussian's is the chart
     n, L = 256, 4.0
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     h = data(kit.Z)
     box = solver._support_box(h)
     assert h[box].shape == ((64, 64) if data is _bump else (n, n))
@@ -240,7 +243,7 @@ def test_box_beurling_matches_full_grid(data):
 def test_box_beurling_indicator_closed_form():
     # as test_beurling_indicator_closed_form, on the indicator's support box
     n, L, r = 512, 4.0, 0.5
-    kit = _kit(n, L)
+    kit = _SpectralKit(n, L)
     ind = BeltramiCoefficient(DomainTag.PLANE,
                               lambda z: np.where(np.abs(z) < r, 1.0, 0.0),
                               r, 0.5, jump_circles=((0.0, r),))
@@ -275,7 +278,7 @@ def test_box_neumann_matches_full_torus(reflect):
     if reflect:  # welding's half-plane coefficient, reach 3 of half-width 4
         mu = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
                     "DiskToHalfPlane")
-    kit = _kit(n, 4.0)
+    kit = _SpectralKit(n, 4.0)
     mu_s = _binomial_blur(chart_samples(mu, n, 4.0, reflect=reflect))
     box = solver._support_box(mu_s)
     # the reflected support is two disks stacked along y
@@ -294,7 +297,7 @@ def test_support_box_of_zero_and_edge_data():
     mu_s[60:64, 10:12] = 0.3  # 4 x 2 nodes at the grid edge
     rows, cols = solver._support_box(mu_s)
     assert (rows.start, rows.stop, cols.start, cols.stop) == (60, 64, 10, 12)
-    h, trace, _ = solver._neumann(_kit(64, 4.0), np.zeros((64, 64), complex))
+    h, trace, _ = solver._neumann(_SpectralKit(64, 4.0), np.zeros((64, 64), complex))
     assert not h.any() and trace == [0.0]
 
 
@@ -323,7 +326,7 @@ def _row_block_box_multiplier(kit, shape, rows=128):
 def test_box_multiplier_matches_row_block_reference(n):
     # nb = 1; an nb whose torus m = next_fast_len(2 nb) has m - nb > nb;
     # and nb = N, whose torus is the whole padded one
-    kit = _kit(n, 4.0)
+    kit = _SpectralKit(n, 4.0)
     for nb in (1, 31, n):
         if nb == 31:
             assert scipy.fft.next_fast_len(2 * nb) - nb > nb
@@ -337,7 +340,7 @@ def test_box_multiplier_matches_row_block_reference(n):
 def test_box_multiplier_of_a_rectangle_matches_row_block_reference(n):
     # rectangles of the square cases' sides, each axis gathered by its own
     # offsets, in both orientations
-    kit = _kit(n, 4.0)
+    kit = _SpectralKit(n, 4.0)
     for shape in ((1, 31), (31, n), (n, 1), (n // 2 + 3, 31)):
         got = solver._box_multiplier(kit, shape)
         want = _row_block_box_multiplier(kit, shape)
@@ -371,7 +374,7 @@ def test_box_sampling_matches_full_chart(fresh_cache, case):
     L = solver.auto_half_width(mu.support_radius)
     ref = _binomial_blur(full_chart_samples(mu, n, L, reflect))
     box = solver._support_box(ref)
-    h, trace, _ = solver._neumann(_kit(n, L), ref[box])
+    h, trace, _ = solver._neumann(_SpectralKit(n, L), ref[box])
     sol = solver._box_solve(mu, n, reflect)
     assert sol.box == box and sol.trace == trace
     assert np.array_equal(sol.h, h)
@@ -393,7 +396,7 @@ def test_box_sampling_margin_guard(n, r):
     assert r == 0.875 * L
     ref = _binomial_blur(full_chart_samples(mu, n, L))
     with pytest.raises(SolverError) as want:
-        solver._check_margin(ref, _kit(n, L).Z, L, "coefficient support")
+        solver._check_margin(ref, _SpectralKit(n, L).Z, L, "coefficient support")
     with pytest.raises(SolverError, match="outer 10% margin") as got:
         solver._box_solve(mu, n, False)
     assert str(got.value) == str(want.value)
@@ -477,9 +480,7 @@ def fresh_cache(monkeypatch):
     monkeypatch.setattr(solver, "_MEMO", {})
 
 
-# memo only: a solve never goes through a file
-@pytest.mark.parametrize("through_disk", [False])
-def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache, through_disk):
+def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache):
     # welding solves the same half-plane coefficient on the plane (mu
     # extended by zero) and as a self-map of U (mu reflected across R)
     mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
@@ -538,9 +539,7 @@ def test_solve_writes_no_files(fresh_cache, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# memo only: a solve is never read back from a file
-@pytest.mark.parametrize("from_disk", [False])
-def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
+def test_solve_memo_hands_out_no_shared_state(fresh_cache):
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     first = solve_plane(mu, 128)
     with pytest.raises(ValueError, match="read-only"):
@@ -552,6 +551,55 @@ def test_solve_memo_hands_out_no_shared_state(fresh_cache, from_disk):
     ref = _binomial_blur(full_chart_samples(mu, 128, 4.0))
     assert again.support == first.support
     assert np.array_equal(again.mu_samples, ref[again.support])
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_memo_entry_is_the_one_chart_every_map_reads(fresh_cache, reflect):
+    # a miss normalizes once and memoizes that chart read-only; the map of
+    # the miss and the map of a hit read it, and a hit builds no node
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    if reflect:
+        mu = cayley(mu, "DiskToHalfPlane")
+    first = solver._solve(mu, 128, reflect)
+    (entry,) = solver._MEMO.values()
+    charts = [a for a in entry
+              if isinstance(a, np.ndarray) and a.size >= 128 * 128]
+    assert len(charts) == 1 and charts[0].shape == (128, 128)
+    assert entry[1] is first.mu_samples and entry[1].size < 128 * 128
+    assert entry[1].base is None  # the memo keeps no sampled square
+    f = entry[0]
+    assert not f.flags.writeable and f.base is None
+    assert first.grid.values is f
+    assert f[64, 64].real == 0 and f[80, 64].real == 1  # nodes 0 and 1
+    again = solver._solve(mu, 128, reflect)
+    assert again is not first and again.grid.values is f
+    assert again.symmetry_defect == first.symmetry_defect
+    assert (again.symmetry_defect is None) is not reflect
+    with pytest.raises(ValueError, match="read-only"):
+        again.grid.values[0, 0] = 1.0
+
+
+def test_spectral_kits_hold_no_array(fresh_cache, monkeypatch):
+    # kits are geometry only: no chart nodes or symbols stay on them after
+    # plane, half-plane and disk solves and a welding
+    from teichkit.boundary import welding
+
+    new_kits = []
+    init = solver._SpectralKit.__init__
+    monkeypatch.setattr(solver._SpectralKit, "__init__",
+                        lambda kit, *args: new_kits.append(kit) or
+                        init(kit, *args))
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    solve_plane(mu, 64)
+    solve_halfplane(cayley(mu, "DiskToHalfPlane"), 64)
+    solve_disk(mu, 64)
+    welding(mu, 64)
+    # and every kit still alive, built here or before
+    kits = new_kits + [obj for obj in gc.get_objects()
+                       if isinstance(obj, solver._SpectralKit)]
+    assert {(k.n, k.half_width) for k in kits} >= {(64, 4.0), (64, 1.25)}
+    assert not [name for kit in kits for name, v in vars(kit).items()
+                if isinstance(v, np.ndarray)]
 
 
 def test_qcmap_declares_solver_attributes(mu_03_05):
@@ -620,7 +668,7 @@ def test_dilatation_identity():
 
 
 def test_dilatation_synthetic_affine():
-    kit = _kit(128, 4.0)
+    kit = _SpectralKit(128, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + 0.3 * np.conj(kit.Z))
     f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
                           grid=grid)
@@ -635,7 +683,7 @@ def test_dilatation_roundtrip(plane_03_05, mu_03_05):
 
 
 def test_dilatation_rejects_folded_grid():
-    kit = _kit(64, 4.0)
+    kit = _SpectralKit(64, 4.0)
     grid = ComplexGrid(0.0, 4.0, np.conj(kit.Z))  # orientation-reversing
     f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
                           grid=grid)
@@ -647,7 +695,7 @@ def test_dilatation_counts_zeroed_nodes():
     # f = z + c conj(z)^2 / 2 has mu = c conj(z): |mu| < 1 on D, and the
     # map folds where |z| >= 1/c, outside D
     c = 1 / 1.1037
-    kit = _kit(64, 1.25)
+    kit = _SpectralKit(64, 1.25)
     grid = ComplexGrid(0.0, 1.25, kit.Z + 0.5 * c * np.conj(kit.Z) ** 2)
     f = QuasiconformalMap(
         normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid)
@@ -734,7 +782,7 @@ def test_affine_grids_are_read_exactly(n):
     # to the 0.9-margin square; a filter of the unpadded grid misses it
     # by 7e-4 at N = 64
     a, b, c = 1.3 - 0.4j, 0.2 + 0.1j, 0.25 + 0.05j
-    kit = _kit(n, 8.0)
+    kit = _SpectralKit(n, 8.0)
     affine = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, 8.0, a * kit.Z + b + c * np.conj(kit.Z)))
@@ -789,7 +837,7 @@ def test_compose_closed_form_affine_pair():
     # constant-coefficient maps are affine inside the support disk; their
     # composition is the affine composition
     k1, k2 = 0.2, 0.1
-    kit = _kit(256, 4.0)
+    kit = _SpectralKit(256, 4.0)
 
     def affine_map(k):
         grid = ComplexGrid(0.0, 4.0, kit.Z + k * np.conj(kit.Z))
@@ -821,7 +869,7 @@ def test_chain_rule_zero_nu_returns_mu(mu_03_05):
 
 def test_chain_rule_affine_constant_case():
     k1, k2 = 0.4, 0.2
-    kit = _kit(256, 4.0)
+    kit = _SpectralKit(256, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + k2 * np.conj(kit.Z))
     f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
                           grid=grid)
