@@ -80,6 +80,8 @@ class BoundaryFunction:
     range, and without one a point beyond it raises ValueError.
     """
 
+    turn = 0.0  # increase of the values over one turn of the circle
+
     def __init__(self, params, values, domain="line", truncation=None,
                  extension=None, meta=None):
         self.params = np.asarray(params, dtype=float)
@@ -105,26 +107,22 @@ class BoundaryFunction:
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        if self.domain == "circle":
+        xp, fp = self.params, self.values
+        if self.domain == "circle":  # closed over one turn
             t = np.mod(t, 2 * np.pi)
-            xp = np.concatenate([self.params, [self.params[0] + 2 * np.pi]])
-            fp = np.concatenate([self.values, [self.values[0]]])
-            if self.is_complex:
-                return np.interp(t, xp, fp.real) + 1j * np.interp(t, xp, fp.imag)
-            return np.interp(t, xp, fp)
-        inside = (t >= self.params[0]) & (t <= self.params[-1])
+            xp = np.append(xp, xp[0] + 2 * np.pi)
+            fp = np.append(fp, fp[0] + self.turn)
+        out = np.interp(t, xp, fp.real)
         if self.is_complex:
-            out = (np.interp(t, self.params, self.values.real)
-                   + 1j * np.interp(t, self.params, self.values.imag))
-        else:
-            out = np.interp(t, self.params, self.values)
-        if not np.all(inside):
+            out = out + 1j * np.interp(t, xp, fp.imag)
+        outside = ~((t >= xp[0]) & (t <= xp[-1]))
+        if self.domain == "line" and np.any(outside):
             if self.extension is None:
-                raise ValueError(
-                    f"line data sampled on [{self.params[0]:g}, "
-                    f"{self.params[-1]:g}] has no extension beyond it")
-            out[~inside] = self.extension(t[~inside])
-        return out
+                raise ValueError(f"line data sampled on [{xp[0]:g}, "
+                                 f"{xp[-1]:g}] has no extension beyond it")
+            out = np.asarray(out)  # writable, also for a scalar t
+            out[outside] = self.extension(t[outside])
+        return out[()]
 
     __call__ = eval
 
@@ -165,6 +163,8 @@ class BoundaryHomeomorphism(BoundaryFunction):
     displacement of the normalization points is recorded; passing fix_tol
     makes it a hard contract (welding and trace outputs do).
     """
+
+    turn = 2 * math.pi
 
     def __init__(self, params, values, domain="line", truncation=None,
                  extension=None, meta=None, fix_tol=None):

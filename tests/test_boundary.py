@@ -248,10 +248,14 @@ def test_line_data_without_extension_do_not_extrapolate():
     far = np.array([-1e3, 50.0, 1e4])
     assert np.array_equal(line.eval(far),
                           circ.eval(2.0 * np.arctan2(1.0, -far)))
-    # the identity's lift, read on its first arc of the circle
-    homeo = cayley(BoundaryHomeomorphism(th, th, "circle"), "DiskToHalfPlane")
-    left = np.array([-1e3, -50.0])
-    assert np.abs(homeo.eval(left) - left).max() < 1e-9
+    # the identity's lift, read on its first and last arcs of the circle,
+    # where the lift closes with a full turn
+    lift = BoundaryHomeomorphism(th, th, "circle")
+    assert lift.eval(2 * np.pi - 0.01) == pytest.approx(2 * np.pi - 0.01)
+    homeo = cayley(lift, "DiskToHalfPlane")
+    far = np.array([-1e3, -50.0, 50.0, 1e3])
+    assert np.abs(homeo.eval(far) - far).max() < 1e-9
+    assert homeo.eval(50.0) == pytest.approx(50.0)  # a scalar read, too
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
