@@ -126,14 +126,6 @@ class BoundaryFunction:
 
     __call__ = eval
 
-    def resample(self, n):
-        if self.domain == "circle":
-            t = 2 * np.pi * np.arange(n) / n
-        else:
-            t = np.linspace(self.params[0], self.params[-1], n)
-        return type(self)(t, self.eval(t), self.domain, self.truncation,
-                          self.extension, self.meta)
-
     def to_csv(self, path):
         """Write (parameter, value) rows; complex values as literals.
 
@@ -598,14 +590,6 @@ def ba_extend(h: BoundaryHomeomorphism,
 # Characterization pipeline
 
 
-def _log_derivative_besov(h: BoundaryHomeomorphism, p) -> NormReport:
-    """Besov seminorm of log h', with h resampled to 4097 points when it is
-    sampled more coarsely."""
-    if h.params.size < 4097:
-        h = h.resample(4097)
-    return besov_seminorm(log_derivative(h), p)
-
-
 def _extension_mp_norm(h: BoundaryHomeomorphism, p):
     """Heat-kernel extension of h and its 3-level M_p ladder report."""
     ext = ba_extend(h)
@@ -628,7 +612,8 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
     Stages: M_p norm of mu; welding (or the supplied boundary map when mu
     is not compactly supported, e.g. the constant-modulus power class);
-    log-derivative Besov seminorm; heat-kernel extension and its M_p norm.
+    Besov seminorm of log h' on h as sampled; heat-kernel extension and its
+    M_p norm.
     Verdicts must agree: all finite or all divergent.
     """
     report = {"p": float(p), "stages": {}, "verdicts": {}}
@@ -658,7 +643,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
         stages["welding"] = {"skipped": "boundary map supplied directly"}
 
     try:
-        rep = _log_derivative_besov(h, p)
+        rep = besov_seminorm(log_derivative(h), p)
         stages["besov_log_derivative"] = rep.to_json_dict()
         report["verdicts"]["besov_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001

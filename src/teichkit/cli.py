@@ -40,11 +40,12 @@ from .boundary import (
     BoundaryFunction,
     _douglas_z,
     _extension_mp_norm,
-    _log_derivative_besov,
     _to_halfplane,
     _welding_param_grid,
     ba_extend,
     besov_characterization_check,
+    besov_seminorm,
+    log_derivative,
     roundtrip_phi_distance,
     welding,
     welding_identity_check,
@@ -276,7 +277,7 @@ def _cmd_weld(cfg):
 
 def _cmd_besov(cfg):
     weld = welding(_mu(cfg), grid_n=cfg.grid_n)
-    rep = _log_derivative_besov(weld.h, cfg.p)
+    rep = besov_seminorm(log_derivative(weld.h), cfg.p)
     return ({"besov_log_derivative": rep.to_json_dict()},
             {"finite": not rep.divergent})
 
@@ -431,7 +432,7 @@ def roundtrip(mu: BeltramiCoefficient, p=2.0, grid_n=512, tolerance=0.1):
         return {"skipped": True, "reason": "mp_norm divergent",
                 "mp_norm": norm_rep.to_json_dict()}
     weld = welding(mu, grid_n=grid_n)
-    besov_rep = _log_derivative_besov(weld.h, p)
+    besov_rep = besov_seminorm(log_derivative(weld.h), p)
     if besov_rep.divergent:
         return {"skipped": True, "reason": "Besov seminorm divergent",
                 "besov": besov_rep.to_json_dict()}

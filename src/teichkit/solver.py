@@ -495,33 +495,31 @@ class QuasiconformalMap:
         return complex(out[0]) if scalar else out.reshape(z.shape)
 
     def partial_grids(self, order=2):
-        """Centered-difference (df, dbar f) sampled on the grid.
+        """Centered-difference (df, dbar f) sampled on the grid, built afresh
+        on each call; the map keeps none of them.
 
         order=4 uses the five-point stencil in the interior (two cells of
         second-order fallback at the edges).
         """
-        if self._partials is None:
-            self._partials = {}
-        if order not in self._partials:
-            d = self.grid.spacing
-            f = self.grid.values
-            fx = np.gradient(f, d, axis=0)
-            fy = np.gradient(f, d, axis=1)
-            if order == 4:
-                fx4 = (-f[4:, :] + 8 * f[3:-1, :] - 8 * f[1:-3, :]
-                       + f[:-4, :]) / (12 * d)
-                fy4 = (-f[:, 4:] + 8 * f[:, 3:-1] - 8 * f[:, 1:-3]
-                       + f[:, :-4]) / (12 * d)
-                fx[2:-2, :] = fx4
-                fy[:, 2:-2] = fy4
-            self._partials[order] = ((fx - 1j * fy) / 2.0,
-                                     (fx + 1j * fy) / 2.0)
-        return self._partials[order]
+        d = self.grid.spacing
+        f = self.grid.values
+        fx = np.gradient(f, d, axis=0)
+        fy = np.gradient(f, d, axis=1)
+        if order == 4:
+            fx[2:-2, :] = (-f[4:, :] + 8 * f[3:-1, :] - 8 * f[1:-3, :]
+                           + f[:-4, :]) / (12 * d)
+            fy[:, 2:-2] = (-f[:, 4:] + 8 * f[:, 3:-1] - 8 * f[:, 1:-3]
+                           + f[:, :-4]) / (12 * d)
+        return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
 
     def partials_at(self, z):
-        """(df, dbar f) at z, read linearly from partial_grids; off the
-        grid they read (1, 0)."""
-        dz, dbar = self.partial_grids()
+        """(df, dbar f) at z, read linearly from the order-2 partial_grids;
+        off the grid they read (1, 0).  The first call builds the pair and
+        the map keeps it for the next: Newton inversion reads it at every
+        step."""
+        if self._partials is None:
+            self._partials = self.partial_grids()
+        dz, dbar = self._partials
         return (self.grid.interpolate_linear(dz, z, 1.0),
                 self.grid.interpolate_linear(dbar, z, 0.0))
 
@@ -651,7 +649,8 @@ def _box_solve(mu, grid_n, reflect):
 def _fd_residual(qc, jump_circles):
     """Beltrami defect |dbar f - mu df| / max|df|, mu the map's samples, on
     the grid nodes inside the margin and more than 3 cells off every jump
-    circle."""
+    circle.  It reads its own order-2 partial grids and drops them, so a
+    map that is never inverted keeps none."""
     dz, dbar = qc.partial_grids()
     res = np.abs(dbar)  # mu vanishes off its support box
     box = qc.support

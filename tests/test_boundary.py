@@ -340,6 +340,13 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     assert max(s.stop - s.start for s in g.support) <= 140
 
 
+def test_welding_keeps_partial_grids_only_on_inverted_maps():
+    # g is inverted for h; f_mu is only evaluated, so it keeps no grids
+    weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=256)
+    assert weld.f_map._partials is None
+    assert weld.g_map._partials is not None
+
+
 def test_welding_far_field_matches_newton(weld_02):
     # beyond the sampled window h is a fitted Laurent series; it must agree
     # with the Newton inverse g^-1 o f_mu it replaces, and join the samples
@@ -430,7 +437,7 @@ def test_log_derivative_rejects_flat():
 
 
 def test_log_derivative_of_welding_besov_stable(weld_02):
-    ld = log_derivative(weld_02.h.resample(4097))
+    ld = log_derivative(weld_02.h)
     rep = besov_seminorm(ld, 2)
     assert not rep.divergent
     vals = [v for _, v in rep.refinements]
@@ -535,6 +542,28 @@ def test_characterization_frees_the_welded_maps(monkeypatch):
     assert seen == [True]
 
 
+def test_characterization_reads_besov_of_welded_h(monkeypatch):
+    # the Besov stage reads h as welded, not a copy on a coarser grid
+    welded = []
+
+    def weld_and_keep(*args, **kwargs):
+        out = welding(*args, **kwargs)
+        welded.append(out.h)
+        return out
+
+    def stop(h, p):
+        raise RuntimeError("stop before the ladder")
+
+    monkeypatch.setattr(boundary, "welding", weld_and_keep)
+    monkeypatch.setattr(boundary, "_extension_mp_norm", stop)
+    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
+    rep = besov_characterization_check(mu, 2, grid_n=TEST_GRID_N)
+    got = rep["stages"]["besov_log_derivative"]
+    assert got == besov_seminorm(log_derivative(welded[0]), 2).to_json_dict()
+    # h on 8193 and 32769 welded samples reads 0.526971 and 0.526992
+    assert got["value"] == pytest.approx(0.526925, abs=2e-6)
+
+
 def test_characterization_divergent_power_class():
     alpha = 1.6
     k = (alpha - 1) / (alpha + 1)
@@ -547,6 +576,11 @@ def test_characterization_divergent_power_class():
     assert not v["extension_finite"]
     assert v["coherent"]
     assert "skipped" in rep["stages"]["roundtrip"]
+    # check 8's class: the Besov ladder grows by at least 15 % per step on
+    # the power scale, clear of LADDER_GROWTH's 10 %
+    ladder = [val for _, val in
+              rep["stages"]["besov_log_derivative"]["ladder"]]
+    assert all((b / a) ** 2 >= 1.15 for a, b in zip(ladder, ladder[1:]))
 
 
 def test_roundtrip_phi_distance(weld_02):

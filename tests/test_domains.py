@@ -191,6 +191,18 @@ def test_ainf_closed_form_family():
     assert rep.value == pytest.approx(best, rel=1e-2)
 
 
+@pytest.mark.parametrize("k, r", [(0.3, 0.5), (0.7, 0.45), (-0.4, 0.6),
+                                  (0.5, 0.9)])
+def test_ainf_closed_form_is_six_a(k, r):
+    # psi(w) = -6a / (1 - a w^2)^2 with a = k r^2, and (1 - |w|^2)^2 |psi|
+    # <= 6|a| (1 - |w|^2)^2 / (1 - |a| |w|^2)^2 <= 6|a|: the sup is at w = 0
+    a = k * r * r
+    n = np.arange(60)
+    phi = HolomorphicFunction(-4 - 2 * n, -6.0 * a * (n + 1) * a ** n,
+                              domain=DomainTag.EXTERIOR_DISK)
+    assert ainf_norm(phi).value == pytest.approx(6 * abs(a), rel=1e-6)
+
+
 def test_ap_norm_against_quadrature_oracle():
     fn = closed_form_phi(0.3, 0.5)
     phi = exterior_series(fn)

@@ -581,6 +581,18 @@ def test_memo_entry_is_the_one_chart_every_map_reads(fresh_cache, reflect):
         again.grid.values[0, 0] = 1.0
 
 
+def test_map_keeps_partial_grids_only_once_read(fresh_cache):
+    # the residual and the dilatation build their partial grids and drop
+    # them; partials_at, the Newton reader, keeps its order-2 pair
+    f = solve_plane(BeltramiCoefficient.constant_disk(0.3, 0.5), 128)
+    assert f._partials is None
+    dilatation(f)
+    assert f._partials is None
+    f.partials_at(0.2 + 0.1j)
+    for kept, built in zip(f._partials, f.partial_grids()):
+        assert np.array_equal(kept, built)
+
+
 def test_qcmap_declares_solver_attributes(mu_03_05):
     names = {f.name for f in dataclasses.fields(QuasiconformalMap)}
     assert {"symmetry_defect", "halfplane_map"} <= names
