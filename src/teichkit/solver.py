@@ -11,14 +11,19 @@ torus.  h vanishes off the support of mu, so mu is sampled only on a node
 square about 0 that holds its support, and the iteration runs only on the
 smallest rectangle of nodes holding the samples (nb_a x nb_b nodes): the
 kernel of T is cut to the offsets of a torus of about 2 nb_a x 2 nb_b
-nodes, which applies the padded torus's T exactly there at two FFTs of
-that torus per step.
+nodes, which applies the padded torus's T exactly there.  Each step is
+one forward and one inverse FFT of that torus, pruned to the lines that
+carry data: the forward transform runs its first axis over the box's
+columns only and the inverse its second axis over the box's rows only,
+bit-exact to the full fft2 and ifft2.
 That kernel is built from a quarter of the padded torus's frequencies with
-real DCT-I and DST-I transforms (_box_multiplier), so a box solve builds no
-array of the whole chart or the padded torus.
-P is applied once, on the full padded torus, with its symbol built a block
-of rows at a time and the torus freed before the result is corrected, so
-no array of the torus outlives the call.  Relative to the free-plane
+real DCT-I and DST-I transforms, a block of rows at a time
+(_box_multiplier), so a box solve builds no array of the whole chart, the
+padded torus or the quarter.
+P is applied once, on the full padded torus, with the same pruned
+transforms, its symbol built a block of rows at a time and the torus
+freed before the result is corrected, so no array of the torus outlives
+the call.  Relative to the free-plane
 kernel 1/(pi u), the periodic P kernel carries a background term
 -conj(u)/A and a cubic Weierstrass-series term (Eisenstein constant G4);
 both are restored from moments of h, after which the closed-form test maps
@@ -112,8 +117,9 @@ class Normalization(str, enum.Enum):
     FIX_THREE_BOUNDARY_POINTS = "FixThreeBoundaryPoints"
 
 
-# rows of the padded torus whose multiplier is built at a time by
-# _SpectralKit.spectral: 64 rows of a 2048-node torus hold 2 MB
+# rows built at a time of the padded torus's multiplier (_SpectralKit.spectral)
+# and of the Beurling quarter (_box_multiplier): 64 rows of a 2048-node torus
+# hold 2 MB
 SYMBOL_ROWS = 64
 
 
@@ -132,6 +138,29 @@ def _cauchy_symbol(W):
         mult = -2j / W
     mult[W == 0] = 0.0
     return mult
+
+
+def _fft2_padded(h, shape):
+    """fft2(h, s=shape): axis 0 over the columns of h from its first to its
+    last one holding a nonzero value (the others transform to zero), then
+    axis 1 over every row of the torus."""
+    spec = np.zeros(shape, dtype=complex)
+    cols = np.flatnonzero(h.any(axis=0))
+    if cols.size:
+        cols = slice(cols[0], cols[-1] + 1)
+        spec[:, cols] = sfft.fft(h[:, cols], n=shape[0], axis=0)
+    return sfft.fft(spec, axis=1, overwrite_x=True)
+
+
+def _ifft2_cropped(spec, na, nb):
+    """ifft2(spec)[:na, :nb], overwriting spec: axis 0 unscaled over every
+    column, the first na rows scaled by 1/(m_a m_b) as ifft2's first pass
+    scales each line (real and imaginary parts alike), then axis 1 over
+    those rows alone."""
+    ma, mb = spec.shape
+    rows = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)[:na]
+    rows.view(float)[...] *= 1.0 / (ma * mb)
+    return sfft.ifft(rows, axis=1, norm="forward", overwrite_x=True)[:, :nb]
 
 
 class _SpectralKit:
@@ -161,24 +190,35 @@ class _SpectralKit:
     @staticmethod
     def apply(h, mult):
         """Multiplier mult on the torus of its shape, h zero-padded to it;
-        the result is cropped to h's shape."""
-        na, nb = h.shape
-        return sfft.ifft2(mult * sfft.fft2(h, s=mult.shape),
-                          overwrite_x=True)[:na, :nb]
+        the result is cropped to h's shape.
+
+        fft2 and ifft2 run their axis 0 first and axis 1 second, one line at
+        a time, and ifft2 scales each line by 1/(m_a m_b) in its first pass.
+        _fft2_padded and _ifft2_cropped run the same lines in the same order
+        and skip only lines that are zero on input (forward, axis 0) or
+        dropped on output (inverse, axis 1), so they are bit-exact; the
+        spectrum is multiplied in place, spec *= mult, the order numpy's
+        temporary elision gives mult * fft2(h) on a torus of 256 KB or more.
+        """
+        spec = _fft2_padded(h, mult.shape)
+        spec *= mult
+        return _ifft2_cropped(spec, *h.shape)
 
     def spectral(self, h, symbol):
         """symbol(W) on the padded torus, W = wx + i wy its wavenumbers, h
         zero-padded to it; the result is cropped to h's shape and copied
-        out, so the torus is freed on return."""
+        out, so the torus is freed on return.  It transforms the lines
+        apply does, bit-exact to fft2 and ifft2 for the same reason: only
+        the columns of h that hold a nonzero value go through the forward
+        axis-0 pass, and only h's rows through the inverse axis-1 pass."""
         m = self.pad * self.n
         w = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
-        spec = sfft.fft2(h, s=(m, m))
+        spec = _fft2_padded(h, (m, m))
         for start in range(0, m, SYMBOL_ROWS):
             rows = slice(start, start + SYMBOL_ROWS)
             # spec first (numpy's elision order); a * b and b * a round apart
             spec[rows] *= symbol(w[rows, None] + 1j * w[None, :])
-        na, nb = h.shape
-        return sfft.ifft2(spec, overwrite_x=True)[:na, :nb].copy()
+        return _ifft2_cropped(spec, *h.shape).copy()
 
     def beurling(self, h):
         return self.spectral(h, _beurling_symbol)
@@ -231,11 +271,16 @@ def _box_multiplier(kit, shape):
       k = -M/2 adds the same with a and b swapped, and their shared corner,
       Im S = -1, is added back once: + i (-1)^(a+b) / M^2.
 
-    Only the first transform pass runs over the whole quarter; the second
-    runs over the offsets |a| <= m - nb that the small torus needs along
-    its axis, and the kernel is gathered from its values there for each of
-    the four sign pairs of (a, b), rows and columns by their own offsets.
-    No array of the whole padded torus is built.
+    The quarter is transformed along its rows first, SYMBOL_ROWS rows at a
+    time, and each row keeps only the offsets |a| <= m_a - nb_a that the
+    small torus needs along its first axis; the second pass runs over those
+    columns alone.  For integer j, k below 2^53, Re S is exactly
+    antisymmetric and Im S exactly symmetric in (j, k) in floating point, so
+    these rows-first transforms are the columns-first C and D transposed
+    (C also negated), bit for bit.  The kernel is gathered from C and D for
+    each of the four sign pairs of (a, b), rows and columns by their own
+    offsets.  No array of the quarter or the padded torus is built: the
+    memory follows the kept offsets, the time the quarter's rows.
     """
     M = kit.pad * kit.n
     half = M // 2
@@ -247,21 +292,28 @@ def _box_multiplier(kit, shape):
     ra, rb = (np.abs(off).max() + 1 for off in offs)
     j = np.arange(half + 1, dtype=float)
     j2 = j * j
-    r2 = j2[:, None] + j2[None, :]
-    r2[0, 0] = 1.0  # S(0, 0) = 0
-    re = j2[:, None] - j2[None, :]
-    re /= r2
-    odd = np.multiply.outer(-2.0 * j[1:half], j[1:half])
-    odd /= r2[1:half, 1:half]
-    del r2
-    re = sfft.dct(sfft.dct(re, type=1, axis=0, overwrite_x=True)[:ra],
-                  type=1, axis=1, overwrite_x=True)[:, :rb] / M ** 2
     # offsets 1 .. w where the DST-I terms live, along each axis
     wa, wb = min(ra, half) - 1, min(rb, half) - 1
+    # first pass, along the rows of Re S^T = -Re S and Im S^T = Im S
+    re = np.empty((half + 1, ra))
+    odd = np.empty((half + 1, wa))  # rows 1 .. M/2 - 1 are read
+    for start in range(0, half + 1, SYMBOL_ROWS):
+        rows = slice(start, start + SYMBOL_ROWS)
+        r2 = j2[rows, None] + j2[None, :]
+        if start == 0:
+            r2[0, 0] = 1.0  # S(0, 0) = 0
+        blk = j2[rows, None] - j2[None, :]
+        blk /= r2
+        re[rows] = sfft.dct(blk, type=1, axis=1, overwrite_x=True)[:, :ra]
+        blk = np.multiply.outer(-2.0 * j[rows], j[1:half])
+        blk /= r2[:, 1:half]
+        odd[rows] = sfft.dst(blk, type=1, axis=1, overwrite_x=True)[:, :wa]
+    del r2, blk
+    # second pass, along the columns, kept at the second axis's offsets
+    re = sfft.dct(re, type=1, axis=0, overwrite_x=True)[:rb].T / -M ** 2
     im = np.zeros((ra, rb))
-    odd = sfft.dst(odd, type=1, axis=0, overwrite_x=True)[:wa]
-    im[1:1 + wa, 1:1 + wb] = sfft.dst(odd, type=1, axis=1,
-                                      overwrite_x=True)[:, :wb] / -M ** 2
+    im[1:1 + wa, 1:1 + wb] = sfft.dst(odd[1:half], type=1, axis=0,
+                                      overwrite_x=True)[:wb].T / -M ** 2
     del odd
     w = max(wa, wb)
     r = np.zeros(max(ra, rb))
@@ -363,6 +415,11 @@ def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
 # Coefficient sampling
 
 
+# cells cut by a jump circle that sample_coefficient supersamples at a time:
+# 4096 cells of 8 x 8 points hold a few 4 MB arrays
+SUPERSAMPLE_NODES = 4096
+
+
 def _binomial_blur(a):
     out = 0.25 * np.roll(a, 1, 0) + 0.5 * a + 0.25 * np.roll(a, -1, 0)
     return 0.25 * np.roll(out, 1, 1) + 0.5 * out + 0.25 * np.roll(out, -1, 1)
@@ -387,7 +444,10 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     chart.
 
     Cells cut by a declared jump circle are supersampled to their cell
-    average.
+    average on 8 x 8 points, SUPERSAMPLE_NODES cells at a time; each
+    cell's mean reads only its own points, so the blocks give the samples
+    of one whole evaluation when mu is evaluated pointwise, as every
+    coefficient that declares jump circles is.
     """
     kit = _SpectralKit(n, half_width)
     d = kit.spacing
@@ -404,18 +464,20 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     Z = kit.nodes(box)
     vals = mu.eval(Z)
     vals[np.abs(Z) > truncation] = 0.0
+    sub = 8
+    off = (np.arange(sub) + 0.5) / sub - 0.5
+    OX, OY = np.meshgrid(off, off, indexing="ij")
+    patch = (OX + 1j * OY).ravel() * d
     for c, r in mu.jump_circles:
         near = np.abs(np.abs(Z - c) - r) < 1.5 * d
-        if not near.any():
-            continue
-        sub = 8
-        off = (np.arange(sub) + 0.5) / sub - 0.5
-        OX, OY = np.meshgrid(off, off, indexing="ij")
-        patch = (OX + 1j * OY).ravel() * d
-        zs = Z[near][:, None] + patch[None, :]
-        sv = mu.eval(zs)
-        sv[np.abs(zs) > truncation] = 0.0
-        vals[near] = sv.mean(axis=1)
+        zn = Z[near]
+        means = np.empty(zn.size, dtype=vals.dtype)
+        for start in range(0, zn.size, SUPERSAMPLE_NODES):
+            zs = zn[start:start + SUPERSAMPLE_NODES, None] + patch[None, :]
+            sv = mu.eval(zs)
+            sv[np.abs(zs) > truncation] = 0.0
+            means[start:start + SUPERSAMPLE_NODES] = sv.mean(axis=1)
+        vals[near] = means
     if reflect:
         vals[Z.imag <= 0] = 0.0
         cols = np.arange(n)[box[1]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from teichkit import (
     mp_norm,
 )
 from teichkit import domains
+from teichkit.bers import bers_map
 from teichkit.boundary import BoundaryFunction, besov_seminorm
 from teichkit.domains import (
     ComplexGrid,
@@ -191,16 +193,74 @@ def test_ainf_closed_form_family():
     assert rep.value == pytest.approx(best, rel=1e-2)
 
 
-@pytest.mark.parametrize("k, r", [(0.3, 0.5), (0.7, 0.45), (-0.4, 0.6),
-                                  (0.5, 0.9)])
+SIX_A_CASES = [(0.3, 0.5), (0.7, 0.45), (-0.4, 0.6), (0.5, 0.9)]
+
+
+def six_a_image(k, r):
+    """The Bers image of k chi_{rD} as its series -6a sum (n + 1) a^n
+    z^(-4 - 2n), a = k r^2, cut after 60 terms."""
+    a = k * r * r
+    n = np.arange(60)
+    return HolomorphicFunction(-4 - 2 * n, -6.0 * a * (n + 1) * a ** n,
+                               domain=DomainTag.EXTERIOR_DISK)
+
+
+@pytest.mark.parametrize("k, r", SIX_A_CASES)
 def test_ainf_closed_form_is_six_a(k, r):
     # psi(w) = -6a / (1 - a w^2)^2 with a = k r^2, and (1 - |w|^2)^2 |psi|
     # <= 6|a| (1 - |w|^2)^2 / (1 - |a| |w|^2)^2 <= 6|a|: the sup is at w = 0
     a = k * r * r
-    n = np.arange(60)
-    phi = HolomorphicFunction(-4 - 2 * n, -6.0 * a * (n + 1) * a ** n,
-                              domain=DomainTag.EXTERIOR_DISK)
-    assert ainf_norm(phi).value == pytest.approx(6 * abs(a), rel=1e-6)
+    assert ainf_norm(six_a_image(k, r)).value == \
+        pytest.approx(6 * abs(a), rel=1e-6)
+
+
+def _whole_level_ainf(phi):
+    """Reference: the A_inf ladder values with each level's polar series
+    evaluated on all of its radii in one matrix product."""
+    psi = phi.inverted_disk_rep()
+    keep = psi.coeffs != 0
+    n, a = psi.orders[keep], psi.coeffs[keep]
+    values = []
+    for lev in range(4):
+        m, nth = 64 * 2 ** lev, 128 * 2 ** lev
+        r = np.concatenate([
+            np.geomspace(2.0 ** -(6 + 2 * lev), 0.5, m // 2),
+            1.0 - np.geomspace(0.5, 2.0 ** -(6 + 2 * lev), m // 2),
+        ])
+        th = 2.0 * np.pi * np.arange(nth) / nth
+        series = (r[:, None] ** n * a) @ np.exp(1j * n[:, None] * th)
+        values.append(float(
+            (((1.0 - r ** 2) ** 2)[:, None] * np.abs(series)).max()))
+    return values
+
+
+@pytest.mark.parametrize("radii", [None, 24])
+def test_ainf_blocks_of_radii_match_whole_levels(monkeypatch, radii):
+    # each level runs AINF_RADII radii at a time (24: blocks that do not
+    # divide a level's radii); the ladder is the whole-level one bit for
+    # bit, on the closed-form images and on a solved one
+    if radii:
+        monkeypatch.setattr(domains, "AINF_RADII", radii)
+    phis = [six_a_image(k, r) for k, r in SIX_A_CASES]
+    phis.append(bers_map(BeltramiCoefficient.constant_disk(0.624, 0.49),
+                         grid_n=512).bers_image)
+    for phi in phis:
+        rep = ainf_norm(phi)
+        assert [v for _, v in rep.refinements] == _whole_level_ainf(phi)
+
+
+def test_ainf_norm_memory_is_bounded():
+    # the whole finest level (512 radii x 1024 angles) held 13 MB at once
+    phi = bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                   grid_n=1024).bers_image
+    ainf_norm(phi)
+    tracemalloc.start()
+    try:
+        ainf_norm(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_ap_norm_against_quadrature_oracle():
@@ -245,14 +305,16 @@ def test_ap_norm_flags_pole_divergence(order, p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_ladders_match_pointwise_series_eval(monkeypatch, p):
     # the A_p and A_inf ladders evaluate psi as one matrix product on their
-    # polar mesh; the reference evaluates it point by point on the same mesh
+    # polar mesh (A_inf a block of radii at a time); the reference evaluates
+    # it point by point on the same mesh
     slow = HolomorphicFunction([-2, -4], [1.0, 1.0],
                                DomainTag.EXTERIOR_DISK)  # psi ~ w^-2
     const = HolomorphicFunction([0], [1.0],
                                 DomainTag.EXTERIOR_DISK)  # psi = w^-4
     phis = (exterior_series(closed_form_phi(0.3, 0.5)), slow, const)
     fast = [(ap_norm(phi, p), ainf_norm(phi)) for phi in phis]
-    monkeypatch.setattr(domains, "_polar_series", lambda f, s, th:
+    monkeypatch.setattr(domains, "_polar_series",
+                        lambda f, s, th, terms=None:
                         f.eval(domains._polar_nodes(s, th)))
     ref = [(ap_norm(phi, p), ainf_norm(phi)) for phi in phis]
     for got, want in zip(sum(fast, ()), sum(ref, ())):

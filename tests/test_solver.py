@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,24 +189,29 @@ def test_spectral_apply_matches_hand_padded_reference(rng, monkeypatch, n,
     # the kit builds the symbol a block of rows at a time (here blocks of 24
     # rows, the last one short); the reference builds it whole and
     # multiplies it into the transform in the same order, in place: symbol
-    # * spectrum may round differently
+    # * spectrum may round differently.  h fills the chart, and then only a
+    # box off column 0, so the forward pass skips columns on both sides
     symbol = {"mult_T": solver._beurling_symbol,
               "mult_P": solver._cauchy_symbol}[mult]
     monkeypatch.setattr(solver, "SYMBOL_ROWS", 24)
     kit = solver._SpectralKit(n, 4.0, pad)
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    box = np.zeros((n, n), dtype=bool)
+    box[n // 8:n // 2 + 3, n // 4 + 1:n // 2 + 7] = True
     m = pad * n
-    hp = np.zeros((m, m), dtype=complex)
-    hp[:n, :n] = h
     w = 2.0 * np.pi * scipy.fft.fftfreq(m, d=kit.spacing)
-    spec = scipy.fft.fft2(hp)
-    spec *= symbol(w[:, None] + 1j * w[None, :])
-    ref = scipy.fft.ifft2(spec)[:n, :n]
-    assert np.array_equal(kit.spectral(h, symbol), ref)
-    if mult == "mult_T":
-        assert np.array_equal(kit.beurling(h), ref)
-    elif pad == 1:  # no lattice corrections on the unpadded torus
-        assert np.array_equal(kit.cauchy(h, solver._support_box(h)), ref)
+    for h in (full, np.where(box, full, 0.0)):
+        hp = np.zeros((m, m), dtype=complex)
+        hp[:n, :n] = h
+        spec = scipy.fft.fft2(hp)
+        spec *= symbol(w[:, None] + 1j * w[None, :])
+        ref = scipy.fft.ifft2(spec)[:n, :n]
+        assert np.array_equal(kit.spectral(h, symbol), ref)
+        if mult == "mult_T":
+            assert np.array_equal(kit.beurling(h), ref)
+        elif pad == 1:  # no lattice corrections on the unpadded torus
+            assert np.array_equal(kit.cauchy(h, solver._support_box(h)),
+                                  ref)
 
 
 def test_spectral_kit_keeps_no_torus_array(rng, fresh_cache):
@@ -351,6 +357,101 @@ def test_box_multiplier_of_a_rectangle_matches_row_block_reference(n):
         assert np.abs(got - want).max() <= 2.5e-15
 
 
+def _columns_first_box_multiplier(kit, shape):
+    """Reference: _box_multiplier with the whole (N + 1)^2 quarter built at
+    once and transformed along its columns first."""
+    M = kit.pad * kit.n
+    half = M // 2
+    offs = []
+    for nb in shape:
+        m = scipy.fft.next_fast_len(2 * nb)
+        off = np.r_[0:nb, nb - m:0]
+        offs.append((off + half) % M - half)
+    ra, rb = (np.abs(off).max() + 1 for off in offs)
+    j = np.arange(half + 1, dtype=float)
+    j2 = j * j
+    r2 = j2[:, None] + j2[None, :]
+    r2[0, 0] = 1.0
+    re = j2[:, None] - j2[None, :]
+    re /= r2
+    odd = np.multiply.outer(-2.0 * j[1:half], j[1:half])
+    odd /= r2[1:half, 1:half]
+    re = scipy.fft.dct(scipy.fft.dct(re, type=1, axis=0)[:ra], type=1,
+                       axis=1)[:, :rb] / M ** 2
+    wa, wb = min(ra, half) - 1, min(rb, half) - 1
+    im = np.zeros((ra, rb))
+    odd = scipy.fft.dst(odd, type=1, axis=0)[:wa]
+    im[1:1 + wa, 1:1 + wb] = scipy.fft.dst(odd, type=1,
+                                           axis=1)[:, :wb] / -M ** 2
+    w = max(wa, wb)
+    r = np.zeros(max(ra, rb))
+    r[1:1 + w] = scipy.fft.dst(j[1:half] / (half ** 2 + j2[1:half]),
+                               type=1)[:w]
+    alt = 1.0 - 2.0 * (np.arange(r.size) & 1)
+    nyq_a = np.multiply.outer(alt[:ra], r[:rb] / -M)
+    nyq_b = np.multiply.outer(r[:ra] / -M, alt[:rb])
+    corner = np.multiply.outer(alt[:ra], alt[:rb] / -M ** 2)
+    quads = np.empty((2, ra, 2, rb), dtype=complex)
+    for p, sa in enumerate((1.0, -1.0)):
+        for q, sb in enumerate((1.0, -1.0)):
+            quads[p, :, q].real = re + sb * nyq_a + sa * nyq_b
+            quads[p, :, q].imag = (sa * sb) * im + corner
+    at = [np.abs(off) + n * (off < 0) for off, n in zip(offs, (ra, rb))]
+    return scipy.fft.fft2(quads.reshape(2 * ra, 2 * rb)[np.ix_(*at)])
+
+
+@pytest.mark.parametrize("rows", [None, 24])
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_box_multiplier_is_the_columns_first_build(monkeypatch, n, rows):
+    # the quarter is transformed rows first, a block of SYMBOL_ROWS rows at
+    # a time (24: blocks that do not divide N + 1); Re S is exactly
+    # antisymmetric and Im S exactly symmetric, so it is the columns-first
+    # build bit for bit, on every shape of the two reference tests above
+    if rows:
+        monkeypatch.setattr(solver, "SYMBOL_ROWS", rows)
+    kit = _SpectralKit(n, 4.0)
+    for shape in ((1, 1), (31, 31), (n, n), (1, 31), (31, n), (n, 1),
+                  (n // 2 + 3, 31)):
+        got = solver._box_multiplier(kit, shape)
+        assert np.array_equal(got, _columns_first_box_multiplier(kit, shape))
+
+
+def test_box_multiplier_holds_no_quarter_array():
+    # a 513^2 float64 quarter holds 2.1 MB; the columns-first build held
+    # three at once (6.15 MB)
+    kit = _SpectralKit(512, 4.0)
+    solver._box_multiplier(kit, (40, 40))
+    tracemalloc.start()
+    try:
+        solver._box_multiplier(kit, (40, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 513 ** 2 * 8
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (67, 97), (129, 35),
+                                   (33, 131)])
+def test_apply_matches_fft2_on_boxes_with_zero_edge_columns(rng, shape):
+    # odd and rectangular boxes whose first and last two columns are zero:
+    # the forward pass skips them and the inverse the rows past the box,
+    # and the spectrum is multiplied in place.  Each torus holds 256 KB or
+    # more, where numpy's temporary elision gave mult * fft2(h) the same
+    # order; on smaller tori that product rounded the other way
+    kit = _SpectralKit(256, 4.0)
+    mult = solver._box_multiplier(kit, shape)
+    h = np.zeros(shape, dtype=complex)
+    core = (shape[0], max(shape[1] - 3, 0))
+    h[:, 1:1 + core[1]] = rng.standard_normal(core) + \
+        1j * rng.standard_normal(core)
+    spec = scipy.fft.fft2(h, s=mult.shape)
+    spec *= mult
+    ref = scipy.fft.ifft2(spec)[:shape[0], :shape[1]]
+    got = kit.apply(h, mult)
+    assert got.shape == shape
+    assert np.array_equal(got, ref)
+
+
 def _coefficient_cases():
     gauss = BeltramiCoefficient(  # unbounded support: the whole chart
         DomainTag.PLANE, lambda z: 0.3 * np.exp(-np.abs(z) ** 2), math.inf,
@@ -386,6 +487,22 @@ def test_box_sampling_matches_full_chart(fresh_cache, case):
     assert np.array_equal(qc.mu_samples, ref[box])
     ref[box] = 0.0
     assert not ref.any()  # the samples vanish off their support box
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_supersampling_in_blocks_matches_one_evaluation(monkeypatch,
+                                                        reflect):
+    # welding's half-plane coefficient cuts about 800 cells with its jump
+    # circle at n = 256; in blocks of 100 cells (the last one short) the
+    # samples equal those of the whole chart evaluated at once
+    mu, _ = _coefficient_cases()["welding"]
+    monkeypatch.setattr(solver, "SUPERSAMPLE_NODES", 100)
+    n, L = 256, 4.0
+    Z = _SpectralKit(n, L).Z
+    c, r = mu.jump_circles[0]
+    assert (np.abs(np.abs(Z - c) - r) < 1.5 * 2 * L / n).sum() > 700
+    got = chart_samples(mu, n, L, reflect)
+    assert np.array_equal(got, full_chart_samples(mu, n, L, reflect))
 
 
 @pytest.mark.parametrize("n, r", [(64, 3.5), (64, 7.0)])
