@@ -590,12 +590,6 @@ def ba_extend(h: BoundaryHomeomorphism,
 # Characterization pipeline
 
 
-def _extension_mp_norm(h: BoundaryHomeomorphism, p):
-    """Heat-kernel extension of h and its 3-level M_p ladder report."""
-    ext = ba_extend(h)
-    return ext, mp_norm(ext, p, levels=3)
-
-
 def _stage_failure(exc):
     """Report entry of a failed stage: its message, exception type and, for
     a SolverError, the iteration trace."""
@@ -607,14 +601,18 @@ def _stage_failure(exc):
 
 def besov_characterization_check(mu: BeltramiCoefficient, p,
                                  boundary_map: BoundaryHomeomorphism = None,
-                                 grid_n=512):
+                                 grid_n=512, extension_norm=True):
     """End-to-end coherence report for the Besov boundary characterization.
 
     Stages: M_p norm of mu; welding (or the supplied boundary map when mu
     is not compactly supported, e.g. the constant-modulus power class);
     Besov seminorm of log h' on h as sampled; heat-kernel extension and its
-    M_p norm.
-    Verdicts must agree: all finite or all divergent.
+    M_p norm; Bers roundtrip distance between mu and the extension.
+    Verdicts must agree: all finite or all divergent.  The roundtrip runs
+    only when every verdict reads finite and the extension was built.
+    With extension_norm False the extension is still built for the
+    roundtrip, but its M_p ladder is skipped: there is no extension_finite
+    verdict, and mp_norm_extension is written only if the extension fails.
     """
     report = {"p": float(p), "stages": {}, "verdicts": {}}
     stages = report["stages"]
@@ -649,12 +647,14 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
     except Exception as exc:  # noqa: BLE001
         stages["besov_log_derivative"] = _stage_failure(exc)
 
-    ext = None
     try:
-        ext, rep = _extension_mp_norm(h, p)
-        stages["mp_norm_extension"] = rep.to_json_dict()
-        report["verdicts"]["extension_finite"] = not rep.divergent
+        ext = ba_extend(h)
+        if extension_norm:
+            rep = mp_norm(ext, p, levels=3)
+            stages["mp_norm_extension"] = rep.to_json_dict()
+            report["verdicts"]["extension_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001
+        ext = None
         stages["mp_norm_extension"] = _stage_failure(exc)
 
     flags = [v for k, v in report["verdicts"].items()]

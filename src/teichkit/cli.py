@@ -5,6 +5,11 @@ Subcommands mirror the toolkit pipelines:
     norm, solve, bers, aw, bilip, weld, besov, extend, characterize,
     roundtrip, constants, verify-all
 
+characterize and roundtrip both run boundary.besov_characterization_check
+and report it under reports["characterization"]; roundtrip skips the
+extension's M_p ladder and adds the verdict within_tolerance, its
+roundtrip distance against the "roundtrip" tolerance.
+
 Each run emits a deterministic JSON report (sorted keys; wall_time is the
 only field that varies between identical runs).  Coefficients arrive as
 JSON specs: {"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid",
@@ -24,6 +29,7 @@ import math
 import numbers
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,14 +45,11 @@ from .boundary import (
     T_BOUNDARY,
     BoundaryFunction,
     _douglas_z,
-    _extension_mp_norm,
-    _to_halfplane,
     _welding_param_grid,
     ba_extend,
     besov_characterization_check,
     besov_seminorm,
     log_derivative,
-    roundtrip_phi_distance,
     welding,
     welding_identity_check,
 )
@@ -54,22 +57,9 @@ from .domains import BeltramiCoefficient, ainf_norm, ap_norm, mp_norm
 from .solver import solve_disk, solve_plane
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run",
-           "estimate_constants", "roundtrip", "main"]
-
-COMMANDS = ("norm", "solve", "bers", "aw", "bilip", "weld", "besov",
-            "extend", "characterize", "roundtrip", "constants", "verify-all")
-
+           "estimate_constants", "main"]
 
 _FIELDS = ("command", "mu_spec", "p", "grid", "tolerances", "output_path")
-# config keys beyond _FIELDS that each command reads (ExperimentConfig.extra)
-_EXTRA_KEYS = {"solve": ("self_map",), "bilip": ("delta",),
-               "constants": ("family", "p_list")}
-# tolerances each command reads (ExperimentConfig.tolerances), with their
-# defaults
-_TOLERANCES = {"solve": {"residual": 1e-3}, "aw": {"section": 5e-3},
-               "bilip": {"equivalence": 1e-2},
-               "weld": {"consistency": 1e-2, "identity": 5e-2},
-               "roundtrip": {"roundtrip": 0.1}}
 
 
 def _check_number(name, val):
@@ -96,8 +86,9 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object, "
                                  f"got {getattr(self, name)!r}")
+        command = _COMMANDS[self.command]
         for key in self.extra:
-            if key not in _EXTRA_KEYS.get(self.command, ()):
+            if key not in command.extra:
                 raise ValueError(
                     f"config key {key!r} is not read by {self.command}")
         BeltramiCoefficient.check_spec(self.mu_spec, "mu_spec")
@@ -117,7 +108,7 @@ class ExperimentConfig:
             if not val > 0:
                 raise ValueError(
                     f"tolerance {name!r} must be a positive number, got {val!r}")
-            if name not in _TOLERANCES.get(self.command, {}):
+            if name not in command.tolerances:
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
         if "delta" in self.extra:
@@ -201,7 +192,7 @@ def _mu(config: ExperimentConfig) -> BeltramiCoefficient:
 
 def _tol(config, name):
     return float(config.tolerances.get(
-        name, _TOLERANCES[config.command][name]))
+        name, _COMMANDS[config.command].tolerances[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +274,8 @@ def _cmd_besov(cfg):
 
 
 def _cmd_extend(cfg):
-    weld = welding(_mu(cfg), grid_n=cfg.grid_n)
-    ext, rep = _extension_mp_norm(weld.h, cfg.p)
+    ext = ba_extend(welding(_mu(cfg), grid_n=cfg.grid_n).h)
+    rep = mp_norm(ext, cfg.p, levels=3)
     return ({"extension_sup_norm": ext.sup_norm,
              "mp_norm_extension": rep.to_json_dict()},
             {"quasiconformal": ext.sup_norm < 1,
@@ -298,11 +289,13 @@ def _cmd_characterize(cfg):
 
 
 def _cmd_roundtrip(cfg):
-    rep = roundtrip(_mu(cfg), cfg.p, grid_n=cfg.grid_n,
-                    tolerance=_tol(cfg, "roundtrip"))
-    verdict_keys = ("within_tolerance", "skipped")
-    return ({"roundtrip": rep},
-            {k: rep[k] for k in verdict_keys if k in rep})
+    rep = besov_characterization_check(_mu(cfg), cfg.p, grid_n=cfg.grid_n,
+                                       extension_norm=False)
+    # a failed welding writes no roundtrip stage
+    dist = rep["stages"].get("roundtrip", {}).get("phi_distance")
+    within = dist is not None and dist <= _tol(cfg, "roundtrip")
+    return ({"characterization": rep},
+            {**rep["verdicts"], "within_tolerance": within})
 
 
 def _cmd_verify_all(cfg):
@@ -326,27 +319,32 @@ def _cmd_constants(cfg):
             {"rows_emitted": len(rows)})
 
 
-_DISPATCH = {
-    "norm": _cmd_norm,
-    "solve": _cmd_solve,
-    "bers": _cmd_bers,
-    "aw": _cmd_aw,
-    "bilip": _cmd_bilip,
-    "weld": _cmd_weld,
-    "besov": _cmd_besov,
-    "extend": _cmd_extend,
-    "characterize": _cmd_characterize,
-    "roundtrip": _cmd_roundtrip,
-    "constants": _cmd_constants,
-    "verify-all": _cmd_verify_all,
+# each command: its handler, the config keys beyond _FIELDS it reads
+# (ExperimentConfig.extra), and the tolerances it reads with their defaults
+_Command = namedtuple("_Command", "handler extra tolerances")
+_COMMANDS = {
+    "norm": _Command(_cmd_norm, (), {}),
+    "solve": _Command(_cmd_solve, ("self_map",), {"residual": 1e-3}),
+    "bers": _Command(_cmd_bers, (), {}),
+    "aw": _Command(_cmd_aw, (), {"section": 5e-3}),
+    "bilip": _Command(_cmd_bilip, ("delta",), {"equivalence": 1e-2}),
+    "weld": _Command(_cmd_weld, (),
+                     {"consistency": 1e-2, "identity": 5e-2}),
+    "besov": _Command(_cmd_besov, (), {}),
+    "extend": _Command(_cmd_extend, (), {}),
+    "characterize": _Command(_cmd_characterize, (), {}),
+    "roundtrip": _Command(_cmd_roundtrip, (), {"roundtrip": 0.1}),
+    "constants": _Command(_cmd_constants, ("family", "p_list"), {}),
+    "verify-all": _Command(_cmd_verify_all, (), {}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch a single experiment; stage failures surface with the stage."""
     t0 = time.time()
     try:
-        reports, verdicts = _DISPATCH[config.command](config)
+        reports, verdicts = _COMMANDS[config.command].handler(config)
     except Exception as exc:  # noqa: BLE001 - surfaced in the report
         reports = {"error": {"stage": config.command, "message": str(exc),
                              "type": type(exc).__name__}}
@@ -368,7 +366,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Constants table and roundtrip
+# Constants table
 
 
 DEFAULT_FAMILY = tuple((k, r) for r in (0.7, 0.5, 0.3) for k in (0.3, 0.2, 0.1))
@@ -418,29 +416,6 @@ def write_constants_csv(rows, path):
         w.writerow(cols)
         for row in rows:
             w.writerow([row[c] for c in cols])
-
-
-def roundtrip(mu: BeltramiCoefficient, p=2.0, grid_n=512, tolerance=0.1):
-    """Phi-distance between mu and the extension of its log-derivative datum.
-
-    Divergent inputs report the divergence and skip the distance, mirroring
-    the characterization verdict structure.
-    """
-    mu_u = _to_halfplane(mu)
-    norm_rep = mp_norm(mu_u, p, levels=3)
-    if norm_rep.divergent:
-        return {"skipped": True, "reason": "mp_norm divergent",
-                "mp_norm": norm_rep.to_json_dict()}
-    weld = welding(mu, grid_n=grid_n)
-    besov_rep = besov_seminorm(log_derivative(weld.h), p)
-    if besov_rep.divergent:
-        return {"skipped": True, "reason": "Besov seminorm divergent",
-                "besov": besov_rep.to_json_dict()}
-    ext = ba_extend(weld.h)
-    dist = roundtrip_phi_distance(mu, ext, grid_n=grid_n)
-    return {"skipped": False, "phi_distance": dist,
-            "within_tolerance": dist <= tolerance,
-            "besov": besov_rep.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------

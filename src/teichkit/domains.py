@@ -830,10 +830,14 @@ def mobius_circle_image(mapping, center, radius):
     """Image circle of |z - center| = radius under a Moebius map.
 
     Moebius maps send circles to circles (or lines); three image points
-    determine the circumcircle.  Raises if the image degenerates to a line.
+    determine the circumcircle.  Raises if the image degenerates to a line,
+    also when an image point is not finite (the circle meets the pole).
     """
-    pts = [mapping(center + radius * w) for w in (1.0, -1.0, 1j)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the pole
+        pts = [mapping(center + radius * w) for w in (1.0, -1.0, 1j)]
     a, b, c = (complex(p) for p in pts)
+    if not np.isfinite([a, b, c]).all():
+        raise DomainError("circle maps to a line under this transport")
     # circumcenter from the two perpendicular-bisector conditions
     A = np.array([[ (b - a).real, (b - a).imag],
                   [ (c - a).real, (c - a).imag]])
@@ -870,7 +874,10 @@ def _cayley_beltrami(obj: BeltramiCoefficient, direction):
         r = min(obj.support_radius, 1.0)
         new_radius = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
 
-    jumps = [mobius_circle_image(image, c, r) for c, r in obj.jump_circles]
+    # the unit circle bounds D and its image R bounds U: no interior jump
+    jumps = [mobius_circle_image(image, c, r) for c, r in obj.jump_circles
+             if direction is CayleyDirection.HALF_PLANE_TO_DISK
+             or (c, r) != (0, 1)]
 
     def f(z):
         w = M(z)

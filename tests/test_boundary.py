@@ -530,12 +530,12 @@ def test_characterization_frees_the_welded_maps(monkeypatch):
         welded.append(weakref.ref(out.f_map))
         return out
 
-    def stop(h, p):
+    def stop(h):
         seen.append(welded[0]() is None)
-        raise RuntimeError("stop before the ladder")
+        raise RuntimeError("stop before the extension")
 
     monkeypatch.setattr(boundary, "welding", weld_and_watch)
-    monkeypatch.setattr(boundary, "_extension_mp_norm", stop)
+    monkeypatch.setattr(boundary, "ba_extend", stop)
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     rep = besov_characterization_check(mu, 2, grid_n=256)
     assert rep["stages"]["mp_norm_extension"]["type"] == "RuntimeError"
@@ -551,11 +551,11 @@ def test_characterization_reads_besov_of_welded_h(monkeypatch):
         welded.append(out.h)
         return out
 
-    def stop(h, p):
-        raise RuntimeError("stop before the ladder")
+    def stop(h):
+        raise RuntimeError("stop before the extension")
 
     monkeypatch.setattr(boundary, "welding", weld_and_keep)
-    monkeypatch.setattr(boundary, "_extension_mp_norm", stop)
+    monkeypatch.setattr(boundary, "ba_extend", stop)
     mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
     rep = besov_characterization_check(mu, 2, grid_n=TEST_GRID_N)
     got = rep["stages"]["besov_log_derivative"]

@@ -12,11 +12,11 @@ from teichkit.cli import (
     _tol,
     estimate_constants,
     main,
-    roundtrip,
     run,
     write_constants_csv,
 )
 from teichkit import BeltramiCoefficient, cayley, solve_halfplane, solve_plane
+from teichkit import boundary, cli
 from teichkit.boundary import besov_characterization_check, welding
 from teichkit.solver import FAR_FIELD_FIT, MARGIN_FRACTION
 
@@ -234,6 +234,15 @@ def test_solve_reports_the_far_field_residual(self_map):
     assert 0 < want < 1e-3
 
 
+def test_solve_self_map_of_the_whole_disk_reports():
+    # k chi_D declares its jump on |z| = 1, which the Cayley transport leaves
+    # out; a NaN image circle would mask every node of the residual
+    rep = run(cfg("solve", grid={"n": 512}, self_map=True, mu_spec={
+        "kind": "constant_disk", "k": 0.3, "r": 1.0})).reports
+    assert "error" not in rep
+    assert 0 < rep["residual"] < 0.1
+
+
 def test_cli_rejects_tolerance_name_its_command_does_not_read():
     with pytest.raises(SystemExit, match="'residul' is not read by solve"):
         main(["solve", "--tol", "residul=1e-9"])
@@ -430,27 +439,66 @@ def test_constants_zero_radius_row():
 
 
 def test_roundtrip_finite():
-    rep = roundtrip(BeltramiCoefficient.constant_disk(0.2, 0.5), 2.0,
-                    grid_n=TEST_GRID_N)
-    assert not rep["skipped"]
-    assert rep["phi_distance"] <= 0.1
-    assert rep["within_tolerance"]
+    res = run(cfg("roundtrip", mu_spec={"kind": "constant_disk", "k": 0.2,
+                                        "r": 0.5}))
+    stages = res.reports["characterization"]["stages"]
+    assert stages["roundtrip"]["phi_distance"] <= 0.1
+    assert "mp_norm_extension" not in stages
+    assert res.verdicts == {"mu_finite": True, "besov_finite": True,
+                            "coherent": True, "within_tolerance": True}
 
 
-def test_roundtrip_matches_characterization_stage():
-    # both pass mu on D as given to the welding and to the Bers roundtrip
-    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
-    rep = roundtrip(mu, 2.0, grid_n=256)
-    char = besov_characterization_check(mu, 2.0, grid_n=256)
-    assert rep["phi_distance"] == char["stages"]["roundtrip"]["phi_distance"]
+def test_roundtrip_reports_the_phi_distance_of_characterize():
+    # both commands pass mu on D as given to the welding and to the Bers
+    # roundtrip
+    mu_spec = {"kind": "constant_disk", "k": 0.15, "r": 0.4}
+    dist = [run(cfg(command, mu_spec=mu_spec, grid={"n": 256})).reports[
+        "characterization"]["stages"]["roundtrip"]["phi_distance"]
+        for command in ("roundtrip", "characterize")]
+    assert dist[0] == dist[1]
 
 
-def test_roundtrip_divergent_skips():
+@pytest.mark.parametrize("command, ladders", [("roundtrip", 1),
+                                              ("characterize", 2)])
+def test_roundtrip_runs_only_the_ladder_of_mu(monkeypatch, command, ladders):
+    # the extension is built for the roundtrip, but only characterize
+    # reads its M_p ladder
+    seen, real = [], boundary.mp_norm
+
+    def counted(mu, *args, **kwargs):
+        seen.append(mu)
+        return real(mu, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "mp_norm", counted)
+    monkeypatch.setattr(boundary, "roundtrip_phi_distance",
+                        lambda *args, **kwargs: 0.0)
+    res = run(cfg(command, mu_spec={"kind": "constant_disk", "k": 0.2,
+                                    "r": 0.5}, grid={"n": 128}))
+    assert "error" not in res.reports
+    assert len(seen) == ladders
+    assert seen[0].meta["kind"] == "constant_disk"
+
+
+def test_roundtrip_divergent_skips(monkeypatch):
+    # mu_finite reads False and no distance is taken; the run still ends in
+    # a report, not an error
     mu = BeltramiCoefficient("UpperHalfPlane",
                              lambda z: 0.3 * z / np.conj(z), math.inf, 0.3)
-    rep = roundtrip(mu, 2.0, grid_n=256)
-    assert rep["skipped"]
-    assert "divergent" in rep["reason"]
+    monkeypatch.setattr(cli, "_mu", lambda config: mu)
+    res = run(cfg("roundtrip", grid={"n": 256}))
+    assert res.verdicts["mu_finite"] is False
+    assert res.verdicts["within_tolerance"] is False
+    stages = res.reports["characterization"]["stages"]
+    assert "phi_distance" not in stages.get("roundtrip", {})
+
+
+def test_roundtrip_without_welding_is_not_within_tolerance():
+    # sup-norm 0.95 fails the welding, which writes no roundtrip stage
+    res = run(cfg("roundtrip", mu_spec={"kind": "constant_disk", "k": 0.95,
+                                        "r": 0.5}, grid={"n": 64}))
+    assert res.reports["characterization"]["stages"]["welding"]["type"] \
+        == "SolverError"
+    assert res.verdicts["within_tolerance"] is False
 
 
 def test_cli_entry_point_runs():

@@ -28,6 +28,7 @@ from teichkit.domains import (
     _circle_coefficients,
     cayley_inverse,
     cayley_map,
+    mobius_circle_image,
 )
 
 from conftest import coefficient
@@ -481,6 +482,25 @@ def test_cayley_beltrami_preserves_modulus():
     back = cayley(mu_u, "HalfPlaneToDisk")
     z = np.array([0.2 + 0.1j, 0.3j])
     assert np.abs(back.eval(z) - mu.eval(z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("center, radius", [(0.5, 0.5), (0.0, 1.0)])
+def test_mobius_circle_image_through_the_pole_raises(center, radius):
+    # cayley_map sends 1 to infinity, so the image is a line, not a circle
+    # of NaN center and radius
+    with pytest.raises(DomainError, match="line"):
+        mobius_circle_image(cayley_map, center, radius)
+
+
+def test_cayley_leaves_out_the_unit_circle_jump():
+    # |z| = 1 bounds D and its image R bounds U: no interior jump lies there
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 1.0),
+                  "DiskToHalfPlane")
+    assert mu_u.jump_circles == ()
+    (c, r), = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
+                     "DiskToHalfPlane").jump_circles
+    # through cayley_map(-0.5) = i/3 and cayley_map(0.5) = 3i
+    assert c == pytest.approx(5j / 3) and r == pytest.approx(4 / 3)
 
 
 # ---------------------------------------------------------------------------
