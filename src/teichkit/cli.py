@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from . import __version__
-from .bers import _exterior_series, _moment_count, ahlfors_weill, \
-    bers_map, bilipschitz_representative, equivalent, hyperbolic_distortion, \
-    schwarzian
+from . import __version__, exact
+from .bers import ahlfors_weill, bers_map, bilipschitz_representative, \
+    equivalent, hyperbolic_distortion
 from .boundary import (
     N_BOUNDARY,
     T_BOUNDARY,
@@ -393,9 +392,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
             a = k * r * r  # mu = 0 a.e. when a = 0: a row of zeros and NA
             num = den = ai = 0.0
             if a != 0:
-                # the exact map z + a/z, carried as far as bers_map would
-                K = _moment_count(math.sqrt(abs(a)))
-                phi = schwarzian(_exterior_series(np.r_[a, np.zeros(K - 1)]))
+                phi = exact.bers_image(k, r)
                 num = ap_norm(phi, p).value
                 den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
                 ai = ainf_norm(phi).value

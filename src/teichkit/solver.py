@@ -752,8 +752,11 @@ def _normalized_chart(mu, kit, reflect):
     if reflect:
         defect = float(np.max(np.abs(f[:, j0].imag)))
         if defect > 1e-6:
-            raise SolverError(f"reflection symmetry defect {defect:.2e} on R",
-                              sol.trace)
+            cut = "" if math.isfinite(mu.support_radius) else (
+                "; the coefficient's support is unbounded and truncated at "
+                "0.85 half-width")
+            raise SolverError(f"reflection symmetry defect {defect:.2e} on R "
+                              f"at N = {n}{cut}", sol.trace)
     f.flags.writeable = sol.mu_s.flags.writeable = False
     return f, sol.mu_s, sol.box, sol.trace, sol.ratio, defect
 

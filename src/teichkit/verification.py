@@ -2,7 +2,8 @@
 
 Every check pins its tolerances here; `run_all` executes them in order and
 the CLI's verify-all surfaces one pass/fail line per criterion.  The checks
-use closed-form or independently computed oracles only.
+use closed-form oracles (teichkit.exact) or independently computed ones
+only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exact
 from .bers import (
     ahlfors_weill,
     bers_map,
@@ -65,22 +67,17 @@ class CheckResult:
         return f"[{status}] criterion {self.criterion}: {self.name}"
 
 
-def _phi_exact(k, r):
-    a = k * r * r
-    return lambda z: -6.0 * a / (z * z - a) ** 2
-
-
 Z32 = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
 
 
 def check_1_bers_closed_form():
-    """Phi(0.3 chi_{0.5 D}) vs -0.45/(z^2-0.075)^2 on |z|=2, rel <= 1e-2."""
+    """Phi(0.3 chi_{0.5 D}) vs its closed form on |z|=2, rel <= 1e-2."""
     t0 = time.time()
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     pt = bers_map(mu, grid_n=1024)
     got = pt.bers_image.eval(Z32)
-    exact = _phi_exact(0.3, 0.5)(Z32)
-    rel = float(np.abs(got - exact).max() / np.abs(exact).max())
+    want = exact.bers_image(0.3, 0.5).eval(Z32)
+    rel = float(np.abs(got - want).max() / np.abs(want).max())
     elapsed = time.time() - t0
     return CheckResult(1, "closed-form Bers image (N=1024, 32 pts on |z|=2)",
                        rel <= 1e-2 and elapsed <= 60.0,
@@ -92,7 +89,7 @@ def check_2_mp_norm():
     """mp_norm(0.3 chi_{0.5D}, 2) = 0.30700 +- 1e-3; constant mu divergent."""
     t0 = time.time()
     rep = mp_norm(BeltramiCoefficient.constant_disk(0.3, 0.5), 2)
-    target = 0.3 * math.sqrt(math.pi * 0.25 / 0.75)
+    target = exact.mp_norm(0.3, 0.5, 2)
     err = abs(rep.value - target)
     const = BeltramiCoefficient(DomainTag.UNIT_DISK,
                                 lambda z: np.full_like(z, 0.3), math.inf, 0.3)
@@ -111,8 +108,8 @@ def check_3_douglas_lemma6():
     """Douglas equality at p=2 within 1%; Lemma-6 two-sided bounds per p."""
     t0 = time.time()
     trace_z, douglas = _douglas_z()
-    ok = abs(trace_z - 2 * math.pi) <= 0.01 * 2 * math.pi
-    ok &= abs(douglas - 2 * math.sqrt(math.pi)) <= 0.01 * 2 * math.sqrt(math.pi)
+    ok = abs(trace_z - exact.DOUGLAS_TRACE_Z) <= 0.01 * exact.DOUGLAS_TRACE_Z
+    ok &= abs(douglas - exact.DOUGLAS_RATIO) <= 0.01 * exact.DOUGLAS_RATIO
     family = {
         "z": HolomorphicFunction([1], [1.0]),
         "z2": HolomorphicFunction([2], [1.0]),
@@ -129,9 +126,10 @@ def check_3_douglas_lemma6():
         cps[p] = cp
         ok &= all(cp ** -1 <= r <= cp for r in ratios) and cp < 10.0
     return CheckResult(3, "Douglas equality and Lemma-6 comparability", ok,
-                       {"besov_trace_z": trace_z, "two_pi": 2 * math.pi,
+                       {"besov_trace_z": trace_z,
+                        "two_pi": exact.DOUGLAS_TRACE_Z,
                         "douglas_ratio": douglas,
-                        "two_sqrt_pi": 2 * math.sqrt(math.pi),
+                        "two_sqrt_pi": exact.DOUGLAS_RATIO,
                         "C_p": cps}, time.time() - t0)
 
 
@@ -140,7 +138,8 @@ def check_4_ahlfors_weill():
     t0 = time.time()
     worst = 0.0
     for k in (0.02, 0.05, 0.08, 0.1, 0.12):
-        phi = laurent_coefficients(_phi_exact(k, 0.5), 1.5, range(-24, 1))
+        phi = laurent_coefficients(exact.bers_image(k, 0.5).eval, 1.5,
+                                   range(-24, 1))
         sig = ahlfors_weill(phi)
         got = bers_map(sig, grid_n=512).bers_image
         worst = max(worst, float(np.abs(got.eval(Z32) - phi.eval(Z32)).max()))
@@ -309,8 +308,8 @@ def check_11_beurling():
     Z = kit.Z
     phi = np.exp(-np.abs(Z) ** 2)
     T = beurling_transform(ComplexGrid(0.0, L, -Z * phi)).values
-    exact = -np.conj(Z) * phi
-    rel = float(np.abs(T - exact).max() / np.abs(exact).max())
+    want = -np.conj(Z) * phi
+    rel = float(np.abs(T - want).max() / np.abs(want).max())
     rng = np.random.default_rng(7)
     h = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     h -= h.mean()

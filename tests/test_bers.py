@@ -8,6 +8,7 @@ from teichkit import (
     ainf_norm,
     ap_norm,
     bers,
+    exact,
     solve_plane,
     solver,
 )
@@ -29,15 +30,6 @@ from teichkit.solver import Normalization, QuasiconformalMap, _SpectralKit
 from conftest import TEST_GRID_N, coefficient
 
 Z32 = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
-
-
-def phi_closed_form(k, r):
-    a = k * r * r
-    return lambda z: -6.0 * a / (z * z - a) ** 2
-
-
-def phi_series(k, r, rho=1.5):
-    return laurent_coefficients(phi_closed_form(k, r), rho, range(-24, 1))
 
 
 def synthetic_disk_map(fn, n=256):
@@ -67,7 +59,8 @@ def test_laurent_pole_pair_exact():
 def test_laurent_coefficient_decay_geometric():
     # Schwarzian tail coefficients of the closed-form family decay
     # geometrically in the order
-    phi = phi_series(0.3, 0.5)  # orders -24 .. 0
+    phi = laurent_coefficients(exact.bers_image(0.3, 0.5).eval, 1.5,
+                               range(-24, 1))
     f = HolomorphicFunction(np.append(phi.orders, 1),
                             np.append(phi.coeffs, 1.0),
                             DomainTag.EXTERIOR_DISK)  # phi + z
@@ -114,25 +107,25 @@ def test_schwarzian_mobius_annihilation():
 
 def test_schwarzian_closed_form():
     S = schwarzian(exterior_map(0.3))
-    assert S.eval(2.0 + 0j) == pytest.approx(-6 * 0.3 / 3.7 ** 2, abs=1e-9)
-    assert S.eval(2.5 + 0j) == pytest.approx(-6 * 0.3 / 5.95 ** 2, abs=1e-9)
+    phi = exact.bers_image(0.3, 1.0)  # a = 0.3
+    assert S.eval(2.0 + 0j) == pytest.approx(phi.eval(2.0 + 0j), abs=1e-9)
+    assert S.eval(2.5 + 0j) == pytest.approx(phi.eval(2.5 + 0j), abs=1e-9)
     zt = 2.5 * np.exp(1j * np.linspace(0, 6, 9))
-    exact = -6 * 0.3 / (zt ** 2 - 0.3) ** 2
-    assert np.abs(S.eval(zt) - exact).max() < 1e-9
+    assert np.abs(S.eval(zt) - phi.eval(zt)).max() < 1e-9
 
 
 @pytest.mark.parametrize("a", [0.075, 0.5415])
 def test_schwarzian_of_z_plus_a_over_z_is_the_closed_form_series(a):
-    # S(z + a/z) = -6a/(z^2 - a)^2 = sum_m -6(m+1) a^(m+1) z^(-4-2m), on the
-    # orders z^-4 .. z^-(K+3) that K carried orders of f determine
+    # S(z + a/z) is the series of teichkit.exact on the orders
+    # z^-4 .. z^-(K+3) that K carried orders of f determine
     f = exterior_map(a)
     S = schwarzian(f)
     K = f.orders.size - 1
     assert list(S.orders) == list(range(-4, -K - 4, -1))
     even = S.orders % 2 == 0
-    m = (-4 - S.orders[even]) // 2
-    exact = -6 * (m + 1) * a ** (m + 1)
-    assert np.abs(S.coeffs[even] - exact).max() <= 1e-12
+    phi = exact.bers_image(a, 1.0)
+    want = [coefficient(phi, n) for n in S.orders[even]]
+    assert np.abs(S.coeffs[even] - want).max() <= 1e-12
     assert np.all(S.coeffs[~even] == 0)
 
 
@@ -169,9 +162,9 @@ def test_bers_map_zero():
 
 def test_bers_map_closed_form(mu_03_05):
     pt = bers_map(mu_03_05, grid_n=TEST_GRID_N)
-    exact = phi_closed_form(0.3, 0.5)(Z32)
+    want = exact.bers_image(0.3, 0.5).eval(Z32)
     got = pt.bers_image.eval(Z32)
-    assert np.abs(got - exact).max() / np.abs(exact).max() < 1e-2
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-2
     assert pt.bers_image.eval(2.0 + 0j) == pytest.approx(-0.0292101, abs=3e-4)
     assert not pt.ainf_report.divergent
     assert not pt.ap_norm_report.divergent
@@ -200,9 +193,9 @@ def test_ap_norm_of_a_bers_image_is_the_weil_petersson_sum(mu_03_05):
     phi = bers_map(mu_03_05, grid_n=256).bers_image
     psi = phi.inverted_disk_rep()
     n = psi.orders
-    exact = np.sqrt(np.pi * np.sum(
+    want = np.sqrt(np.pi * np.sum(
         np.abs(psi.coeffs) ** 2 * 2.0 / ((n + 1) * (n + 2) * (n + 3))))
-    assert abs(ap_norm(phi, 2).value - exact) <= 1e-12 * exact
+    assert abs(ap_norm(phi, 2).value - want) <= 1e-12 * want
 
 
 def test_bers_map_builds_no_grid_transform(monkeypatch):
@@ -231,9 +224,9 @@ def test_bers_images_sample_no_circle(monkeypatch):
                         classmethod(refuse))
     phi = bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5),
                    grid_n=128).bers_image
-    exact = phi_closed_form(0.3, 0.5)(Z32)
+    want = exact.bers_image(0.3, 0.5).eval(Z32)
     # the grid error at N = 128 is about 2%
-    assert np.abs(phi.eval(Z32) - exact).max() < 5e-2 * np.abs(exact).max()
+    assert np.abs(phi.eval(Z32) - want).max() < 5e-2 * np.abs(want).max()
     rows = estimate_constants(family_spec=[(0.6, 0.95)], p_list=(1.0, 2.0))
     assert all(np.isfinite(row["ap_phi"]) for row in rows)
 
@@ -320,7 +313,7 @@ def test_lemma2_ratio_bounded_over_family():
     ratios = []
     for k in (0.1, 0.2, 0.3):
         for r in (0.3, 0.5, 0.7):
-            phi = phi_series(k, r)
+            phi = exact.bers_image(k, r)
             num = ap_norm(phi, 2).value
             den = mp_norm(BeltramiCoefficient.constant_disk(k, r), 2).value
             ratios.append(num / den)
@@ -332,7 +325,7 @@ def test_norm_ordering_ainf_vs_ap():
     ratios = []
     for k in (0.1, 0.3):
         for r in (0.3, 0.7):
-            phi = phi_series(k, r)
+            phi = exact.bers_image(k, r)
             ratios.append(ainf_norm(phi).value / ap_norm(phi, 2).value)
     assert max(ratios) < 50.0
 
@@ -376,7 +369,7 @@ def test_aw_zero():
 def test_aw_pointwise_modulus():
     # |sigma(phi)(z*)| = (1/2)(|z|^2-1)^2 |phi(z)| at z = 1/conj(z*),
     # since |z z*| = 1
-    phi = phi_series(0.2, 0.5)
+    phi = exact.bers_image(0.2, 0.5)
     sig = ahlfors_weill(phi)
     u = np.array([0.3 + 0.2j, 0.5j, -0.7 + 0.1j])
     z = 1.0 / np.conj(u)
@@ -385,7 +378,7 @@ def test_aw_pointwise_modulus():
 
 
 def test_aw_sup_norm_is_half_ainf():
-    phi = phi_series(0.2, 0.5)
+    phi = exact.bers_image(0.2, 0.5)
     assert ahlfors_weill(phi).sup_norm == pytest.approx(
         ainf_norm(phi).value / 2, abs=1e-6)
 
@@ -399,7 +392,7 @@ def test_aw_rejects_large_phi():
 def test_aw_section_roundtrip_family():
     # Phi(sigma(phi)) = phi is the Ahlfors-Weill theorem; family of five
     for k in (0.02, 0.05, 0.08, 0.1, 0.12):
-        phi = phi_series(k, 0.5)
+        phi = exact.bers_image(k, 0.5)
         assert ainf_norm(phi).value < 0.5
         sig = ahlfors_weill(phi)
         got = bers_map(sig, grid_n=TEST_GRID_N).bers_image
@@ -429,7 +422,8 @@ def test_not_equivalent_distinct_k():
     eq, dist = equivalent(mu1, mu2, tol=1e-2, grid_n=TEST_GRID_N)
     assert not eq
     # injectivity witness: distance at least the closed-form gap at z=2
-    gap = abs(phi_closed_form(0.1, 0.5)(2.0) - phi_closed_form(0.2, 0.5)(2.0))
+    gap = abs(exact.bers_image(0.1, 0.5).eval(2.0)
+              - exact.bers_image(0.2, 0.5).eval(2.0))
     assert dist >= 0.9 * gap
 
 
@@ -455,7 +449,7 @@ def test_distortion_mobius_isometry():
 
 
 def test_distortion_aw_map_small():
-    phi = phi_series(0.1, 0.5)
+    phi = exact.bers_image(0.1, 0.5)
     from teichkit import solve_disk
 
     f = solve_disk(ahlfors_weill(phi), grid_n=TEST_GRID_N)
@@ -491,6 +485,13 @@ def test_bilip_rejects_bad_delta():
 # local section
 
 
+def scaled_image(eps):
+    """eps Phi(0.1 chi_{0.5D})."""
+    phi = exact.bers_image(0.1, 0.5)
+    return HolomorphicFunction(phi.orders, eps * phi.coeffs,
+                               DomainTag.EXTERIOR_DISK)
+
+
 def test_local_section_basepoint(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=TEST_GRID_N)
     psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
@@ -500,7 +501,7 @@ def test_local_section_basepoint(mu_03_05):
 
 
 def test_local_section_at_zero_base_is_aw():
-    phi = phi_series(0.05, 0.5)
+    phi = exact.bers_image(0.05, 0.5)
     zero = BeltramiCoefficient.zero()
     psi0 = HolomorphicFunction.zero(DomainTag.EXTERIOR_DISK)
     from teichkit import identity_map
@@ -516,8 +517,7 @@ def test_local_section_tracks_target(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=TEST_GRID_N)
     base_map = base.meta["final_map"]
     psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
-    phi = laurent_coefficients(
-        lambda z: 0.1 * phi_closed_form(0.1, 0.5)(z), 1.5, range(-24, 1))
+    phi = scaled_image(0.1)
     nu = local_section(base, psi, phi, grid_n=TEST_GRID_N, base_map=base_map)
     got = bers_map(nu, grid_n=TEST_GRID_N).bers_image
     target = psi.eval(Z32) + phi.eval(Z32)
@@ -531,8 +531,7 @@ def test_local_section_continuity(mu_03_05):
     z = 0.5 * np.exp(1j * np.linspace(0, 6, 13))
     gaps = []
     for eps in (0.1, 0.05, 0.025):
-        phi = laurent_coefficients(
-            lambda t: eps * phi_closed_form(0.1, 0.5)(t), 1.5, range(-24, 1))
+        phi = scaled_image(eps)
         nu = local_section(base, psi, phi, grid_n=256, base_map=base_map)
         gaps.append(np.abs(nu.eval(z) - base.eval(z)).max())
     assert gaps[2] < gaps[0]

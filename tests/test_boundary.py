@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from teichkit import BeltramiCoefficient, DomainTag, cayley, mp_norm
-from teichkit import boundary
+from teichkit import boundary, exact
 from teichkit.boundary import (
     BoundaryFunction,
     BoundaryHomeomorphism,
@@ -143,10 +143,10 @@ def test_besov_circle_identity_douglas():
     th = 2 * np.pi * np.arange(512) / 512
     u = BoundaryFunction(th, np.exp(1j * th), "circle")
     rep = besov_seminorm(u, 2)
-    assert rep.value == pytest.approx(2 * math.pi, rel=1e-2)
+    assert rep.value == pytest.approx(exact.DOUGLAS_TRACE_Z, rel=1e-2)
     # Douglas: boundary norm equals 2 sqrt(pi) times the analytic norm
     ana = analytic_besov_norm(HolomorphicFunction([1], [1.0]), 2)
-    assert rep.value == pytest.approx(2 * math.sqrt(math.pi) * ana.value,
+    assert rep.value == pytest.approx(exact.DOUGLAS_RATIO * ana.value,
                                       rel=1e-2)
 
 
@@ -278,7 +278,7 @@ def test_lemma6_comparability(p):
     if p == 2.0:
         # Douglas equality across the whole family
         for r in ratios:
-            assert r == pytest.approx(2 * math.sqrt(math.pi), rel=1e-2)
+            assert r == pytest.approx(exact.DOUGLAS_RATIO, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,13 @@ def test_welding_consistency(weld_02):
     assert weld_02.consistency_sup <= 1e-2
     assert weld_02.imag_defect < 5e-2
     assert np.all(np.diff(weld_02.h.values) > 0)
+
+
+def test_welding_matches_the_closed_form(weld_02):
+    # teichkit.exact's welding of 0.2 chi_{0.5D}: 4.4e-3 off at N = 512
+    x = np.linspace(-40.0, 40.0, 8001)
+    h = exact.welding(0.2, 0.5, x)[0]
+    assert np.abs(weld_02.h.eval(x) - h).max() <= 1e-2
 
 
 def _dilate(mask):

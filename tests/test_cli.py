@@ -16,7 +16,7 @@ from teichkit.cli import (
     write_constants_csv,
 )
 from teichkit import BeltramiCoefficient, cayley, solve_halfplane, solve_plane
-from teichkit import boundary, cli
+from teichkit import boundary, cli, exact
 from teichkit.boundary import besov_characterization_check, welding
 from teichkit.solver import FAR_FIELD_FIT, MARGIN_FRACTION
 
@@ -380,7 +380,8 @@ def test_constants_rows_and_running_max(tmp_path):
     assert len(rows) == 9
     rm = [r["running_max"] for r in rows]
     assert rm[-1] == rm[-2]
-    assert rows[0]["douglas_p2"] == pytest.approx(3.5449, rel=1e-2)
+    assert rows[0]["douglas_p2"] == pytest.approx(exact.DOUGLAS_RATIO,
+                                                  rel=1e-2)
     path = tmp_path / "constants.csv"
     write_constants_csv(rows, path)
     header = path.read_text().splitlines()[0]
@@ -408,8 +409,7 @@ def test_cli_constants_out_keeps_the_csv(tmp_path):
 
 
 def test_constants_runs_with_poles_near_the_unit_circle():
-    # k r^2 = 0.5415 puts the poles of -6a/(z^2 - a)^2 at |z| = 0.74; A_2 is
-    # the Weil-Petersson sum over psi(w) = -6a/(1 - a w^2)^2, 400 terms
+    # k r^2 = 0.5415 puts the poles of Phi at |z| = 0.74
     res = run(ExperimentConfig.from_dict({
         "command": "constants", "family": [[0.6, 0.95]], "p_list": [1, 2]}))
     assert "error" not in res.reports
@@ -417,12 +417,8 @@ def test_constants_runs_with_poles_near_the_unit_circle():
     assert [row["p"] for row in rows] == [1, 2]
     assert all(math.isfinite(row["ap_phi"]) and row["ap_phi"] > 0
                for row in rows)
-    a = 0.6 * 0.95 ** 2
-    m = np.arange(200)
-    n = 2 * m
-    exact = math.sqrt(np.pi * np.sum(
-        (6 * (m + 1) * a ** (m + 1)) ** 2 * 2.0 / ((n + 1) * (n + 2) * (n + 3))))
-    assert abs(rows[1]["ap_phi"] - exact) <= 1e-12 * exact
+    want = exact.ap2_norm(0.6, 0.95)
+    assert abs(rows[1]["ap_phi"] - want) <= 1e-12 * want
 
 
 def test_constants_single_zero_row():

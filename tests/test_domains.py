@@ -20,7 +20,7 @@ from teichkit import (
     hyperbolic_density,
     mp_norm,
 )
-from teichkit import domains
+from teichkit import domains, exact
 from teichkit.bers import bers_map
 from teichkit.boundary import BoundaryFunction, besov_seminorm
 from teichkit.domains import (
@@ -32,21 +32,6 @@ from teichkit.domains import (
 )
 
 from conftest import coefficient
-
-
-def closed_form_phi(k, r):
-    """Bers image of k chi_{rD}: -6 k r^2 / (z^2 - k r^2)^2 on the exterior."""
-    a = k * r * r
-
-    def phi(z):
-        return -6.0 * a / (z * z - a) ** 2
-
-    return phi
-
-
-def exterior_series(fn, rho=2.0, orders=range(-24, 1)):
-    return HolomorphicFunction.from_callable_on_circle(
-        fn, rho, orders, domain=DomainTag.EXTERIOR_DISK)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +73,12 @@ def test_mp_norm_zero():
 
 
 def test_mp_norm_closed_form():
-    # |k| (pi r^2/(1-r^2))^{1/p}, cross-checked against direct quadrature
+    # the closed form of teichkit.exact, cross-checked against quadrature
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     rep = mp_norm(mu, 2)
-    exact = 0.3 * math.sqrt(math.pi * 0.25 / 0.75)
-    assert exact == pytest.approx(0.30700, abs=5e-6)
-    assert rep.value == pytest.approx(exact, abs=1e-3)
+    want = exact.mp_norm(0.3, 0.5, 2)
+    assert want == pytest.approx(0.30700, abs=5e-6)
+    assert rep.value == pytest.approx(want, abs=1e-3)
     oracle, _ = integrate.quad(
         lambda s: 0.3 ** 2 * 2 * math.pi * s / (1 - s * s) ** 2, 0.0, 0.5)
     assert rep.value == pytest.approx(oracle ** 0.5, abs=1e-3)
@@ -103,8 +88,7 @@ def test_mp_norm_closed_form():
                                    (0.1, 0.45, 3.0)])
 def test_mp_norm_family(k, r, p):
     rep = mp_norm(BeltramiCoefficient.constant_disk(k, r), p)
-    exact = k * (math.pi * r * r / (1 - r * r)) ** (1 / p)
-    assert rep.value == pytest.approx(exact, abs=1e-3)
+    assert rep.value == pytest.approx(exact.mp_norm(k, r, p), abs=1e-3)
     assert rep.error_estimate >= abs(rep.refinements[-1][1] - rep.refinements[-2][1])
 
 
@@ -180,10 +164,10 @@ def test_ainf_rejects_growth():
 
 
 def test_ainf_closed_form_family():
-    phi = exterior_series(closed_form_phi(0.3, 0.5))
+    phi = exact.bers_image(0.3, 0.5)
     rep = ainf_norm(phi)
     # dense two-resolution sampling oracle
-    fn = closed_form_phi(0.3, 0.5)
+    fn = phi.eval
     best = 0.0
     for s in np.concatenate([1 + np.geomspace(1e-6, 9, 2000),
                              np.geomspace(10, 3000, 400)]):
@@ -197,21 +181,12 @@ def test_ainf_closed_form_family():
 SIX_A_CASES = [(0.3, 0.5), (0.7, 0.45), (-0.4, 0.6), (0.5, 0.9)]
 
 
-def six_a_image(k, r):
-    """The Bers image of k chi_{rD} as its series -6a sum (n + 1) a^n
-    z^(-4 - 2n), a = k r^2, cut after 60 terms."""
-    a = k * r * r
-    n = np.arange(60)
-    return HolomorphicFunction(-4 - 2 * n, -6.0 * a * (n + 1) * a ** n,
-                               domain=DomainTag.EXTERIOR_DISK)
-
-
 @pytest.mark.parametrize("k, r", SIX_A_CASES)
 def test_ainf_closed_form_is_six_a(k, r):
     # psi(w) = -6a / (1 - a w^2)^2 with a = k r^2, and (1 - |w|^2)^2 |psi|
     # <= 6|a| (1 - |w|^2)^2 / (1 - |a| |w|^2)^2 <= 6|a|: the sup is at w = 0
     a = k * r * r
-    assert ainf_norm(six_a_image(k, r)).value == \
+    assert ainf_norm(exact.bers_image(k, r)).value == \
         pytest.approx(6 * abs(a), rel=1e-6)
 
 
@@ -242,7 +217,7 @@ def test_ainf_blocks_of_radii_match_whole_levels(monkeypatch, radii):
     # bit, on the closed-form images and on a solved one
     if radii:
         monkeypatch.setattr(domains, "AINF_RADII", radii)
-    phis = [six_a_image(k, r) for k, r in SIX_A_CASES]
+    phis = [exact.bers_image(k, r) for k, r in SIX_A_CASES]
     phis.append(bers_map(BeltramiCoefficient.constant_disk(0.624, 0.49),
                          grid_n=512).bers_image)
     for phi in phis:
@@ -265,8 +240,8 @@ def test_ainf_norm_memory_is_bounded():
 
 
 def test_ap_norm_against_quadrature_oracle():
-    fn = closed_form_phi(0.3, 0.5)
-    phi = exterior_series(fn)
+    phi = exact.bers_image(0.3, 0.5)
+    fn = phi.eval
 
     def oracle(p):
         def ring(s):
@@ -312,7 +287,7 @@ def test_ladders_match_pointwise_series_eval(monkeypatch, p):
                                DomainTag.EXTERIOR_DISK)  # psi ~ w^-2
     const = HolomorphicFunction([0], [1.0],
                                 DomainTag.EXTERIOR_DISK)  # psi = w^-4
-    phis = (exterior_series(closed_form_phi(0.3, 0.5)), slow, const)
+    phis = (exact.bers_image(0.3, 0.5), slow, const)
     fast = [(ap_norm(phi, p), ainf_norm(phi)) for phi in phis]
     monkeypatch.setattr(domains, "_polar_series",
                         lambda f, s, th, terms=None:
@@ -369,7 +344,7 @@ def test_ainf_ap_embedding_ratio_bounded():
     ratios = []
     for k in (0.1, 0.2, 0.3):
         for r in (0.3, 0.5, 0.7):
-            phi = exterior_series(closed_form_phi(k, r))
+            phi = exact.bers_image(k, r)
             ai = ainf_norm(phi)
             a2 = ap_norm(phi, 2)
             assert not ai.divergent and not a2.divergent

@@ -766,6 +766,18 @@ def test_solve_halfplane_fixes_real_line(mu_03_05):
     assert f.symmetry_defect < 1e-8
 
 
+def test_symmetry_defect_error_names_the_truncated_support():
+    # the self-map coefficient of 0.3 chi_D reaches R: its half-plane image
+    # is unbounded, and the 0.85 half-width cut leaves a defect above 1e-6
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 1.0),
+                  "DiskToHalfPlane")
+    with pytest.raises(SolverError, match=r"^reflection symmetry defect "
+                       r"4\.81e-06 on R at N = 128; the coefficient's "
+                       r"support is unbounded and truncated at 0\.85 "
+                       r"half-width$"):
+        solve_halfplane(mu_u, grid_n=128)
+
+
 # ---------------------------------------------------------------------------
 # dilatation
 
