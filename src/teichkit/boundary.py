@@ -677,7 +677,8 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
 @cayley.register(BoundaryFunction)
 def _cayley_boundary(obj: BoundaryFunction, direction):
-    """Reparameterize S <-> R via x = -cot(theta/2) (theta = 0 <-> infinity)."""
+    """Reparameterize circle data on R via x = -cot(theta/2) (theta = 0 <->
+    infinity); boundary data are not carried from R to the circle."""
     direction = CayleyDirection(direction)
     if direction is CayleyDirection.DISK_TO_HALF_PLANE:
         if obj.domain != "circle":
@@ -697,14 +698,7 @@ def _cayley_boundary(obj: BoundaryFunction, direction):
         vals = to_line(obj.values[keep][order])
         return type(obj)(x[order], vals, "line", float(np.abs(x).max()),
                          extension=exact)
-    if obj.domain != "line":
-        raise ValueError("expected line data")
-    th = 2.0 * np.arctan2(1.0, -obj.params)
-    order = np.argsort(th)
-    vals = obj.values[order]
-    if isinstance(obj, BoundaryHomeomorphism):
-        vals = 2.0 * np.arctan2(1.0, -vals)
-    return type(obj)(th[order], vals, "circle")
+    raise ValueError("boundary data are carried from the circle to R only")
 
 
 def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,

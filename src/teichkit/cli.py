@@ -10,11 +10,12 @@ and report it under reports["characterization"]; roundtrip skips the
 extension's M_p ladder and adds the verdict within_tolerance, its
 roundtrip distance against the "roundtrip" tolerance.
 
-Each run emits a deterministic JSON report (sorted keys; wall_time is the
-only field that varies between identical runs).  Coefficients arrive as
-JSON specs: {"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid",
-...}, or {"kind": "table", ...}; a config key the command does not read is
-rejected, as is a spec field its kind does not read.  A failed run reports
+Each run emits a deterministic JSON report (sorted keys; between identical
+runs only wall_time varies, and in verify-all each criterion's elapsed time
+and criterion 1's runtime_s).  Coefficients arrive as JSON specs:
+{"kind": "constant_disk", "k": ..., "r": ...}, {"kind": "grid", ...}, or
+{"kind": "table", ...}; a config key the command does not read is rejected,
+as is a spec field its kind does not read.  A failed run reports
 the failing stage, the exception type and its message under
 reports["error"].  Solves are memoized in the process only, so repeated
 stages of one run reuse them.
@@ -54,6 +55,7 @@ from .boundary import (
 )
 from .domains import BeltramiCoefficient, ainf_norm, ap_norm, mp_norm
 from .solver import solve_disk, solve_plane
+from .verification import TOLERANCES, CheckResult, run_all
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run",
            "estimate_constants", "main"]
@@ -190,8 +192,7 @@ def _mu(config: ExperimentConfig) -> BeltramiCoefficient:
 
 
 def _tol(config, name):
-    return float(config.tolerances.get(
-        name, _COMMANDS[config.command].tolerances[name]))
+    return float(config.tolerances.get(name, TOLERANCES[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +299,6 @@ def _cmd_roundtrip(cfg):
 
 
 def _cmd_verify_all(cfg):
-    from .verification import run_all
-
     results = run_all()
     reports = {f"criterion_{r.criterion}": {
         "name": r.name, "passed": r.passed, "details": r.details,
@@ -319,22 +318,22 @@ def _cmd_constants(cfg):
 
 
 # each command: its handler, the config keys beyond _FIELDS it reads
-# (ExperimentConfig.extra), and the tolerances it reads with their defaults
+# (ExperimentConfig.extra), and the tolerances it reads, whose defaults are
+# the acceptance criteria's (verification.TOLERANCES)
 _Command = namedtuple("_Command", "handler extra tolerances")
 _COMMANDS = {
-    "norm": _Command(_cmd_norm, (), {}),
-    "solve": _Command(_cmd_solve, ("self_map",), {"residual": 1e-3}),
-    "bers": _Command(_cmd_bers, (), {}),
-    "aw": _Command(_cmd_aw, (), {"section": 5e-3}),
-    "bilip": _Command(_cmd_bilip, ("delta",), {"equivalence": 1e-2}),
-    "weld": _Command(_cmd_weld, (),
-                     {"consistency": 1e-2, "identity": 5e-2}),
-    "besov": _Command(_cmd_besov, (), {}),
-    "extend": _Command(_cmd_extend, (), {}),
-    "characterize": _Command(_cmd_characterize, (), {}),
-    "roundtrip": _Command(_cmd_roundtrip, (), {"roundtrip": 0.1}),
-    "constants": _Command(_cmd_constants, ("family", "p_list"), {}),
-    "verify-all": _Command(_cmd_verify_all, (), {}),
+    "norm": _Command(_cmd_norm, (), ()),
+    "solve": _Command(_cmd_solve, ("self_map",), ("residual",)),
+    "bers": _Command(_cmd_bers, (), ()),
+    "aw": _Command(_cmd_aw, (), ("section",)),
+    "bilip": _Command(_cmd_bilip, ("delta",), ("equivalence",)),
+    "weld": _Command(_cmd_weld, (), ("consistency", "identity")),
+    "besov": _Command(_cmd_besov, (), ()),
+    "extend": _Command(_cmd_extend, (), ()),
+    "characterize": _Command(_cmd_characterize, (), ()),
+    "roundtrip": _Command(_cmd_roundtrip, (), ("roundtrip",)),
+    "constants": _Command(_cmd_constants, ("family", "p_list"), ()),
+    "verify-all": _Command(_cmd_verify_all, (), ()),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -376,7 +375,8 @@ DEFAULT_FAMILY = tuple((k, r) for r in (0.7, 0.5, 0.3) for k in (0.3, 0.2, 0.1))
 def estimate_constants(family_spec=None, p_list=(2.0,)):
     """Empirical constants over the closed-form family k chi_{rD}.
 
-    Emits one row per (k, r, p) with both sides of the norm comparison,
+    Emits one row per (k, r, p) with both sides of the norm comparison
+    (M_p in closed form, A_p of the closed-form Bers image; teichkit.exact),
     the running-max ratio (the empirical constant), the sup-vs-A_p ratio,
     and at p = 2 the Douglas ratio of boundary to analytic Besov norms.
     """
@@ -394,7 +394,7 @@ def estimate_constants(family_spec=None, p_list=(2.0,)):
             if a != 0:
                 phi = exact.bers_image(k, r)
                 num = ap_norm(phi, p).value
-                den = mp_norm(BeltramiCoefficient.constant_disk(k, r), p).value
+                den = exact.mp_norm(k, r, p)
                 ai = ainf_norm(phi).value
                 running = max(running, num / den)
             rows.append({"k": k, "r": r, "p": p, "mp_norm": den,
@@ -505,18 +505,12 @@ def main(argv=None):
 
     exit_code = 0
     for cfg, res in zip(configs, results):
-        if cfg.command == "verify-all":
-            for key in sorted(res.verdicts):
-                if key.startswith("criterion_") and not res.verdicts[key]:
-                    print(f"FAIL {key}: "
-                          f"{res.reports[key]['name']}", file=sys.stderr)
-                    exit_code = 1
-            for key in sorted(res.reports):
-                if key.startswith("criterion_"):
-                    rep = res.reports[key]
-                    status = "PASS" if rep["passed"] else "FAIL"
-                    print(f"[{status}] {key}: {rep['name']} "
-                          f"({rep['elapsed']:.1f}s)")
+        if cfg.command == "verify-all" and not res.verdicts.get("failed"):
+            for key, rep in res.reports.items():  # in criterion order
+                print(CheckResult(int(key.removeprefix("criterion_")),
+                                  **rep).line())
+            if not res.verdicts["all_passed"]:
+                exit_code = 1
         if res.verdicts.get("failed"):
             print(f"ERROR in {cfg.command}: "
                   f"{res.reports['error']['message']}", file=sys.stderr)

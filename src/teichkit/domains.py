@@ -818,14 +818,6 @@ def _cayley_complex(obj: complex, direction):
     return complex(cayley_inverse(obj))
 
 
-@cayley.register
-def _cayley_array(obj: np.ndarray, direction):
-    direction = CayleyDirection(direction)
-    if direction is CayleyDirection.DISK_TO_HALF_PLANE:
-        return cayley_map(obj)
-    return cayley_inverse(obj)
-
-
 def mobius_circle_image(mapping, center, radius):
     """Image circle of |z - center| = radius under a Moebius map.
 

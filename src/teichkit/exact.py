@@ -49,7 +49,10 @@ def ap2_norm(k, r):
 
 
 def mp_norm(k, r, p):
-    """M_p(k chi_{rD}) = |k| (pi r^2 / (1 - r^2))^(1/p), for 0 <= r < 1."""
+    """M_p(k chi_{rD}) = |k| (pi r^2 / (1 - r^2))^(1/p), for 0 <= r < 1;
+    at r = 1, inf unless k = 0, as the hyperbolic area of D is infinite."""
+    if r == 1:
+        return math.inf if k else 0.0
     return abs(k) * (math.pi * r * r / (1 - r * r)) ** (1 / p)
 
 

@@ -462,6 +462,9 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
             box = slice(mid - k, mid + k + 1)
     box = box, box
     Z = kit.nodes(box)
+    if reflect:  # mu is read on the nodes with y > 0 only
+        up, down = Z[0].imag > 0, Z[0].imag < 0
+        shape, Z = Z.shape, Z[:, up]
     vals = mu.eval(Z)
     vals[np.abs(Z) > truncation] = 0.0
     sub = 8
@@ -479,13 +482,13 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
             means[start:start + SUPERSAMPLE_NODES] = sv.mean(axis=1)
         vals[near] = means
     if reflect:
-        vals[Z.imag <= 0] = 0.0
         cols = np.arange(n)[box[1]]
         src = n - cols - cols[0]  # y-node j reflects to node n - j
-        ok = (src >= 0) & (src < cols.size)
-        ref = np.zeros_like(vals)
-        ref[:, ok] = np.conj(vals[:, src[ok]])
-        vals = vals + np.where(Z.imag < 0, ref, 0.0)
+        ok = down & (src >= 0) & (src < cols.size)
+        full = np.zeros(shape, dtype=vals.dtype)
+        full[:, up] += vals
+        vals = full
+        vals[:, ok] += np.conj(vals[:, src[ok]])
     return box, vals
 
 

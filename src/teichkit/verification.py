@@ -1,13 +1,14 @@
 """Acceptance checks: one callable per criterion, exit criteria for the kit.
 
 Every check pins its tolerances here; `run_all` executes them in order and
-the CLI's verify-all surfaces one pass/fail line per criterion.  The checks
-use closed-form oracles (teichkit.exact) or independently computed ones
-only.
+the CLI's verify-all surfaces one pass/fail line per criterion.  The bounds
+the CLI verdicts share with the criteria are in TOLERANCES.  The checks use
+closed-form oracles (teichkit.exact) or independently computed ones only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,7 +52,12 @@ from .solver import (
     solve_plane,
 )
 
-__all__ = ["CheckResult", "run_all", "ALL_CRITERIA"]
+__all__ = ["CheckResult", "run_all", "ALL_CRITERIA", "TOLERANCES"]
+
+# bounds of criteria 4, 6, 7, 9 and 10 that the verdicts of the CLI's aw,
+# solve, weld, roundtrip and bilip read as their default tolerances
+TOLERANCES = {"residual": 1e-3, "section": 5e-3, "equivalence": 1e-2,
+              "consistency": 1e-2, "identity": 5e-2, "roundtrip": 0.1}
 
 
 @dataclass
@@ -64,12 +70,35 @@ class CheckResult:
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.criterion}: {self.name}"
+        return (f"[{status}] criterion {self.criterion}: {self.name} "
+                f"({self.elapsed:.1f}s)")
+
+
+ALL_CRITERIA = []
+
+
+def _criterion(number, name):
+    """Register a check, defined in number order, in ALL_CRITERIA.  The
+    check returns (passed, details); the registered function returns them
+    as a CheckResult with the elapsed time."""
+    def register(fn):
+        @functools.wraps(fn)
+        def check():
+            t0 = time.time()
+            passed, details = fn()
+            return CheckResult(number, name, passed, details,
+                               time.time() - t0)
+
+        ALL_CRITERIA.append(check)
+        return check
+
+    return register
 
 
 Z32 = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
 
 
+@_criterion(1, "closed-form Bers image (N=1024, 32 pts on |z|=2)")
 def check_1_bers_closed_form():
     """Phi(0.3 chi_{0.5 D}) vs its closed form on |z|=2, rel <= 1e-2."""
     t0 = time.time()
@@ -78,16 +107,15 @@ def check_1_bers_closed_form():
     got = pt.bers_image.eval(Z32)
     want = exact.bers_image(0.3, 0.5).eval(Z32)
     rel = float(np.abs(got - want).max() / np.abs(want).max())
-    elapsed = time.time() - t0
-    return CheckResult(1, "closed-form Bers image (N=1024, 32 pts on |z|=2)",
-                       rel <= 1e-2 and elapsed <= 60.0,
-                       {"rel_error": rel, "tolerance": 1e-2,
-                        "runtime_s": elapsed, "runtime_cap_s": 60.0}, elapsed)
+    runtime = time.time() - t0
+    return (rel <= 1e-2 and runtime <= 60.0,
+            {"rel_error": rel, "tolerance": 1e-2,
+             "runtime_s": runtime, "runtime_cap_s": 60.0})
 
 
+@_criterion(2, "closed-form p-norm and divergence flag")
 def check_2_mp_norm():
     """mp_norm(0.3 chi_{0.5D}, 2) = 0.30700 +- 1e-3; constant mu divergent."""
-    t0 = time.time()
     rep = mp_norm(BeltramiCoefficient.constant_disk(0.3, 0.5), 2)
     target = exact.mp_norm(0.3, 0.5, 2)
     err = abs(rep.value - target)
@@ -96,17 +124,15 @@ def check_2_mp_norm():
     rep_c = mp_norm(const, 2)
     ok = (err <= 1e-3 and not rep.divergent and rep_c.divergent
           and len(rep_c.refinements) <= 3)
-    return CheckResult(2, "closed-form p-norm and divergence flag", ok,
-                       {"value": rep.value, "target": round(target, 5),
-                        "abs_error": err, "tolerance": 1e-3,
-                        "constant_divergent": rep_c.divergent,
-                        "ladder_levels": len(rep_c.refinements)},
-                       time.time() - t0)
+    return ok, {"value": rep.value, "target": round(target, 5),
+                "abs_error": err, "tolerance": 1e-3,
+                "constant_divergent": rep_c.divergent,
+                "ladder_levels": len(rep_c.refinements)}
 
 
+@_criterion(3, "Douglas equality and Lemma-6 comparability")
 def check_3_douglas_lemma6():
     """Douglas equality at p=2 within 1%; Lemma-6 two-sided bounds per p."""
-    t0 = time.time()
     trace_z, douglas = _douglas_z()
     ok = abs(trace_z - exact.DOUGLAS_TRACE_Z) <= 0.01 * exact.DOUGLAS_TRACE_Z
     ok &= abs(douglas - exact.DOUGLAS_RATIO) <= 0.01 * exact.DOUGLAS_RATIO
@@ -125,17 +151,15 @@ def check_3_douglas_lemma6():
         cp = max(max(ratios), 1.0 / min(ratios))
         cps[p] = cp
         ok &= all(cp ** -1 <= r <= cp for r in ratios) and cp < 10.0
-    return CheckResult(3, "Douglas equality and Lemma-6 comparability", ok,
-                       {"besov_trace_z": trace_z,
-                        "two_pi": exact.DOUGLAS_TRACE_Z,
-                        "douglas_ratio": douglas,
-                        "two_sqrt_pi": exact.DOUGLAS_RATIO,
-                        "C_p": cps}, time.time() - t0)
+    return ok, {"besov_trace_z": trace_z, "two_pi": exact.DOUGLAS_TRACE_Z,
+                "douglas_ratio": douglas, "two_sqrt_pi": exact.DOUGLAS_RATIO,
+                "C_p": cps}
 
 
+@_criterion(4, "Ahlfors-Weill section roundtrip")
 def check_4_ahlfors_weill():
-    """||Phi(sigma(phi)) - phi||_inf on |z|=2 <= 5e-3 over the small family."""
-    t0 = time.time()
+    """||Phi(sigma(phi)) - phi||_inf on |z|=2 within the "section"
+    tolerance over the small family."""
     worst = 0.0
     for k in (0.02, 0.05, 0.08, 0.1, 0.12):
         phi = laurent_coefficients(exact.bers_image(k, 0.5).eval, 1.5,
@@ -143,14 +167,13 @@ def check_4_ahlfors_weill():
         sig = ahlfors_weill(phi)
         got = bers_map(sig, grid_n=512).bers_image
         worst = max(worst, float(np.abs(got.eval(Z32) - phi.eval(Z32)).max()))
-    return CheckResult(4, "Ahlfors-Weill section roundtrip", worst <= 5e-3,
-                       {"sup_error": worst, "tolerance": 5e-3},
-                       time.time() - t0)
+    tol = TOLERANCES["section"]
+    return worst <= tol, {"sup_error": worst, "tolerance": tol}
 
 
+@_criterion(5, "chain-rule identities")
 def check_5_chain_rule():
     """Exact chain-rule identities and the affine synthetic case to 1e-10."""
-    t0 = time.time()
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     from .solver import solve_disk
 
@@ -175,15 +198,14 @@ def check_5_chain_rule():
     affine = float(np.abs(chain_rule(c1, c2, f_aff).eval(pts)
                           - (k1 - k2) / (1 - k2 * k1)).max())
     ok = same == 0.0 and through_zero == 0.0 and affine <= 1e-10
-    return CheckResult(5, "chain-rule identities", ok,
-                       {"mu_star_mu_inv": same, "mu_star_zero": through_zero,
-                        "affine_error": affine, "tolerance": 1e-10},
-                       time.time() - t0)
+    return ok, {"mu_star_mu_inv": same, "mu_star_zero": through_zero,
+                "affine_error": affine, "tolerance": 1e-10}
 
 
+@_criterion(6, "solver residual and Neumann decay")
 def check_6_solver_residual():
-    """Residual <= 1e-3 ||df|| and geometric Neumann decay on the family."""
-    t0 = time.time()
+    """Residual within the "residual" tolerance of ||df|| and geometric
+    Neumann decay on the family."""
     smooth = BeltramiCoefficient(
         DomainTag.PLANE, lambda z: 0.4 * np.exp(-np.abs(z) ** 2), 3.5, 0.4,
         cache_token="smooth-gauss-0.4")
@@ -201,30 +223,28 @@ def check_6_solver_residual():
         details[name] = {"residual": f.residual,
                          "ratio": f.convergence_ratio,
                          "ratio_cap": mu.sup_norm + 0.1}
-        ok &= f.residual <= 1e-3
+        ok &= f.residual <= TOLERANCES["residual"]
         ok &= f.convergence_ratio <= mu.sup_norm + 0.1
-    return CheckResult(6, "solver residual and Neumann decay", ok, details,
-                       time.time() - t0)
+    return ok, details
 
 
+@_criterion(7, "welding consistency and log-derivative identity")
 def check_7_welding():
-    """Welding consistency <= 1e-2 and Eq.(4)-type identity <= 5e-2."""
-    t0 = time.time()
+    """Welding consistency and the Eq.(4)-type identity within their
+    tolerances, "consistency" and "identity"."""
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=512)
     chk = welding_identity_check(weld)
-    ok = weld.consistency_sup <= 1e-2 and chk["sup_discrepancy"] <= 5e-2
-    return CheckResult(7, "welding consistency and log-derivative identity",
-                       ok,
-                       {"consistency_sup": weld.consistency_sup,
-                        "consistency_tol": 1e-2,
-                        "identity_sup": chk["sup_discrepancy"],
-                        "identity_tol": 5e-2}, time.time() - t0)
+    tol_c, tol_i = TOLERANCES["consistency"], TOLERANCES["identity"]
+    ok = weld.consistency_sup <= tol_c and chk["sup_discrepancy"] <= tol_i
+    return ok, {"consistency_sup": weld.consistency_sup,
+                "consistency_tol": tol_c,
+                "identity_sup": chk["sup_discrepancy"], "identity_tol": tol_i}
 
 
+@_criterion(8, "Besov characterization coherence")
 def check_8_characterization():
     """Finiteness verdicts agree on finite and divergent examples; the
     extension fixes affine maps to 1e-10."""
-    t0 = time.time()
     fin = besov_characterization_check(
         BeltramiCoefficient.constant_disk(0.2, 0.5), 2, grid_n=512)
     v = fin["verdicts"]
@@ -256,53 +276,50 @@ def check_8_characterization():
              + 1j * np.geomspace(0.01, 3.0, 7)[None, :]).ravel()
     affine_mu = float(np.abs(ba_extend(aff).eval(probe)).max())
     ok &= affine_mu <= 1e-10
-    return CheckResult(8, "Besov characterization coherence", ok,
-                       {"finite_verdicts": v, "divergent_verdicts": vd,
-                        "affine_extension_mu": affine_mu,
-                        "affine_tolerance": 1e-10}, time.time() - t0)
+    return ok, {"finite_verdicts": v, "divergent_verdicts": vd,
+                "affine_extension_mu": affine_mu, "affine_tolerance": 1e-10}
 
 
+@_criterion(9, "roundtrip through log-derivative and extension")
 def check_9_roundtrip():
-    """Phi-distance of the re-extended class <= 0.1 on |z| = 2."""
+    """Phi-distance of the re-extended class on |z| = 2 within the
+    "roundtrip" tolerance."""
     from .boundary import roundtrip_phi_distance
 
-    t0 = time.time()
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     weld = welding(mu, grid_n=512)
     ext = ba_extend(weld.h)
     dist = roundtrip_phi_distance(mu, ext, grid_n=512)
-    return CheckResult(9, "roundtrip through log-derivative and extension",
-                       dist <= 0.1,
-                       {"phi_distance": dist, "tolerance": 0.1},
-                       time.time() - t0)
+    tol = TOLERANCES["roundtrip"]
+    return dist <= tol, {"phi_distance": dist, "tolerance": tol}
 
 
+@_criterion(10, "bi-Lipschitz representative algorithm")
 def check_10_bilipschitz():
     """Bi-Lipschitz representative up to sup-norm 0.6; single step iff < 1/3."""
-    t0 = time.time()
+    tol = TOLERANCES["equivalence"]
     details = {}
     ok = True
     small = BeltramiCoefficient.constant_disk(0.1, 0.5)
     nu_s = bilipschitz_representative(small, delta=0.3, grid_n=512)
-    eq_s, d_s = equivalent(nu_s, small, tol=1e-2, grid_n=512)
+    eq_s, d_s = equivalent(nu_s, small, tol=tol, grid_n=512)
     details["small"] = {"steps": nu_s.meta["steps"], "distance": d_s}
     ok &= nu_s.meta["steps"] == 1 and eq_s
 
     big = BeltramiCoefficient.constant_disk(0.6, 0.5)
     nu_b = bilipschitz_representative(big, delta=0.3, grid_n=512)
-    eq_b, d_b = equivalent(nu_b, big, tol=1e-2, grid_n=512)
+    eq_b, d_b = equivalent(nu_b, big, tol=tol, grid_n=512)
     lo, hi = hyperbolic_distortion(nu_b.meta["final_map"])
     details["large"] = {"steps": nu_b.meta["steps"], "distance": d_b,
                         "distortion": [lo, hi]}
     ok &= nu_b.meta["steps"] >= 2 and eq_b
     ok &= 0 < lo <= hi < math.inf
-    return CheckResult(10, "bi-Lipschitz representative algorithm", ok,
-                       details, time.time() - t0)
+    return ok, details
 
 
+@_criterion(11, "Beurling derivative identity and isometry")
 def check_11_beurling():
     """T[dbar phi] = d phi to 1e-6 relative; discrete isometry to 1e-10."""
-    t0 = time.time()
     n, L = 256, 5.0
     kit = _SpectralKit(n, L)
     Z = kit.Z
@@ -316,25 +333,8 @@ def check_11_beurling():
     T1 = beurling_transform(ComplexGrid(0.0, 4.0, h), pad=1).values
     iso = float(abs(np.linalg.norm(T1) / np.linalg.norm(h) - 1))
     ok = rel <= 1e-6 and iso <= 1e-10
-    return CheckResult(11, "Beurling derivative identity and isometry", ok,
-                       {"identity_rel_error": rel, "identity_tol": 1e-6,
-                        "isometry_defect": iso, "isometry_tol": 1e-10},
-                       time.time() - t0)
-
-
-ALL_CRITERIA = [
-    check_1_bers_closed_form,
-    check_2_mp_norm,
-    check_3_douglas_lemma6,
-    check_4_ahlfors_weill,
-    check_5_chain_rule,
-    check_6_solver_residual,
-    check_7_welding,
-    check_8_characterization,
-    check_9_roundtrip,
-    check_10_bilipschitz,
-    check_11_beurling,
-]
+    return ok, {"identity_rel_error": rel, "identity_tol": 1e-6,
+                "isometry_defect": iso, "isometry_tol": 1e-10}
 
 
 def run_all():

@@ -16,7 +16,7 @@ from teichkit.cli import (
     write_constants_csv,
 )
 from teichkit import BeltramiCoefficient, cayley, solve_halfplane, solve_plane
-from teichkit import boundary, cli, exact
+from teichkit import boundary, cli, exact, verification
 from teichkit.boundary import besov_characterization_check, welding
 from teichkit.solver import FAR_FIELD_FIT, MARGIN_FRACTION
 
@@ -434,6 +434,20 @@ def test_constants_zero_radius_row():
     assert rows[0]["ratio"] == "NA"
 
 
+def test_constants_divide_by_the_closed_form_mp_norm():
+    # M_p(k chi_D) is infinite: that row's ratio reads 0
+    family = list(cli.DEFAULT_FAMILY) + [(0.3, 1.0)]
+    rows = estimate_constants(family_spec=family, p_list=(1.0, 2.0, 3.0))
+    assert [row["mp_norm"] for row in rows] == [
+        exact.mp_norm(k, r, p) for p in (1.0, 2.0, 3.0) for k, r in family]
+    for row in rows:
+        assert row["ratio"] == row["ap_phi"] / row["mp_norm"]
+    edge = [row for row in rows if row["r"] == 1.0]
+    assert len(edge) == 3
+    assert all(row["mp_norm"] == math.inf and row["ratio"] == 0.0
+               for row in edge)
+
+
 def test_roundtrip_finite():
     res = run(cfg("roundtrip", mu_spec={"kind": "constant_disk", "k": 0.2,
                                         "r": 0.5}))
@@ -538,3 +552,32 @@ def test_cli_config_array(tmp_path):
     v1 = merged[0]["reports"]["mp_norm"]["value"]
     v2 = merged[1]["reports"]["mp_norm"]["value"]
     assert v2 == pytest.approx(2 * v1, rel=1e-6)
+
+
+def test_a_shared_bound_moves_the_criterion_and_the_cli_default(
+        monkeypatch):
+    # the welding is stubbed: only the bound's two readers are under test
+    monkeypatch.setitem(verification.TOLERANCES, "identity", 0.5)
+    monkeypatch.setattr(verification, "welding", lambda mu, grid_n: type(
+        "Weld", (), {"consistency_sup": 0.0})())
+    monkeypatch.setattr(verification, "welding_identity_check",
+                        lambda weld: {"sup_discrepancy": 0.3})
+    result = verification.check_7_welding()
+    assert result.passed and result.details["identity_tol"] == 0.5
+    assert _tol(ExperimentConfig("weld"), "identity") == 0.5
+    assert _tol(ExperimentConfig("weld", tolerances={"identity": 0.2}),
+                "identity") == 0.2
+
+
+def test_verify_all_prints_the_criteria_in_number_order(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(verification, "ALL_CRITERIA", [])
+    for number in range(1, 12):
+        verification._criterion(number, f"stub {number}")(
+            lambda number=number: (number != 10, {}))
+    assert main(["verify-all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[{'FAIL' if n == 10 else 'PASS'}] criterion {n}"
+        for n in range(1, 12)]
+    assert all(line.endswith("s)") for line in lines)

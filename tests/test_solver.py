@@ -505,6 +505,18 @@ def test_supersampling_in_blocks_matches_one_evaluation(monkeypatch,
     assert np.array_equal(got, full_chart_samples(mu, n, L, reflect))
 
 
+@pytest.mark.parametrize("case", ["welding", "unbounded_halfplane"])
+def test_reflected_solve_reads_mu_above_the_real_axis_only(fresh_cache,
+                                                           monkeypatch, case):
+    # the reflection gives the samples at y < 0, and those at y = 0 are 0
+    mu, _ = _coefficient_cases()[case]
+    lowest, read = [], mu.eval
+    monkeypatch.setattr(mu, "eval", lambda z: lowest.append(
+        np.asarray(z).imag.min()) or read(z))
+    solve_halfplane(mu, 128)
+    assert lowest and min(lowest) > 0
+
+
 @pytest.mark.parametrize("n, r", [(64, 3.5), (64, 7.0)])
 def test_box_sampling_margin_guard(n, r):
     # support radius 7/8 of the half-width, on a node: the samples' blur
