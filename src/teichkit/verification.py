@@ -151,15 +151,16 @@ def check_3_douglas_lemma6():
         cp = max(max(ratios), 1.0 / min(ratios))
         cps[p] = cp
         ok &= all(cp ** -1 <= r <= cp for r in ratios) and cp < 10.0
-    return ok, {"besov_trace_z": trace_z, "two_pi": exact.DOUGLAS_TRACE_Z,
-                "douglas_ratio": douglas, "two_sqrt_pi": exact.DOUGLAS_RATIO,
+    return ok, {"besov_trace_z": trace_z,
+                "two_pi": exact.DOUGLAS_TRACE_Z,
+                "douglas_ratio": douglas,
+                "two_sqrt_pi": exact.DOUGLAS_RATIO,
                 "C_p": cps}
 
 
 @_criterion(4, "Ahlfors-Weill section roundtrip")
 def check_4_ahlfors_weill():
-    """||Phi(sigma(phi)) - phi||_inf on |z|=2 within the "section"
-    tolerance over the small family."""
+    """||Phi(sigma(phi)) - phi||_inf on |z|=2 <= "section", small family."""
     worst = 0.0
     for k in (0.02, 0.05, 0.08, 0.1, 0.12):
         phi = laurent_coefficients(exact.bers_image(k, 0.5).eval, 1.5,
@@ -204,8 +205,7 @@ def check_5_chain_rule():
 
 @_criterion(6, "solver residual and Neumann decay")
 def check_6_solver_residual():
-    """Residual within the "residual" tolerance of ||df|| and geometric
-    Neumann decay on the family."""
+    """Residual <= "residual" ||df||; geometric Neumann decay on the family."""
     smooth = BeltramiCoefficient(
         DomainTag.PLANE, lambda z: 0.4 * np.exp(-np.abs(z) ** 2), 3.5, 0.4,
         cache_token="smooth-gauss-0.4")
@@ -230,8 +230,7 @@ def check_6_solver_residual():
 
 @_criterion(7, "welding consistency and log-derivative identity")
 def check_7_welding():
-    """Welding consistency and the Eq.(4)-type identity within their
-    tolerances, "consistency" and "identity"."""
+    """Consistency <= "consistency" and Eq.(4)-type identity <= "identity"."""
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=512)
     chk = welding_identity_check(weld)
     tol_c, tol_i = TOLERANCES["consistency"], TOLERANCES["identity"]
@@ -277,13 +276,13 @@ def check_8_characterization():
     affine_mu = float(np.abs(ba_extend(aff).eval(probe)).max())
     ok &= affine_mu <= 1e-10
     return ok, {"finite_verdicts": v, "divergent_verdicts": vd,
-                "affine_extension_mu": affine_mu, "affine_tolerance": 1e-10}
+                "affine_extension_mu": affine_mu,
+                "affine_tolerance": 1e-10}
 
 
 @_criterion(9, "roundtrip through log-derivative and extension")
 def check_9_roundtrip():
-    """Phi-distance of the re-extended class on |z| = 2 within the
-    "roundtrip" tolerance."""
+    """Phi-distance of the re-extended class <= "roundtrip" on |z| = 2."""
     from .boundary import roundtrip_phi_distance
 
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
