@@ -2,7 +2,6 @@
 
 from .domains import (
     BeltramiCoefficient,
-    CayleyDirection,
     ComplexGrid,
     DomainTag,
     DomainError,

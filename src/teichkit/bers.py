@@ -246,8 +246,8 @@ def bers_map(mu: BeltramiCoefficient, p=2.0, grid_n=1024) -> TeichmullerPoint:
     return TeichmullerPoint(bers_image=schwarzian(f), p=float(p))
 
 
-def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient,
-               tol=1e-2, grid_n=512):
+def equivalent(mu1: BeltramiCoefficient, mu2: BeltramiCoefficient, tol,
+               grid_n=512):
     """Teichmueller equivalence test: Phi(mu1) = Phi(mu2) up to tol.
 
     Returns (verdict, distance) with distance the sup discrepancy of the
@@ -369,14 +369,16 @@ def bilipschitz_representative(mu: BeltramiCoefficient, delta=0.3,
 # Local section of the Bers map
 
 
-def local_section(base_nu: BeltramiCoefficient, base_psi: HolomorphicFunction,
-                  phi: HolomorphicFunction, epsilon=0.5, grid_n=512,
+def local_section(base_nu: BeltramiCoefficient, phi: HolomorphicFunction,
+                  epsilon=0.5, grid_n=512,
                   base_map: QuasiconformalMap | None = None):
     """Right-translated Ahlfors-Weill section around a bi-Lipschitz base.
 
     Returns nu_phi = dilatation(f^{sigma(phi)} o f^{nu}), the continuous
     local right inverse of Phi near psi = Phi(nu): Phi(nu_phi) tracks
-    psi + phi for small phi, exactly at phi = 0.
+    psi + phi for small phi, exactly at phi = 0.  psi is fixed by the base,
+    which enters through nu alone, or through its disk map base_map when
+    one is passed.
     """
     norm = ainf_norm(phi)
     if norm.divergent or norm.value >= epsilon:

@@ -37,12 +37,12 @@ import numpy as np
 
 from .domains import (
     BeltramiCoefficient,
+    DomainError,
     DomainTag,
     HolomorphicFunction,
     NormReport,
     analytic_besov_norm,
     cayley,
-    CayleyDirection,
     mp_norm,
 )
 from .solver import (
@@ -75,15 +75,16 @@ class BoundaryFunction:
     """Sampled function on the circle or a truncated line.
 
     Circle parameters are angles covering [0, 2pi); line parameters are
-    strictly increasing reals.  Evaluation is piecewise linear; an optional
-    exact callable extends evaluation of line data beyond the sampled
-    range, and without one a point beyond it raises ValueError.
+    strictly increasing reals, and the line's truncation is the last of
+    them.  Evaluation is piecewise linear; an optional exact callable
+    extends evaluation of line data beyond the sampled range, and without
+    one a point beyond it raises ValueError.
     """
 
     turn = 0.0  # increase of the values over one turn of the circle
+    normalization = None  # the label the CSV sidecar records
 
-    def __init__(self, params, values, domain="line", truncation=None,
-                 extension=None, meta=None):
+    def __init__(self, params, values, domain="line", extension=None):
         self.params = np.asarray(params, dtype=float)
         self.values = np.asarray(values)
         if self.params.ndim != 1 or self.params.shape != self.values.shape:
@@ -94,12 +95,12 @@ class BoundaryFunction:
         if domain == "circle":
             if self.params[0] < 0 or self.params[-1] >= 2 * np.pi:
                 raise ValueError("circle parameters must cover [0, 2pi)")
-            self.truncation = None
-        else:
-            self.truncation = float(truncation) if truncation is not None \
-                else float(self.params[-1])
         self.extension = extension
-        self.meta = dict(meta or {})
+
+    @property
+    def truncation(self):
+        """End of the sampled window on the line; None on the circle."""
+        return None if self.domain == "circle" else float(self.params[-1])
 
     @property
     def is_complex(self):
@@ -140,7 +141,7 @@ class BoundaryFunction:
         side = {
             "domain": self.domain,
             "truncation": self.truncation,
-            "normalization": self.meta.get("normalization"),
+            "normalization": self.normalization,
         }
         with open(str(path) + ".json", "w") as fh:
             json.dump(side, fh, indent=1, sort_keys=True)
@@ -151,21 +152,25 @@ class BoundaryHomeomorphism(BoundaryFunction):
 
     Circle homeomorphisms are carried as the lifted angle map (values
     increase by 2pi over one turn, with normalization points 0, pi, 3pi/2);
-    line ones fix 0 and 1, with infinity through the truncation.  The
+    line ones fix 0 and 1, with infinity through the truncation, and their
+    CSV sidecar records the normalization "fix 0, 1, infinity".  The
     displacement of the normalization points is recorded; passing fix_tol
     makes it a hard contract (welding and trace outputs do).
     """
 
     turn = 2 * math.pi
 
-    def __init__(self, params, values, domain="line", truncation=None,
-                 extension=None, meta=None, fix_tol=None):
+    def __init__(self, params, values, domain="line", extension=None,
+                 fix_tol=None):
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(values) <= 0):
             raise ValueError("homeomorphism values must be strictly increasing")
-        super().__init__(params, values, domain, truncation, extension, meta)
-        self.fixes = (0.0, math.pi, 1.5 * math.pi) if domain == "circle" \
-            else (0.0, 1.0)
+        super().__init__(params, values, domain, extension)
+        if domain == "circle":
+            self.fixes = (0.0, math.pi, 1.5 * math.pi)
+        else:
+            self.fixes = (0.0, 1.0)
+            self.normalization = "fix 0, 1, infinity"
         defect = max(abs(float(self.eval(q)) - q) for q in self.fixes)
         self.normalization_defect = defect
         if fix_tol is not None and defect > fix_tol:
@@ -202,7 +207,7 @@ def boundary_trace(f, n_samples=1024):
         return f.far_field.eval(t.astype(complex)).real
 
     return BoundaryHomeomorphism(x, f(x.astype(complex)).real, "line",
-                                 truncation=T, extension=far, fix_tol=1e-4)
+                                 extension=far, fix_tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +297,7 @@ def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
     if mu.domain is DomainTag.UPPER_HALF_PLANE:
         return mu
     if mu.domain is DomainTag.UNIT_DISK:
-        return cayley(mu, CayleyDirection.DISK_TO_HALF_PLANE)
+        return cayley(mu)
     raise ValueError("welding expects a coefficient on D or U")
 
 
@@ -418,9 +423,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     def h_far(t):
         return far.eval(t).real
 
-    h = BoundaryHomeomorphism(x, hx, "line", truncation=T_BOUNDARY,
-                              extension=h_far, fix_tol=1e-4,
-                              meta={"normalization": "fix 0, 1, infinity"})
+    h = BoundaryHomeomorphism(x, hx, "line", extension=h_far, fix_tol=1e-4)
     return WeldingResult(h=h, consistency_sup=consistency,
                          imag_defect=imag_defect, f_map=f_mu, g_map=g)
 
@@ -460,7 +463,7 @@ def log_derivative(h: BoundaryHomeomorphism) -> BoundaryFunction:
         return np.log(q)
 
     return BoundaryFunction(0.5 * (t[1:] + t[:-1]), np.log(quot), h.domain,
-                            h.truncation, extension=beyond)
+                            extension=beyond)
 
 
 def welding_identity_check(weld: WeldingResult):
@@ -676,29 +679,26 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
 
 @cayley.register(BoundaryFunction)
-def _cayley_boundary(obj: BoundaryFunction, direction):
+def _cayley_boundary(obj: BoundaryFunction):
     """Reparameterize circle data on R via x = -cot(theta/2) (theta = 0 <->
     infinity); boundary data are not carried from R to the circle."""
-    direction = CayleyDirection(direction)
-    if direction is CayleyDirection.DISK_TO_HALF_PLANE:
-        if obj.domain != "circle":
-            raise ValueError("expected circle data")
-        homeo = isinstance(obj, BoundaryHomeomorphism)
+    if obj.domain != "circle":
+        raise DomainError(f"boundary data are carried from the circle to R "
+                          f"only, not from the {obj.domain}")
+    homeo = isinstance(obj, BoundaryHomeomorphism)
 
-        def to_line(v):
-            return -1.0 / np.tan(v / 2) if homeo else v
+    def to_line(v):
+        return -1.0 / np.tan(v / 2) if homeo else v
 
-        def exact(x):  # the data at theta = 2 atan2(1, -x)
-            return to_line(obj.eval(2.0 * np.arctan2(1.0, -x)))
+    def exact(x):  # the data at theta = 2 atan2(1, -x)
+        return to_line(obj.eval(2.0 * np.arctan2(1.0, -x)))
 
-        th = obj.params
-        keep = th > 1e-9
-        x = -1.0 / np.tan(th[keep] / 2)
-        order = np.argsort(x)
-        vals = to_line(obj.values[keep][order])
-        return type(obj)(x[order], vals, "line", float(np.abs(x).max()),
-                         extension=exact)
-    raise ValueError("boundary data are carried from the circle to R only")
+    th = obj.params
+    keep = th > 1e-9
+    x = -1.0 / np.tan(th[keep] / 2)
+    order = np.argsort(x)
+    vals = to_line(obj.values[keep][order])
+    return type(obj)(x[order], vals, "line", extension=exact)
 
 
 def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
@@ -712,8 +712,8 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     from .bers import bers_map
 
     mu_d = mu if mu.domain is DomainTag.UNIT_DISK else \
-        cayley(mu, CayleyDirection.HALF_PLANE_TO_DISK)
-    ext_d = cayley(extension_mu, CayleyDirection.HALF_PLANE_TO_DISK)
+        cayley(mu)
+    ext_d = cayley(extension_mu)
     t1 = bers_map(mu_d, grid_n=grid_n)
     t2 = bers_map(ext_d, grid_n=grid_n)
     return t1.distance_to(t2, circles=(2.0,), n=32)

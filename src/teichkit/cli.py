@@ -253,9 +253,9 @@ def _cmd_weld(cfg):
         # f_mu on h's parameters, g on a grid 1.5 times as wide
         weld.h.to_csv(cfg.output_path + ".h.csv")
         xg = _welding_param_grid(N_BOUNDARY, 1.5 * T_BOUNDARY)
-        for name, fn, x, T in (("f", weld.f_map, weld.h.params, T_BOUNDARY),
-                               ("g", weld.g_map, xg, 1.5 * T_BOUNDARY)):
-            BoundaryFunction(x, fn(x.astype(complex)), "line", T).to_csv(
+        for name, fn, x in (("f", weld.f_map, weld.h.params),
+                            ("g", weld.g_map, xg)):
+            BoundaryFunction(x, fn(x.astype(complex)), "line").to_csv(
                 cfg.output_path + f".{name}.csv")
     tol_c = _tol(cfg, "consistency")
     tol_i = _tol(cfg, "identity")

@@ -36,7 +36,6 @@ from scipy.special import roots_jacobi
 
 __all__ = [
     "DomainTag",
-    "CayleyDirection",
     "ComplexGrid",
     "BeltramiCoefficient",
     "HolomorphicFunction",
@@ -63,11 +62,6 @@ class DomainTag(str, enum.Enum):
     UPPER_HALF_PLANE = "UpperHalfPlane"
     LOWER_HALF_PLANE = "LowerHalfPlane"
     PLANE = "Plane"
-
-
-class CayleyDirection(str, enum.Enum):
-    DISK_TO_HALF_PLANE = "DiskToHalfPlane"
-    HALF_PLANE_TO_DISK = "HalfPlaneToDisk"
 
 
 def hyperbolic_density(domain, z):
@@ -790,7 +784,7 @@ def analytic_besov_norm(phi: HolomorphicFunction, p):
     if not 1.0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"Besov norms require 1 < p < inf, got p = {p}")
     if phi.domain is DomainTag.UPPER_HALF_PLANE:
-        phi = cayley(phi, CayleyDirection.HALF_PLANE_TO_DISK)
+        phi = cayley(phi)
     elif phi.domain is not DomainTag.UNIT_DISK:
         raise DomainError("analytic Besov norm defined on D or U")
     dphi = HolomorphicFunction(phi.orders - 1, phi.orders * phi.coeffs)
@@ -801,21 +795,15 @@ def analytic_besov_norm(phi: HolomorphicFunction, p):
 # Cayley dispatch over object kinds
 
 @singledispatch
-def cayley(obj, direction):
-    """Transport an object between D and U; singledispatch by type."""
+def cayley(obj):
+    """Carry an object to the side of the Cayley map it is not on.
+
+    A unit-disk coefficient, a plain disk series or circle data go to U or
+    R; an upper half-plane coefficient or a Cayley push-forward series go
+    to D.  Objects on any other domain raise DomainError naming it.
+    Dispatches on the object's type.
+    """
     raise TypeError(f"cayley cannot transport {type(obj).__name__}")
-
-
-@cayley.register
-def _cayley_complex(obj: complex, direction):
-    direction = CayleyDirection(direction)
-    if direction is CayleyDirection.DISK_TO_HALF_PLANE:
-        if obj == 1.0:
-            raise DomainError("z = 1 maps to infinity under the Cayley transform")
-        return complex(cayley_map(obj))
-    if obj == -1j:
-        raise DomainError("w = -i maps to infinity under the inverse Cayley transform")
-    return complex(cayley_inverse(obj))
 
 
 def mobius_circle_image(mapping, center, radius):
@@ -844,53 +832,52 @@ def mobius_circle_image(mapping, center, radius):
 
 
 @cayley.register
-def _cayley_beltrami(obj: BeltramiCoefficient, direction):
-    """Conjugation transport: mu_hat = (mu o M) * conj(M') / M'.
+def _cayley_beltrami(obj: BeltramiCoefficient):
+    """Conjugation transport: mu_hat = (mu o M) * conj(M') / M', from U to D
+    or from D to U.
 
     The modulus is preserved pointwise, so sup_norm carries over.
     """
-    direction = CayleyDirection(direction)
-    if direction is CayleyDirection.HALF_PLANE_TO_DISK:
-        if obj.domain is not DomainTag.UPPER_HALF_PLANE:
-            raise DomainError("expected an upper half-plane coefficient")
+    if obj.domain is DomainTag.UPPER_HALF_PLANE:
         M, dM = cayley_map, cayley_map_deriv
         image = cayley_inverse
         new_domain = DomainTag.UNIT_DISK
         new_radius = 1.0
-    else:
-        if obj.domain is not DomainTag.UNIT_DISK:
-            raise DomainError("expected a unit-disk coefficient")
+        tag = "HalfPlaneToDisk"
+    elif obj.domain is DomainTag.UNIT_DISK:
         M, dM = cayley_inverse, lambda w: 2j / (w + 1j) ** 2
         image = cayley_map
         new_domain = DomainTag.UPPER_HALF_PLANE
         r = min(obj.support_radius, 1.0)
         new_radius = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
+        tag = "DiskToHalfPlane"
+    else:
+        raise DomainError(f"cayley carries coefficients on D or U, not on "
+                          f"{obj.domain.value}")
 
     # the unit circle bounds D and its image R bounds U: no interior jump
     jumps = [mobius_circle_image(image, c, r) for c, r in obj.jump_circles
-             if direction is CayleyDirection.HALF_PLANE_TO_DISK
-             or (c, r) != (0, 1)]
+             if new_domain is DomainTag.UNIT_DISK or (c, r) != (0, 1)]
 
     def f(z):
         w = M(z)
         d = dM(z)
         return obj.eval(w) * np.conj(d) / d
 
-    tok = None if obj.cache_token is None else f"cayley:{direction.value}:{obj.cache_token}"
+    tok = None if obj.cache_token is None else f"cayley:{tag}:{obj.cache_token}"
     return BeltramiCoefficient(new_domain, f, new_radius, obj.sup_norm,
                                jump_circles=jumps, cache_token=tok, meta=obj.meta)
 
 
 @cayley.register
-def _cayley_holomorphic(obj: HolomorphicFunction, direction):
-    """Push-forward phi_* = phi o H^{-1} (or back), norm-preserving."""
-    direction = CayleyDirection(direction)
-    if direction is CayleyDirection.DISK_TO_HALF_PLANE:
-        if obj.domain is not DomainTag.UNIT_DISK or obj.premap is not None:
-            raise DomainError("expected a plain disk-series function")
-        return HolomorphicFunction(obj.orders, obj.coeffs,
-                                   DomainTag.UPPER_HALF_PLANE,
-                                   premap="cayley_inverse")
-    if obj.premap != "cayley_inverse":
-        raise DomainError("expected a Cayley push-forward to transport back")
-    return HolomorphicFunction(obj.orders, obj.coeffs, DomainTag.UNIT_DISK)
+def _cayley_holomorphic(obj: HolomorphicFunction):
+    """Push-forward phi_* = phi o H^{-1} of a plain disk series, or the
+    series back from its push-forward; norm-preserving."""
+    if obj.premap == "cayley_inverse":
+        return HolomorphicFunction(obj.orders, obj.coeffs, DomainTag.UNIT_DISK)
+    if obj.domain is not DomainTag.UNIT_DISK:
+        raise DomainError(f"cayley carries plain series on D or their "
+                          f"push-forwards, not a series on {obj.domain.value}")
+    return HolomorphicFunction(obj.orders, obj.coeffs,
+                               DomainTag.UPPER_HALF_PLANE,
+                               premap="cayley_inverse")

@@ -65,7 +65,6 @@ from .domains import (
     cayley,
     cayley_inverse,
     cayley_map,
-    CayleyDirection,
 )
 
 __all__ = [
@@ -425,6 +424,19 @@ def _binomial_blur(a):
     return 0.25 * np.roll(out, 1, 1) + 0.5 * out + 0.25 * np.roll(out, -1, 1)
 
 
+def _cell_means(mu, zn, patch, truncation):
+    """Mean of mu (0 beyond |z| = truncation) over the patch about each
+    point of zn, SUPERSAMPLE_NODES points at a time; the blocks die with
+    the call, before the caller allocates anything more."""
+    means = np.empty(zn.size, dtype=complex)
+    for start in range(0, zn.size, SUPERSAMPLE_NODES):
+        zs = zn[start:start + SUPERSAMPLE_NODES, None] + patch[None, :]
+        sv = mu.eval(zs)
+        sv[np.abs(zs) > truncation] = 0.0
+        means[start:start + SUPERSAMPLE_NODES] = sv.mean(axis=1)
+    return means
+
+
 def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     """Sample mu on the node square of the solver grid that holds its
     support; returns (box, samples), box being the square's (row, column)
@@ -473,14 +485,7 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
     patch = (OX + 1j * OY).ravel() * d
     for c, r in mu.jump_circles:
         near = np.abs(np.abs(Z - c) - r) < 1.5 * d
-        zn = Z[near]
-        means = np.empty(zn.size, dtype=vals.dtype)
-        for start in range(0, zn.size, SUPERSAMPLE_NODES):
-            zs = zn[start:start + SUPERSAMPLE_NODES, None] + patch[None, :]
-            sv = mu.eval(zs)
-            sv[np.abs(zs) > truncation] = 0.0
-            means[start:start + SUPERSAMPLE_NODES] = sv.mean(axis=1)
-        vals[near] = means
+        vals[near] = _cell_means(mu, Z[near], patch, truncation)
     if reflect:
         cols = np.arange(n)[box[1]]
         src = n - cols - cols[0]  # y-node j reflects to node n - j
@@ -846,7 +851,7 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise SolverError("solve_disk expects a unit-disk coefficient")
-    mu_u = cayley(mu, CayleyDirection.DISK_TO_HALF_PLANE)
+    mu_u = cayley(mu)
     fu = solve_halfplane(mu_u, grid_n)
 
     def outer(z):

@@ -405,7 +405,7 @@ def test_aw_section_roundtrip_family():
 
 
 def test_equivalent_reflexive(mu_03_05):
-    eq, dist = equivalent(mu_03_05, mu_03_05)
+    eq, dist = equivalent(mu_03_05, mu_03_05, tol=1e-2)
     assert eq and dist < 1e-12
 
 
@@ -494,8 +494,7 @@ def scaled_image(eps):
 
 def test_local_section_basepoint(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=TEST_GRID_N)
-    psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
-    out = local_section(base, psi, HolomorphicFunction.zero(
+    out = local_section(base, HolomorphicFunction.zero(
         DomainTag.EXTERIOR_DISK), grid_n=256)
     assert out is base
 
@@ -503,10 +502,9 @@ def test_local_section_basepoint(mu_03_05):
 def test_local_section_at_zero_base_is_aw():
     phi = exact.bers_image(0.05, 0.5)
     zero = BeltramiCoefficient.zero()
-    psi0 = HolomorphicFunction.zero(DomainTag.EXTERIOR_DISK)
     from teichkit import identity_map
 
-    nu = local_section(zero, psi0, phi, grid_n=TEST_GRID_N,
+    nu = local_section(zero, phi, grid_n=TEST_GRID_N,
                        base_map=None)
     sig = ahlfors_weill(phi)
     z = np.array([0.2 + 0.1j, 0.4j, -0.5 + 0.3j])
@@ -518,7 +516,7 @@ def test_local_section_tracks_target(mu_03_05):
     base_map = base.meta["final_map"]
     psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
     phi = scaled_image(0.1)
-    nu = local_section(base, psi, phi, grid_n=TEST_GRID_N, base_map=base_map)
+    nu = local_section(base, phi, grid_n=TEST_GRID_N, base_map=base_map)
     got = bers_map(nu, grid_n=TEST_GRID_N).bers_image
     target = psi.eval(Z32) + phi.eval(Z32)
     assert np.abs(got.eval(Z32) - target).max() < 1e-2
@@ -527,12 +525,11 @@ def test_local_section_tracks_target(mu_03_05):
 def test_local_section_continuity(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=TEST_GRID_N)
     base_map = base.meta["final_map"]
-    psi = bers_map(base, grid_n=TEST_GRID_N).bers_image
     z = 0.5 * np.exp(1j * np.linspace(0, 6, 13))
     gaps = []
     for eps in (0.1, 0.05, 0.025):
         phi = scaled_image(eps)
-        nu = local_section(base, psi, phi, grid_n=256, base_map=base_map)
+        nu = local_section(base, phi, grid_n=256, base_map=base_map)
         gaps.append(np.abs(nu.eval(z) - base.eval(z)).max())
     assert gaps[2] < gaps[0]
     assert gaps[2] < 0.05
@@ -540,7 +537,6 @@ def test_local_section_continuity(mu_03_05):
 
 def test_local_section_rejects_large_phi(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=256)
-    psi = bers_map(base, grid_n=256).bers_image
     big = HolomorphicFunction([-4], [10.0], DomainTag.EXTERIOR_DISK)
     with pytest.raises(ValueError):
-        local_section(base, psi, big, epsilon=0.5, grid_n=256)
+        local_section(base, big, epsilon=0.5, grid_n=256)

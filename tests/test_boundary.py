@@ -31,7 +31,7 @@ from conftest import TEST_GRID_N, coefficient
 def line_homeo(fn, T=40.0, n=1201):
     x = np.sort(np.unique(np.concatenate(
         [-np.geomspace(1e-4, T, n), [0.0, 1.0, -1.0], np.geomspace(1e-4, T, n)])))
-    return BoundaryHomeomorphism(x, fn(x), "line", T, extension=fn)
+    return BoundaryHomeomorphism(x, fn(x), "line", extension=fn)
 
 
 def power_map(alpha):
@@ -60,7 +60,7 @@ def test_homeomorphism_requires_increasing_values():
 
 def test_csv_roundtrip(tmp_path):
     x = np.linspace(-3, 3, 31)
-    u = BoundaryFunction(x, np.exp(1j * x), "line", 3.0)
+    u = BoundaryFunction(x, np.exp(1j * x), "line")
     path = tmp_path / "u.csv"
     u.to_csv(path)
     with open(str(path) + ".json") as fh:
@@ -73,6 +73,22 @@ def test_csv_roundtrip(tmp_path):
     assert side["domain"] == "line" and side["truncation"] == 3.0
     assert np.allclose(values, u.values)
     assert np.allclose(params, u.params)
+
+
+def test_truncation_and_normalization_are_read_off_the_data():
+    # the line's truncation is its last parameter, the circle has none;
+    # only a line homeomorphism carries the normalization 0, 1, infinity
+    x = np.linspace(-3.0, 2.5, 12)
+    th = 2 * np.pi * np.arange(16) / 16
+    line = BoundaryFunction(x, np.exp(1j * x))
+    homeo = BoundaryHomeomorphism(x, 2.0 * x, fix_tol=None)
+    circle = BoundaryFunction(th, np.cos(th), "circle")
+    lift = BoundaryHomeomorphism(th, th, "circle")
+    assert line.truncation == homeo.truncation == x[-1] == 2.5
+    assert circle.truncation is None and lift.truncation is None
+    assert homeo.normalization == "fix 0, 1, infinity"
+    assert line.normalization is circle.normalization is None
+    assert lift.normalization is None
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +132,7 @@ def test_trace_of_a_disk_map_is_the_unwrapped_angle_on_the_circle(
 
 
 def test_trace_of_a_halfplane_map_reads_its_spline_on_the_line():
-    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5),
-                  "DiskToHalfPlane")
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5))
     selfmap = solve_halfplane(mu_u, grid_n=256)
     tr = boundary_trace(selfmap, n_samples=257)
     T = 0.85 * selfmap.grid.half_width
@@ -152,7 +167,7 @@ def test_besov_circle_identity_douglas():
 
 def test_besov_step_divergent():
     x = np.linspace(-8, 8, 2001)
-    u = BoundaryFunction(x, np.where(x > 0, 1.0, 0.0), "line", 8.0,
+    u = BoundaryFunction(x, np.where(x > 0, 1.0, 0.0), "line",
                          extension=lambda t: np.where(t > 0, 1.0, 0.0))
     assert besov_seminorm(u, 2).divergent
 
@@ -217,7 +232,7 @@ def test_besov_monomial_traces_closed_form(p, rel):
         def cay(t, n=n):
             return ((t - 1j) / (t + 1j)) ** n
 
-        line = BoundaryFunction(x, cay(x), "line", 40.0, extension=cay)
+        line = BoundaryFunction(x, cay(x), "line", extension=cay)
         assert besov_seminorm(line, p).value == pytest.approx(exact,
                                                               rel=line_rel)
 
@@ -226,7 +241,7 @@ def test_besov_cayley_invariance():
     th = 2 * np.pi * np.arange(1024) / 1024
     z = np.exp(1j * th)
     u = BoundaryFunction(th, (z - 1.0) ** 2 / (z - 2.0), "circle")
-    u_line = cayley(u, "DiskToHalfPlane")
+    u_line = cayley(u)
     a = besov_seminorm(u, 2).value
     b = besov_seminorm(u_line, 2).value
     assert b == pytest.approx(a, rel=1e-5)
@@ -244,7 +259,7 @@ def test_line_data_without_extension_do_not_extrapolate():
     # circle data taken to the line carry the circle data as extension
     th = 2 * np.pi * np.arange(64) / 64
     circ = BoundaryFunction(th, np.cos(th), "circle")
-    line = cayley(circ, "DiskToHalfPlane")
+    line = cayley(circ)
     far = np.array([-1e3, 50.0, 1e4])
     assert np.array_equal(line.eval(far),
                           circ.eval(2.0 * np.arctan2(1.0, -far)))
@@ -252,7 +267,7 @@ def test_line_data_without_extension_do_not_extrapolate():
     # where the lift closes with a full turn
     lift = BoundaryHomeomorphism(th, th, "circle")
     assert lift.eval(2 * np.pi - 0.01) == pytest.approx(2 * np.pi - 0.01)
-    homeo = cayley(lift, "DiskToHalfPlane")
+    homeo = cayley(lift)
     far = np.array([-1e3, -50.0, 50.0, 1e3])
     assert np.abs(homeo.eval(far) - far).max() < 1e-9
     assert homeo.eval(50.0) == pytest.approx(50.0)  # a scalar read, too
@@ -326,8 +341,7 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     # g's coefficient is read only where the self-map's inverse lands in the
     # rectangle S of its nonzero samples on L, grown by 3 nodes; g's samples
     # are that coefficient blurred over one node
-    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5),
-                  "DiskToHalfPlane")
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5))
     selfmap = solve_halfplane(mu_u, grid_n=TEST_GRID_N)
     n = selfmap.grid.n
     lower = _on_chart(selfmap)[:, :n // 2] != 0
@@ -418,9 +432,9 @@ def test_welding_affine_first_term_smoke():
 
 def test_log_derivative_identity_and_affine():
     x = np.linspace(-5, 5, 501)
-    ident = BoundaryHomeomorphism(x, x.copy(), "line", 5.0)
+    ident = BoundaryHomeomorphism(x, x.copy(), "line")
     assert np.abs(log_derivative(ident).values).max() < 1e-12
-    aff = BoundaryHomeomorphism(x, 3.0 * x, "line", 5.0, fix_tol=None,
+    aff = BoundaryHomeomorphism(x, 3.0 * x, "line", fix_tol=None,
                                 extension=lambda t: 3.0 * t)
     ld = log_derivative(aff)
     assert np.abs(ld.values - math.log(3.0)).max() < 1e-12
@@ -434,11 +448,11 @@ def test_log_derivative_identity_and_affine():
 
 def test_log_derivative_rejects_flat():
     x = np.array([0.0, 1.0, 2.0, 3.0])
-    h = BoundaryFunction(x, np.array([0.0, 1.0, 1.0, 2.0]), "line", 3.0)
+    h = BoundaryFunction(x, np.array([0.0, 1.0, 1.0, 2.0]), "line")
     with pytest.raises(ValueError):
         log_derivative(h)
     # and beyond the samples, on the extension
-    h = BoundaryFunction(x, x.copy(), "line", 3.0, extension=np.zeros_like)
+    h = BoundaryFunction(x, x.copy(), "line", extension=np.zeros_like)
     with pytest.raises(ValueError, match="extension"):
         log_derivative(h).eval(10.0)
 
@@ -592,7 +606,7 @@ def test_characterization_divergent_power_class():
 
 def test_roundtrip_phi_distance(weld_02):
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    mu_u = cayley(mu, "DiskToHalfPlane")
+    mu_u = cayley(mu)
     ext = ba_extend(weld_02.h)
     assert roundtrip_phi_distance(mu_u, ext, grid_n=TEST_GRID_N) <= 0.1
 

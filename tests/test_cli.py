@@ -224,7 +224,7 @@ def test_solve_reports_the_far_field_residual(self_map):
     # fit points; a self-map reports its half-plane solve's
     rep = run(cfg("solve", grid={"n": 256}, self_map=self_map)).reports
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    f = solve_halfplane(cayley(mu, "DiskToHalfPlane"), 256) if self_map \
+    f = solve_halfplane(cayley(mu), 256) if self_map \
         else solve_plane(mu, 256)
     n = FAR_FIELD_FIT["n_samples"]
     zm = MARGIN_FRACTION * f.grid.half_width * 0.95 * \
@@ -290,7 +290,9 @@ def test_cli_weld_out_writes_h_and_the_welded_maps(tmp_path):
             side = json.load(fh)
         assert t.size == 2049
         assert t[0] == -T and t[-1] == T
-        assert side["domain"] == "line" and side["truncation"] == T
+        assert side == {"domain": "line", "truncation": T,
+                        "normalization": "fix 0, 1, infinity"
+                        if name == "h" else None}
         got[name] = t, v
     t, v = got["h"]
     assert np.array_equal(t, weld.h.params)

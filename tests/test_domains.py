@@ -132,7 +132,7 @@ def test_coefficient_rejects_bad_support_radius(radius):
 
 def test_mp_norm_halfplane_matches_disk_transport():
     mu = BeltramiCoefficient.constant_disk(0.25, 0.5)
-    mu_u = cayley(mu, "DiskToHalfPlane")
+    mu_u = cayley(mu)
     a = mp_norm(mu, 2).value
     b = mp_norm(mu_u, 2).value
     assert b == pytest.approx(a, rel=1e-6)
@@ -391,7 +391,7 @@ def test_besov_of_a_power_matches_beta_closed_form(n, p):
     rep = analytic_besov_norm(phi, p)
     assert abs(rep.value - exact) <= 1e-12 * exact
     # the U integrand of the Cayley push-forward is the D integrand
-    rep_u = analytic_besov_norm(cayley(phi, "DiskToHalfPlane"), p)
+    rep_u = analytic_besov_norm(cayley(phi), p)
     assert abs(rep_u.value - rep.value) <= 1e-12 * rep.value
 
 
@@ -422,7 +422,7 @@ def test_norms_reject_non_finite_p(norm, p):
 
 def test_besov_cayley_invariance():
     phi = HolomorphicFunction([1], [1.0])
-    phi_u = cayley(phi, "DiskToHalfPlane")
+    phi_u = cayley(phi)
     a = analytic_besov_norm(phi, 2).value
     b = analytic_besov_norm(phi_u, 2).value
     assert b == pytest.approx(a, rel=1e-2)
@@ -433,11 +433,57 @@ def test_besov_cayley_invariance():
 
 
 def test_cayley_points():
-    assert cayley(0j, "DiskToHalfPlane") == pytest.approx(1j)
-    assert cayley(complex(-1), "DiskToHalfPlane") == pytest.approx(0j)
-    assert cayley(-1j, "DiskToHalfPlane") == pytest.approx(1.0 + 0j)
-    with pytest.raises(DomainError):
-        cayley(1.0 + 0j, "DiskToHalfPlane")
+    assert cayley_map(0j) == pytest.approx(1j)
+    assert cayley_map(complex(-1)) == pytest.approx(0j)
+    assert cayley_map(-1j) == pytest.approx(1.0 + 0j)
+
+
+def _disk_side(kind):
+    if kind == "coefficient":
+        return BeltramiCoefficient(DomainTag.UNIT_DISK,
+                                   lambda z: 0.3 * z ** 2 + 0.1j, 1.0, 0.4)
+    if kind == "series":
+        return HolomorphicFunction([0, 1, 3], [1.0, 0.5, 0.2j])
+    th = 2 * np.pi * np.arange(64) / 64
+    return BoundaryFunction(th, np.cos(th) + 0.5j * np.sin(2 * th), "circle")
+
+
+@pytest.mark.parametrize("kind", ["coefficient", "series", "circle data"])
+def test_cayley_carries_each_kind_across_and_back(kind):
+    # each object says which side it is on: cayley takes it to the other
+    obj = _disk_side(kind)
+    across = cayley(obj)
+    if kind == "circle data":  # read back at x = -cot(theta/2)
+        assert across.domain == "line"
+        th = obj.params[1:]
+        assert np.abs(across.eval(-1.0 / np.tan(th / 2))
+                      - obj.values[1:]).max() < 1e-12
+        return
+    z = np.array([0.2 + 0.1j, -0.3j, 0.5 + 0.4j, -0.6 + 0.2j])
+    w = cayley_map(z)
+    assert across.domain is DomainTag.UPPER_HALF_PLANE
+    back = cayley(across)
+    assert back.domain is DomainTag.UNIT_DISK
+    if kind == "coefficient":  # conjugation keeps the modulus
+        assert np.abs(np.abs(across.eval(w)) - np.abs(obj.eval(z))).max() \
+            < 1e-12
+    else:
+        assert back.premap is None
+        assert np.abs(across.eval(w) - obj.eval(z)).max() < 1e-12
+    assert np.abs(back.eval(z) - obj.eval(z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("obj, domain", [
+    (BeltramiCoefficient.constant_disk(0.3, 0.5, DomainTag.PLANE), "Plane"),
+    (BeltramiCoefficient.constant_disk(0.3, 0.5, DomainTag.LOWER_HALF_PLANE),
+     "LowerHalfPlane"),
+    (BoundaryFunction(np.linspace(-2.0, 2.0, 9), np.zeros(9)), "line"),
+    (HolomorphicFunction([-4], [1.0], DomainTag.EXTERIOR_DISK),
+     "ExteriorDisk"),
+], ids=["plane", "L", "line data", "D* series"])
+def test_cayley_names_the_domain_it_cannot_leave(obj, domain):
+    with pytest.raises(DomainError, match=rf"\b{domain}$"):
+        cayley(obj)
 
 
 @settings(max_examples=50, deadline=None)
@@ -451,10 +497,10 @@ def test_cayley_involution(x, y):
 
 def test_cayley_beltrami_preserves_modulus():
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    mu_u = cayley(mu, "DiskToHalfPlane")
+    mu_u = cayley(mu)
     w = cayley_map(np.array([0.1 + 0.2j, 0.4j, -0.3 + 0.1j]))
     assert np.abs(np.abs(mu_u.eval(w)) - 0.3).max() < 1e-12
-    back = cayley(mu_u, "HalfPlaneToDisk")
+    back = cayley(mu_u)
     z = np.array([0.2 + 0.1j, 0.3j])
     assert np.abs(back.eval(z) - mu.eval(z)).max() < 1e-12
 
@@ -469,11 +515,9 @@ def test_mobius_circle_image_through_the_pole_raises(center, radius):
 
 def test_cayley_leaves_out_the_unit_circle_jump():
     # |z| = 1 bounds D and its image R bounds U: no interior jump lies there
-    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 1.0),
-                  "DiskToHalfPlane")
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 1.0))
     assert mu_u.jump_circles == ()
-    (c, r), = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5),
-                     "DiskToHalfPlane").jump_circles
+    (c, r), = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5)).jump_circles
     # through cayley_map(-0.5) = i/3 and cayley_map(0.5) = 3i
     assert c == pytest.approx(5j / 3) and r == pytest.approx(4 / 3)
 

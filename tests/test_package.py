@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -21,6 +23,26 @@ def test_all_names_resolve(name):
     missing = [attr for attr in getattr(mod, "__all__", ())
                if not hasattr(mod, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_functions_read_every_parameter(name):
+    # a parameter the body never reads is a knob that does nothing: the
+    # caller restates a value the code ignores or could work out itself
+    mod = importlib.import_module(name)
+    public = set(getattr(mod, "__all__", ()))
+    unread = []
+    for node in ast.parse(inspect.getsource(mod)).body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in public:
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}.{p}" for p in params if p not in read]
+    assert not unread
 
 
 def test_import_and_welding_leave_scipy_interpolate_unloaded():
