@@ -11,7 +11,6 @@ from .domains import (
     analytic_besov_norm,
     ap_norm,
     cayley,
-    hyperbolic_density,
     mp_norm,
 )
 from .solver import (
@@ -19,7 +18,6 @@ from .solver import (
     QuasiconformalMap,
     SolverError,
     beurling_transform,
-    cauchy_transform,
     chain_rule,
     compose,
     dilatation,

@@ -40,7 +40,6 @@ from .domains import (
     NormReport,
     ainf_norm,
     ap_norm,
-    hyperbolic_density,
 )
 from .solver import (
     Normalization,
@@ -69,6 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_CIRCLES = (1.5, 2.0, 3.0)
+# relative held-out residual above which laurent_coefficients raises
+LAURENT_CHECK_TOL = 1e-8
 
 
 class NonHolomorphicError(ValueError):
@@ -80,23 +81,22 @@ class BersConsistencyError(RuntimeError):
     tolerance: the series may disagree with the Cauchy integral of h."""
 
 
-def laurent_coefficients(f, radius, orders,
-                         check_tol=1e-8) -> HolomorphicFunction:
+def laurent_coefficients(f, radius, orders) -> HolomorphicFunction:
     """Laurent coefficients about 0 of f on the circle |z| = radius.
 
     The fit is HolomorphicFunction.from_callable_on_circle at 1024 samples,
     with coefficients below 1e-12 of the largest zeroed.  Its held-out
-    residual, relative to its sample scale, must stay below check_tol
+    residual relative to its sample scale must stay below LAURENT_CHECK_TOL
     (NonHolomorphicError otherwise): the orders then do not carry f on the
     circle.
     """
     series = HolomorphicFunction.from_callable_on_circle(
         f, radius, orders, noise_rel=1e-12, domain=DomainTag.EXTERIOR_DISK)
     resid = series.heldout_residual / max(series.sample_scale, 1e-30)
-    if resid > check_tol:
+    if resid > LAURENT_CHECK_TOL:
         raise NonHolomorphicError(
             f"held-out residual {resid:.2e} exceeds "
-            f"{check_tol:.2e} on |z| = {radius}")
+            f"{LAURENT_CHECK_TOL:.2e} on |z| = {radius}")
     return series
 
 
@@ -307,8 +307,9 @@ def hyperbolic_distortion(f: QuasiconformalMap):
     keep &= np.abs(vals) < 0.995
     z = Z[keep]
     fz = vals[keep]
-    rho_ratio = hyperbolic_density(DomainTag.UNIT_DISK, fz) / \
-        hyperbolic_density(DomainTag.UNIT_DISK, z)
+    # the disk density 2 / (1 - |z|^2) at f(z) over its value at z
+    rho_ratio = (2.0 / (1.0 - np.abs(fz) ** 2)) / \
+        (2.0 / (1.0 - np.abs(z) ** 2))
     a, b = np.abs(dz[keep]), np.abs(dbar[keep])
     return float((rho_ratio * np.abs(a - b)).min()), \
         float((rho_ratio * (a + b)).max())

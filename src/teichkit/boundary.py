@@ -10,8 +10,8 @@ together as
     log (g|_R)' o f^mu|_R + log (f^mu|_R)' = log (f_mu|_R)'.
 
 Boundary traces and the welding identity read these maps, and series, on
-the boundary itself: the solved grids cover R and the unit circle, and a
-series is a finite sum.
+the boundary itself: the solved grids cover R, and a series is a finite
+sum.
 
 The p-Besov seminorm is the double integral of |u(x1) - u(x2)|^p /
 |x1 - x2|^2 over uniform samples on the circle, summed one index offset
@@ -48,7 +48,6 @@ from .domains import (
 from .solver import (
     FAR_FIELD_FIT,
     NEWTON_TOL,
-    Normalization,
     QuasiconformalMap,
     SolverError,
     _support_box,
@@ -74,14 +73,13 @@ __all__ = [
 class BoundaryFunction:
     """Sampled function on the circle or a truncated line.
 
-    Circle parameters are angles covering [0, 2pi); line parameters are
-    strictly increasing reals, and the line's truncation is the last of
-    them.  Evaluation is piecewise linear; an optional exact callable
-    extends evaluation of line data beyond the sampled range, and without
-    one a point beyond it raises ValueError.
-    """
+    Circle parameters are angles covering [0, 2pi), and circle data close
+    over one turn; line parameters are strictly increasing reals, and the
+    line's truncation is the last of them.  Evaluation is piecewise linear;
+    an optional exact callable extends evaluation of line data beyond the
+    sampled range, and without one a point beyond it raises ValueError.
+    Boundary data stay on their side: cayley does not transport them."""
 
-    turn = 0.0  # increase of the values over one turn of the circle
     normalization = None  # the label the CSV sidecar records
 
     def __init__(self, params, values, domain="line", extension=None):
@@ -112,7 +110,7 @@ class BoundaryFunction:
         if self.domain == "circle":  # closed over one turn
             t = np.mod(t, 2 * np.pi)
             xp = np.append(xp, xp[0] + 2 * np.pi)
-            fp = np.append(fp, fp[0] + self.turn)
+            fp = np.append(fp, fp[0])
         out = np.interp(t, xp, fp.real)
         if self.is_complex:
             out = out + 1j * np.interp(t, xp, fp.imag)
@@ -148,31 +146,19 @@ class BoundaryFunction:
 
 
 class BoundaryHomeomorphism(BoundaryFunction):
-    """Boundary function with real, strictly increasing values.
+    """Line data with real, strictly increasing values: a homeomorphism of
+    R fixing 0, 1 and infinity (through the truncation), the normalization
+    its CSV sidecar records.  fix_tol, when given, bounds how far 0 and 1
+    move (welding and trace outputs pass it)."""
 
-    Circle homeomorphisms are carried as the lifted angle map (values
-    increase by 2pi over one turn, with normalization points 0, pi, 3pi/2);
-    line ones fix 0 and 1, with infinity through the truncation, and their
-    CSV sidecar records the normalization "fix 0, 1, infinity".  The
-    displacement of the normalization points is recorded; passing fix_tol
-    makes it a hard contract (welding and trace outputs do).
-    """
+    normalization = "fix 0, 1, infinity"
 
-    turn = 2 * math.pi
-
-    def __init__(self, params, values, domain="line", extension=None,
-                 fix_tol=None):
+    def __init__(self, params, values, extension=None, fix_tol=None):
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(values) <= 0):
             raise ValueError("homeomorphism values must be strictly increasing")
-        super().__init__(params, values, domain, extension)
-        if domain == "circle":
-            self.fixes = (0.0, math.pi, 1.5 * math.pi)
-        else:
-            self.fixes = (0.0, 1.0)
-            self.normalization = "fix 0, 1, infinity"
-        defect = max(abs(float(self.eval(q)) - q) for q in self.fixes)
-        self.normalization_defect = defect
+        super().__init__(params, values, "line", extension)
+        defect = max(abs(float(self.eval(q)) - q) for q in (0.0, 1.0))
         if fix_tol is not None and defect > fix_tol:
             raise ValueError(
                 f"normalization points move by {defect:.2e} (> {fix_tol:.0e})")
@@ -183,30 +169,26 @@ class BoundaryHomeomorphism(BoundaryFunction):
 
 
 def boundary_trace(f, n_samples=1024):
-    """Boundary values of a series or a solved self-map, read on the boundary.
-
-    A series is evaluated at e^(i theta) on n_samples angles.  A disk
-    self-map is evaluated there through its grid spline and returned as the
-    lifted angle map.  A half-plane self-map is evaluated through its
-    spline on n_samples points of [-T, T], T = 0.85 half-width of its grid,
-    with its far field beyond T.
-    """
-    th = 2 * np.pi * np.arange(n_samples) / n_samples
+    """Boundary values of a series, as circle data read at e^(i theta) on
+    n_samples angles, or of a half-plane self-map, as a line homeomorphism
+    read through its spline on n_samples points of [-T, T], T = 0.85
+    half-width of its grid, and through its far field beyond T.  A disk
+    self-map or a plane map raises DomainError."""
     if isinstance(f, HolomorphicFunction):
+        th = 2 * np.pi * np.arange(n_samples) / n_samples
         return BoundaryFunction(th, f.eval(np.exp(1j * th)), "circle")
     if not isinstance(f, QuasiconformalMap):
         raise TypeError("boundary_trace expects a map or holomorphic function")
-    if f.normalization is Normalization.FIX_THREE_BOUNDARY_POINTS:
-        ang = np.unwrap(np.angle(f(np.exp(1j * th))))
-        ang -= 2 * np.pi * np.round(ang[0] / (2 * np.pi))
-        return BoundaryHomeomorphism(th, ang, "circle", fix_tol=None)
+    if f.symmetry_defect is None:  # set by half-plane solves alone
+        raise DomainError("boundary_trace reads half-plane self-maps, not a "
+                          f"{'disk self-' if f.halfplane_map else 'plane '}map")
     T = 0.85 * f.grid.half_width
     x = np.linspace(-T, T, n_samples)
 
     def far(t):
         return f.far_field.eval(t.astype(complex)).real
 
-    return BoundaryHomeomorphism(x, f(x.astype(complex)).real, "line",
+    return BoundaryHomeomorphism(x, f(x.astype(complex)).real,
                                  extension=far, fix_tol=1e-4)
 
 
@@ -294,11 +276,8 @@ class WeldingResult:
 
 
 def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
-    if mu.domain is DomainTag.UPPER_HALF_PLANE:
-        return mu
-    if mu.domain is DomainTag.UNIT_DISK:
-        return cayley(mu)
-    raise ValueError("welding expects a coefficient on D or U")
+    """mu carried to U; cayley names any domain but D and U."""
+    return mu if mu.domain is DomainTag.UPPER_HALF_PLANE else cayley(mu)
 
 
 # h is sampled at N_BOUNDARY parameters of [-T_BOUNDARY, T_BOUNDARY] and
@@ -423,7 +402,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     def h_far(t):
         return far.eval(t).real
 
-    h = BoundaryHomeomorphism(x, hx, "line", extension=h_far, fix_tol=1e-4)
+    h = BoundaryHomeomorphism(x, hx, extension=h_far, fix_tol=1e-4)
     return WeldingResult(h=h, consistency_sup=consistency,
                          imag_defect=imag_defect, f_map=f_mu, g_map=g)
 
@@ -462,7 +441,7 @@ def log_derivative(h: BoundaryHomeomorphism) -> BoundaryFunction:
                              "extension")
         return np.log(q)
 
-    return BoundaryFunction(0.5 * (t[1:] + t[:-1]), np.log(quot), h.domain,
+    return BoundaryFunction(0.5 * (t[1:] + t[:-1]), np.log(quot),
                             extension=beyond)
 
 
@@ -507,10 +486,11 @@ _GAUSS_CUTOFF = 7.0
 # At 2^14 points one block's arrays reached 41 MB above live memory and set
 # the peak RSS of a characterization; 2^12 keeps them near 10 MB.
 _EXTEND_BLOCK = 2 ** 12
+# |mu| of the extension at which its dilatation raises
+_EXTEND_SUP_GUARD = 0.995
 
 
-def ba_extend(h: BoundaryHomeomorphism,
-              sup_guard=0.995) -> BeltramiCoefficient:
+def ba_extend(h: BoundaryHomeomorphism) -> BeltramiCoefficient:
     """Quasiconformal extension of h to U with on-demand dilatation.
 
     F(x + it) = (phi_t * h)(x) + i t (phi_t * h')(x) with phi_t the
@@ -526,16 +506,13 @@ def ba_extend(h: BoundaryHomeomorphism,
     h the kernel keeps |mu| <= 1, up to its second moment's truncation
     defect (7e-11): |sum w (1 + iv)^2 s| <= sum w (1 + v^2) s for cell
     slopes s >= 0.
-    Norm ladders can probe arbitrarily small heights; |mu| >= sup_guard
-    anywhere raises (extension not quasiconformal at this resolution).
+    Norm ladders can probe arbitrarily small heights; |mu| reaching
+    _EXTEND_SUP_GUARD raises (not quasiconformal at this resolution).
     Points are evaluated in blocks of _EXTEND_BLOCK, which bounds memory
     without changing any value.  Kernel edges beyond h's sampled window
     read h's extension; for a welding map that is its certified far-field
     Laurent series, so large heights and |x| cost no Newton inversion.
     """
-    if h.domain != "line":
-        raise ValueError("ba_extend expects a line homeomorphism")
-
     dv = 2 * _GAUSS_CUTOFF / (_GAUSS_NODES - 1)
     edges = np.linspace(-_GAUSS_CUTOFF - dv / 2, _GAUSS_CUTOFF + dv / 2,
                         _GAUSS_NODES + 1)
@@ -568,7 +545,7 @@ def ba_extend(h: BoundaryHomeomorphism,
             sl = slice(start, start + _EXTEND_BLOCK)
             out[sl] = mu_block(flat[sl])
         out = out.reshape(z.shape)
-        if np.any(np.abs(out) >= sup_guard):
+        if np.any(np.abs(out) >= _EXTEND_SUP_GUARD):
             raise SolverError(
                 "extension not quasiconformal at this resolution "
                 f"(|mu| reaches {np.abs(out).max():.3f})")
@@ -675,30 +652,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
 
 
 # ---------------------------------------------------------------------------
-# Cayley transport of boundary data and the roundtrip distance
-
-
-@cayley.register(BoundaryFunction)
-def _cayley_boundary(obj: BoundaryFunction):
-    """Reparameterize circle data on R via x = -cot(theta/2) (theta = 0 <->
-    infinity); boundary data are not carried from R to the circle."""
-    if obj.domain != "circle":
-        raise DomainError(f"boundary data are carried from the circle to R "
-                          f"only, not from the {obj.domain}")
-    homeo = isinstance(obj, BoundaryHomeomorphism)
-
-    def to_line(v):
-        return -1.0 / np.tan(v / 2) if homeo else v
-
-    def exact(x):  # the data at theta = 2 atan2(1, -x)
-        return to_line(obj.eval(2.0 * np.arctan2(1.0, -x)))
-
-    th = obj.params
-    keep = th > 1e-9
-    x = -1.0 / np.tan(th[keep] / 2)
-    order = np.argsort(x)
-    vals = to_line(obj.values[keep][order])
-    return type(obj)(x[order], vals, "line", extension=exact)
+# The roundtrip distance
 
 
 def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
@@ -711,8 +665,7 @@ def roundtrip_phi_distance(mu: BeltramiCoefficient, extension_mu,
     """
     from .bers import bers_map
 
-    mu_d = mu if mu.domain is DomainTag.UNIT_DISK else \
-        cayley(mu)
+    mu_d = mu if mu.domain is DomainTag.UNIT_DISK else cayley(mu)
     ext_d = cayley(extension_mu)
     t1 = bers_map(mu_d, grid_n=grid_n)
     t2 = bers_map(ext_d, grid_n=grid_n)

@@ -41,7 +41,6 @@ __all__ = [
     "HolomorphicFunction",
     "NormReport",
     "DomainError",
-    "hyperbolic_density",
     "cayley",
     "cayley_map",
     "cayley_inverse",
@@ -64,38 +63,6 @@ class DomainTag(str, enum.Enum):
     PLANE = "Plane"
 
 
-def hyperbolic_density(domain, z):
-    """Density of the curvature -1 hyperbolic metric at interior points.
-
-    2/(1-|z|^2) on D, 2/(|z|^2-1) on D*, 1/Im z on U, 1/|Im z| on L.
-    """
-    domain = DomainTag(domain)
-    z = np.asarray(z, dtype=complex)
-    if domain is DomainTag.PLANE:
-        raise DomainError("the plane carries no hyperbolic density")
-    if domain is DomainTag.UNIT_DISK:
-        s = 1.0 - np.abs(z) ** 2
-        if np.any(s <= 0):
-            raise DomainError("point not interior to the unit disk")
-        out = 2.0 / s
-    elif domain is DomainTag.EXTERIOR_DISK:
-        s = np.abs(z) ** 2 - 1.0
-        if np.any(s <= 0):
-            raise DomainError("point not interior to the exterior disk")
-        out = 2.0 / s
-    elif domain is DomainTag.UPPER_HALF_PLANE:
-        s = z.imag
-        if np.any(s <= 0):
-            raise DomainError("point not in the upper half-plane")
-        out = 1.0 / s
-    else:
-        s = -z.imag
-        if np.any(s <= 0):
-            raise DomainError("point not in the lower half-plane")
-        out = 1.0 / s
-    return out if out.shape else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Cayley transform H(z) = -i(z+1)/(z-1), D -> U, with inverse (w-i)/(w+i).
 
@@ -116,6 +83,13 @@ def cayley_map_deriv(z):
 
 # ---------------------------------------------------------------------------
 # Grids
+
+def _holds_bool(val):
+    """Whether val or a list nested in it holds a bool, which is no number."""
+    if isinstance(val, (list, tuple)):
+        return any(_holds_bool(v) for v in val)
+    return np.asarray(val).dtype == bool
+
 
 def _b64_encode_complex(values):
     flat = np.ascontiguousarray(values, dtype=complex)
@@ -205,6 +179,9 @@ class ComplexGrid:
         for key in ("n", "data", "center", "half_width"):
             if key not in d:
                 raise ValueError(f"grid lacks {key!r}")
+        for key in ("n", "half_width", "center"):
+            if _holds_bool(d[key]):
+                raise ValueError(f"grid {key} must hold numbers, not bools")
         n = d["n"]
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"grid n must be a positive int, got {n!r}")
@@ -321,6 +298,9 @@ class BeltramiCoefficient:
         """
         from scipy.spatial import cKDTree
 
+        for name, val in (("points", points), ("values", values)):
+            if _holds_bool(val):
+                raise ValueError(f"table {name} must hold numbers, not bools")
         try:
             pts = np.asarray(points, dtype=float)
             vals = np.asarray(values, dtype=complex)
@@ -798,10 +778,11 @@ def analytic_besov_norm(phi: HolomorphicFunction, p):
 def cayley(obj):
     """Carry an object to the side of the Cayley map it is not on.
 
-    A unit-disk coefficient, a plain disk series or circle data go to U or
-    R; an upper half-plane coefficient or a Cayley push-forward series go
-    to D.  Objects on any other domain raise DomainError naming it.
-    Dispatches on the object's type.
+    A unit-disk coefficient or a plain disk series goes to U; an upper
+    half-plane coefficient or a Cayley push-forward series goes to D.
+    Objects on any other domain raise DomainError naming it.  Dispatches on
+    the object's type: other types, boundary data among them, raise
+    TypeError.
     """
     raise TypeError(f"cayley cannot transport {type(obj).__name__}")
 

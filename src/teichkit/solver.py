@@ -71,7 +71,6 @@ __all__ = [
     "SolverError",
     "QuasiconformalMap",
     "Normalization",
-    "cauchy_transform",
     "beurling_transform",
     "solve_plane",
     "solve_halfplane",
@@ -233,8 +232,6 @@ class _SpectralKit:
         """Padded-spectral P of the chart array h plus the lattice moment
         corrections; h vanishes off the grid nodes at box."""
         out = self.spectral(h, _cauchy_symbol)
-        if self.pad == 1:
-            return out
         Z = self.Z
         m0, m1, m2, m3, mc = self.moments(box, h[box])
         out = out + (m0 * np.conj(Z) - mc) / self.torus_area
@@ -379,20 +376,6 @@ def _check_margin(values, Z, half_width, what="support"):
         raise SolverError(
             f"{what} touches the outer 10% margin of the grid "
             f"(reach {reach:.3f} of half-width {half_width:.3f})")
-
-
-def cauchy_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:
-    """Solid Cauchy transform P[h](z) = -(1/pi) iint h(w)/(w - z) dA(w).
-
-    Satisfies dbar P[h] = h; equals +conj(z) inside and +1/z outside for
-    h the unit-disk indicator.
-    """
-    if grid.center != 0:
-        raise SolverError("spectral transforms expect a grid centered at 0")
-    _check_margin(grid.values, grid.nodes(), grid.half_width)
-    kit = _SpectralKit(grid.n, grid.half_width, pad)
-    return ComplexGrid(grid.center, grid.half_width,
-                       kit.cauchy(grid.values, _support_box(grid.values)))
 
 
 def beurling_transform(grid: ComplexGrid, pad=2) -> ComplexGrid:

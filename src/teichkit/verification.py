@@ -261,14 +261,14 @@ def check_8_characterization():
     xs = np.sort(np.unique(np.concatenate(
         [-np.geomspace(1e-4, 40, 1201), [0.0, 1.0, -1.0],
          np.geomspace(1e-4, 40, 1201)])))
-    h_pow = BoundaryHomeomorphism(xs, power(xs), "line", extension=power)
+    h_pow = BoundaryHomeomorphism(xs, power(xs), extension=power)
     div = besov_characterization_check(mu_pow, 2, boundary_map=h_pow)
     vd = div["verdicts"]
     ok &= vd["coherent"] and not vd["mu_finite"] and not vd["besov_finite"] \
         and not vd["extension_finite"]
 
     x = np.linspace(-40, 40, 1601)
-    aff = BoundaryHomeomorphism(x, 2.0 * x + 0.5, "line",
+    aff = BoundaryHomeomorphism(x, 2.0 * x + 0.5,
                                 extension=lambda t: 2.0 * t + 0.5)
     probe = (np.linspace(-5, 5, 11)[:, None]
              + 1j * np.geomspace(0.01, 3.0, 7)[None, :]).ravel()

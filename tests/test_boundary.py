@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from teichkit import BeltramiCoefficient, DomainTag, cayley, mp_norm
+from teichkit import BeltramiCoefficient, DomainError, DomainTag, cayley, \
+    mp_norm
 from teichkit import boundary, exact
 from teichkit.boundary import (
     BoundaryFunction,
@@ -21,9 +22,10 @@ from teichkit.boundary import (
     welding,
     welding_identity_check,
 )
-from teichkit.domains import HolomorphicFunction, analytic_besov_norm
+from teichkit.domains import HolomorphicFunction, analytic_besov_norm, \
+    cayley_inverse
 from teichkit.solver import FAR_FIELD_FIT, NEWTON_TOL, SolverError, \
-    _support_box, invert, solve_halfplane
+    _support_box, invert, solve_disk, solve_halfplane, solve_plane
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -31,7 +33,7 @@ from conftest import TEST_GRID_N, coefficient
 def line_homeo(fn, T=40.0, n=1201):
     x = np.sort(np.unique(np.concatenate(
         [-np.geomspace(1e-4, T, n), [0.0, 1.0, -1.0], np.geomspace(1e-4, T, n)])))
-    return BoundaryHomeomorphism(x, fn(x), "line", extension=fn)
+    return BoundaryHomeomorphism(x, fn(x), extension=fn)
 
 
 def power_map(alpha):
@@ -83,36 +85,31 @@ def test_truncation_and_normalization_are_read_off_the_data():
     line = BoundaryFunction(x, np.exp(1j * x))
     homeo = BoundaryHomeomorphism(x, 2.0 * x, fix_tol=None)
     circle = BoundaryFunction(th, np.cos(th), "circle")
-    lift = BoundaryHomeomorphism(th, th, "circle")
     assert line.truncation == homeo.truncation == x[-1] == 2.5
-    assert circle.truncation is None and lift.truncation is None
+    assert circle.truncation is None
+    assert homeo.domain == "line"
     assert homeo.normalization == "fix 0, 1, infinity"
     assert line.normalization is circle.normalization is None
-    assert lift.normalization is None
 
 
 # ---------------------------------------------------------------------------
 # boundary traces
 
 
-def test_trace_identity_disk():
-    from teichkit import solve_disk
-
-    f = solve_disk(BeltramiCoefficient.zero(), grid_n=256)
-    tr = boundary_trace(f, n_samples=256)
-    assert np.abs(tr.values - tr.params).max() < 1e-8
+def test_trace_of_a_disk_or_plane_map_raises():
+    # only a half-plane self-map has a trace on R: a disk self-map read as
+    # one would give a line trace without an error
+    disk = solve_disk(BeltramiCoefficient.zero(), grid_n=256)
+    with pytest.raises(DomainError, match="not a disk self-map"):
+        boundary_trace(disk, n_samples=256)
+    plane = solve_plane(BeltramiCoefficient.constant_disk(0.2, 0.5), 256)
+    with pytest.raises(DomainError, match="not a plane map"):
+        boundary_trace(plane, n_samples=256)
 
 
 def test_trace_holomorphic_z():
     tr = boundary_trace(HolomorphicFunction([1], [1.0]), n_samples=256)
     assert np.abs(tr.values - np.exp(1j * tr.params)).max() < 1e-12
-
-
-def test_trace_disk_solution_is_circle_homeo(disk_03_05):
-    tr = boundary_trace(disk_03_05, n_samples=512)
-    assert isinstance(tr, BoundaryHomeomorphism)
-    assert tr.normalization_defect < 1e-6
-    assert np.all(np.diff(tr.values) > 0)
 
 
 def test_trace_of_a_series_is_its_values_on_the_circle():
@@ -121,14 +118,6 @@ def test_trace_of_a_series_is_its_values_on_the_circle():
     th = 2 * np.pi * np.arange(256) / 256
     assert np.array_equal(tr.params, th)
     assert np.array_equal(tr.values, phi.eval(np.exp(1j * th)))
-
-
-def test_trace_of_a_disk_map_is_the_unwrapped_angle_on_the_circle(
-        disk_03_05):
-    tr = boundary_trace(disk_03_05, n_samples=512)
-    ang = np.unwrap(np.angle(disk_03_05(np.exp(1j * tr.params))))
-    assert abs(ang[0]) < 1e-6
-    assert np.array_equal(tr.values, ang)
 
 
 def test_trace_of_a_halfplane_map_reads_its_spline_on_the_line():
@@ -241,7 +230,15 @@ def test_besov_cayley_invariance():
     th = 2 * np.pi * np.arange(1024) / 1024
     z = np.exp(1j * th)
     u = BoundaryFunction(th, (z - 1.0) ** 2 / (z - 2.0), "circle")
-    u_line = cayley(u)
+
+    def on_line(x):  # u at the circle point cayley_inverse(x)
+        w = cayley_inverse(x)
+        return (w - 1.0) ** 2 / (w - 2.0)
+
+    # a window about 0 that holds none of the points the rule reads, so
+    # every read is the closed form
+    x = np.array([-1e-3, 1e-3])
+    u_line = BoundaryFunction(x, on_line(x), "line", extension=on_line)
     a = besov_seminorm(u, 2).value
     b = besov_seminorm(u_line, 2).value
     assert b == pytest.approx(a, rel=1e-5)
@@ -256,21 +253,11 @@ def test_line_data_without_extension_do_not_extrapolate():
     for t in (-2.5, 3.5, [0.0, 4.0]):
         with pytest.raises(ValueError, match=r"sampled on \[-2, 3\]"):
             u.eval(t)
-    # circle data taken to the line carry the circle data as extension
-    th = 2 * np.pi * np.arange(64) / 64
-    circ = BoundaryFunction(th, np.cos(th), "circle")
-    line = cayley(circ)
-    far = np.array([-1e3, 50.0, 1e4])
-    assert np.array_equal(line.eval(far),
-                          circ.eval(2.0 * np.arctan2(1.0, -far)))
-    # the identity's lift, read on its first and last arcs of the circle,
-    # where the lift closes with a full turn
-    lift = BoundaryHomeomorphism(th, th, "circle")
-    assert lift.eval(2 * np.pi - 0.01) == pytest.approx(2 * np.pi - 0.01)
-    homeo = cayley(lift)
-    far = np.array([-1e3, -50.0, 50.0, 1e3])
-    assert np.abs(homeo.eval(far) - far).max() < 1e-9
-    assert homeo.eval(50.0) == pytest.approx(50.0)  # a scalar read, too
+    # with an extension, also for a scalar read
+    u = BoundaryFunction(x, x ** 2, "line", extension=np.square)
+    far = np.array([-50.0, 1e3])
+    assert np.array_equal(u.eval(far), far ** 2)
+    assert u.eval(50.0) == 2500.0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -298,6 +285,15 @@ def test_lemma6_comparability(p):
 
 # ---------------------------------------------------------------------------
 # welding
+
+
+@pytest.mark.parametrize("domain", [DomainTag.PLANE,
+                                    DomainTag.LOWER_HALF_PLANE])
+def test_welding_names_a_domain_off_the_cayley_map(domain):
+    # the coefficient goes to U through cayley, whose error names its domain
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5, domain)
+    with pytest.raises(DomainError, match=rf"not on {domain.value}$"):
+        welding(mu, grid_n=64)
 
 
 def test_welding_zero_identity():
@@ -432,9 +428,9 @@ def test_welding_affine_first_term_smoke():
 
 def test_log_derivative_identity_and_affine():
     x = np.linspace(-5, 5, 501)
-    ident = BoundaryHomeomorphism(x, x.copy(), "line")
+    ident = BoundaryHomeomorphism(x, x.copy())
     assert np.abs(log_derivative(ident).values).max() < 1e-12
-    aff = BoundaryHomeomorphism(x, 3.0 * x, "line", fix_tol=None,
+    aff = BoundaryHomeomorphism(x, 3.0 * x, fix_tol=None,
                                 extension=lambda t: 3.0 * t)
     ld = log_derivative(aff)
     assert np.abs(ld.values - math.log(3.0)).max() < 1e-12
@@ -510,9 +506,10 @@ def test_ba_extend_matches_continuous_gaussian_extension():
     assert np.abs(got - want).max() <= 5e-4
 
 
-def test_ba_extend_near_jump_stays_below_one():
+def test_ba_extend_near_jump_stays_below_one(monkeypatch):
+    monkeypatch.setattr(boundary, "_EXTEND_SUP_GUARD", 1.0)
     h = line_homeo(lambda x: x + 500.0 * np.tanh(x / 1e-4))
-    ext = ba_extend(h, sup_guard=1.0)
+    ext = ba_extend(h)
     z = (np.linspace(-2e-3, 2e-3, 201)[:, None]
          + 1j * np.geomspace(1e-5, 1e-1, 60)[None, :]).ravel()
     assert np.abs(ext.eval(z)).max() < 1

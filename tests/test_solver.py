@@ -15,7 +15,6 @@ from teichkit import (
     QuasiconformalMap,
     SolverError,
     beurling_transform,
-    cauchy_transform,
     chain_rule,
     compose,
     dilatation,
@@ -88,9 +87,14 @@ def indicator_disk_samples(n=512, L=4.0, r=1.0):
 # Cauchy transform
 
 
+def cauchy(h, n, L):
+    """P[h] on the chart of n nodes and half-width L, as a solve applies
+    it."""
+    return _SpectralKit(n, L).cauchy(h, solver._support_box(h))
+
+
 def test_cauchy_zero():
-    g = grid_of(lambda Z: np.zeros_like(Z), n=64)
-    assert np.abs(cauchy_transform(g).values).max() == 0.0
+    assert np.abs(cauchy(np.zeros((64, 64), complex), 64, 4.0)).max() == 0.0
 
 
 def test_cauchy_dbar_identity_on_bump():
@@ -98,7 +102,7 @@ def test_cauchy_dbar_identity_on_bump():
     kit = _SpectralKit(n, L)
     Z = kit.Z
     h = np.exp(-2 * np.abs(Z) ** 2) * (Z - 0.3)
-    P = cauchy_transform(ComplexGrid(0.0, L, h)).values
+    P = cauchy(h, n, L)
     d = kit.spacing
     dbar = (np.gradient(P, d, axis=0) + 1j * np.gradient(P, d, axis=1)) / 2
     m = (np.abs(Z.real) < 3.2) & (np.abs(Z.imag) < 3.2)
@@ -110,7 +114,7 @@ def test_cauchy_disk_indicator_closed_form():
     n, L = 512, 4.0
     kit = _SpectralKit(n, L)
     Z = kit.Z
-    P = cauchy_transform(indicator_disk_samples(n, L)).values
+    P = cauchy(indicator_disk_samples(n, L).values, n, L)
     exact = np.where(np.abs(Z) < 1, np.conj(Z), 1 / np.where(Z == 0, 1, Z))
     m = (np.abs(np.abs(Z) - 1) > 3 * kit.spacing) & \
         (np.abs(Z.real) < 3.5) & (np.abs(Z.imag) < 3.5)
@@ -128,12 +132,6 @@ def test_cauchy_moments_on_the_box_match_full_grid_sums():
             for w in (1.0, Z, Z * Z, Z * Z * Z, np.conj(Z))]
     for got, want in zip(kit.moments(box, h[box]), full):
         assert abs(got - want) <= 1e-14 * abs(want)
-
-
-def test_cauchy_margin_guard():
-    g = grid_of(lambda Z: np.ones_like(Z), n=64)
-    with pytest.raises(SolverError):
-        cauchy_transform(g)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +207,6 @@ def test_spectral_apply_matches_hand_padded_reference(rng, monkeypatch, n,
         assert np.array_equal(kit.spectral(h, symbol), ref)
         if mult == "mult_T":
             assert np.array_equal(kit.beurling(h), ref)
-        elif pad == 1:  # no lattice corrections on the unpadded torus
-            assert np.array_equal(kit.cauchy(h, solver._support_box(h)),
-                                  ref)
 
 
 def test_spectral_kit_keeps_no_torus_array(rng, fresh_cache):
