@@ -17,6 +17,12 @@ Each line is a digest followed by what it covers.  The digests cover:
 Timing fields (`wall_time`, `elapsed`, `runtime_s`) are removed before a
 report is digested, and a command whose report is an error is marked
 FAILED.  A run takes about 35 s on a 2-core x86 VM.
+
+The commands run in one process, in the order listed, and share its solve
+memo: `characterize` and `roundtrip` read the memo entries that `weld` left
+at the same point, and `verify-all` runs last.  A diff across two trees
+whose memos differ therefore also compares one tree's memo hits with the
+other's fresh solves.
 """
 
 from __future__ import annotations

@@ -89,6 +89,9 @@ class BoundaryFunction:
             raise ValueError("params and values must be aligned 1-d arrays")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("parameters must be strictly increasing")
+        if domain not in ("circle", "line"):
+            raise ValueError(f"boundary data live on 'circle' or 'line', "
+                             f"not {domain!r}")
         self.domain = domain
         if domain == "circle":
             if self.params[0] < 0 or self.params[-1] >= 2 * np.pi:
@@ -340,6 +343,9 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     the exact dilatation is 0.  Only the zeta inside the bounding box of
     f^mu(S) are inverted, and that box sets nu's support radius; mu = 0
     gives nu = 0 with no inversion.
+    nu carries a cache token derived from mu's token and N (None when mu
+    has none), so welding mu again at N reads f_mu, the self-map and g
+    from the solve memo and samples no nu.
     On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
     from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
@@ -374,8 +380,12 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     # support: the disk about 0 through the image box's farthest corner
     reach = max(abs(complex(a.real, b.imag)) for a in image for b in image) \
         if image else 0.0
+    # nu is a function of the self-map, keyed by (mu_u, N), and constants
+    token = None if mu_u.cache_token is None \
+        else f"welding-nu:{mu_u.cache_token}:{grid_n}"
     nu_inv = BeltramiCoefficient(
-        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm)
+        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm,
+        cache_token=token)
     g = solve_plane(nu_inv, grid_n=grid_n)
 
     # h = g^-1 (f_mu) on R, resolved by Newton through g
@@ -484,8 +494,8 @@ _GAUSS_CUTOFF = 7.0
 # points per block of the extension's dilatation: each block holds a few
 # (block x (nodes + 1)) arrays, so memory stays bounded on any ladder level.
 # At 2^14 points one block's arrays reached 41 MB above live memory and set
-# the peak RSS of a characterization; 2^12 keeps them near 10 MB.
-_EXTEND_BLOCK = 2 ** 12
+# the peak RSS of a characterization; at 2^10 a block holds about 2.5 MB.
+_EXTEND_BLOCK = 2 ** 10
 # |mu| of the extension at which its dilatation raises
 _EXTEND_SUP_GUARD = 0.995
 
@@ -527,8 +537,11 @@ def ba_extend(h: BoundaryHomeomorphism) -> BeltramiCoefficient:
 
     def mu_block(z):
         x, t = z.real, z.imag
-        args = x + t * edges[:, None]  # edges along the leading axis
-        hv = h.eval(args.ravel()).reshape(args.shape)
+        # one row of edges per point: each row increases, so np.interp
+        # mostly finds its cell where the row's last read left it; the reads
+        # go back to (edges, points) for the einsum
+        args = x[:, None] + t[:, None] * edges
+        hv = np.ascontiguousarray(h.eval(args.ravel()).reshape(args.shape).T)
         # einsum reduces each point on its own, so the block size changes no
         # value (a BLAS product may not)
         s = np.einsum("kp,kj->jp", hv[1:] - hv[:-1], weights)

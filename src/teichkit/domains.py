@@ -347,7 +347,7 @@ class BeltramiCoefficient:
     def check_spec(cls, spec, name):
         """Raise ValueError, naming the spec as name, unless spec is an
         object of a known kind carrying the fields its kind must carry and
-        no field its kind does not read."""
+        no field its kind does not read, with no bool for k or r."""
         if not isinstance(spec, dict):
             raise ValueError(f"{name} must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
@@ -361,6 +361,9 @@ class BeltramiCoefficient:
             if key not in ("kind", *need, *may):
                 raise ValueError(
                     f"{name} key {key!r} is not read by kind {kind!r}")
+        for key in ("k", "r"):
+            if isinstance(spec.get(key), bool):
+                raise ValueError(f"{name} {key} must be a number, not a bool")
 
     @classmethod
     def from_spec(cls, spec):

@@ -43,12 +43,13 @@ moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
 padded torus and normalizes; the samples stay on the support box.  The
 normalized chart f and the box samples are memoized in the process,
-read-only and keyed by _solve_key, and every map handed out for the key
-reads that one chart.
+read-only and keyed by _solve_key, with the map's far field and residual;
+every map handed out for the key reads that one chart.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -616,8 +617,9 @@ def _solve_key(mu, grid_n, reflect):
     return mu.cache_token, grid_n, reflect
 
 
-# Solve memo, oldest entry first; entries are evicted in that order while
-# their arrays (f on the chart and mu_s on its support box) hold more than
+# Solve memo, oldest entry first: the chart entry of _normalized_chart, the
+# far field and the residual.  Entries are evicted in that order while their
+# arrays (f on the chart and mu_s on its support box) hold more than
 # _MEMO_BYTES.
 _MEMO = {}
 _MEMO_BYTES = 256 * 2 ** 20
@@ -755,40 +757,45 @@ def _normalized_chart(mu, kit, reflect):
 def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    The normalized chart f and the samples on their support box come from
-    the memo (read-only arrays, at most _MEMO_BYTES of them) or from
-    _normalized_chart, and the map reads f itself.  The far field is fitted
-    (FAR_FIELD_FIT) through the map's own spline on the circle of radius
-    0.855 half_width; its held-out residual is recorded, not checked.  The
-    residual is the Beltrami defect against the samples off the jumps.
+    A miss builds the normalized chart f and the samples on their support
+    box (_normalized_chart), fits the far field (FAR_FIELD_FIT) through the
+    map's own spline on the circle of radius 0.855 half_width (its held-out
+    residual is recorded, not checked), and takes the residual, the Beltrami
+    defect against the samples off the jumps.  The key fixes all of them, so
+    the memo keeps them (read-only arrays, at most _MEMO_BYTES of them) and
+    a hit builds none again.  Every map reads f itself and gets its own copy
+    of the far field, whose coefficient arrays are read-only.
     """
     half_width = auto_half_width(mu.support_radius)
     kit = _SpectralKit(grid_n, half_width)
     key = _solve_key(mu, grid_n, reflect)
     entry = _MEMO.get(key)
-    if entry is None:
-        entry = _normalized_chart(mu, kit, reflect)
-        if key is not None:
-            _MEMO[key] = entry
-            while sum(e[0].nbytes + e[1].nbytes
-                      for e in _MEMO.values()) > _MEMO_BYTES:
-                _MEMO.pop(next(iter(_MEMO)))
-    f, mu_s, support, trace, ratio, defect = entry
+    chart = _normalized_chart(mu, kit, reflect) if entry is None \
+        else entry[:6]
+    f, mu_s, support, trace, ratio, defect = chart
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
         support=support, convergence_ratio=ratio,
         iteration_trace=list(trace), symmetry_defect=defect)
-    jumps = list(mu.jump_circles)
-    if reflect:
-        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
-    else:
+    if not reflect:
         supp = mu.support_radius if np.isfinite(mu.support_radius) \
             else half_width
         qc.conformal_region = (supp + 3 * kit.spacing, math.inf)
-    qc.far_field = HolomorphicFunction.from_callable_on_circle(
-        qc, MARGIN_FRACTION * half_width * 0.95, **FAR_FIELD_FIT)
-    qc.residual = _fd_residual(qc, jumps)
+    if entry is None:
+        jumps = list(mu.jump_circles)
+        if reflect:
+            jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
+        far = HolomorphicFunction.from_callable_on_circle(
+            qc, MARGIN_FRACTION * half_width * 0.95, **FAR_FIELD_FIT)
+        far.orders.flags.writeable = far.coeffs.flags.writeable = False
+        entry = chart + (far, _fd_residual(qc, jumps))
+        if key is not None:
+            _MEMO[key] = entry
+            while sum(e[0].nbytes + e[1].nbytes
+                      for e in _MEMO.values()) > _MEMO_BYTES:
+                _MEMO.pop(next(iter(_MEMO)))
+    qc.far_field, qc.residual = copy.copy(entry[6]), entry[7]
     return qc
 
 

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from teichkit import BeltramiCoefficient, DomainError, DomainTag, cayley, \
     mp_norm
-from teichkit import boundary, exact
+from teichkit import boundary, exact, solver
 from teichkit.boundary import (
     BoundaryFunction,
     BoundaryHomeomorphism,
@@ -53,6 +53,14 @@ def weld_02():
 def test_boundary_function_requires_monotone_params():
     with pytest.raises(ValueError):
         BoundaryFunction([0.0, 0.0, 1.0], [1, 2, 3])
+
+
+@pytest.mark.parametrize("domain", ["Line", "disk", None])
+def test_boundary_function_rejects_an_unknown_domain(domain):
+    # an unknown domain neither wrapped nor raised, and np.interp clamped:
+    # 'Line' data read 1.0 at 5.0
+    with pytest.raises(ValueError, match="'circle' or 'line'"):
+        BoundaryFunction([0.0, 1.0], [0.0, 1.0], domain)
 
 
 def test_homeomorphism_requires_increasing_values():
@@ -362,6 +370,51 @@ def test_welding_keeps_partial_grids_only_on_inverted_maps():
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=256)
     assert weld.f_map._partials is None
     assert weld.g_map._partials is not None
+
+
+def test_repeated_welding_reads_its_three_maps_from_the_memo(monkeypatch):
+    # g's coefficient is keyed by the welded coefficient and N, and a memo
+    # entry keeps the far field and residual: a second welding samples no
+    # nu, normalizes no chart and fits only h's far field
+    monkeypatch.setattr(solver, "_MEMO", {})
+    fit = HolomorphicFunction.from_callable_on_circle.__func__
+    charts, fits, residuals = [], [], []
+    chart = solver._normalized_chart
+    monkeypatch.setattr(solver, "_normalized_chart",
+                        lambda *a: charts.append(1) or chart(*a))
+    monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
+                        classmethod(lambda cls, fn, *a, **kw:
+                                    fits.append(fn) or fit(cls, fn, *a, **kw)))
+    fd_residual = solver._fd_residual
+    monkeypatch.setattr(solver, "_fd_residual",
+                        lambda *a: residuals.append(1) or fd_residual(*a))
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    first = welding(mu, grid_n=512)
+    assert len(charts) == len(residuals) == 3 and len(fits) == 4
+    del charts[:], fits[:], residuals[:]
+    again = welding(mu, grid_n=512)
+    assert charts == residuals == []
+    assert len(fits) == 1 and not isinstance(fits[0], solver.QuasiconformalMap)
+    assert np.array_equal(again.h.params, first.h.params)
+    assert np.array_equal(again.h.values, first.h.values)
+    assert again.consistency_sup == first.consistency_sup
+    assert again.imag_defect == first.imag_defect
+    for a, b in ((again.f_map, first.f_map), (again.g_map, first.g_map)):
+        assert a is not b and a.residual == b.residual
+        assert np.array_equal(a.far_field.orders, b.far_field.orders)
+        assert np.array_equal(a.far_field.coeffs, b.far_field.coeffs)
+        assert a.far_field.heldout_residual == b.far_field.heldout_residual
+    t = np.array([-1e3, -50.0, 50.0, 1e3])
+    assert np.array_equal(again.h.eval(t), first.h.eval(t))
+
+
+def test_welding_of_a_coefficient_without_token_is_not_memoized(monkeypatch):
+    # nu's token is derived from mu's, so without one g is not keyed either
+    monkeypatch.setattr(solver, "_MEMO", {})
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    mu.cache_token = None
+    welding(mu, grid_n=128)
+    assert solver._MEMO == {}
 
 
 def test_welding_far_field_matches_newton(weld_02):

@@ -180,6 +180,16 @@ def test_from_spec_enforces_the_spec_schema():
         BeltramiCoefficient.from_spec({"kind": "disk"})
 
 
+@pytest.mark.parametrize("key", ["k", "r"])
+def test_from_spec_rejects_a_bool_k_or_r(key):
+    # r = True built r = 1.0; k = True failed as "|k| must be < 1"
+    spec = {"kind": "constant_disk", "k": 0.3, "r": 0.5, key: True}
+    with pytest.raises(ValueError,
+                       match=f"coefficient spec {key} must be a number, "
+                             "not a bool"):
+        BeltramiCoefficient.from_spec(spec)
+
+
 def test_config_rejects_unread_key():
     with pytest.raises(ValueError, match="'gird'"):
         ExperimentConfig.from_dict({"command": "norm", "gird": {"n": 64}})

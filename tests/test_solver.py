@@ -685,11 +685,20 @@ def test_solve_memo_hands_out_no_shared_state(fresh_cache):
         first.mu_samples[0, 0] = 1.0
     trace = list(first.iteration_trace)
     first.iteration_trace.append(-1.0)
+    far = first.far_field
+    coeffs, held = far.coeffs.copy(), far.heldout_residual
+    with pytest.raises(ValueError, match="read-only"):
+        far.coeffs[0] = 1.0
+    far.heldout_residual = -1.0
+    first.far_field = HolomorphicFunction.zero()
     again = solve_plane(mu, 128)
     assert again.iteration_trace == trace
     ref = _binomial_blur(full_chart_samples(mu, 128, 4.0))
     assert again.support == first.support
     assert np.array_equal(again.mu_samples, ref[again.support])
+    assert again.far_field is not far
+    assert np.array_equal(again.far_field.coeffs, coeffs)
+    assert again.far_field.heldout_residual == held
 
 
 @pytest.mark.parametrize("reflect", [False, True])
