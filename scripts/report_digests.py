@@ -19,8 +19,9 @@ report is digested, and a command whose report is an error is marked
 FAILED.  A run takes about 35 s on a 2-core x86 VM.
 
 The commands run in one process, in the order listed, and share its solve
-memo: `characterize` and `roundtrip` read the memo entries that `weld` left
-at the same point, and `verify-all` runs last.  A diff across two trees
+memo: `characterize` and `roundtrip` read the whole welding that `weld`
+left at the same point (h, its checks, f_mu and g), and `verify-all` runs
+last.  A diff across two trees
 whose memos differ therefore also compares one tree's memo hits with the
 other's fresh solves.
 """

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solver
 from .domains import (
     BeltramiCoefficient,
     DomainError,
@@ -343,16 +344,21 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     the exact dilatation is 0.  Only the zeta inside the bounding box of
     f^mu(S) are inverted, and that box sets nu's support radius; mu = 0
     gives nu = 0 with no inversion.
-    nu carries a cache token derived from mu's token and N (None when mu
-    has none), so welding mu again at N reads f_mu, the self-map and g
-    from the solve memo and samples no nu.
     On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
     from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
     SolverError when its held-out residual, the miss against g^-1 o f_mu
     on the midpoints between the fit points, exceeds NEWTON_TOL.
+    The memo keeps the result under mu's half-plane cache token and N (not
+    when mu has none), f_mu and g with their charts but no spline or
+    partials; each result gets its own h and maps over the read-only
+    arrays, so a repeat solves, inverts and fits nothing.
     """
     mu_u = _to_halfplane(mu)
+    key = solver._memo_key(mu_u, grid_n)
+    if key in solver._MEMO:
+        f_mu, g, *rest = solver._MEMO[key]
+        return _welded(solver._own(f_mu), solver._own(g), *rest)
     f_mu = solve_plane(mu_u, grid_n=grid_n)
     selfmap = solve_halfplane(mu_u, grid_n=grid_n)
 
@@ -380,12 +386,8 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     # support: the disk about 0 through the image box's farthest corner
     reach = max(abs(complex(a.real, b.imag)) for a in image for b in image) \
         if image else 0.0
-    # nu is a function of the self-map, keyed by (mu_u, N), and constants
-    token = None if mu_u.cache_token is None \
-        else f"welding-nu:{mu_u.cache_token}:{grid_n}"
     nu_inv = BeltramiCoefficient(
-        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm,
-        cache_token=token)
+        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm)
     g = solve_plane(nu_inv, grid_n=grid_n)
 
     # h = g^-1 (f_mu) on R, resolved by Newton through g
@@ -394,7 +396,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     g_inverse = invert(g)
     hx = g_inverse(fx)
     imag_defect = float(np.max(np.abs(hx.imag)))
-    hx = hx.real
+    hx = hx.real.copy()
     if np.any(np.diff(hx) <= 0):
         raise SolverError("welding produced a non-monotone boundary map")
 
@@ -408,7 +410,15 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
             f"far-field Laurent fit misses on held-out points of "
             f"|z| = {T_BOUNDARY:g} (residual {far.heldout_residual:.2e} "
             f"> {NEWTON_TOL:.0e})")
+    x.flags.writeable = hx.flags.writeable = False
+    far.orders.flags.writeable = far.coeffs.flags.writeable = False
+    solver._memoize(key, (solver._own(f_mu), solver._own(g), x, hx, far,
+                          consistency, imag_defect))
+    return _welded(f_mu, g, x, hx, far, consistency, imag_defect)
 
+
+def _welded(f_mu, g, x, hx, far, consistency, imag_defect):
+    """welding's result, h read as hx at x and through far beyond them."""
     def h_far(t):
         return far.eval(t).real
 

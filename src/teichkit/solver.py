@@ -42,9 +42,8 @@ and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
 padded torus and normalizes; the samples stay on the support box.  The
-normalized chart f and the box samples are memoized in the process,
-read-only and keyed by _solve_key, with the map's far field and residual;
-every map handed out for the key reads that one chart.
+solved map is memoized in the process (_memoize) with no spline or
+partials; every map handed out for its key reads its one read-only chart.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -606,23 +605,43 @@ def identity_map(n=64):
 # Core solve
 
 
-def _solve_key(mu, grid_n, reflect):
-    """Memo key of one solve; None when mu carries no cache token.
-
-    A solve's output is fixed by mu, grid_n and reflect: the chart and
-    the truncation are derived from mu, everything else is a constant.
-    """
-    if mu.cache_token is None:
-        return None
-    return mu.cache_token, grid_n, reflect
+def _memo_key(mu, *request):
+    """Key of a result fixed by mu and request; None without mu's token."""
+    return None if mu.cache_token is None else (mu.cache_token, *request)
 
 
-# Solve memo, oldest entry first: the chart entry of _normalized_chart, the
-# far field and the residual.  Entries are evicted in that order while their
-# arrays (f on the chart and mu_s on its support box) hold more than
-# _MEMO_BYTES.
+# Solve memo, oldest entry first: a solve's map, or boundary.welding's maps
+# and h.  _memoize evicts entries in that order while the distinct arrays
+# they keep alive hold more than _MEMO_BYTES.
 _MEMO = {}
 _MEMO_BYTES = 256 * 2 ** 20
+
+
+def _held(obj):
+    """The arrays obj, a memo entry or a part of one, keeps alive."""
+    if isinstance(obj, QuasiconformalMap):
+        obj = (obj.grid.values, obj.mu_samples, obj.far_field)
+    elif isinstance(obj, HolomorphicFunction):
+        obj = (obj.orders, obj.coeffs)
+    if isinstance(obj, tuple):
+        return [a for o in obj for a in _held(o)]
+    return [obj] if isinstance(obj, np.ndarray) else []
+
+
+def _memoize(key, entry):
+    """Keep entry at key, if any; evict the oldest entries past the bound."""
+    if key is not None:
+        _MEMO[key] = entry
+    while sum({id(a): a.nbytes for e in _MEMO.values()
+               for a in _held(e)}.values()) > _MEMO_BYTES:
+        _MEMO.pop(next(iter(_MEMO)))
+
+
+def _own(qc):
+    """qc over the same read-only arrays, with no spline or partials."""
+    return replace(qc, grid=copy.copy(qc.grid), _spline=None, _partials=None,
+                   far_field=copy.copy(qc.far_field),
+                   iteration_trace=list(qc.iteration_trace))
 
 
 @dataclass(frozen=True)
@@ -719,13 +738,15 @@ def _fd_residual(qc, jump_circles):
     return float(res[mask].max() / np.abs(dz).max())
 
 
-def _normalized_chart(mu, kit, reflect):
-    """Memo entry of one solve: (f, mu_s, support, trace, ratio, symmetry
-    defect), f read-only on the chart.  h (_box_solve) is scattered onto
-    the chart for P on the full padded torus, and z + P[h] is normalized in
-    place by a complex affine map (plane) or a real affine map (half-plane,
-    whose reflection symmetry is checked on R) pinning the nodes 0 and 1.
+def _normalized_chart(mu, grid_n, reflect):
+    """Map of one solve on its normalized chart f, read-only, with the
+    samples on their support box, the trace, the ratio and the symmetry
+    defect.  h (_box_solve) is scattered onto the chart for P on the full
+    padded torus, and z + P[h] is normalized in place by a complex affine
+    map (plane) or a real affine map (half-plane, whose reflection symmetry
+    is checked on R) pinning the nodes 0 and 1.
     """
+    kit = _SpectralKit(grid_n, auto_half_width(mu.support_radius))
     n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)
     sol = _box_solve(mu, n, reflect)
     h = np.zeros((n, n), dtype=complex)
@@ -751,51 +772,40 @@ def _normalized_chart(mu, kit, reflect):
             raise SolverError(f"reflection symmetry defect {defect:.2e} on R "
                               f"at N = {n}{cut}", sol.trace)
     f.flags.writeable = sol.mu_s.flags.writeable = False
-    return f, sol.mu_s, sol.box, sol.trace, sol.ratio, defect
+    return QuasiconformalMap(
+        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
+        grid=ComplexGrid(0.0, kit.half_width, f), mu_samples=sol.mu_s,
+        support=sol.box, convergence_ratio=sol.ratio,
+        iteration_trace=sol.trace, symmetry_defect=defect)
 
 
 def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    A miss builds the normalized chart f and the samples on their support
-    box (_normalized_chart), fits the far field (FAR_FIELD_FIT) through the
-    map's own spline on the circle of radius 0.855 half_width (its held-out
-    residual is recorded, not checked), and takes the residual, the Beltrami
-    defect against the samples off the jumps.  The key fixes all of them, so
-    the memo keeps them (read-only arrays, at most _MEMO_BYTES of them) and
-    a hit builds none again.  Every map reads f itself and gets its own copy
-    of the far field, whose coefficient arrays are read-only.
+    A miss builds the map on the normalized chart f (_normalized_chart),
+    fits the far field (FAR_FIELD_FIT) through the map's own spline on the
+    circle of radius 0.855 half_width (its held-out residual is recorded,
+    not checked), and takes the residual, the Beltrami defect against the
+    samples off the jumps.  The key fixes all of them, so
+    the memo keeps the map with no spline or partials (read-only arrays, at
+    most _MEMO_BYTES of them), and a hit builds none again: each map handed
+    out is its own copy (_own) over f and the samples.
     """
-    half_width = auto_half_width(mu.support_radius)
-    kit = _SpectralKit(grid_n, half_width)
-    key = _solve_key(mu, grid_n, reflect)
-    entry = _MEMO.get(key)
-    chart = _normalized_chart(mu, kit, reflect) if entry is None \
-        else entry[:6]
-    f, mu_s, support, trace, ratio, defect = chart
-    qc = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
-        grid=ComplexGrid(0.0, half_width, f), mu_samples=mu_s,
-        support=support, convergence_ratio=ratio,
-        iteration_trace=list(trace), symmetry_defect=defect)
-    if not reflect:
-        supp = mu.support_radius if np.isfinite(mu.support_radius) \
-            else half_width
-        qc.conformal_region = (supp + 3 * kit.spacing, math.inf)
-    if entry is None:
-        jumps = list(mu.jump_circles)
-        if reflect:
-            jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
-        far = HolomorphicFunction.from_callable_on_circle(
-            qc, MARGIN_FRACTION * half_width * 0.95, **FAR_FIELD_FIT)
-        far.orders.flags.writeable = far.coeffs.flags.writeable = False
-        entry = chart + (far, _fd_residual(qc, jumps))
-        if key is not None:
-            _MEMO[key] = entry
-            while sum(e[0].nbytes + e[1].nbytes
-                      for e in _MEMO.values()) > _MEMO_BYTES:
-                _MEMO.pop(next(iter(_MEMO)))
-    qc.far_field, qc.residual = copy.copy(entry[6]), entry[7]
+    key = _memo_key(mu, grid_n, reflect)
+    if key in _MEMO:
+        return _own(_MEMO[key])
+    qc = _normalized_chart(mu, grid_n, reflect)
+    jumps = list(mu.jump_circles)
+    if reflect:
+        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
+    else:  # a finite support radius is below the half-width
+        qc.conformal_region = (min(mu.support_radius, qc.grid.half_width)
+                               + 3 * qc.grid.spacing, math.inf)
+    far = qc.far_field = HolomorphicFunction.from_callable_on_circle(
+        qc, MARGIN_FRACTION * qc.grid.half_width * 0.95, **FAR_FIELD_FIT)
+    far.orders.flags.writeable = far.coeffs.flags.writeable = False
+    qc.residual = _fd_residual(qc, jumps)
+    _memoize(key, _own(qc))
     return qc
 
 

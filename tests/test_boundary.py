@@ -365,56 +365,171 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     assert max(s.stop - s.start for s in g.support) <= 140
 
 
-def test_welding_keeps_partial_grids_only_on_inverted_maps():
-    # g is inverted for h; f_mu is only evaluated, so it keeps no grids
+def test_welding_keeps_partial_grids_only_on_inverted_maps(monkeypatch):
+    # g is inverted for h; f_mu is only evaluated, so it keeps no grids.  A
+    # memo hit inverts nothing: the welding must be a miss
+    monkeypatch.setattr(solver, "_MEMO", {})
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=256)
     assert weld.f_map._partials is None
     assert weld.g_map._partials is not None
 
 
 def test_repeated_welding_reads_its_three_maps_from_the_memo(monkeypatch):
-    # g's coefficient is keyed by the welded coefficient and N, and a memo
-    # entry keeps the far field and residual: a second welding samples no
-    # nu, normalizes no chart and fits only h's far field
+    # the memo keeps the whole welding under (mu's half-plane token, N): a
+    # repeat normalizes no chart, fits nothing, takes no residual, inverts
+    # no map and prefilters no spline
     monkeypatch.setattr(solver, "_MEMO", {})
     fit = HolomorphicFunction.from_callable_on_circle.__func__
-    charts, fits, residuals = [], [], []
-    chart = solver._normalized_chart
+    calls = {name: [] for name in ("chart", "fit", "residual", "invert",
+                                   "spline")}
+
+    def count(name, fn):
+        return lambda *a, **kw: calls[name].append(1) or fn(*a, **kw)
+
     monkeypatch.setattr(solver, "_normalized_chart",
-                        lambda *a: charts.append(1) or chart(*a))
+                        count("chart", solver._normalized_chart))
     monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
-                        classmethod(lambda cls, fn, *a, **kw:
-                                    fits.append(fn) or fit(cls, fn, *a, **kw)))
-    fd_residual = solver._fd_residual
+                        classmethod(count("fit", fit)))
     monkeypatch.setattr(solver, "_fd_residual",
-                        lambda *a: residuals.append(1) or fd_residual(*a))
+                        count("residual", solver._fd_residual))
+    monkeypatch.setattr(boundary, "invert", count("invert", invert))
+    monkeypatch.setattr(solver.ndimage, "spline_filter",
+                        count("spline", solver.ndimage.spline_filter))
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=512)
-    assert len(charts) == len(residuals) == 3 and len(fits) == 4
-    del charts[:], fits[:], residuals[:]
+    assert {k: len(v) for k, v in calls.items()} == {
+        "chart": 3, "fit": 4, "residual": 3, "invert": 2, "spline": 3}
+    for v in calls.values():
+        del v[:]
     again = welding(mu, grid_n=512)
-    assert charts == residuals == []
-    assert len(fits) == 1 and not isinstance(fits[0], solver.QuasiconformalMap)
+    assert all(v == [] for v in calls.values())
+    assert again.h is not first.h
     assert np.array_equal(again.h.params, first.h.params)
     assert np.array_equal(again.h.values, first.h.values)
     assert again.consistency_sup == first.consistency_sup
     assert again.imag_defect == first.imag_defect
     for a, b in ((again.f_map, first.f_map), (again.g_map, first.g_map)):
         assert a is not b and a.residual == b.residual
+        assert a.grid is not b.grid and a.grid.values is b.grid.values
+        assert a.far_field is not b.far_field
         assert np.array_equal(a.far_field.orders, b.far_field.orders)
         assert np.array_equal(a.far_field.coeffs, b.far_field.coeffs)
         assert a.far_field.heldout_residual == b.far_field.heldout_residual
     t = np.array([-1e3, -50.0, 50.0, 1e3])
     assert np.array_equal(again.h.eval(t), first.h.eval(t))
+    assert welding_identity_check(again) == welding_identity_check(first)
+
+
+def _welding_keys():
+    """The welding entries' keys in the solve memo, oldest first."""
+    return [k for k in solver._MEMO if len(k) == 2]
+
+
+def test_welding_at_another_n_is_a_miss(monkeypatch):
+    monkeypatch.setattr(solver, "_MEMO", {})
+    charts = []
+    chart = solver._normalized_chart
+    monkeypatch.setattr(solver, "_normalized_chart",
+                        lambda *a: charts.append(1) or chart(*a))
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    coarse, fine = welding(mu, grid_n=64), welding(mu, grid_n=128)
+    assert len(charts) == 6
+    token = cayley(mu).cache_token
+    assert _welding_keys() == [(token, 64), (token, 128)]
+    assert coarse.g_map.grid.n == 64 and fine.g_map.grid.n == 128
+
+
+def test_disk_coefficient_and_its_cayley_image_share_one_welding(monkeypatch):
+    monkeypatch.setattr(solver, "_MEMO", {})
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    first = welding(mu, grid_n=64)
+    charts = []
+    monkeypatch.setattr(solver, "_normalized_chart",
+                        lambda *a: charts.append(1))
+    again = welding(cayley(mu), grid_n=64)
+    assert charts == [] and _welding_keys() == [(cayley(mu).cache_token, 64)]
+    assert np.array_equal(again.h.values, first.h.values)
+
+
+def test_welding_hit_hands_out_read_only_samples_of_h(monkeypatch):
+    monkeypatch.setattr(solver, "_MEMO", {})
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    first = welding(mu, grid_n=64)
+    again = welding(mu, grid_n=64)
+    for weld in (first, again):
+        for arr in (weld.h.values, weld.h.params):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    again.h.extension = None
+    assert welding(mu, grid_n=64).h.extension is not None
+
+
+def test_welding_memo_keeps_no_spline_or_partials(monkeypatch):
+    # maps handed out build their own; the memo's keep their charts only
+    monkeypatch.setattr(solver, "_MEMO", {})
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    first = welding(mu, grid_n=64)
+    assert first.g_map._partials is not None  # the miss inverted g
+    again = welding(mu, grid_n=64)
+    welding_identity_check(again)
+    again.f_map.partials_at(0.5j)
+    again.g_map.partials_at(0.5j)
+    for m in (again.f_map, again.g_map):
+        assert m._spline is not None and m._partials is not None
+    (entry,) = (solver._MEMO[k] for k in _welding_keys())
+    for m in entry[:2]:
+        assert m._spline is None and m._partials is None
+
+
+def test_welding_entry_is_evicted_oldest_first(monkeypatch):
+    # the welding entry counts every array it keeps alive, f_mu's chart
+    # included, so dropping the plane solve's entry frees none of it
+    def nbytes(entries):
+        return sum({id(a): a.nbytes for e in entries
+                    for a in solver._held(e)}.values())
+
+    a, c, d = (BeltramiCoefficient.constant_disk(0.2, r)
+               for r in (0.5, 0.3, 0.4))
+    monkeypatch.setattr(solver, "_MEMO", {})
+    solve_plane(c, 64)
+    bytes_c = nbytes(solver._MEMO.values())
+    monkeypatch.setattr(solver, "_MEMO", {})
+    welding(a, grid_n=64)
+    f_a, s_a, w_a = solver._MEMO
+    assert w_a == (cayley(a).cache_token, 64)
+    bytes_w = nbytes([solver._MEMO[w_a]])
+    assert bytes_w > 2 * 64 * 64 * 16  # f_mu's and g's charts
+    # f_a's chart counts once: at the bound, a solve kept nowhere (no
+    # token) evicts nothing
+    monkeypatch.setattr(solver, "_MEMO_BYTES", nbytes(solver._MEMO.values()))
+    untokened = BeltramiCoefficient.constant_disk(0.2, 0.3)
+    untokened.cache_token = None
+    solve_plane(untokened, 64)
+    assert list(solver._MEMO) == [f_a, s_a, w_a]
+    monkeypatch.setattr(solver, "_MEMO_BYTES", bytes_w + bytes_c)
+    solve_plane(c, 64)
+    # f_a's entry went first but freed nothing; the self-map's went next
+    assert list(solver._MEMO) == [w_a, solver._memo_key(c, 64, False)]
+    assert nbytes(solver._MEMO.values()) == bytes_w + bytes_c
+    monkeypatch.setattr(solver, "_MEMO_BYTES", bytes_w + bytes_c - 1)
+    solve_plane(d, 64)
+    assert list(solver._MEMO) == [solver._memo_key(mu, 64, False)
+                                  for mu in (c, d)]
 
 
 def test_welding_of_a_coefficient_without_token_is_not_memoized(monkeypatch):
-    # nu's token is derived from mu's, so without one g is not keyed either
+    # without a token neither the welding nor its solves are keyed
     monkeypatch.setattr(solver, "_MEMO", {})
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     mu.cache_token = None
-    welding(mu, grid_n=128)
-    assert solver._MEMO == {}
+    first = welding(mu, grid_n=128)
+    charts = []
+    chart = solver._normalized_chart
+    monkeypatch.setattr(solver, "_normalized_chart",
+                        lambda *a: charts.append(1) or chart(*a))
+    again = welding(mu, grid_n=128)
+    assert solver._MEMO == {} and len(charts) == 3
+    assert np.array_equal(again.h.values, first.h.values)
 
 
 def test_welding_far_field_matches_newton(weld_02):
@@ -447,6 +562,9 @@ def test_far_field_fit_certification_rejects_bad_fit(monkeypatch):
         return fit(cls, lambda z: fn(z) + 1.0 / (z - 30.0), radius, *args,
                    **kwargs)
 
+    # welding's own fit runs only on a miss: zero at N = 256 was welded
+    # before
+    monkeypatch.setattr(solver, "_MEMO", {})
     monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
                         classmethod(with_pole))
     with pytest.raises(SolverError, match="held-out"):
@@ -593,7 +711,8 @@ def test_characterization_finite_case():
 
 
 def test_characterization_frees_the_welded_maps(monkeypatch):
-    # the extension stage reads h alone: f_mu and g are gone by then
+    # the extension stage reads h alone: the maps handed out are gone by
+    # then, and the memo keeps their charts but no spline or partials
     welded, seen = [], []
 
     def weld_and_watch(*args, **kwargs):

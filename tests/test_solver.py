@@ -642,13 +642,13 @@ def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
              for mu in mus]
     assert entry[0] < entry[1] < entry[2] < 2 * 64 * 64 * 16
     monkeypatch.setattr(solver, "_MEMO_BYTES", sum(entry) - 1)
-    keys = [solver._solve_key(mu, 64, False) for mu in mus]
+    keys = [solver._memo_key(mu, 64, False) for mu in mus]
     for mu in mus[:2]:
         solve_plane(mu, 64)
     assert list(solver._MEMO) == keys[:2]
     solve_plane(mus[2], 64)
     assert list(solver._MEMO) == keys[1:]
-    assert sum(r[0].nbytes + r[1].nbytes
+    assert sum(r.grid.values.nbytes + r.mu_samples.nbytes
                for r in solver._MEMO.values()) == entry[1] + entry[2]
     monkeypatch.setattr(solver, "_MEMO_BYTES", entry[0] - 1)
     solve_plane(mus[0], 64)  # larger than the cap alone: kept nowhere
@@ -710,12 +710,13 @@ def test_memo_entry_is_the_one_chart_every_map_reads(fresh_cache, reflect):
         mu = cayley(mu)
     first = solver._solve(mu, 128, reflect)
     (entry,) = solver._MEMO.values()
-    charts = [a for a in entry
-              if isinstance(a, np.ndarray) and a.size >= 128 * 128]
+    charts = [a for a in solver._held(entry) if a.size >= 128 * 128]
     assert len(charts) == 1 and charts[0].shape == (128, 128)
-    assert entry[1] is first.mu_samples and entry[1].size < 128 * 128
-    assert entry[1].base is None  # the memo keeps no sampled square
-    f = entry[0]
+    assert entry._spline is None and entry._partials is None
+    samples = entry.mu_samples
+    assert samples is first.mu_samples and samples.size < 128 * 128
+    assert samples.base is None  # the memo keeps no sampled square
+    f = entry.grid.values
     assert not f.flags.writeable and f.base is None
     assert first.grid.values is f
     assert f[64, 64].real == 0 and f[80, 64].real == 1  # nodes 0 and 1
