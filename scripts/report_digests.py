@@ -18,12 +18,12 @@ Timing fields (`wall_time`, `elapsed`, `runtime_s`) are removed before a
 report is digested, and a command whose report is an error is marked
 FAILED.  A run takes about 35 s on a 2-core x86 VM.
 
-The commands run in one process, in the order listed, and share its solve
-memo: `characterize` and `roundtrip` read the whole welding that `weld`
-left at the same point (h, its checks, f_mu and g), and `verify-all` runs
-last.  A diff across two trees
-whose memos differ therefore also compares one tree's memo hits with the
-other's fresh solves.
+The commands run in one process, in the order listed, and `verify-all`
+runs last.  teichkit keeps the last welding in the process, so `besov`,
+`extend`, `characterize` and `roundtrip` read the whole welding that
+`weld` left at the same point (h, its checks, f_mu and g).  A diff across
+two trees that keep different results therefore also compares one tree's
+kept results with the other's fresh solves.
 """
 
 from __future__ import annotations

@@ -28,14 +28,14 @@ honestly; affine h yields mu = 0 identically.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import solver
 from .domains import (
     BeltramiCoefficient,
     DomainError,
@@ -111,8 +111,8 @@ class BoundaryFunction:
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         xp, fp = self.params, self.values
-        if self.domain == "circle":  # closed over one turn
-            t = np.mod(t, 2 * np.pi)
+        if self.domain == "circle":  # closed over one turn from xp[0]
+            t = xp[0] + np.mod(t - xp[0], 2 * np.pi)
             xp = np.append(xp, xp[0] + 2 * np.pi)
             fp = np.append(fp, fp[0])
         out = np.interp(t, xp, fp.real)
@@ -328,6 +328,11 @@ def _solved_support(selfmap):
              complex(image.real.max(), image.imag.max()) + pad))
 
 
+# (key, parts) of the last welding of a coefficient with a cache token:
+# key is (its half-plane token, N), parts what _welded builds a result from
+_last_welding = None, None
+
+
 def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
 
@@ -349,16 +354,20 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
     SolverError when its held-out residual, the miss against g^-1 o f_mu
     on the midpoints between the fit points, exceeds NEWTON_TOL.
-    The memo keeps the result under mu's half-plane cache token and N (not
-    when mu has none), f_mu and g with their charts but no spline or
-    partials; each result gets its own h and maps over the read-only
-    arrays, so a repeat solves, inverts and fits nothing.
+    The last welding of a coefficient with a cache token is kept
+    (_last_welding, a memo of one entry) under its half-plane token and N,
+    f_mu and g with their charts but no spline or partials; a request for
+    that key gets its own h and maps over the read-only arrays, so it
+    solves, inverts and fits nothing.  Any other request drops the kept
+    welding before it solves.
     """
+    global _last_welding
     mu_u = _to_halfplane(mu)
-    key = solver._memo_key(mu_u, grid_n)
-    if key in solver._MEMO:
-        f_mu, g, *rest = solver._MEMO[key]
-        return _welded(solver._own(f_mu), solver._own(g), *rest)
+    key = None if mu_u.cache_token is None else (mu_u.cache_token, grid_n)
+    if key is not None and key == _last_welding[0]:
+        f_mu, g, *rest = _last_welding[1]
+        return _welded(_own(f_mu), _own(g), *rest)
+    _last_welding = None, None
     f_mu = solve_plane(mu_u, grid_n=grid_n)
     selfmap = solve_halfplane(mu_u, grid_n=grid_n)
 
@@ -412,9 +421,17 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
             f"> {NEWTON_TOL:.0e})")
     x.flags.writeable = hx.flags.writeable = False
     far.orders.flags.writeable = far.coeffs.flags.writeable = False
-    solver._memoize(key, (solver._own(f_mu), solver._own(g), x, hx, far,
-                          consistency, imag_defect))
+    if key is not None:
+        _last_welding = key, (_own(f_mu), _own(g), x, hx, far, consistency,
+                              imag_defect)
     return _welded(f_mu, g, x, hx, far, consistency, imag_defect)
+
+
+def _own(qc):
+    """qc over the same read-only arrays, with no spline or partials."""
+    return replace(qc, grid=copy.copy(qc.grid), _spline=None, _partials=None,
+                   far_field=copy.copy(qc.far_field),
+                   iteration_trace=list(qc.iteration_trace))
 
 
 def _welded(f_mu, g, x, hx, far, consistency, imag_defect):

@@ -17,8 +17,9 @@ and criterion 1's runtime_s).  Coefficients arrive as JSON specs:
 {"kind": "table", ...}; a config key the command does not read is rejected,
 as is a spec field its kind does not read.  A failed run reports
 the failing stage, the exception type and its message under
-reports["error"].  Solves are memoized in the process only, so repeated
-stages of one run reuse them.
+reports["error"].  The last welding is kept in the process, so a weld,
+besov, extend, characterize or roundtrip run at the coefficient and N of
+the run before it solves nothing again.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ class ExperimentConfig:
             if name not in command.tolerances:
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
+        if self.output_path is not None and (
+                not isinstance(self.output_path, str) or not self.output_path):
+            raise ValueError(f"output_path must be a non-empty string, "
+                             f"got {self.output_path!r}")
+        if not isinstance(self.extra.get("self_map", False), bool):
+            raise ValueError(f"self_map must be true or false, "
+                             f"got {self.extra['self_map']!r}")
         if "delta" in self.extra:
             delta = self.extra["delta"]
             _check_number("delta", delta)

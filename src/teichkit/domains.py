@@ -623,6 +623,12 @@ def mp_norm(mu: BeltramiCoefficient, p, levels=4):
     Disk: ( int_D |mu|^p (1-|z|^2)^{-2} dA )^{1/p}.  The half-plane case
     pulls back through the Cayley transform, under which the weight
     (2 Im zeta)^{-2} dA becomes exactly the disk weight.
+
+    Each ladder level samples mu one dyadic shell of its radial mesh (nper
+    radii) at a time into the one array of weighted terms that is summed,
+    so no level holds more than a shell's temporaries beside it; the sum is
+    bit-exact to one whole-level evaluation, since each term reads only its
+    own node.
     """
     p = float(p)
     if not 1.0 <= p < math.inf:  # also rejects NaN
@@ -641,9 +647,13 @@ def mp_norm(mu: BeltramiCoefficient, p, levels=4):
         nper, nth = 48 * 2 ** lev, 64 * 2 ** lev
         s, ws = _graded_radial_mesh(6 + lev, nper, (0.5 + lev * _JITTER) % 1.0)
         th = 2.0 * np.pi * (np.arange(nth) + 0.5) / nth
-        F = np.abs(sample(_polar_nodes(s, th))) ** p * \
-            ((1.0 - s ** 2) ** -2)[:, None]
-        integral = float(np.sum(F * (s * ws)[:, None]) * (2.0 * np.pi / nth))
+        F = np.empty((s.size, nth))
+        for start in range(0, s.size, nper):
+            r = slice(start, start + nper)
+            F[r] = np.abs(sample(_polar_nodes(s[r], th))) ** p * \
+                ((1.0 - s[r] ** 2) ** -2)[:, None]
+            F[r] *= (s[r] * ws[r])[:, None]
+        integral = float(np.sum(F) * (2.0 * np.pi / nth))
         resolutions.append(nper * nth)
         values.append(max(integral, 0.0) ** (1.0 / p))
         rep = NormReport.from_ladder(resolutions, values, power=p)

@@ -41,17 +41,15 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
-padded torus and normalizes; the samples stay on the support box.  The
-solved map is memoized in the process (_memoize) with no spline or
-partials; every map handed out for its key reads its one read-only chart.
+padded torus and normalizes; the samples stay on the support box.  Every
+call solves afresh: a solve keeps nothing once its map is dropped.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
@@ -552,7 +550,9 @@ class QuasiconformalMap:
         on each call; the map keeps none of them.
 
         order=4 uses the five-point stencil in the interior (two cells of
-        second-order fallback at the edges).
+        second-order fallback at the edges).  i fy is formed once, fy is
+        dropped, and i fy is turned into dbar f in place, so no more than
+        three grids are alive at once.
         """
         d = self.grid.spacing
         f = self.grid.values
@@ -563,7 +563,13 @@ class QuasiconformalMap:
                            + f[:-4, :]) / (12 * d)
             fy[:, 2:-2] = (-f[:, 4:] + 8 * f[:, 3:-1] - 8 * f[:, 1:-3]
                            + f[:, :-4]) / (12 * d)
-        return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
+        ify = 1j * fy
+        del fy
+        dz = fx - ify
+        dz /= 2.0
+        ify += fx
+        ify /= 2.0
+        return dz, ify
 
     def partials_at(self, z):
         """(df, dbar f) at z, read linearly from the order-2 partial_grids;
@@ -603,45 +609,6 @@ def identity_map(n=64):
 
 # ---------------------------------------------------------------------------
 # Core solve
-
-
-def _memo_key(mu, *request):
-    """Key of a result fixed by mu and request; None without mu's token."""
-    return None if mu.cache_token is None else (mu.cache_token, *request)
-
-
-# Solve memo, oldest entry first: a solve's map, or boundary.welding's maps
-# and h.  _memoize evicts entries in that order while the distinct arrays
-# they keep alive hold more than _MEMO_BYTES.
-_MEMO = {}
-_MEMO_BYTES = 256 * 2 ** 20
-
-
-def _held(obj):
-    """The arrays obj, a memo entry or a part of one, keeps alive."""
-    if isinstance(obj, QuasiconformalMap):
-        obj = (obj.grid.values, obj.mu_samples, obj.far_field)
-    elif isinstance(obj, HolomorphicFunction):
-        obj = (obj.orders, obj.coeffs)
-    if isinstance(obj, tuple):
-        return [a for o in obj for a in _held(o)]
-    return [obj] if isinstance(obj, np.ndarray) else []
-
-
-def _memoize(key, entry):
-    """Keep entry at key, if any; evict the oldest entries past the bound."""
-    if key is not None:
-        _MEMO[key] = entry
-    while sum({id(a): a.nbytes for e in _MEMO.values()
-               for a in _held(e)}.values()) > _MEMO_BYTES:
-        _MEMO.pop(next(iter(_MEMO)))
-
-
-def _own(qc):
-    """qc over the same read-only arrays, with no spline or partials."""
-    return replace(qc, grid=copy.copy(qc.grid), _spline=None, _partials=None,
-                   far_field=copy.copy(qc.far_field),
-                   iteration_trace=list(qc.iteration_trace))
 
 
 @dataclass(frozen=True)
@@ -696,7 +663,7 @@ def _neumann(kit, mu_b):
 
 def _box_solve(mu, grid_n, reflect):
     """Box-level part of a solve: h on the support box of the samples of
-    mu, with no grid-level P and no memo.
+    mu, with no grid-level P.
 
     mu is sampled on the node square of its chart (auto_half_width) that
     holds its support (sample_coefficient), and given one mass-preserving
@@ -713,7 +680,7 @@ def _box_solve(mu, grid_n, reflect):
     mu_s = _binomial_blur(mu_s)
     _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
     support = _support_box(mu_s, box)
-    # a copy, so that the memo holds no larger base array
+    # a copy, so that a map keeps no larger base array alive
     mu_s = mu_s[tuple(slice(s.start - b.start, s.stop - b.start)
                       for s, b in zip(support, box))].copy()
     h, trace, ratio = _neumann(kit, mu_s)
@@ -738,17 +705,23 @@ def _fd_residual(qc, jump_circles):
     return float(res[mask].max() / np.abs(dz).max())
 
 
-def _normalized_chart(mu, grid_n, reflect):
-    """Map of one solve on its normalized chart f, read-only, with the
-    samples on their support box, the trace, the ratio and the symmetry
-    defect.  h (_box_solve) is scattered onto the chart for P on the full
-    padded torus, and z + P[h] is normalized in place by a complex affine
-    map (plane) or a real affine map (half-plane, whose reflection symmetry
-    is checked on R) pinning the nodes 0 and 1.
+def _solve(mu, grid_n, reflect):
+    """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
+
+    h (_box_solve) is scattered onto the chart for P on the full padded
+    torus, and z + P[h] is normalized in place by a complex affine map
+    (plane) or a real affine map (half-plane, whose reflection symmetry is
+    checked on R) pinning the nodes 0 and 1.  The far field is fitted
+    (FAR_FIELD_FIT) through the map's own spline on the circle of radius
+    0.855 half_width (its held-out residual is recorded, not checked), and
+    the residual is the Beltrami defect against the samples off the jumps.
+    The map's chart f, its samples on their support box and its far field's
+    arrays are read-only, so a map that shares them with another cannot
+    change it.
     """
-    kit = _SpectralKit(grid_n, auto_half_width(mu.support_radius))
+    sol = _box_solve(mu, grid_n, reflect)
+    kit = sol.kit
     n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)
-    sol = _box_solve(mu, n, reflect)
     h = np.zeros((n, n), dtype=complex)
     h[sol.box] = sol.h
     f = kit.cauchy(h, sol.box)
@@ -763,6 +736,7 @@ def _normalized_chart(mu, grid_n, reflect):
     f -= a
     f /= b - a
     defect = None
+    jumps = list(mu.jump_circles)
     if reflect:
         defect = float(np.max(np.abs(f[:, j0].imag)))
         if defect > 1e-6:
@@ -771,41 +745,21 @@ def _normalized_chart(mu, grid_n, reflect):
                 "0.85 half-width")
             raise SolverError(f"reflection symmetry defect {defect:.2e} on R "
                               f"at N = {n}{cut}", sol.trace)
+        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
     f.flags.writeable = sol.mu_s.flags.writeable = False
-    return QuasiconformalMap(
+    qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, kit.half_width, f), mu_samples=sol.mu_s,
         support=sol.box, convergence_ratio=sol.ratio,
         iteration_trace=sol.trace, symmetry_defect=defect)
-
-
-def _solve(mu, grid_n, reflect):
-    """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
-
-    A miss builds the map on the normalized chart f (_normalized_chart),
-    fits the far field (FAR_FIELD_FIT) through the map's own spline on the
-    circle of radius 0.855 half_width (its held-out residual is recorded,
-    not checked), and takes the residual, the Beltrami defect against the
-    samples off the jumps.  The key fixes all of them, so
-    the memo keeps the map with no spline or partials (read-only arrays, at
-    most _MEMO_BYTES of them), and a hit builds none again: each map handed
-    out is its own copy (_own) over f and the samples.
-    """
-    key = _memo_key(mu, grid_n, reflect)
-    if key in _MEMO:
-        return _own(_MEMO[key])
-    qc = _normalized_chart(mu, grid_n, reflect)
-    jumps = list(mu.jump_circles)
-    if reflect:
-        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
-    else:  # a finite support radius is below the half-width
-        qc.conformal_region = (min(mu.support_radius, qc.grid.half_width)
-                               + 3 * qc.grid.spacing, math.inf)
+    del sol  # free the box h before the far field and the residual
+    if not reflect:  # a finite support radius is below the half-width
+        qc.conformal_region = (min(mu.support_radius, kit.half_width)
+                               + 3 * kit.spacing, math.inf)
     far = qc.far_field = HolomorphicFunction.from_callable_on_circle(
-        qc, MARGIN_FRACTION * qc.grid.half_width * 0.95, **FAR_FIELD_FIT)
+        qc, MARGIN_FRACTION * kit.half_width * 0.95, **FAR_FIELD_FIT)
     far.orders.flags.writeable = far.coeffs.flags.writeable = False
     qc.residual = _fd_residual(qc, jumps)
-    _memoize(key, _own(qc))
     return qc
 
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from teichkit import verification
+from teichkit import boundary, solver, verification
 
 
 def test_criteria_are_registered_in_number_order():
@@ -28,3 +28,19 @@ def test_criterion(check):
     assert result.criterion == int(check.__name__.split("_")[1])
     assert result.elapsed > 0
     assert result.passed, json.dumps(result.details, default=str, indent=1)
+
+
+def test_roundtrip_check_reads_the_welding_check_welded(monkeypatch):
+    # criterion 9 welds the coefficient and N that criterion 7 welds just
+    # before it, so in one process it is served the kept welding whole:
+    # no plane or half-plane solve and no Newton inversion
+    monkeypatch.setattr(boundary, "_last_welding", (None, None))
+    assert verification.check_7_welding().passed
+    calls, solve, invert = [], solver._solve, solver.invert
+    monkeypatch.setattr(solver, "_solve", lambda *a, **kw: calls.append(
+        "solve") or solve(*a, **kw))
+    for mod in (solver, boundary):
+        monkeypatch.setattr(mod, "invert",
+                            lambda f: calls.append("invert") or invert(f))
+    assert verification.check_9_roundtrip().passed
+    assert calls == []

@@ -200,16 +200,13 @@ def test_ap_norm_of_a_bers_image_is_the_weil_petersson_sum(mu_03_05):
 
 def test_bers_map_builds_no_grid_transform(monkeypatch):
     # the image comes from the moments of h on its support box: no nodes of
-    # the whole chart, no padded-torus transform, spline or far field, and
-    # no memo entry
+    # the whole chart, no padded-torus transform, spline or far field
     def unread(kit, *args):
         raise AssertionError("bers_map read the whole chart or torus")
 
-    monkeypatch.setattr(solver, "_MEMO", {})
     monkeypatch.setattr(solver._SpectralKit, "Z", property(unread))
     monkeypatch.setattr(solver._SpectralKit, "spectral", unread)
     bers_map(BeltramiCoefficient.constant_disk(0.3, 0.5), grid_n=128)
-    assert solver._MEMO == {}
 
 
 def test_bers_images_sample_no_circle(monkeypatch):

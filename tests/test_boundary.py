@@ -100,6 +100,18 @@ def test_truncation_and_normalization_are_read_off_the_data():
     assert line.normalization is circle.normalization is None
 
 
+def test_circle_data_starting_above_zero_wrap_over_the_closing_segment():
+    # angles below the first parameter lie on the closing segment, from the
+    # last parameter to the first one a turn on
+    th = 0.1 + (2 * np.pi - 0.2) * np.arange(64) / 63
+    u = BoundaryFunction(th, np.sin(th), "circle")
+    t = np.array([0.05, -0.05, 2 * np.pi - 0.05, 2 * np.pi + 0.05])
+    assert np.abs(u.eval(t) - np.sin(t)).max() < 2e-3
+    assert u.eval(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert np.array_equal(u.eval(th), u.values)
+    assert np.abs(u.eval(th + 2 * np.pi) - u.values).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # boundary traces
 
@@ -365,29 +377,41 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     assert max(s.stop - s.start for s in g.support) <= 140
 
 
-def test_welding_keeps_partial_grids_only_on_inverted_maps(monkeypatch):
+@pytest.fixture
+def no_kept_welding(monkeypatch):
+    """No welding kept when the test starts; the kept one is restored
+    after it."""
+    monkeypatch.setattr(boundary, "_last_welding", (None, None))
+
+
+def _count_solves(monkeypatch):
+    """A list that gets one entry per plane or half-plane solve."""
+    solves, solve = [], solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda *a, **kw: solves.append(1)
+                        or solve(*a, **kw))
+    return solves
+
+
+def test_welding_keeps_partial_grids_only_on_inverted_maps(no_kept_welding):
     # g is inverted for h; f_mu is only evaluated, so it keeps no grids.  A
-    # memo hit inverts nothing: the welding must be a miss
-    monkeypatch.setattr(solver, "_MEMO", {})
+    # kept welding inverts nothing: the welding must not be kept
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=256)
     assert weld.f_map._partials is None
     assert weld.g_map._partials is not None
 
 
-def test_repeated_welding_reads_its_three_maps_from_the_memo(monkeypatch):
-    # the memo keeps the whole welding under (mu's half-plane token, N): a
-    # repeat normalizes no chart, fits nothing, takes no residual, inverts
-    # no map and prefilters no spline
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_repeated_welding_reads_its_three_maps_from_the_memo(
+        no_kept_welding, monkeypatch):
+    # welding keeps its last result under (mu's half-plane token, N): a
+    # repeat solves no map, fits nothing, takes no residual, inverts no map
+    # and prefilters no spline
     fit = HolomorphicFunction.from_callable_on_circle.__func__
-    calls = {name: [] for name in ("chart", "fit", "residual", "invert",
-                                   "spline")}
+    calls = {name: [] for name in ("fit", "residual", "invert", "spline")}
 
     def count(name, fn):
         return lambda *a, **kw: calls[name].append(1) or fn(*a, **kw)
 
-    monkeypatch.setattr(solver, "_normalized_chart",
-                        count("chart", solver._normalized_chart))
+    calls["solve"] = _count_solves(monkeypatch)
     monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
                         classmethod(count("fit", fit)))
     monkeypatch.setattr(solver, "_fd_residual",
@@ -398,7 +422,7 @@ def test_repeated_welding_reads_its_three_maps_from_the_memo(monkeypatch):
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=512)
     assert {k: len(v) for k, v in calls.items()} == {
-        "chart": 3, "fit": 4, "residual": 3, "invert": 2, "spline": 3}
+        "solve": 3, "fit": 4, "residual": 3, "invert": 2, "spline": 3}
     for v in calls.values():
         del v[:]
     again = welding(mu, grid_n=512)
@@ -420,39 +444,32 @@ def test_repeated_welding_reads_its_three_maps_from_the_memo(monkeypatch):
     assert welding_identity_check(again) == welding_identity_check(first)
 
 
-def _welding_keys():
-    """The welding entries' keys in the solve memo, oldest first."""
-    return [k for k in solver._MEMO if len(k) == 2]
-
-
-def test_welding_at_another_n_is_a_miss(monkeypatch):
-    monkeypatch.setattr(solver, "_MEMO", {})
-    charts = []
-    chart = solver._normalized_chart
-    monkeypatch.setattr(solver, "_normalized_chart",
-                        lambda *a: charts.append(1) or chart(*a))
+def test_welding_at_another_n_is_a_miss(no_kept_welding, monkeypatch):
+    # the welding at N = 128 replaces the one kept at N = 64, so welding at
+    # N = 64 again solves once more
+    solves = _count_solves(monkeypatch)
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     coarse, fine = welding(mu, grid_n=64), welding(mu, grid_n=128)
-    assert len(charts) == 6
-    token = cayley(mu).cache_token
-    assert _welding_keys() == [(token, 64), (token, 128)]
+    assert len(solves) == 6
+    assert boundary._last_welding[0] == (cayley(mu).cache_token, 128)
     assert coarse.g_map.grid.n == 64 and fine.g_map.grid.n == 128
+    welding(mu, grid_n=64)
+    assert len(solves) == 9
+    assert boundary._last_welding[0] == (cayley(mu).cache_token, 64)
 
 
-def test_disk_coefficient_and_its_cayley_image_share_one_welding(monkeypatch):
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_disk_coefficient_and_its_cayley_image_share_one_welding(
+        no_kept_welding, monkeypatch):
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=64)
-    charts = []
-    monkeypatch.setattr(solver, "_normalized_chart",
-                        lambda *a: charts.append(1))
+    solves = _count_solves(monkeypatch)
     again = welding(cayley(mu), grid_n=64)
-    assert charts == [] and _welding_keys() == [(cayley(mu).cache_token, 64)]
+    assert solves == []
+    assert boundary._last_welding[0] == (cayley(mu).cache_token, 64)
     assert np.array_equal(again.h.values, first.h.values)
 
 
-def test_welding_hit_hands_out_read_only_samples_of_h(monkeypatch):
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_welding_hit_hands_out_read_only_samples_of_h(no_kept_welding):
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=64)
     again = welding(mu, grid_n=64)
@@ -464,9 +481,8 @@ def test_welding_hit_hands_out_read_only_samples_of_h(monkeypatch):
     assert welding(mu, grid_n=64).h.extension is not None
 
 
-def test_welding_memo_keeps_no_spline_or_partials(monkeypatch):
-    # maps handed out build their own; the memo's keep their charts only
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_welding_memo_keeps_no_spline_or_partials(no_kept_welding):
+    # maps handed out build their own; the kept ones keep their charts only
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=64)
     assert first.g_map._partials is not None  # the miss inverted g
@@ -476,59 +492,38 @@ def test_welding_memo_keeps_no_spline_or_partials(monkeypatch):
     again.g_map.partials_at(0.5j)
     for m in (again.f_map, again.g_map):
         assert m._spline is not None and m._partials is not None
-    (entry,) = (solver._MEMO[k] for k in _welding_keys())
-    for m in entry[:2]:
+    for m in boundary._last_welding[1][:2]:
         assert m._spline is None and m._partials is None
 
 
-def test_welding_entry_is_evicted_oldest_first(monkeypatch):
-    # the welding entry counts every array it keeps alive, f_mu's chart
-    # included, so dropping the plane solve's entry frees none of it
-    def nbytes(entries):
-        return sum({id(a): a.nbytes for e in entries
-                    for a in solver._held(e)}.values())
-
-    a, c, d = (BeltramiCoefficient.constant_disk(0.2, r)
-               for r in (0.5, 0.3, 0.4))
-    monkeypatch.setattr(solver, "_MEMO", {})
-    solve_plane(c, 64)
-    bytes_c = nbytes(solver._MEMO.values())
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_welding_of_another_coefficient_replaces_the_kept_one(
+        no_kept_welding, monkeypatch):
+    # one welding is kept at a time, and a miss drops it before it solves,
+    # so the two are never held at once by the module
+    a, c = (BeltramiCoefficient.constant_disk(0.2, r) for r in (0.5, 0.3))
     welding(a, grid_n=64)
-    f_a, s_a, w_a = solver._MEMO
-    assert w_a == (cayley(a).cache_token, 64)
-    bytes_w = nbytes([solver._MEMO[w_a]])
-    assert bytes_w > 2 * 64 * 64 * 16  # f_mu's and g's charts
-    # f_a's chart counts once: at the bound, a solve kept nowhere (no
-    # token) evicts nothing
-    monkeypatch.setattr(solver, "_MEMO_BYTES", nbytes(solver._MEMO.values()))
-    untokened = BeltramiCoefficient.constant_disk(0.2, 0.3)
-    untokened.cache_token = None
-    solve_plane(untokened, 64)
-    assert list(solver._MEMO) == [f_a, s_a, w_a]
-    monkeypatch.setattr(solver, "_MEMO_BYTES", bytes_w + bytes_c)
-    solve_plane(c, 64)
-    # f_a's entry went first but freed nothing; the self-map's went next
-    assert list(solver._MEMO) == [w_a, solver._memo_key(c, 64, False)]
-    assert nbytes(solver._MEMO.values()) == bytes_w + bytes_c
-    monkeypatch.setattr(solver, "_MEMO_BYTES", bytes_w + bytes_c - 1)
-    solve_plane(d, 64)
-    assert list(solver._MEMO) == [solver._memo_key(mu, 64, False)
-                                  for mu in (c, d)]
+    kept = weakref.ref(boundary._last_welding[1][0])
+    dropped, solve = [], solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda *args, **kw: dropped.append(
+        boundary._last_welding == (None, None) and kept() is None)
+        or solve(*args, **kw))
+    welding(c, grid_n=64)
+    assert dropped == [True, True, True]
+    assert boundary._last_welding[0] == (cayley(c).cache_token, 64)
 
 
-def test_welding_of_a_coefficient_without_token_is_not_memoized(monkeypatch):
-    # without a token neither the welding nor its solves are keyed
-    monkeypatch.setattr(solver, "_MEMO", {})
+def test_welding_of_a_coefficient_without_token_is_not_memoized(
+        no_kept_welding, monkeypatch):
+    # without a token the welding is not kept, and the one kept before it
+    # is dropped: a repeat solves all three maps again
+    welding(BeltramiCoefficient.constant_disk(0.2, 0.3), grid_n=128)
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     mu.cache_token = None
     first = welding(mu, grid_n=128)
-    charts = []
-    chart = solver._normalized_chart
-    monkeypatch.setattr(solver, "_normalized_chart",
-                        lambda *a: charts.append(1) or chart(*a))
+    assert boundary._last_welding == (None, None)
+    solves = _count_solves(monkeypatch)
     again = welding(mu, grid_n=128)
-    assert solver._MEMO == {} and len(charts) == 3
+    assert boundary._last_welding == (None, None) and len(solves) == 3
     assert np.array_equal(again.h.values, first.h.values)
 
 
@@ -562,9 +557,9 @@ def test_far_field_fit_certification_rejects_bad_fit(monkeypatch):
         return fit(cls, lambda z: fn(z) + 1.0 / (z - 30.0), radius, *args,
                    **kwargs)
 
-    # welding's own fit runs only on a miss: zero at N = 256 was welded
-    # before
-    monkeypatch.setattr(solver, "_MEMO", {})
+    # welding's own fit runs only on a miss: zero at N = 256 may have been
+    # welded just before
+    monkeypatch.setattr(boundary, "_last_welding", (None, None))
     monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
                         classmethod(with_pole))
     with pytest.raises(SolverError, match="held-out"):
@@ -712,7 +707,8 @@ def test_characterization_finite_case():
 
 def test_characterization_frees_the_welded_maps(monkeypatch):
     # the extension stage reads h alone: the maps handed out are gone by
-    # then, and the memo keeps their charts but no spline or partials
+    # then, and the kept welding holds copies of them with no spline or
+    # partials
     welded, seen = [], []
 
     def weld_and_watch(*args, **kwargs):

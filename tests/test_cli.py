@@ -253,6 +253,24 @@ def test_solve_self_map_of_the_whole_disk_reports():
     assert 0 < rep["residual"] < 0.1
 
 
+@pytest.mark.parametrize("path", [5, 0, "", ["out.json"], True])
+def test_config_rejects_an_output_path_that_is_not_a_string(path):
+    # rejected with the config, not after the run when the report is written
+    with pytest.raises(ValueError, match="output_path must be a non-empty "
+                                         "string"):
+        ExperimentConfig.from_dict({"command": "norm", "output_path": path})
+    ExperimentConfig.from_dict({"command": "norm", "output_path": None})
+
+
+@pytest.mark.parametrize("flag", ["false", "true", [0], 0, 1, None, 1.0])
+def test_config_rejects_a_self_map_that_is_not_a_bool(flag):
+    # a truthy string or list must not select a disk self-map
+    with pytest.raises(ValueError, match="self_map must be true or false"):
+        ExperimentConfig.from_dict({"command": "solve", "self_map": flag})
+    for ok in (True, False):
+        ExperimentConfig.from_dict({"command": "solve", "self_map": ok})
+
+
 def test_cli_rejects_tolerance_name_its_command_does_not_read():
     with pytest.raises(SystemExit, match="'residul' is not read by solve"):
         main(["solve", "--tol", "residul=1e-9"])

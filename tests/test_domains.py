@@ -109,6 +109,43 @@ def test_mp_norm_halfplane_matches_disk_transport():
     assert b == pytest.approx(a, rel=1e-6)
 
 
+def _whole_level_mp(mu, p, levels):
+    """mp_norm's ladder values with each level sampled at once."""
+    values = []
+    for lev in range(levels):
+        nper, nth = 48 * 2 ** lev, 64 * 2 ** lev
+        s, ws = domains._graded_radial_mesh(
+            6 + lev, nper, (0.5 + lev * domains._JITTER) % 1.0)
+        th = 2.0 * np.pi * (np.arange(nth) + 0.5) / nth
+        F = np.abs(mu.eval(domains._polar_nodes(s, th))) ** p * \
+            ((1.0 - s ** 2) ** -2)[:, None]
+        integral = float(np.sum(F * (s * ws)[:, None]) * (2.0 * np.pi / nth))
+        values.append(max(integral, 0.0) ** (1.0 / p))
+    return values
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_mp_norm_by_shells_matches_whole_levels(p):
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    rep = mp_norm(mu, p)
+    assert [v for _, v in rep.refinements] == _whole_level_mp(mu, p, 4)
+
+
+def test_mp_norm_memory_is_bounded():
+    # the finest level sampled whole (3840 radii x 512 angles) peaked at
+    # 72 MiB; a shell at a time it holds the summed array and one shell's
+    # temporaries
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    mp_norm(mu, 2)
+    tracemalloc.start()
+    try:
+        mp_norm(mu, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(min_value=0.05, max_value=0.95))
 def test_mp_norm_scaling(c):

@@ -209,7 +209,7 @@ def test_spectral_apply_matches_hand_padded_reference(rng, monkeypatch, n,
             assert np.array_equal(kit.beurling(h), ref)
 
 
-def test_spectral_kit_keeps_no_torus_array(rng, fresh_cache):
+def test_spectral_kit_keeps_no_torus_array(rng):
     # no result holds an array of the (2n)^2 torus, and the kit is geometry
     # only: after transforms, a read of its nodes and a solve it holds no
     # array of any size
@@ -464,7 +464,7 @@ def _coefficient_cases():
 
 
 @pytest.mark.parametrize("case", list(_coefficient_cases()))
-def test_box_sampling_matches_full_chart(fresh_cache, case):
+def test_box_sampling_matches_full_chart(case):
     mu, reflect = _coefficient_cases()[case]
     n = 128
     L = solver.auto_half_width(mu.support_radius)
@@ -515,8 +515,8 @@ def test_supersampling_blocks_die_before_the_mirror_step():
 
 
 @pytest.mark.parametrize("case", ["welding", "unbounded_halfplane"])
-def test_reflected_solve_reads_mu_above_the_real_axis_only(fresh_cache,
-                                                           monkeypatch, case):
+def test_reflected_solve_reads_mu_above_the_real_axis_only(monkeypatch,
+                                                           case):
     # the reflection gives the samples at y < 0, and those at y = 0 are 0
     mu, _ = _coefficient_cases()[case]
     lowest, read = [], mu.eval
@@ -611,52 +611,12 @@ def test_solve_plane_bounded_support_reaching_margin():
 
 
 # ---------------------------------------------------------------------------
-# solve cache
+# repeated solves
 
 
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    """Empty solve memo for one test."""
-    monkeypatch.setattr(solver, "_MEMO", {})
-
-
-def test_solve_cache_keys_on_plane_or_halfplane(fresh_cache):
-    # welding solves the same half-plane coefficient on the plane (mu
-    # extended by zero) and as a self-map of U (mu reflected across R)
-    mu_u = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5))
-    plane = solve_plane(mu_u, 128)
-    half = solve_halfplane(mu_u, 128)
-    assert list(solver._MEMO) == [(mu_u.cache_token, 128, False),
-                                  (mu_u.cache_token, 128, True)]
-    for qc, reflect in ((plane, False), (half, True)):
-        ref = _binomial_blur(full_chart_samples(mu_u, 128, 4.0, reflect))
-        assert np.array_equal(qc.mu_samples, ref[qc.support])
-        ref[qc.support] = 0.0
-        assert not ref.any()
-
-
-def test_solve_memo_evicts_oldest_by_bytes(fresh_cache, monkeypatch):
-    mus = [BeltramiCoefficient.constant_disk(0.3, r) for r in (0.3, 0.4, 0.5)]
-    # f on the chart and mu_s on its support box, complex, at N = 64
-    entry = [64 * 64 * 16 + solver._box_solve(mu, 64, False).mu_s.nbytes
-             for mu in mus]
-    assert entry[0] < entry[1] < entry[2] < 2 * 64 * 64 * 16
-    monkeypatch.setattr(solver, "_MEMO_BYTES", sum(entry) - 1)
-    keys = [solver._memo_key(mu, 64, False) for mu in mus]
-    for mu in mus[:2]:
-        solve_plane(mu, 64)
-    assert list(solver._MEMO) == keys[:2]
-    solve_plane(mus[2], 64)
-    assert list(solver._MEMO) == keys[1:]
-    assert sum(r.grid.values.nbytes + r.mu_samples.nbytes
-               for r in solver._MEMO.values()) == entry[1] + entry[2]
-    monkeypatch.setattr(solver, "_MEMO_BYTES", entry[0] - 1)
-    solve_plane(mus[0], 64)  # larger than the cap alone: kept nowhere
-    assert solver._MEMO == {}
-
-
-def test_repeated_plane_solve_runs_one_cauchy_transform(fresh_cache,
-                                                        monkeypatch):
+def test_repeated_plane_solve_normalizes_its_chart_again(monkeypatch):
+    # a solve keeps nothing: a repeat applies P and normalizes once more,
+    # into a chart of its own that equals the first bit for bit
     calls = []
     cauchy = solver._SpectralKit.cauchy
     monkeypatch.setattr(solver._SpectralKit, "cauchy",
@@ -665,20 +625,17 @@ def test_repeated_plane_solve_runs_one_cauchy_transform(fresh_cache,
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     first = solve_plane(mu, 128)
     again = solve_plane(mu, 128)
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert again.grid.values is not first.grid.values
     assert np.array_equal(first.grid.values, again.grid.values)
+    assert again.iteration_trace == first.iteration_trace
+    assert np.array_equal(again.far_field.coeffs, first.far_field.coeffs)
 
 
-def test_solve_writes_no_files(fresh_cache, monkeypatch, tmp_path):
-    # solves are memoized in the process only, whatever the environment
-    monkeypatch.setenv("TEICHKIT_CACHE_DIR", str(tmp_path))
-    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    solve_plane(mu, 128)
-    solve_halfplane(cayley(mu), 128)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_solve_memo_hands_out_no_shared_state(fresh_cache):
+def test_solved_map_hands_out_no_shared_state():
+    # what a caller does to one solved map reaches no later solve: the
+    # samples and far-field coefficients are read-only, and a repeat
+    # builds its trace and far field anew
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
     first = solve_plane(mu, 128)
     with pytest.raises(ValueError, match="read-only"):
@@ -701,34 +658,40 @@ def test_solve_memo_hands_out_no_shared_state(fresh_cache):
     assert again.far_field.heldout_residual == held
 
 
-@pytest.mark.parametrize("reflect", [False, True])
-def test_memo_entry_is_the_one_chart_every_map_reads(fresh_cache, reflect):
-    # a miss normalizes once and memoizes that chart read-only; the map of
-    # the miss and the map of a hit read it, and a hit builds no node
+def test_solve_writes_no_files(monkeypatch, tmp_path):
+    # solves keep nothing on disk, whatever the environment
+    monkeypatch.setenv("TEICHKIT_CACHE_DIR", str(tmp_path))
     mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
-    if reflect:
-        mu = cayley(mu)
-    first = solver._solve(mu, 128, reflect)
-    (entry,) = solver._MEMO.values()
-    charts = [a for a in solver._held(entry) if a.size >= 128 * 128]
-    assert len(charts) == 1 and charts[0].shape == (128, 128)
-    assert entry._spline is None and entry._partials is None
-    samples = entry.mu_samples
-    assert samples is first.mu_samples and samples.size < 128 * 128
-    assert samples.base is None  # the memo keeps no sampled square
-    f = entry.grid.values
-    assert not f.flags.writeable and f.base is None
-    assert first.grid.values is f
+    solve_plane(mu, 128)
+    solve_halfplane(cayley(mu), 128)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_solved_map_arrays_are_read_only(reflect):
+    # welding hands out maps over the chart, samples and far field of the
+    # maps it keeps, so a solve makes them read-only.  The plane and
+    # half-plane solves of one half-plane coefficient (as welding runs
+    # them) sample it each on its support box: extended by zero, or
+    # reflected across R
+    mu = cayley(BeltramiCoefficient.constant_disk(0.3, 0.5))
+    qc = solver._solve(mu, 128, reflect)
+    f = qc.grid.values
+    assert f.shape == (128, 128) and f.base is None
     assert f[64, 64].real == 0 and f[80, 64].real == 1  # nodes 0 and 1
-    again = solver._solve(mu, 128, reflect)
-    assert again is not first and again.grid.values is f
-    assert again.symmetry_defect == first.symmetry_defect
-    assert (again.symmetry_defect is None) is not reflect
-    with pytest.raises(ValueError, match="read-only"):
-        again.grid.values[0, 0] = 1.0
+    assert (qc.symmetry_defect is None) is not reflect
+    ref = _binomial_blur(full_chart_samples(mu, 128, 4.0, reflect))
+    assert np.array_equal(qc.mu_samples, ref[qc.support])
+    assert qc.mu_samples.base is None  # no sampled square kept alive
+    ref[qc.support] = 0.0
+    assert not ref.any()
+    far = qc.far_field
+    for arr in (f, qc.mu_samples, far.orders, far.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
-def test_map_keeps_partial_grids_only_once_read(fresh_cache):
+def test_map_keeps_partial_grids_only_once_read():
     # the residual and the dilatation build their partial grids and drop
     # them; partials_at, the Newton reader, keeps its order-2 pair
     f = solve_plane(BeltramiCoefficient.constant_disk(0.3, 0.5), 128)
