@@ -42,6 +42,7 @@ from .domains import (
     DomainTag,
     HolomorphicFunction,
     NormReport,
+    _check_count,
     analytic_besov_norm,
     cayley,
     mp_norm,
@@ -53,6 +54,7 @@ from .solver import (
     SolverError,
     _support_box,
     invert,
+    margin_checked_samples,
     solve_halfplane,
     solve_plane,
 )
@@ -176,8 +178,11 @@ def boundary_trace(f, n_samples=1024):
     """Boundary values of a series, as circle data read at e^(i theta) on
     n_samples angles, or of a half-plane self-map, as a line homeomorphism
     read through its spline on n_samples points of [-T, T], T = 0.85
-    half-width of its grid, and through its far field beyond T.  A disk
-    self-map or a plane map raises DomainError."""
+    half-width of its grid, and through its far field beyond T.  The
+    trace's extension holds the map's far field, not the map, so a trace
+    keeps no chart or spline alive.  A disk self-map or a plane map raises
+    DomainError; n_samples below 2 raises ValueError."""
+    _check_count("boundary_trace n_samples", n_samples, 2)
     if isinstance(f, HolomorphicFunction):
         th = 2 * np.pi * np.arange(n_samples) / n_samples
         return BoundaryFunction(th, f.eval(np.exp(1j * th)), "circle")
@@ -188,9 +193,10 @@ def boundary_trace(f, n_samples=1024):
                           f"{'disk self-' if f.halfplane_map else 'plane '}map")
     T = 0.85 * f.grid.half_width
     x = np.linspace(-T, T, n_samples)
+    far_field = f.far_field
 
     def far(t):
-        return f.far_field.eval(t.astype(complex)).real
+        return far_field.eval(t.astype(complex)).real
 
     return BoundaryHomeomorphism(x, f(x.astype(complex)).real,
                                  extension=far, fix_tol=1e-4)
@@ -238,6 +244,7 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     p = float(p)
     if not 1.0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"Besov seminorms require 1 < p < inf, got p = {p}")
+    _check_count("besov_seminorm levels", levels)
     resolutions, values = [], []
     for lev in range(levels):
         if u.domain == "circle":
@@ -328,50 +335,19 @@ def _solved_support(selfmap):
              complex(image.real.max(), image.imag.max()) + pad))
 
 
-# (key, parts) of the last welding of a coefficient with a cache token:
-# key is (its half-plane token, N), parts what _welded builds a result from
-_last_welding = None, None
+def _inverse_coefficient(selfmap, sup_norm):
+    """g's coefficient nu on L: the dilatation of the reflected inverse
+    self-map, by the chain rule at the self-map's own dilatation.
 
-
-def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
-    """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
-
-    f_mu is conformal on L with dilatation mu on U; g is conformal on U with
-    the dilatation of the reflected inverse self-map on L; h is compared
-    against the boundary trace of the self-map f^mu, read on R through its
-    spline (consistency_sup).  The result carries f_mu and g, which the
-    welding identity check differentiates along R.
-    g's coefficient nu is read by Newton inversion through the self-map,
-    and only on the image of the solved support: nu(zeta) is the
-    finite-difference dilatation of the self-map's grid spline at
-    v = f^mu^-1(zeta) where v lies in the rectangle S of its nonzero
-    samples on L (grown by SUPPORT_GROWTH nodes), and 0 elsewhere, where
-    the exact dilatation is 0.  Only the zeta inside the bounding box of
-    f^mu(S) are inverted, and that box sets nu's support radius; mu = 0
-    gives nu = 0 with no inversion.
-    On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
-    Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
-    from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
-    SolverError when its held-out residual, the miss against g^-1 o f_mu
-    on the midpoints between the fit points, exceeds NEWTON_TOL.
-    The last welding of a coefficient with a cache token is kept
-    (_last_welding, a memo of one entry) under its half-plane token and N,
-    f_mu and g with their charts but no spline or partials; a request for
-    that key gets its own h and maps over the read-only arrays, so it
-    solves, inverts and fits nothing.  Any other request drops the kept
-    welding before it solves.
+    nu is read by Newton inversion through the self-map, and only on the
+    image of the solved support: nu(zeta) is the finite-difference
+    dilatation of the self-map's grid spline at v = f^mu^-1(zeta) where v
+    lies in the rectangle S of its nonzero samples on L (grown by
+    SUPPORT_GROWTH nodes), and 0 elsewhere, where the exact dilatation is
+    0.  Only the zeta inside the bounding box of f^mu(S) are inverted, and
+    that box sets nu's support radius; mu = 0 gives nu = 0 with no
+    inversion.  nu holds the self-map for as long as it is alive.
     """
-    global _last_welding
-    mu_u = _to_halfplane(mu)
-    key = None if mu_u.cache_token is None else (mu_u.cache_token, grid_n)
-    if key is not None and key == _last_welding[0]:
-        f_mu, g, *rest = _last_welding[1]
-        return _welded(_own(f_mu), _own(g), *rest)
-    _last_welding = None, None
-    f_mu = solve_plane(mu_u, grid_n=grid_n)
-    selfmap = solve_halfplane(mu_u, grid_n=grid_n)
-
-    # reflected-inverse coefficient on L via the chain rule at nu = dil(selfmap)
     inv_self = invert(selfmap)
     rect, image = _solved_support(selfmap) or (None, None)
 
@@ -395,9 +371,71 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     # support: the disk about 0 through the image box's farthest corner
     reach = max(abs(complex(a.real, b.imag)) for a in image for b in image) \
         if image else 0.0
-    nu_inv = BeltramiCoefficient(
-        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, mu_u.sup_norm)
-    g = solve_plane(nu_inv, grid_n=grid_n)
+    return BeltramiCoefficient(
+        DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, sup_norm)
+
+
+# (key, parts) of the last welding of a coefficient with a cache token:
+# key is (its half-plane token, N), parts what _welded builds a result from
+_last_welding = None, None
+
+
+def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
+    """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
+
+    f_mu is conformal on L with dilatation mu on U; g is conformal on U with
+    the dilatation nu of the reflected inverse self-map on L
+    (_inverse_coefficient); h is compared against the boundary trace of the
+    self-map f^mu, read on R through its spline (consistency_sup).  The
+    result carries f_mu and g, which the welding identity check
+    differentiates along R.
+    mu must have bounded support on U (a disk coefficient that reaches the
+    unit circle does not).  When its declared support radius on U is
+    infinite, as that of a disk grid spanning the disk is, f_mu's margin
+    check is run on its samples before any solve, and a coefficient that
+    reaches the margin raises SolverError there.
+    The maps are solved in the order self-map, g, f_mu, so that at most two
+    solved maps are alive during any solve.  The self-map's boundary trace
+    is read first (it holds the self-map's far field, not the map), then nu,
+    which holds the self-map until g is solved; the self-map is dropped
+    before f_mu's solve starts.  No solve computes a residual, and the
+    welding reads none.
+    On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
+    Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
+    from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
+    SolverError when its held-out residual, the miss against g^-1 o f_mu
+    on the midpoints between the fit points, exceeds NEWTON_TOL.
+    The last welding of a coefficient with a cache token is kept
+    (_last_welding, a memo of one entry) under its half-plane token and N,
+    f_mu and g with their charts but no spline or partials; a request for
+    that key gets its own h and maps over the read-only arrays, so it
+    solves, inverts and fits nothing.  Any other request drops the kept
+    welding before it solves.
+    """
+    global _last_welding
+    mu_u = _to_halfplane(mu)
+    if not math.isfinite(mu_u.support_radius):
+        # the self-map truncates unbounded support and f_mu, solved last,
+        # does not: run f_mu's margin check on its samples first
+        try:
+            margin_checked_samples(mu_u, grid_n)
+        except SolverError as err:
+            raise SolverError(
+                "welding needs a coefficient with bounded support on U, and "
+                f"this one's is not: {err} (a disk coefficient's support is "
+                "unbounded on U when it reaches the unit circle)") from None
+    key = None if mu_u.cache_token is None else (mu_u.cache_token, grid_n)
+    if key is not None and key == _last_welding[0]:
+        f_mu, g, *rest = _last_welding[1]
+        return _welded(_own(f_mu), _own(g), *rest)
+    _last_welding = None, None
+    selfmap = solve_halfplane(mu_u, grid_n=grid_n)
+    trace = boundary_trace(selfmap, n_samples=1025)
+    nu = _inverse_coefficient(selfmap, mu_u.sup_norm)
+    del selfmap  # nu holds it until g is solved
+    g = solve_plane(nu, grid_n=grid_n)
+    del nu
+    f_mu = solve_plane(mu_u, grid_n=grid_n)
 
     # h = g^-1 (f_mu) on R, resolved by Newton through g
     x = _welding_param_grid(N_BOUNDARY, T_BOUNDARY)
@@ -409,7 +447,6 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     if np.any(np.diff(hx) <= 0):
         raise SolverError("welding produced a non-monotone boundary map")
 
-    trace = boundary_trace(selfmap, n_samples=1025)
     consistency = float(np.max(np.abs(hx - trace.eval(x))))
 
     far = HolomorphicFunction.from_callable_on_circle(

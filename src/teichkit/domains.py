@@ -91,6 +91,14 @@ def _holds_bool(val):
     return np.asarray(val).dtype == bool
 
 
+def _check_count(name, val, least=1):
+    """Raise ValueError naming the argument unless val is an integer (not a
+    bool) of at least least."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) \
+            or val < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
+
+
 def _b64_encode_complex(values):
     flat = np.ascontiguousarray(values, dtype=complex)
     pairs = np.empty(flat.size * 2, dtype="<f8")
@@ -633,6 +641,7 @@ def mp_norm(mu: BeltramiCoefficient, p, levels=4):
     p = float(p)
     if not 1.0 <= p < math.inf:  # also rejects NaN
         raise ValueError(f"mp_norm requires 1 <= p < inf, got p = {p}")
+    _check_count("mp_norm levels", levels)
     if mu.domain is DomainTag.PLANE:
         raise DomainError("no hyperbolic weight on the plane")
     if mu.domain is DomainTag.UNIT_DISK:

@@ -42,7 +42,9 @@ and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
 solve_halfplane) scatters h alone onto the chart, applies P on the full
 padded torus and normalizes; the samples stay on the support box.  Every
-call solves afresh: a solve keeps nothing once its map is dropped.
+call solves afresh: a solve keeps nothing once its map is dropped.  A
+solve computes no Beltrami residual; a map computes its own the first time
+it is read (QuasiconformalMap.residual).
 """
 
 from __future__ import annotations
@@ -494,7 +496,9 @@ class QuasiconformalMap:
     explicit outer evaluator when one exists.  A plane or half-plane solve
     keeps the coefficient samples it solved for as mu_samples, on the
     rectangle of grid nodes at support (row and column slices) that holds
-    their nonzero values; they vanish off it.
+    their nonzero values; they vanish off it.  It keeps the jump circles
+    its residual skips as jump_circles, not the residual itself: residual
+    is computed the first time it is read, and kept.
     """
 
     normalization: Normalization
@@ -502,15 +506,29 @@ class QuasiconformalMap:
     conformal_region: tuple | None = None
     mu_samples: np.ndarray | None = None
     support: tuple | None = None
-    residual: float | None = None
+    jump_circles: tuple | None = None
     convergence_ratio: float | None = None
     iteration_trace: list = field(default_factory=list, repr=False)
     far_field: HolomorphicFunction | None = None
     outer_eval: object = None
     symmetry_defect: float | None = None
     halfplane_map: QuasiconformalMap | None = field(default=None, repr=False)
+    _residual: float | None = field(default=None, repr=False)
     _spline: object = field(default=None, repr=False)
     _partials: object = field(default=None, repr=False)
+
+    @property
+    def residual(self):
+        """Beltrami defect of a solved map (_fd_residual against its samples,
+        off its jump_circles), computed on the first read and kept; a disk
+        self-map reads its half-plane map's.  None for a map that has no
+        samples to measure against."""
+        if self._residual is None:
+            if self.halfplane_map is not None:
+                return self.halfplane_map.residual
+            if self.jump_circles is not None:
+                self._residual = _fd_residual(self, self.jump_circles)
+        return self._residual
 
     def _coefficients(self):
         """Cubic B-spline coefficients of the grid values, on the grid
@@ -604,7 +622,7 @@ def identity_map(n=64):
     return QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
         conformal_region=(0.0, math.inf), mu_samples=np.zeros((n, n)),
-        support=(slice(0, n), slice(0, n)), residual=0.0, far_field=ff)
+        support=(slice(0, n), slice(0, n)), far_field=ff, _residual=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +679,19 @@ def _neumann(kit, mu_b):
     return h, trace, ratio
 
 
+def margin_checked_samples(mu, grid_n, reflect=False):
+    """(kit, box, samples) of mu as a solve reads them: sampled on the
+    node square of its chart (auto_half_width) that holds its support
+    (sample_coefficient), given one binomial blur, and checked against the
+    chart's outer 10% margin (SolverError when they reach it)."""
+    half_width = auto_half_width(mu.support_radius)
+    kit = _SpectralKit(grid_n, half_width)
+    box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
+    mu_s = _binomial_blur(mu_s)
+    _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
+    return kit, box, mu_s
+
+
 def _box_solve(mu, grid_n, reflect):
     """Box-level part of a solve: h on the support box of the samples of
     mu, with no grid-level P.
@@ -672,13 +703,9 @@ def _box_solve(mu, grid_n, reflect):
     guard, the Neumann iteration runs on the support box of the samples.
     No array of the whole chart is built.
     """
-    half_width = auto_half_width(mu.support_radius)
     if mu.sup_norm >= 0.9:
         raise SolverError("sup_norm >= 0.9 is outside the Neumann regime")
-    kit = _SpectralKit(grid_n, half_width)
-    box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
-    mu_s = _binomial_blur(mu_s)
-    _check_margin(mu_s, kit.nodes(box), half_width, "coefficient support")
+    kit, box, mu_s = margin_checked_samples(mu, grid_n, reflect)
     support = _support_box(mu_s, box)
     # a copy, so that a map keeps no larger base array alive
     mu_s = mu_s[tuple(slice(s.start - b.start, s.stop - b.start)
@@ -690,8 +717,9 @@ def _box_solve(mu, grid_n, reflect):
 def _fd_residual(qc, jump_circles):
     """Beltrami defect |dbar f - mu df| / max|df|, mu the map's samples, on
     the grid nodes inside the margin and more than 3 cells off every jump
-    circle.  It reads its own order-2 partial grids and drops them, so a
-    map that is never inverted keeps none."""
+    circle.  No solve calls it: QuasiconformalMap.residual does, the first
+    time a map's residual is read.  It reads its own order-2 partial grids
+    and drops them, so a map that is never inverted keeps none."""
     dz, dbar = qc.partial_grids()
     res = np.abs(dbar)  # mu vanishes off its support box
     box = qc.support
@@ -713,8 +741,11 @@ def _solve(mu, grid_n, reflect):
     (plane) or a real affine map (half-plane, whose reflection symmetry is
     checked on R) pinning the nodes 0 and 1.  The far field is fitted
     (FAR_FIELD_FIT) through the map's own spline on the circle of radius
-    0.855 half_width (its held-out residual is recorded, not checked), and
-    the residual is the Beltrami defect against the samples off the jumps.
+    0.855 half_width (its held-out residual is recorded, not checked).  The
+    solve computes no residual: the map keeps the jump circles the residual
+    skips (mu's, and for a half-plane solve their mirror images), and its
+    Beltrami defect against the samples off them is computed the first
+    time QuasiconformalMap.residual is read.
     The map's chart f, its samples on their support box and its far field's
     arrays are read-only, so a map that shares them with another cannot
     change it.
@@ -736,7 +767,7 @@ def _solve(mu, grid_n, reflect):
     f -= a
     f /= b - a
     defect = None
-    jumps = list(mu.jump_circles)
+    jumps = mu.jump_circles
     if reflect:
         defect = float(np.max(np.abs(f[:, j0].imag)))
         if defect > 1e-6:
@@ -745,21 +776,20 @@ def _solve(mu, grid_n, reflect):
                 "0.85 half-width")
             raise SolverError(f"reflection symmetry defect {defect:.2e} on R "
                               f"at N = {n}{cut}", sol.trace)
-        jumps += [(np.conj(c), r) for c, r in mu.jump_circles]
+        jumps += tuple((np.conj(c), r) for c, r in mu.jump_circles)
     f.flags.writeable = sol.mu_s.flags.writeable = False
     qc = QuasiconformalMap(
         normalization=Normalization.FIX_ZERO_ONE_INFINITY,
         grid=ComplexGrid(0.0, kit.half_width, f), mu_samples=sol.mu_s,
-        support=sol.box, convergence_ratio=sol.ratio,
+        support=sol.box, jump_circles=jumps, convergence_ratio=sol.ratio,
         iteration_trace=sol.trace, symmetry_defect=defect)
-    del sol  # free the box h before the far field and the residual
+    del sol  # free the box h before the far field
     if not reflect:  # a finite support radius is below the half-width
         qc.conformal_region = (min(mu.support_radius, kit.half_width)
                                + 3 * kit.spacing, math.inf)
     far = qc.far_field = HolomorphicFunction.from_callable_on_circle(
         qc, MARGIN_FRACTION * kit.half_width * 0.95, **FAR_FIELD_FIT)
     far.orders.flags.writeable = far.coeffs.flags.writeable = False
-    qc.residual = _fd_residual(qc, jumps)
     return qc
 
 
@@ -801,7 +831,8 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     transported modulus of Ahlfors-Weill data decays like |w|^-2, and the
     truncation perturbs the map only at higher order after renormalization.
     The disk map is resampled on a grid of min(grid_n, 512) nodes over
-    [-1.25, 1.25]^2.
+    [-1.25, 1.25]^2; its residual is its half-plane map's, computed when
+    first read.
     """
     if mu.domain is not DomainTag.UNIT_DISK:
         raise SolverError("solve_disk expects a unit-disk coefficient")
@@ -820,7 +851,7 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
         conformal_region=None, mu_samples=None,
         convergence_ratio=fu.convergence_ratio,
         iteration_trace=fu.iteration_trace, outer_eval=outer,
-        residual=fu.residual, halfplane_map=fu)
+        halfplane_map=fu)
     return qc
 
 

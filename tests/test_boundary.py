@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,8 +23,8 @@ from teichkit.boundary import (
     welding,
     welding_identity_check,
 )
-from teichkit.domains import HolomorphicFunction, analytic_besov_norm, \
-    cayley_inverse
+from teichkit.domains import ComplexGrid, HolomorphicFunction, \
+    analytic_besov_norm, cayley_inverse
 from teichkit.solver import FAR_FIELD_FIT, NEWTON_TOL, SolverError, \
     _support_box, invert, solve_disk, solve_halfplane, solve_plane
 
@@ -153,6 +154,30 @@ def test_trace_of_a_halfplane_map_reads_its_spline_on_the_line():
                           selfmap.far_field.eval(t.astype(complex)).real)
 
 
+def test_trace_of_a_halfplane_map_holds_no_reference_to_it():
+    # the trace's extension holds the far field, so dropping the map frees
+    # its chart and spline while the trace still reads beyond T
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5))
+    selfmap = solve_halfplane(mu_u, grid_n=128)
+    t = np.array([-40.0, 40.0])
+    far = selfmap.far_field.eval(t.astype(complex)).real
+    tr = boundary_trace(selfmap, n_samples=129)
+    ref = weakref.ref(selfmap)
+    del selfmap
+    assert ref() is None
+    assert np.array_equal(tr.eval(t), far)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 2.5])
+def test_boundary_trace_rejects_too_few_samples(n_samples):
+    # n_samples = 0 raised IndexError deep in the homeomorphism's checks
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5))
+    selfmap = solve_halfplane(mu_u, grid_n=64)
+    for f in (selfmap, HolomorphicFunction([1], [1.0])):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            boundary_trace(f, n_samples=n_samples)
+
+
 # ---------------------------------------------------------------------------
 # Besov seminorms
 
@@ -186,6 +211,15 @@ def test_besov_rejects_small_p():
     u = BoundaryFunction(th, np.exp(1j * th), "circle")
     with pytest.raises(ValueError):
         besov_seminorm(u, 1.0)
+
+
+@pytest.mark.parametrize("levels", [0, -2, 1.5])
+def test_besov_rejects_a_ladder_without_levels(levels):
+    # levels = 0 raised IndexError from the empty ladder
+    th = 2 * np.pi * np.arange(64) / 64
+    u = BoundaryFunction(th, np.exp(1j * th), "circle")
+    with pytest.raises(ValueError, match="besov_seminorm levels must be"):
+        besov_seminorm(u, 2, levels=levels)
 
 
 def _dense_pair_sums(th, v, p, k):
@@ -422,7 +456,7 @@ def test_repeated_welding_reads_its_three_maps_from_the_memo(
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=512)
     assert {k: len(v) for k, v in calls.items()} == {
-        "solve": 3, "fit": 4, "residual": 3, "invert": 2, "spline": 3}
+        "solve": 3, "fit": 4, "residual": 0, "invert": 2, "spline": 3}
     for v in calls.values():
         del v[:]
     again = welding(mu, grid_n=512)
@@ -442,6 +476,94 @@ def test_repeated_welding_reads_its_three_maps_from_the_memo(
     t = np.array([-1e3, -50.0, 50.0, 1e3])
     assert np.array_equal(again.h.eval(t), first.h.eval(t))
     assert welding_identity_check(again) == welding_identity_check(first)
+
+
+def test_welding_computes_no_residual(no_kept_welding, monkeypatch):
+    # a welded map computes its residual only when it is read
+    calls, fd = [], solver._fd_residual
+    monkeypatch.setattr(solver, "_fd_residual",
+                        lambda *a: calls.append(1) or fd(*a))
+    weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=128)
+    assert calls == []
+    assert weld.g_map.residual == fd(weld.g_map, ())
+    assert len(calls) == 1
+
+
+def test_welding_drops_the_selfmap_before_f_mu_is_solved(no_kept_welding,
+                                                         monkeypatch):
+    # self-map, g, f_mu: the self-map is freed once g is solved, so at
+    # most two solved maps are alive during any solve
+    selfmaps, dead, order = [], [], []
+
+    def halfplane(mu, grid_n):
+        order.append("self-map")
+        out = solve_halfplane(mu, grid_n)
+        selfmaps.append(weakref.ref(out))
+        return out
+
+    def plane(mu, grid_n):
+        lower = mu.domain is DomainTag.LOWER_HALF_PLANE
+        order.append("g" if lower else "f_mu")
+        if not lower:
+            dead.append(selfmaps[0]() is None)
+        return solve_plane(mu, grid_n)
+
+    monkeypatch.setattr(boundary, "solve_halfplane", halfplane)
+    monkeypatch.setattr(boundary, "solve_plane", plane)
+    welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=128)
+    assert order == ["self-map", "g", "f_mu"] and dead == [True]
+
+
+def test_welding_traced_peak(no_kept_welding):
+    # the self-map is dropped before f_mu's solve and no residual is
+    # computed: one N = 256 welding traced 14.7 MiB when f_mu was solved
+    # first and every solve took its residual
+    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
+    tracemalloc.start()
+    try:
+        welding(mu, grid_n=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * 2 ** 20
+
+
+def test_welding_rejects_unbounded_support_before_any_solve(
+        no_kept_welding, monkeypatch):
+    # chi_D carried to U fills the half-plane: it used to fail in f_mu's
+    # margin check, and solving the self-map first would fail later
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(SolverError, match="bounded support on U, and this "
+                                          "one's is not: coefficient support "
+                                          "touches the outer 10% margin"):
+        welding(BeltramiCoefficient.constant_disk(0.3, 1.0), grid_n=256)
+    assert solves == []
+
+
+def _disk_grid_coefficient():
+    """mu = 0.25 on |w| < 0.5, as a grid spec on D of half-width 4: its
+    declared support radius, 4 sqrt 2, is infinite on U."""
+    n = 64
+    d = 8.0 / n
+    off = -4.0 + d * np.arange(n)
+    Z = off[:, None] + 1j * off[None, :]
+    vals = np.where(np.abs(Z) < 0.5, 0.25, 0.0)
+    return BeltramiCoefficient.from_grid(ComplexGrid(0.0, 4.0, vals),
+                                         DomainTag.UNIT_DISK)
+
+
+def test_welding_a_disk_grid_whose_samples_stay_off_the_margin(
+        no_kept_welding, monkeypatch):
+    # the declared radius is unbounded on U, but the samples vanish near
+    # the chart's edge: f_mu's margin check passes, and all three maps solve
+    mu = _disk_grid_coefficient()
+    assert cayley(mu).support_radius == math.inf
+    solves = _count_solves(monkeypatch)
+    weld = welding(mu, grid_n=128)
+    assert len(solves) == 3
+    assert np.all(np.diff(weld.h.values) > 0)
+    # coarse: a node of the half-width-16 chart is 0.25 wide at N = 128
+    assert weld.consistency_sup < 0.15
 
 
 def test_welding_at_another_n_is_a_miss(no_kept_welding, monkeypatch):

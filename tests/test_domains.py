@@ -81,6 +81,13 @@ def test_mp_norm_rejects():
         mp_norm(BeltramiCoefficient.zero(DomainTag.PLANE), 2)
 
 
+@pytest.mark.parametrize("levels", [0, -1, 2.0, True])
+def test_mp_norm_rejects_a_ladder_without_levels(levels):
+    # levels = 0 raised UnboundLocalError: no level set the report
+    with pytest.raises(ValueError, match="mp_norm levels must be an integer"):
+        mp_norm(BeltramiCoefficient.constant_disk(0.3, 0.5), 2, levels=levels)
+
+
 @pytest.mark.parametrize("r", [math.nan, -0.5, math.inf])
 def test_constant_disk_rejects_bad_radius(r):
     with pytest.raises(ValueError, match="r must be finite"):

@@ -587,6 +587,29 @@ def test_solve_plane_residual_contract(plane_03_05):
     assert plane_03_05.convergence_ratio <= 0.3 + 0.1
 
 
+def test_residual_is_computed_once_on_first_read(monkeypatch):
+    # a solve computes no residual; the first read computes it from the
+    # kept jump circles and keeps it, and a disk self-map reads its
+    # half-plane map's
+    calls, fd = [], solver._fd_residual
+    monkeypatch.setattr(solver, "_fd_residual",
+                        lambda *a: calls.append(1) or fd(*a))
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    f = solve_plane(mu, grid_n=128)
+    assert calls == [] and f.jump_circles == mu.jump_circles
+    assert f.residual == f.residual == fd(f, mu.jump_circles)
+    assert len(calls) == 1
+    disk = solve_disk(mu, grid_n=128)
+    assert len(calls) == 1 and disk.jump_circles is None
+    fu = disk.halfplane_map
+    assert fu.jump_circles == (*cayley(mu).jump_circles,
+                               *((np.conj(c), r)
+                                 for c, r in cayley(mu).jump_circles))
+    assert disk.residual == fu.residual == disk.residual
+    assert len(calls) == 2
+    assert identity_map().residual == 0.0 and len(calls) == 2
+
+
 def test_solve_plane_rejects_large_sup_norm():
     mu = BeltramiCoefficient(DomainTag.UNIT_DISK,
                              lambda z: np.full_like(z, 0.95), 0.5, 0.95)
