@@ -346,12 +346,24 @@ def _inverse_coefficient(selfmap, sup_norm):
     SUPPORT_GROWTH nodes), and 0 elsewhere, where the exact dilatation is
     0.  Only the zeta inside the bounding box of f^mu(S) are inverted, and
     that box sets nu's support radius; mu = 0 gives nu = 0 with no
-    inversion.  nu holds the self-map for as long as it is alive.
+    inversion.
+    nu is evaluated once: g's solve samples it on one node square
+    (sample_coefficient; nu declares no jump circle, so no cell is
+    supersampled).  That evaluation takes the self-map and its inverse out
+    of the one slot that holds them, so the self-map is freed once nu is
+    sampled, before g's Neumann iteration starts; a later evaluation raises
+    SolverError.  (With mu = 0 on L nu's support radius is 0, so it is never
+    evaluated and holds the self-map until it is dropped.)
     """
-    inv_self = invert(selfmap)
     rect, image = _solved_support(selfmap) or (None, None)
+    held = [(selfmap, invert(selfmap))]
 
     def mu_bar_inv(zeta):
+        if not held:
+            raise SolverError(
+                "g's coefficient is evaluated once, on the node square its "
+                "solve samples, and has dropped the self-map since")
+        qc, inv_self = held.pop()
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         out = np.zeros(zeta.shape, dtype=complex)
         inside = _in_rect(zeta, *image) if image else False
@@ -361,7 +373,7 @@ def _inverse_coefficient(selfmap, sup_norm):
         in_s = _in_rect(v, *rect)
         nu = np.zeros(v.shape, dtype=complex)
         if in_s.any():
-            dz, dbar = selfmap.partials_at(v[in_s])
+            dz, dbar = qc.partials_at(v[in_s])
             dz = np.where(np.abs(dz) < 1e-14, 1.0, dz)
             nu_c = dbar / dz
             nu[in_s] = -nu_c * (dz / np.conj(dz))
@@ -394,12 +406,12 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     infinite, as that of a disk grid spanning the disk is, f_mu's margin
     check is run on its samples before any solve, and a coefficient that
     reaches the margin raises SolverError there.
-    The maps are solved in the order self-map, g, f_mu, so that at most two
-    solved maps are alive during any solve.  The self-map's boundary trace
-    is read first (it holds the self-map's far field, not the map), then nu,
-    which holds the self-map until g is solved; the self-map is dropped
-    before f_mu's solve starts.  No solve computes a residual, and the
-    welding reads none.
+    The maps are solved in the order self-map, g, f_mu.  The self-map's
+    boundary trace is read first (it holds the self-map's far field, not
+    the map), then nu, which holds the self-map until g's solve samples it:
+    the self-map is freed there, so g's Neumann iteration and P run with no
+    other solved map alive, and f_mu's solve with g alone.  No solve
+    computes a residual, and the welding reads none.
     On [-T_BOUNDARY, T_BOUNDARY] h is sampled by Newton inversion through g.
     Beyond it h is analytic, h(z) = z + c0 + c1/z + ..., and is evaluated
     from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
@@ -432,7 +444,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     selfmap = solve_halfplane(mu_u, grid_n=grid_n)
     trace = boundary_trace(selfmap, n_samples=1025)
     nu = _inverse_coefficient(selfmap, mu_u.sup_norm)
-    del selfmap  # nu holds it until g is solved
+    del selfmap  # nu holds it until g's solve samples nu
     g = solve_plane(nu, grid_n=grid_n)
     del nu
     f_mu = solve_plane(mu_u, grid_n=grid_n)
@@ -586,7 +598,10 @@ def ba_extend(h: BoundaryHomeomorphism) -> BeltramiCoefficient:
     without changing any value.  Kernel edges beyond h's sampled window
     read h's extension; for a welding map that is its certified far-field
     Laurent series, so large heights and |x| cost no Newton inversion.
+    Circle data raise DomainError before any evaluation.
     """
+    if h.domain != "line":
+        raise DomainError(f"ba_extend extends line data, not {h.domain} data")
     dv = 2 * _GAUSS_CUTOFF / (_GAUSS_NODES - 1)
     edges = np.linspace(-_GAUSS_CUTOFF - dv / 2, _GAUSS_CUTOFF + dv / 2,
                         _GAUSS_NODES + 1)

@@ -21,9 +21,11 @@ real DCT-I and DST-I transforms, a block of rows at a time
 (_box_multiplier), so a box solve builds no array of the whole chart, the
 padded torus or the quarter.
 P is applied once, on the full padded torus, with the same pruned
-transforms, its symbol built a block of rows at a time and the torus
-freed before the result is corrected, so no array of the torus outlives
-the call.  Relative to the free-plane
+transforms, to h on its support box: the forward transform places the
+box's nonzero columns on the torus itself, so no array of the chart holds
+h.  Its symbol is built a block of rows at a time and the torus freed
+before the result is corrected, so no array of the torus outlives the
+call.  Relative to the free-plane
 kernel 1/(pi u), the periodic P kernel carries a background term
 -conj(u)/A and a cubic Weierstrass-series term (Eisenstein constant G4);
 both are restored from moments of h, after which the closed-form test maps
@@ -40,8 +42,9 @@ A solve has two parts.  The box-level part (_box_solve) picks the chart
 (auto_half_width), samples mu and runs the Neumann iteration; it returns h
 and the samples on their support box, which is all the Bers map reads (the
 moments of h).  The grid-level part (_solve, the body of solve_plane and
-solve_halfplane) scatters h alone onto the chart, applies P on the full
-padded torus and normalizes; the samples stay on the support box.  Every
+solve_halfplane) applies P to h on its support box, which the transform
+places on the full padded torus, and normalizes; the samples stay on the
+support box.  Every
 call solves afresh: a solve keeps nothing once its map is dropped.  A
 solve computes no Beltrami residual; a map computes its own the first time
 it is read (QuasiconformalMap.residual).
@@ -62,6 +65,7 @@ from .domains import (
     ComplexGrid,
     DomainTag,
     HolomorphicFunction,
+    _check_count,
     cayley,
     cayley_inverse,
     cayley_map,
@@ -138,15 +142,21 @@ def _cauchy_symbol(W):
     return mult
 
 
-def _fft2_padded(h, shape):
-    """fft2(h, s=shape): axis 0 over the columns of h from its first to its
-    last one holding a nonzero value (the others transform to zero), then
-    axis 1 over every row of the torus."""
+def _fft2_padded(h, shape, at=(0, 0)):
+    """fft2 of h placed on the torus of shape with its first node at node
+    at (row, column) and zeros elsewhere: axis 0 over the torus columns
+    that hold the columns of h from its first to its last one holding a
+    nonzero value (the others transform to zero), then axis 1 over every
+    row of the torus.  Those columns are zero-padded to the torus in one
+    array that the axis-0 pass overwrites, as fft(x, n) pads x itself."""
     spec = np.zeros(shape, dtype=complex)
     cols = np.flatnonzero(h.any(axis=0))
     if cols.size:
-        cols = slice(cols[0], cols[-1] + 1)
-        spec[:, cols] = sfft.fft(h[:, cols], n=shape[0], axis=0)
+        (a, b), cols = at, slice(cols[0], cols[-1] + 1)
+        lines = np.zeros((shape[0], cols.stop - cols.start), dtype=h.dtype)
+        lines[a:a + h.shape[0]] = h[:, cols]
+        spec[:, b + cols.start:b + cols.stop] = sfft.fft(lines, axis=0,
+                                                         overwrite_x=True)
     return sfft.fft(spec, axis=1, overwrite_x=True)
 
 
@@ -202,21 +212,27 @@ class _SpectralKit:
         spec *= mult
         return _ifft2_cropped(spec, *h.shape)
 
-    def spectral(self, h, symbol):
-        """symbol(W) on the padded torus, W = wx + i wy its wavenumbers, h
-        zero-padded to it; the result is cropped to h's shape and copied
-        out, so the torus is freed on return.  It transforms the lines
-        apply does, bit-exact to fft2 and ifft2 for the same reason: only
-        the columns of h that hold a nonzero value go through the forward
-        axis-0 pass, and only h's rows through the inverse axis-1 pass."""
+    def spectral(self, h, symbol, box=None):
+        """symbol(W) on the padded torus, W = wx + i wy its wavenumbers, of
+        h given on the chart nodes at box (row and column slices; by
+        default the whole chart) and zero off them, placed on the torus
+        here; the result is cropped to the chart and copied out, so the
+        torus is freed on return (by astype: a copy keeps the dtype
+        instance of scipy.fft's in-place output, which
+        np.asarray(x, dtype=complex) wraps in a view).  It transforms the lines apply does,
+        bit-exact to fft2 and ifft2 of h on the chart for the same reason:
+        only the torus columns that hold a nonzero column of h go through
+        the forward axis-0 pass, and only the chart's rows through the
+        inverse axis-1 pass."""
         m = self.pad * self.n
         w = 2.0 * np.pi * sfft.fftfreq(m, d=self.spacing)
-        spec = _fft2_padded(h, (m, m))
+        at = (0, 0) if box is None else (box[0].start, box[1].start)
+        spec = _fft2_padded(h, (m, m), at)
         for start in range(0, m, SYMBOL_ROWS):
             rows = slice(start, start + SYMBOL_ROWS)
             # spec first (numpy's elision order); a * b and b * a round apart
             spec[rows] *= symbol(w[rows, None] + 1j * w[None, :])
-        return _ifft2_cropped(spec, *h.shape).copy()
+        return _ifft2_cropped(spec, self.n, self.n).astype(complex)
 
     def beurling(self, h):
         return self.spectral(h, _beurling_symbol)
@@ -229,14 +245,15 @@ class _SpectralKit:
                 (Z * Z * Z * hb).sum(), (np.conj(Z) * hb).sum())
 
     def cauchy(self, h, box):
-        """Padded-spectral P of the chart array h plus the lattice moment
-        corrections; h vanishes off the grid nodes at box."""
-        out = self.spectral(h, _cauchy_symbol)
+        """Padded-spectral P, on the whole chart, of h given on the grid
+        nodes at box and vanishing off them, plus the lattice moment
+        corrections, added in place.  No array of the chart holds h."""
+        out = self.spectral(h, _cauchy_symbol, box)
         Z = self.Z
-        m0, m1, m2, m3, mc = self.moments(box, h[box])
-        out = out + (m0 * np.conj(Z) - mc) / self.torus_area
+        m0, m1, m2, m3, mc = self.moments(box, h)
+        out += (m0 * np.conj(Z) - mc) / self.torus_area
         c4 = G4_SQUARE / (np.pi * self.torus_area ** 2)
-        out = out + c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
+        out += c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
         return out
 
 
@@ -683,7 +700,10 @@ def margin_checked_samples(mu, grid_n, reflect=False):
     """(kit, box, samples) of mu as a solve reads them: sampled on the
     node square of its chart (auto_half_width) that holds its support
     (sample_coefficient), given one binomial blur, and checked against the
-    chart's outer 10% margin (SolverError when they reach it)."""
+    chart's outer 10% margin (SolverError when they reach it).  A grid_n
+    that is not an integer of at least 1 raises ValueError naming it, before
+    anything divides by it."""
+    _check_count("grid_n", grid_n)
     half_width = auto_half_width(mu.support_radius)
     kit = _SpectralKit(grid_n, half_width)
     box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
@@ -736,8 +756,9 @@ def _fd_residual(qc, jump_circles):
 def _solve(mu, grid_n, reflect):
     """Body of solve_plane (reflect=False) and solve_halfplane (reflect=True).
 
-    h (_box_solve) is scattered onto the chart for P on the full padded
-    torus, and z + P[h] is normalized in place by a complex affine map
+    P is applied to h (_box_solve) on its support box, which
+    _SpectralKit.cauchy places on the full padded torus, so no array of the
+    chart holds h; z + P[h] is normalized in place by a complex affine map
     (plane) or a real affine map (half-plane, whose reflection symmetry is
     checked on R) pinning the nodes 0 and 1.  The far field is fitted
     (FAR_FIELD_FIT) through the map's own spline on the circle of radius
@@ -753,10 +774,7 @@ def _solve(mu, grid_n, reflect):
     sol = _box_solve(mu, grid_n, reflect)
     kit = sol.kit
     n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)
-    h = np.zeros((n, n), dtype=complex)
-    h[sol.box] = sol.h
-    f = kit.cauchy(h, sol.box)
-    del h  # P read h: free it before the chart nodes
+    f = kit.cauchy(sol.h, sol.box)
     f += kit.Z
     i0, i1 = (round((x + kit.half_width) / kit.spacing) for x in (0.0, 1.0))
     if np.abs(kit.nodes(([i0, i1], [j0]))[:, 0] - (0.0, 1.0)).max() > 1e-9:

@@ -160,6 +160,12 @@ def test_bers_map_zero():
     assert np.abs(pt.bers_image.eval(Z32)).max() == 0.0
 
 
+@pytest.mark.parametrize("grid_n", [0, -4, 2.5])
+def test_bers_map_rejects_a_bad_grid_size(mu_03_05, grid_n):
+    with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+        bers_map(mu_03_05, grid_n=grid_n)
+
+
 def test_bers_map_closed_form(mu_03_05):
     pt = bers_map(mu_03_05, grid_n=TEST_GRID_N)
     want = exact.bers_image(0.3, 0.5).eval(Z32)

@@ -528,6 +528,61 @@ def test_welding_traced_peak(no_kept_welding):
     assert peak < 12.5 * 2 ** 20
 
 
+def test_welding_frees_the_selfmap_once_g_has_sampled_nu(no_kept_welding,
+                                                        monkeypatch):
+    # nu's one evaluation drops the self-map: it is dead when g's Neumann
+    # iteration starts, and so when f_mu's does
+    selfmaps, alive, neumann = [], [], solver._neumann
+
+    def halfplane(mu, grid_n):
+        out = solve_halfplane(mu, grid_n)
+        selfmaps.append(weakref.ref(out))
+        return out
+
+    def iterate(kit, mu_b):
+        if selfmaps:
+            alive.append(selfmaps[0]() is not None)
+        return neumann(kit, mu_b)
+
+    monkeypatch.setattr(boundary, "solve_halfplane", halfplane)
+    monkeypatch.setattr(solver, "_neumann", iterate)
+    welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=128)
+    assert alive == [False, False]
+
+
+def test_inverse_coefficient_is_evaluated_once():
+    # a second evaluation has no self-map to read and says so
+    selfmap = solve_halfplane(
+        cayley(BeltramiCoefficient.constant_disk(0.2, 0.5)), 128)
+    nu = boundary._inverse_coefficient(selfmap, 0.2)
+    zeta = np.array([-1j, 0.3 - 1j, 3.0 - 3.0j])
+    first = nu.eval(zeta)
+    assert first[0] != 0.0 and first[2] == 0.0
+    with pytest.raises(SolverError, match="evaluated once"):
+        nu.eval(zeta)
+
+
+def test_welding_traced_peak_with_the_selfmap_freed_at_sampling(
+        no_kept_welding):
+    # the self-map is freed once g's solve has sampled nu, and P reads h on
+    # its box: one N = 256 welding at (0.15, 0.4) traced 10.99 MiB when the
+    # self-map lived through g's solve and P read h as a chart array
+    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
+    tracemalloc.start()
+    try:
+        welding(mu, grid_n=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("grid_n", [0, -4, 2.5])
+def test_welding_rejects_a_bad_grid_size(no_kept_welding, grid_n):
+    with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+        welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=grid_n)
+
+
 def test_welding_rejects_unbounded_support_before_any_solve(
         no_kept_welding, monkeypatch):
     # chi_D carried to U fills the half-plane: it used to fail in f_mu's
@@ -777,6 +832,17 @@ def test_ba_extend_rejects_degenerate():
     h = line_homeo(lambda x: x + 500.0 * np.tanh(x / 1e-4))
     with pytest.raises(SolverError):
         ba_extend(h)
+
+
+def test_ba_extend_rejects_circle_data_before_any_evaluation():
+    # it used to evaluate the circle data on the line and report |mu|
+    # reaching 1.465 as a failure of quasiconformality
+    trace = boundary_trace(HolomorphicFunction([1], [1.0]))
+    reads = []
+    trace.eval = lambda t: reads.append(1) or BoundaryFunction.eval(trace, t)
+    with pytest.raises(DomainError, match="line data, not circle data"):
+        ba_extend(trace)
+    assert reads == []
 
 
 def test_ba_extend_matches_continuous_gaussian_extension():

@@ -90,7 +90,8 @@ def indicator_disk_samples(n=512, L=4.0, r=1.0):
 def cauchy(h, n, L):
     """P[h] on the chart of n nodes and half-width L, as a solve applies
     it."""
-    return _SpectralKit(n, L).cauchy(h, solver._support_box(h))
+    box = solver._support_box(h)
+    return _SpectralKit(n, L).cauchy(h[box], box)
 
 
 def test_cauchy_zero():
@@ -132,6 +133,56 @@ def test_cauchy_moments_on_the_box_match_full_grid_sums():
             for w in (1.0, Z, Z * Z, Z * Z * Z, np.conj(Z))]
     for got, want in zip(kit.moments(box, h[box]), full):
         assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _chart_array_cauchy(kit, h, box):
+    """Reference: P as the solver applied it to the chart array h, zero off
+    the nodes at box: the forward pass over h's columns from its first to
+    its last nonzero one, each zero-padded to the torus."""
+    m = kit.pad * kit.n
+    w = 2.0 * np.pi * scipy.fft.fftfreq(m, d=kit.spacing)
+    spec = np.zeros((m, m), dtype=complex)
+    cols = np.flatnonzero(h.any(axis=0))
+    if cols.size:
+        cols = slice(cols[0], cols[-1] + 1)
+        spec[:, cols] = scipy.fft.fft(h[:, cols], n=m, axis=0)
+    spec = scipy.fft.fft(spec, axis=1, overwrite_x=True)
+    for start in range(0, m, solver.SYMBOL_ROWS):
+        rows = slice(start, start + solver.SYMBOL_ROWS)
+        spec[rows] *= solver._cauchy_symbol(w[rows, None] + 1j * w[None, :])
+    out = solver._ifft2_cropped(spec, *h.shape).copy()
+    Z = kit.Z
+    m0, m1, m2, m3, mc = kit.moments(box, h[box])
+    out = out + (m0 * np.conj(Z) - mc) / kit.torus_area
+    c4 = solver.G4_SQUARE / (np.pi * kit.torus_area ** 2)
+    out = out + c4 * (m0 * Z ** 3 - 3 * m1 * Z ** 2 + 3 * m2 * Z - m3)
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_cauchy_of_box_data_is_the_chart_array_path(rng, n):
+    # h handed over on its box and placed on the torus by the transform:
+    # zero data, odd and rectangular boxes (one with zero edge columns),
+    # boxes at each edge of the chart, and the whole chart
+    kit = _SpectralKit(n, 4.0)
+    boxes = [((slice(5, 6), slice(9, 10)), 0.0),
+             ((slice(11, 28), slice(20, 37)), 1.0),
+             ((slice(3, 12), slice(30, 61)), 1.0),
+             ((slice(14, 45), slice(8, 17)), 1.0),
+             ((slice(0, 9), slice(n - 13, n)), 1.0),
+             ((slice(n - 7, n), slice(0, 21)), 1.0),
+             ((slice(0, n), slice(0, n)), 1.0)]
+    for box, scale in boxes:
+        shape = tuple(s.stop - s.start for s in box)
+        h_box = scale * (rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
+        if shape[1] > 8:
+            h_box[:, :2] = h_box[:, -3:] = 0.0
+        h = np.zeros((n, n), dtype=complex)
+        h[box] = h_box
+        got = kit.cauchy(h_box, box)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, _chart_array_cauchy(kit, h, box))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +267,8 @@ def test_spectral_kit_keeps_no_torus_array(rng):
     n = 64
     kit = solver._SpectralKit(n, 4.0, 2)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for out in (kit.cauchy(h, solver._support_box(h)), kit.beurling(h)):
+    box = solver._support_box(h)
+    for out in (kit.cauchy(h[box], box), kit.beurling(h)):
         assert out.base is None
     assert kit.Z.shape == (n, n)
     solve_disk(BeltramiCoefficient.constant_disk(0.3, 0.5), n)
@@ -615,6 +667,19 @@ def test_solve_plane_rejects_large_sup_norm():
                              lambda z: np.full_like(z, 0.95), 0.5, 0.95)
     with pytest.raises(SolverError):
         solve_plane(mu, grid_n=64)
+
+
+@pytest.mark.parametrize("grid_n", [0, -4, 2.5, True])
+@pytest.mark.parametrize("solve", ["plane", "halfplane", "disk"])
+def test_solves_reject_a_bad_grid_size(solve, grid_n):
+    # they used to fail deep in numpy: ZeroDivisionError at 0, a reduction
+    # over an empty array at -4 and a TypeError about slices at 2.5
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    solve, mu = {"plane": (solve_plane, mu),
+                 "halfplane": (solve_halfplane, cayley(mu)),
+                 "disk": (solve_disk, mu)}[solve]
+    with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+        solve(mu, grid_n=grid_n)
 
 
 def test_solve_plane_support_margin():
