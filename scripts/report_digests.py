@@ -19,11 +19,8 @@ report is digested, and a command whose report is an error is marked
 FAILED.  A run takes about 35 s on a 2-core x86 VM.
 
 The commands run in one process, in the order listed, and `verify-all`
-runs last.  teichkit keeps the last welding in the process, so `besov`,
-`extend`, `characterize` and `roundtrip` read the whole welding that
-`weld` left at the same point (h, its checks, f_mu and g).  A diff across
-two trees that keep different results therefore also compares one tree's
-kept results with the other's fresh solves.
+runs last.  Each of `weld`, `besov`, `extend`, `characterize` and
+`roundtrip` welds afresh: nothing is kept from one command to the next.
 """
 
 from __future__ import annotations

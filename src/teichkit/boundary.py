@@ -28,11 +28,10 @@ honestly; affine h yields mu = 0 identically.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +89,9 @@ class BoundaryFunction:
         self.values = np.asarray(values)
         if self.params.ndim != 1 or self.params.shape != self.values.shape:
             raise ValueError("params and values must be aligned 1-d arrays")
+        for name, arr in (("params", self.params), ("values", self.values)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"boundary data {name} must be finite")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("parameters must be strictly increasing")
         if domain not in ("circle", "line"):
@@ -387,11 +389,6 @@ def _inverse_coefficient(selfmap, sup_norm):
         DomainTag.LOWER_HALF_PLANE, mu_bar_inv, reach, sup_norm)
 
 
-# (key, parts) of the last welding of a coefficient with a cache token:
-# key is (its half-plane token, N), parts what _welded builds a result from
-_last_welding = None, None
-
-
 def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     """Conformal welding h = g^-1 o f_mu on R of a half-plane coefficient.
 
@@ -417,14 +414,8 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     from a Laurent series fitted once on |z| = T_BOUNDARY (FAR_FIELD_FIT);
     SolverError when its held-out residual, the miss against g^-1 o f_mu
     on the midpoints between the fit points, exceeds NEWTON_TOL.
-    The last welding of a coefficient with a cache token is kept
-    (_last_welding, a memo of one entry) under its half-plane token and N,
-    f_mu and g with their charts but no spline or partials; a request for
-    that key gets its own h and maps over the read-only arrays, so it
-    solves, inverts and fits nothing.  Any other request drops the kept
-    welding before it solves.
+    Nothing is kept once the result is returned: a repeat solves again.
     """
-    global _last_welding
     mu_u = _to_halfplane(mu)
     if not math.isfinite(mu_u.support_radius):
         # the self-map truncates unbounded support and f_mu, solved last,
@@ -436,11 +427,6 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
                 "welding needs a coefficient with bounded support on U, and "
                 f"this one's is not: {err} (a disk coefficient's support is "
                 "unbounded on U when it reaches the unit circle)") from None
-    key = None if mu_u.cache_token is None else (mu_u.cache_token, grid_n)
-    if key is not None and key == _last_welding[0]:
-        f_mu, g, *rest = _last_welding[1]
-        return _welded(_own(f_mu), _own(g), *rest)
-    _last_welding = None, None
     selfmap = solve_halfplane(mu_u, grid_n=grid_n)
     trace = boundary_trace(selfmap, n_samples=1025)
     nu = _inverse_coefficient(selfmap, mu_u.sup_norm)
@@ -470,21 +456,7 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
             f"> {NEWTON_TOL:.0e})")
     x.flags.writeable = hx.flags.writeable = False
     far.orders.flags.writeable = far.coeffs.flags.writeable = False
-    if key is not None:
-        _last_welding = key, (_own(f_mu), _own(g), x, hx, far, consistency,
-                              imag_defect)
-    return _welded(f_mu, g, x, hx, far, consistency, imag_defect)
 
-
-def _own(qc):
-    """qc over the same read-only arrays, with no spline or partials."""
-    return replace(qc, grid=copy.copy(qc.grid), _spline=None, _partials=None,
-                   far_field=copy.copy(qc.far_field),
-                   iteration_trace=list(qc.iteration_trace))
-
-
-def _welded(f_mu, g, x, hx, far, consistency, imag_defect):
-    """welding's result, h read as hx at x and through far beyond them."""
     def h_far(t):
         return far.eval(t).real
 

@@ -17,9 +17,8 @@ and criterion 1's runtime_s).  Coefficients arrive as JSON specs:
 {"kind": "table", ...}; a config key the command does not read is rejected,
 as is a spec field its kind does not read.  A failed run reports
 the failing stage, the exception type and its message under
-reports["error"].  The last welding is kept in the process, so a weld,
-besov, extend, characterize or roundtrip run at the coefficient and N of
-the run before it solves nothing again.
+reports["error"].  Nothing is kept between runs: each run that welds
+solves its own maps.
 """
 
 from __future__ import annotations

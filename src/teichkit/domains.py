@@ -205,9 +205,10 @@ class ComplexGrid:
             raise ValueError(
                 f"grid half_width must be a positive number, got {hw!r}")
         if not isinstance(center, (list, tuple)) or len(center) != 2 \
-                or not all(isinstance(c, (int, float)) for c in center):
-            raise ValueError(f"grid center must be an [x, y] pair, "
-                             f"got {center!r}")
+                or not all(isinstance(c, (int, float)) and math.isfinite(c)
+                           for c in center):
+            raise ValueError(f"grid center must be an [x, y] pair of finite "
+                             f"numbers, got {center!r}")
         return cls(center=center[0] + 1j * center[1], half_width=hw,
                    values=(pairs[0::2] + 1j * pairs[1::2]).reshape(n, n))
 
@@ -225,14 +226,15 @@ class BeltramiCoefficient:
     samples there and excludes them from residual measurements.
     """
 
+    cache_token = None  # read only by perfbench's tracer
+
     def __init__(self, domain, func, support_radius, sup_norm, jump_circles=(),
-                 cache_token=None, meta=None):
+                 meta=None):
         self.domain = DomainTag(domain)
         self._func = func
         self.support_radius = float(support_radius)
         self.sup_norm = float(sup_norm)
         self.jump_circles = tuple((complex(c), float(r)) for c, r in jump_circles)
-        self.cache_token = cache_token
         self.meta = dict(meta or {})
         if not self.sup_norm < 1.0:
             raise ValueError(f"sup_norm must be < 1, got {self.sup_norm}")
@@ -267,8 +269,7 @@ class BeltramiCoefficient:
 
     @classmethod
     def zero(cls, domain=DomainTag.UNIT_DISK):
-        return cls(domain, lambda z: np.zeros_like(z), 0.0, 0.0,
-                   cache_token="zero")
+        return cls(domain, lambda z: np.zeros_like(z), 0.0, 0.0)
 
     @classmethod
     def constant_disk(cls, k, r, domain=DomainTag.UNIT_DISK):
@@ -284,7 +285,6 @@ class BeltramiCoefficient:
             return np.where(np.abs(z) < r, k, 0.0)
 
         return cls(domain, f, r, abs(k), jump_circles=((0.0, r),),
-                   cache_token=f"constant_disk:{k!r}:{r!r}:{DomainTag(domain).value}",
                    meta={"kind": "constant_disk", "k": k, "r": r})
 
     @classmethod
@@ -340,9 +340,7 @@ class BeltramiCoefficient:
             raise ValueError("scaling would push sup_norm to 1")
         return BeltramiCoefficient(
             self.domain, lambda z, s=c: s * self._func(z), self.support_radius,
-            abs(c) * self.sup_norm, self.jump_circles,
-            cache_token=None if self.cache_token is None
-            else f"scaled:{c!r}:{self.cache_token}")
+            abs(c) * self.sup_norm, self.jump_circles)
 
     # fields each coefficient spec kind must carry, and those it may carry
     # besides
@@ -846,14 +844,12 @@ def _cayley_beltrami(obj: BeltramiCoefficient):
         image = cayley_inverse
         new_domain = DomainTag.UNIT_DISK
         new_radius = 1.0
-        tag = "HalfPlaneToDisk"
     elif obj.domain is DomainTag.UNIT_DISK:
         M, dM = cayley_inverse, lambda w: 2j / (w + 1j) ** 2
         image = cayley_map
         new_domain = DomainTag.UPPER_HALF_PLANE
         r = min(obj.support_radius, 1.0)
         new_radius = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
-        tag = "DiskToHalfPlane"
     else:
         raise DomainError(f"cayley carries coefficients on D or U, not on "
                           f"{obj.domain.value}")
@@ -867,9 +863,8 @@ def _cayley_beltrami(obj: BeltramiCoefficient):
         d = dM(z)
         return obj.eval(w) * np.conj(d) / d
 
-    tok = None if obj.cache_token is None else f"cayley:{tag}:{obj.cache_token}"
     return BeltramiCoefficient(new_domain, f, new_radius, obj.sup_norm,
-                               jump_circles=jumps, cache_token=tok, meta=obj.meta)
+                               jump_circles=jumps, meta=obj.meta)
 
 
 @cayley.register

@@ -31,10 +31,10 @@ def test_criterion(check):
 
 
 def test_roundtrip_check_reads_the_welding_check_welded(monkeypatch):
-    # criterion 9 welds the coefficient and N that criterion 7 welds just
-    # before it, so in one process it is served the kept welding whole:
-    # no plane or half-plane solve and no Newton inversion
-    monkeypatch.setattr(boundary, "_last_welding", (None, None))
+    # criteria 7 and 9 share one welding of 0.2 chi_{0.5D} at N = 512:
+    # criterion 9 reads its h, with no plane or half-plane solve and no
+    # Newton inversion
+    verification._welded_02.cache_clear()
     assert verification.check_7_welding().passed
     calls, solve, invert = [], solver._solve, solver.invert
     monkeypatch.setattr(solver, "_solve", lambda *a, **kw: calls.append(

@@ -56,6 +56,20 @@ def test_boundary_function_requires_monotone_params():
         BoundaryFunction([0.0, 0.0, 1.0], [1, 2, 3])
 
 
+@pytest.mark.parametrize("params, values, name", [
+    ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], "params"),
+    ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0], "params"),
+    ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0], "values"),
+    ([0.0, 1.0, 2.0], [0.0, complex(1.0, math.inf), 2.0], "values"),
+], ids=["nan_param", "inf_param", "nan_value", "inf_complex_value"])
+def test_boundary_function_rejects_non_finite_data(params, values, name):
+    # a NaN parameter passed the monotonicity check, whose comparisons are
+    # False on NaN, and eval(0.5) read nan
+    with pytest.raises(ValueError, match=f"boundary data {name} must be "
+                                         "finite"):
+        BoundaryFunction(params, values)
+
+
 @pytest.mark.parametrize("domain", ["Line", "disk", None])
 def test_boundary_function_rejects_an_unknown_domain(domain):
     # an unknown domain neither wrapped nor raised, and np.interp clamped:
@@ -411,13 +425,6 @@ def test_welding_g_coefficient_vanishes_off_the_solved_support(weld_02):
     assert max(s.stop - s.start for s in g.support) <= 140
 
 
-@pytest.fixture
-def no_kept_welding(monkeypatch):
-    """No welding kept when the test starts; the kept one is restored
-    after it."""
-    monkeypatch.setattr(boundary, "_last_welding", (None, None))
-
-
 def _count_solves(monkeypatch):
     """A list that gets one entry per plane or half-plane solve."""
     solves, solve = [], solver._solve
@@ -426,19 +433,17 @@ def _count_solves(monkeypatch):
     return solves
 
 
-def test_welding_keeps_partial_grids_only_on_inverted_maps(no_kept_welding):
-    # g is inverted for h; f_mu is only evaluated, so it keeps no grids.  A
-    # kept welding inverts nothing: the welding must not be kept
+def test_welding_keeps_partial_grids_only_on_inverted_maps():
+    # g is inverted for h; f_mu is only evaluated, so it keeps no grids
     weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=256)
     assert weld.f_map._partials is None
     assert weld.g_map._partials is not None
 
 
-def test_repeated_welding_reads_its_three_maps_from_the_memo(
-        no_kept_welding, monkeypatch):
-    # welding keeps its last result under (mu's half-plane token, N): a
-    # repeat solves no map, fits nothing, takes no residual, inverts no map
-    # and prefilters no spline
+def test_welding_solves_fits_and_inverts_a_counted_number_of_times(
+        monkeypatch):
+    # three solves, no residual, g inverted for h and again for the far
+    # field's fit, three splines and four circle fits
     fit = HolomorphicFunction.from_callable_on_circle.__func__
     calls = {name: [] for name in ("fit", "residual", "invert", "spline")}
 
@@ -453,32 +458,31 @@ def test_repeated_welding_reads_its_three_maps_from_the_memo(
     monkeypatch.setattr(boundary, "invert", count("invert", invert))
     monkeypatch.setattr(solver.ndimage, "spline_filter",
                         count("spline", solver.ndimage.spline_filter))
-    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    first = welding(mu, grid_n=512)
+    welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=512)
     assert {k: len(v) for k, v in calls.items()} == {
         "solve": 3, "fit": 4, "residual": 0, "invert": 2, "spline": 3}
-    for v in calls.values():
-        del v[:]
-    again = welding(mu, grid_n=512)
-    assert all(v == [] for v in calls.values())
-    assert again.h is not first.h
-    assert np.array_equal(again.h.params, first.h.params)
+
+
+def test_repeated_welding_solves_its_three_maps_again(monkeypatch):
+    # welding keeps nothing: a repeat solves all three maps again, and
+    # yields the same h
+    solves = _count_solves(monkeypatch)
+    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
+    first = welding(mu, grid_n=64)
+    assert len(solves) == 3
+    again = welding(mu, grid_n=64)
+    assert len(solves) == 6
     assert np.array_equal(again.h.values, first.h.values)
-    assert again.consistency_sup == first.consistency_sup
-    assert again.imag_defect == first.imag_defect
-    for a, b in ((again.f_map, first.f_map), (again.g_map, first.g_map)):
-        assert a is not b and a.residual == b.residual
-        assert a.grid is not b.grid and a.grid.values is b.grid.values
-        assert a.far_field is not b.far_field
-        assert np.array_equal(a.far_field.orders, b.far_field.orders)
-        assert np.array_equal(a.far_field.coeffs, b.far_field.coeffs)
-        assert a.far_field.heldout_residual == b.far_field.heldout_residual
-    t = np.array([-1e3, -50.0, 50.0, 1e3])
-    assert np.array_equal(again.h.eval(t), first.h.eval(t))
-    assert welding_identity_check(again) == welding_identity_check(first)
 
 
-def test_welding_computes_no_residual(no_kept_welding, monkeypatch):
+def test_welding_keeps_no_map_once_its_result_is_dropped():
+    weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=64)
+    chart = weakref.ref(weld.f_map.grid.values)
+    del weld
+    assert chart() is None
+
+
+def test_welding_computes_no_residual(monkeypatch):
     # a welded map computes its residual only when it is read
     calls, fd = [], solver._fd_residual
     monkeypatch.setattr(solver, "_fd_residual",
@@ -489,8 +493,7 @@ def test_welding_computes_no_residual(no_kept_welding, monkeypatch):
     assert len(calls) == 1
 
 
-def test_welding_drops_the_selfmap_before_f_mu_is_solved(no_kept_welding,
-                                                         monkeypatch):
+def test_welding_drops_the_selfmap_before_f_mu_is_solved(monkeypatch):
     # self-map, g, f_mu: the self-map is freed once g is solved, so at
     # most two solved maps are alive during any solve
     selfmaps, dead, order = [], [], []
@@ -514,7 +517,7 @@ def test_welding_drops_the_selfmap_before_f_mu_is_solved(no_kept_welding,
     assert order == ["self-map", "g", "f_mu"] and dead == [True]
 
 
-def test_welding_traced_peak(no_kept_welding):
+def test_welding_traced_peak():
     # the self-map is dropped before f_mu's solve and no residual is
     # computed: one N = 256 welding traced 14.7 MiB when f_mu was solved
     # first and every solve took its residual
@@ -528,8 +531,7 @@ def test_welding_traced_peak(no_kept_welding):
     assert peak < 12.5 * 2 ** 20
 
 
-def test_welding_frees_the_selfmap_once_g_has_sampled_nu(no_kept_welding,
-                                                        monkeypatch):
+def test_welding_frees_the_selfmap_once_g_has_sampled_nu(monkeypatch):
     # nu's one evaluation drops the self-map: it is dead when g's Neumann
     # iteration starts, and so when f_mu's does
     selfmaps, alive, neumann = [], [], solver._neumann
@@ -562,8 +564,7 @@ def test_inverse_coefficient_is_evaluated_once():
         nu.eval(zeta)
 
 
-def test_welding_traced_peak_with_the_selfmap_freed_at_sampling(
-        no_kept_welding):
+def test_welding_traced_peak_with_the_selfmap_freed_at_sampling():
     # the self-map is freed once g's solve has sampled nu, and P reads h on
     # its box: one N = 256 welding at (0.15, 0.4) traced 10.99 MiB when the
     # self-map lived through g's solve and P read h as a chart array
@@ -578,13 +579,13 @@ def test_welding_traced_peak_with_the_selfmap_freed_at_sampling(
 
 
 @pytest.mark.parametrize("grid_n", [0, -4, 2.5])
-def test_welding_rejects_a_bad_grid_size(no_kept_welding, grid_n):
+def test_welding_rejects_a_bad_grid_size(grid_n):
     with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
         welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=grid_n)
 
 
 def test_welding_rejects_unbounded_support_before_any_solve(
-        no_kept_welding, monkeypatch):
+        monkeypatch):
     # chi_D carried to U fills the half-plane: it used to fail in f_mu's
     # margin check, and solving the self-map first would fail later
     solves = _count_solves(monkeypatch)
@@ -608,7 +609,7 @@ def _disk_grid_coefficient():
 
 
 def test_welding_a_disk_grid_whose_samples_stay_off_the_margin(
-        no_kept_welding, monkeypatch):
+        monkeypatch):
     # the declared radius is unbounded on U, but the samples vanish near
     # the chart's edge: f_mu's margin check passes, and all three maps solve
     mu = _disk_grid_coefficient()
@@ -621,87 +622,19 @@ def test_welding_a_disk_grid_whose_samples_stay_off_the_margin(
     assert weld.consistency_sup < 0.15
 
 
-def test_welding_at_another_n_is_a_miss(no_kept_welding, monkeypatch):
-    # the welding at N = 128 replaces the one kept at N = 64, so welding at
-    # N = 64 again solves once more
-    solves = _count_solves(monkeypatch)
-    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    coarse, fine = welding(mu, grid_n=64), welding(mu, grid_n=128)
-    assert len(solves) == 6
-    assert boundary._last_welding[0] == (cayley(mu).cache_token, 128)
-    assert coarse.g_map.grid.n == 64 and fine.g_map.grid.n == 128
-    welding(mu, grid_n=64)
-    assert len(solves) == 9
-    assert boundary._last_welding[0] == (cayley(mu).cache_token, 64)
-
-
-def test_disk_coefficient_and_its_cayley_image_share_one_welding(
-        no_kept_welding, monkeypatch):
+def test_disk_coefficient_and_its_cayley_image_weld_to_one_h():
     mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
     first = welding(mu, grid_n=64)
-    solves = _count_solves(monkeypatch)
     again = welding(cayley(mu), grid_n=64)
-    assert solves == []
-    assert boundary._last_welding[0] == (cayley(mu).cache_token, 64)
+    assert np.array_equal(again.h.params, first.h.params)
     assert np.array_equal(again.h.values, first.h.values)
 
 
-def test_welding_hit_hands_out_read_only_samples_of_h(no_kept_welding):
-    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    first = welding(mu, grid_n=64)
-    again = welding(mu, grid_n=64)
-    for weld in (first, again):
-        for arr in (weld.h.values, weld.h.params):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-    again.h.extension = None
-    assert welding(mu, grid_n=64).h.extension is not None
-
-
-def test_welding_memo_keeps_no_spline_or_partials(no_kept_welding):
-    # maps handed out build their own; the kept ones keep their charts only
-    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    first = welding(mu, grid_n=64)
-    assert first.g_map._partials is not None  # the miss inverted g
-    again = welding(mu, grid_n=64)
-    welding_identity_check(again)
-    again.f_map.partials_at(0.5j)
-    again.g_map.partials_at(0.5j)
-    for m in (again.f_map, again.g_map):
-        assert m._spline is not None and m._partials is not None
-    for m in boundary._last_welding[1][:2]:
-        assert m._spline is None and m._partials is None
-
-
-def test_welding_of_another_coefficient_replaces_the_kept_one(
-        no_kept_welding, monkeypatch):
-    # one welding is kept at a time, and a miss drops it before it solves,
-    # so the two are never held at once by the module
-    a, c = (BeltramiCoefficient.constant_disk(0.2, r) for r in (0.5, 0.3))
-    welding(a, grid_n=64)
-    kept = weakref.ref(boundary._last_welding[1][0])
-    dropped, solve = [], solver._solve
-    monkeypatch.setattr(solver, "_solve", lambda *args, **kw: dropped.append(
-        boundary._last_welding == (None, None) and kept() is None)
-        or solve(*args, **kw))
-    welding(c, grid_n=64)
-    assert dropped == [True, True, True]
-    assert boundary._last_welding[0] == (cayley(c).cache_token, 64)
-
-
-def test_welding_of_a_coefficient_without_token_is_not_memoized(
-        no_kept_welding, monkeypatch):
-    # without a token the welding is not kept, and the one kept before it
-    # is dropped: a repeat solves all three maps again
-    welding(BeltramiCoefficient.constant_disk(0.2, 0.3), grid_n=128)
-    mu = BeltramiCoefficient.constant_disk(0.2, 0.5)
-    mu.cache_token = None
-    first = welding(mu, grid_n=128)
-    assert boundary._last_welding == (None, None)
-    solves = _count_solves(monkeypatch)
-    again = welding(mu, grid_n=128)
-    assert boundary._last_welding == (None, None) and len(solves) == 3
-    assert np.array_equal(again.h.values, first.h.values)
+def test_welding_hands_out_read_only_samples_of_h():
+    weld = welding(BeltramiCoefficient.constant_disk(0.2, 0.5), grid_n=64)
+    for arr in (weld.h.values, weld.h.params):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_welding_far_field_matches_newton(weld_02):
@@ -734,9 +667,6 @@ def test_far_field_fit_certification_rejects_bad_fit(monkeypatch):
         return fit(cls, lambda z: fn(z) + 1.0 / (z - 30.0), radius, *args,
                    **kwargs)
 
-    # welding's own fit runs only on a miss: zero at N = 256 may have been
-    # welded just before
-    monkeypatch.setattr(boundary, "_last_welding", (None, None))
     monkeypatch.setattr(HolomorphicFunction, "from_callable_on_circle",
                         classmethod(with_pole))
     with pytest.raises(SolverError, match="held-out"):

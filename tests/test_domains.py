@@ -763,6 +763,12 @@ def _grid_dict():
     (dict(_grid_dict(), half_width=-1.0), "grid half_width must be"),
     (dict(_grid_dict(), half_width="1"), "grid half_width must be"),
     (dict(_grid_dict(), center=0.0), "grid center must be"),
+    # json.load reads Infinity and NaN: an infinite centre gave M_p = 0, a
+    # NaN one failed on the support radius
+    (dict(_grid_dict(), center=[math.inf, 0]),
+     "grid center must be an .x, y. pair of finite numbers"),
+    (dict(_grid_dict(), center=[0, math.nan]),
+     "grid center must be an .x, y. pair of finite numbers"),
     # a bool is no number: these read as 1 (or failed inside numpy) before
     (dict(_grid_dict(), n=True), "grid n must hold numbers, not bools"),
     (dict(_grid_dict(), half_width=True),
@@ -770,8 +776,9 @@ def _grid_dict():
     (dict(_grid_dict(), center=[True, 0]),
      "grid center must hold numbers, not bools"),
 ], ids=["n_mismatch", "no_data", "zero_n", "bad_base64", "not_object",
-        "negative_half_width", "text_half_width", "scalar_center", "bool_n",
-        "bool_half_width", "bool_center"])
+        "negative_half_width", "text_half_width", "scalar_center",
+        "infinite_center", "nan_center", "bool_n", "bool_half_width",
+        "bool_center"])
 def test_grid_from_json_rejects_malformed_input(grid, match):
     with pytest.raises(ValueError, match=match):
         ComplexGrid.from_json_dict(grid)
