@@ -586,12 +586,11 @@ def test_cli_config_array(tmp_path):
 
 def test_a_shared_bound_moves_the_criterion_and_the_cli_default(
         monkeypatch):
-    # the welding is stubbed: only the bound's two readers are under test
+    # the shared welding is stubbed, so the cached one is neither read nor
+    # filled: only the bound's two readers are under test
+    monkeypatch.setattr(verification, "_welded_02", lambda: (None, 0.0, 0.3))
+    assert not verification.check_7_welding().passed
     monkeypatch.setitem(verification.TOLERANCES, "identity", 0.5)
-    monkeypatch.setattr(verification, "welding", lambda mu, grid_n: type(
-        "Weld", (), {"consistency_sup": 0.0})())
-    monkeypatch.setattr(verification, "welding_identity_check",
-                        lambda weld: {"sup_discrepancy": 0.3})
     result = verification.check_7_welding()
     assert result.passed and result.details["identity_tol"] == 0.5
     assert _tol(ExperimentConfig("weld"), "identity") == 0.5
