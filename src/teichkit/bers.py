@@ -111,10 +111,9 @@ def schwarzian(f: HolomorphicFunction) -> HolomorphicFunction:
     infinity (t = 0 or -2) S_f = O(z^-4), so z + sum_{n<K} c_n z^(-n-1)
     gives the orders z^-4 .. z^-(K+3) (none for K = 0).
     """
-    if f.domain is not DomainTag.EXTERIOR_DISK or f.premap is not None:
-        raise ValueError(
-            f"schwarzian expects a plain exterior series about 0, got a "
-            f"{f.domain.value} series with premap {f.premap!r}")
+    if f.domain is not DomainTag.EXTERIOR_DISK:
+        raise ValueError(f"schwarzian expects an exterior series about 0, got "
+                         f"a {f.domain.value} series")
     d1 = f.orders * f.coeffs
     nz = d1 != 0
     if not nz.any():

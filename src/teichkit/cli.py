@@ -17,8 +17,8 @@ and criterion 1's runtime_s).  Coefficients arrive as JSON specs:
 {"kind": "table", ...}; a config key the command does not read is rejected,
 as is a spec field its kind does not read.  A failed run reports
 the failing stage, the exception type and its message under
-reports["error"].  Nothing is kept between runs: each run that welds
-solves its own maps.
+reports["error"], and for a SolverError its iteration trace.  Nothing is
+kept between runs: each run that welds solves its own maps.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .boundary import (
     welding_identity_check,
 )
 from .domains import BeltramiCoefficient, ainf_norm, ap_norm, mp_norm
-from .solver import solve_disk, solve_plane
+from .solver import SolverError, solve_disk, solve_plane
 from .verification import TOLERANCES, CheckResult, run_all
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run",
@@ -353,6 +353,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     except Exception as exc:  # noqa: BLE001 - surfaced in the report
         reports = {"error": {"stage": config.command, "message": str(exc),
                              "type": type(exc).__name__}}
+        if isinstance(exc, SolverError):
+            reports["error"]["trace"] = exc.trace
         verdicts = {"failed": True}
     result = ExperimentResult(
         config={"command": config.command, "mu_spec": config.mu_spec,

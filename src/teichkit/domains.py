@@ -25,7 +25,6 @@ import base64
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import singledispatch
 
 import numpy as np
 # roots_jacobi imports scipy.linalg on its first call: load it with the
@@ -74,11 +73,6 @@ def cayley_map(z):
 def cayley_inverse(w):
     w = np.asarray(w, dtype=complex)
     return (w - 1j) / (w + 1j)
-
-
-def cayley_map_deriv(z):
-    z = np.asarray(z, dtype=complex)
-    return 2j / (z - 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +317,9 @@ class BeltramiCoefficient:
         if vals.shape != (len(pts),):
             raise ValueError(f"table values must hold one number per point "
                              f"({len(pts)}), got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"table values must be finite, got "
+                             f"{vals[~np.isfinite(vals)].tolist()}")
         tree = cKDTree(pts)
         rad = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
         cell = max(rad / len(vals) ** 0.5, 1e-3)
@@ -416,15 +413,15 @@ class HolomorphicFunction:
     """Taylor/Laurent series about 0.
 
     orders[i] is the integer power of z carried by coeffs[i]; negative
-    orders make a Laurent series, as for the Bers image on D*.  premap is
-    None or "cayley_inverse"; the latter precomposes with H^{-1}, which
-    carries Cayley push-forwards phi_* = phi o H^{-1} without resampling.
-    A series fitted on a circle (from_callable_on_circle) records its
-    held-out residual and sample scale; other series carry None there.
+    orders make a Laurent series, as for the Bers image on D*.  A series
+    lives on D or D* and never crosses the Cayley map.  A series fitted on
+    a circle (from_callable_on_circle) records its held-out residual and
+    sample scale; other series carry None there.
     """
 
-    def __init__(self, orders, coeffs, domain=DomainTag.UNIT_DISK,
-                 premap=None):
+    premap = None  # read only by perfbench's tracer
+
+    def __init__(self, orders, coeffs, domain=DomainTag.UNIT_DISK):
         given = np.asarray(orders)
         self.orders = given.astype(int)
         if np.any(self.orders != given):
@@ -433,10 +430,10 @@ class HolomorphicFunction:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.orders.shape != self.coeffs.shape:
             raise ValueError("orders and coeffs must align")
-        if premap not in (None, "cayley_inverse"):
-            raise ValueError(f"unknown premap {premap!r}")
         self.domain = DomainTag(domain)
-        self.premap = premap
+        if self.domain not in (DomainTag.UNIT_DISK, DomainTag.EXTERIOR_DISK):
+            raise DomainError(f"a series lives on D or D*, not on "
+                              f"{self.domain.value}")
         self.heldout_residual = None
         self.sample_scale = None
 
@@ -499,9 +496,7 @@ class HolomorphicFunction:
 
     def eval(self, z):
         """Evaluate the function at z."""
-        z = np.asarray(z, dtype=complex)
-        return self._series_eval(z if self.premap is None
-                                 else cayley_inverse(z))
+        return self._series_eval(np.asarray(z, dtype=complex))
 
     __call__ = eval
 
@@ -510,11 +505,9 @@ class HolomorphicFunction:
     def inverted_disk_rep(self):
         """psi(w) = w^-4 phi(1/w) for an exterior-disk series about 0.
 
-        Requires a plain Laurent representation.  psi is a series in w whose
-        negative orders flag decay slower than |z|^-4 at infinity.
+        psi is a series in w whose negative orders flag decay slower than
+        |z|^-4 at infinity.
         """
-        if self.premap is not None:
-            raise ValueError("inversion needs a plain series")
         orders = [-n - 4 for n in self.orders]
         return HolomorphicFunction(orders[::-1], self.coeffs[::-1],
                                    DomainTag.UNIT_DISK)
@@ -608,14 +601,14 @@ def _polar_nodes(s, th):
 
 def _polar_terms(f, th):
     """(orders n, coefficients a_n, angular factor e^{i n th}) of the
-    nonzero terms a_n z^n of a plain series about 0."""
+    nonzero terms a_n z^n of a series about 0."""
     keep = f.coeffs != 0
     n = f.orders[keep]
     return n, f.coeffs[keep], np.exp(1j * n[:, None] * th)
 
 
 def _polar_series(f, s, th, terms=None):
-    """A plain series about 0 on the polar mesh s x th, as one matrix
+    """A series about 0 on the polar mesh s x th, as one matrix
     product (s^n a_n) @ e^{i n th} over its nonzero terms a_n z^n; terms,
     when given, is _polar_terms(f, th), built once for several blocks of
     radii."""
@@ -675,7 +668,7 @@ def _divergent(m, p):
 
 
 def _series_rule(f, p, alpha):
-    """( int_D |f|^p (1-|w|^2)^alpha dA )^{1/p} of a plain series f.
+    """( int_D |f|^p (1-|w|^2)^alpha dA )^{1/p} of a series f.
 
     With m f's lowest order and t = |w|^2 it is (1/2) int int |w^-m f|^p
     t^{mp/2} (1-t)^alpha dt dth: Gauss-Jacobi in t, the trapezoid rule in th
@@ -773,39 +766,25 @@ def ap_norm(phi: HolomorphicFunction, p):
 
 
 def analytic_besov_norm(phi: HolomorphicFunction, p):
-    """Analytic Besov seminorm ( int |phi'|^p (1-|z|^2)^{p-2} dA )^{1/p}.
+    """Analytic Besov seminorm ( int_D |phi'|^p (1-|z|^2)^{p-2} dA )^{1/p}
+    of a series on D.
 
-    On D, _series_rule on phi' (divergent exactly when m p <= -2 for its
-    lowest order m, coefficients at or below 1e-10 of the largest counting
-    as zero).  On U, phi = phi_D o H^{-1}: with z = H^{-1}(zeta),
-    2 Im zeta = |H'(z)| (1-|z|^2), so the U integrand is phi_D's D integrand.
+    _series_rule on phi' (divergent exactly when m p <= -2 for its lowest
+    order m, coefficients at or below 1e-10 of the largest counting as
+    zero).
     """
     p = float(p)
     if not 1.0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"Besov norms require 1 < p < inf, got p = {p}")
-    if phi.domain is DomainTag.UPPER_HALF_PLANE:
-        phi = cayley(phi)
-    elif phi.domain is not DomainTag.UNIT_DISK:
-        raise DomainError("analytic Besov norm defined on D or U")
+    if phi.domain is not DomainTag.UNIT_DISK:
+        raise DomainError(f"analytic Besov norm defined on D, not on "
+                          f"{phi.domain.value}")
     dphi = HolomorphicFunction(phi.orders - 1, phi.orders * phi.coeffs)
     return _series_rule(dphi, p, p - 2.0)
 
 
 # ---------------------------------------------------------------------------
-# Cayley dispatch over object kinds
-
-@singledispatch
-def cayley(obj):
-    """Carry an object to the side of the Cayley map it is not on.
-
-    A unit-disk coefficient or a plain disk series goes to U; an upper
-    half-plane coefficient or a Cayley push-forward series goes to D.
-    Objects on any other domain raise DomainError naming it.  Dispatches on
-    the object's type: other types, boundary data among them, raise
-    TypeError.
-    """
-    raise TypeError(f"cayley cannot transport {type(obj).__name__}")
-
+# Cayley transport of Beltrami coefficients
 
 def mobius_circle_image(mapping, center, radius):
     """Image circle of |z - center| = radius under a Moebius map.
@@ -832,15 +811,19 @@ def mobius_circle_image(mapping, center, radius):
     return ctr, abs(a - ctr)
 
 
-@cayley.register
-def _cayley_beltrami(obj: BeltramiCoefficient):
-    """Conjugation transport: mu_hat = (mu o M) * conj(M') / M', from U to D
-    or from D to U.
+def cayley(obj: BeltramiCoefficient):
+    """Carry a Beltrami coefficient to the side of the Cayley map it is not
+    on, by conjugation: mu_hat = (mu o M) * conj(M') / M', from U to D or
+    from D to U.
 
-    The modulus is preserved pointwise, so sup_norm carries over.
+    The modulus is preserved pointwise, so sup_norm carries over.  A
+    coefficient on any other domain raises DomainError naming it; any other
+    type, series and boundary data among them, raises TypeError.
     """
+    if not isinstance(obj, BeltramiCoefficient):
+        raise TypeError(f"cayley cannot transport {type(obj).__name__}")
     if obj.domain is DomainTag.UPPER_HALF_PLANE:
-        M, dM = cayley_map, cayley_map_deriv
+        M, dM = cayley_map, lambda z: 2j / (z - 1.0) ** 2
         image = cayley_inverse
         new_domain = DomainTag.UNIT_DISK
         new_radius = 1.0
@@ -865,17 +848,3 @@ def _cayley_beltrami(obj: BeltramiCoefficient):
 
     return BeltramiCoefficient(new_domain, f, new_radius, obj.sup_norm,
                                jump_circles=jumps, meta=obj.meta)
-
-
-@cayley.register
-def _cayley_holomorphic(obj: HolomorphicFunction):
-    """Push-forward phi_* = phi o H^{-1} of a plain disk series, or the
-    series back from its push-forward; norm-preserving."""
-    if obj.premap == "cayley_inverse":
-        return HolomorphicFunction(obj.orders, obj.coeffs, DomainTag.UNIT_DISK)
-    if obj.domain is not DomainTag.UNIT_DISK:
-        raise DomainError(f"cayley carries plain series on D or their "
-                          f"push-forwards, not a series on {obj.domain.value}")
-    return HolomorphicFunction(obj.orders, obj.coeffs,
-                               DomainTag.UPPER_HALF_PLANE,
-                               premap="cayley_inverse")

@@ -768,9 +768,13 @@ def _solve(mu, grid_n, reflect):
     Beltrami defect against the samples off them is computed the first
     time QuasiconformalMap.residual is read.
     The map's chart f, its samples on their support box and its far field's
-    arrays are read-only, so a map that shares them with another cannot
-    change it.
+    arrays are read-only: the map keeps the spline, residual and partial
+    grids it derives from them, which a later write would leave stale.
+    A grid_n off the powers of two raises ValueError before any sampling.
     """
+    _check_count("grid_n", grid_n)
+    if grid_n & (grid_n - 1):
+        raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     sol = _box_solve(mu, grid_n, reflect)
     kit = sol.kit
     n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)

@@ -142,10 +142,6 @@ def test_schwarzian_cocycle():
 def test_schwarzian_rejects_what_is_not_an_exterior_series():
     with pytest.raises(ValueError, match="exterior series .* UnitDisk"):
         schwarzian(HolomorphicFunction([1, 2], [1.0, 0.3]))
-    with pytest.raises(ValueError, match="premap 'cayley_inverse'"):
-        schwarzian(HolomorphicFunction([1, -1], [1.0, 0.3],
-                                       DomainTag.EXTERIOR_DISK,
-                                       premap="cayley_inverse"))
     with pytest.raises(ValueError, match="f' vanishes identically"):
         schwarzian(HolomorphicFunction([0, -1], [2.0, 0.0],
                                        DomainTag.EXTERIOR_DISK))

@@ -384,6 +384,22 @@ def test_error_surfaced_with_stage():
     assert res.reports["error"]["type"] == "SolverError"
 
 
+def test_error_keeps_the_trace_of_a_solver_error():
+    # the self-map of 0.3 chi_D fails its reflection symmetry check at
+    # N = 64 after the Neumann iteration ran: the report keeps its trace
+    res = run(cfg("solve", mu_spec={"kind": "constant_disk", "k": 0.3,
+                                    "r": 1.0}, grid={"n": 64}, self_map=True))
+    err = res.reports["error"]
+    assert res.verdicts == {"failed": True}
+    assert err["type"] == "SolverError"
+    assert "reflection symmetry defect" in err["message"]
+    assert err["stage"] == "solve"
+    assert len(err["trace"]) > 1
+    assert all(0 < d < 1 for d in err["trace"])
+    assert json.loads(res.to_json())["reports"]["error"]["trace"] == \
+        err["trace"]
+
+
 def test_malformed_table_spec_names_field():
     res = run(cfg("norm", mu_spec={"kind": "table", "domain": "UnitDisk",
                                    "points": [[0.0, 0.0], [0.1, 0.0]],

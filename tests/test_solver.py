@@ -25,6 +25,7 @@ from teichkit import (
     solve_plane,
 )
 from teichkit import solver
+from teichkit.boundary import welding
 from teichkit.domains import ComplexGrid, HolomorphicFunction, cayley
 from teichkit.solver import _SpectralKit, _binomial_blur, sample_coefficient
 
@@ -679,6 +680,27 @@ def test_solves_reject_a_bad_grid_size(solve, grid_n):
                  "halfplane": (solve_halfplane, cayley(mu)),
                  "disk": (solve_disk, mu)}[solve]
     with pytest.raises(ValueError, match="grid_n must be an integer >= 1"):
+        solve(mu, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [100, 768, 1536])
+@pytest.mark.parametrize("solve", ["plane", "halfplane", "disk", "welding"])
+def test_solves_reject_a_grid_size_off_the_powers_of_two(monkeypatch, solve,
+                                                         grid_n):
+    # they used to fail only once the whole solve was done: at the chart
+    # ("power of two") or at the normalization ("not grid nodes")
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled or solved before the grid_n check")
+
+    monkeypatch.setattr(solver, "sample_coefficient", fail)
+    monkeypatch.setattr(solver, "_neumann", fail)
+    mu = BeltramiCoefficient.constant_disk(0.3, 0.5)
+    solve, mu = {"plane": (solve_plane, mu),
+                 "halfplane": (solve_halfplane, cayley(mu)),
+                 "disk": (solve_disk, mu),
+                 "welding": (welding, mu)}[solve]
+    with pytest.raises(ValueError,
+                       match=f"grid_n must be a power of two, got {grid_n}"):
         solve(mu, grid_n=grid_n)
 
 
