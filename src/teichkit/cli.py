@@ -31,7 +31,6 @@ import numbers
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,6 +506,9 @@ def main(argv=None):
             raise SystemExit(f"{where}: {exc}") from None
 
     if len(configs) > 1 and args.jobs > 1:
+        # imported here: it loads multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run, configs))
     else:

@@ -27,11 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# roots_jacobi imports scipy.linalg on its first call: load it with the
-# package, so that the first norm does not pay for the import
-import scipy.linalg  # noqa: F401
 from scipy import ndimage
-from scipy.special import roots_jacobi
 
 __all__ = [
     "DomainTag",
@@ -440,10 +436,6 @@ class HolomorphicFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, domain=DomainTag.UNIT_DISK):
-        return cls([0], [0.0], domain=domain)
-
-    @classmethod
     def from_callable_on_circle(cls, fn, radius, orders, n_samples=1024,
                                 noise_rel=1e-13, **kw):
         """Fourier-analyse samples on |z| = radius into series coefficients.
@@ -667,6 +659,36 @@ def _divergent(m, p):
     return m < 0 if p == math.inf else m * p <= -2
 
 
+def _beta(x, y):
+    """Euler's Beta function B(x, y) for x, y > 0."""
+    if x + y < 171.0:  # math.gamma overflows from 171.62 on
+        return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def _gauss_jacobi(n, a, b):
+    """Nodes and weights of the n-point Gauss rule on [-1, 1] for the weight
+    (1 - x)^a (1 + x)^b, a, b > -1, by Golub and Welsch.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal matrix of
+    the orthonormal Jacobi recurrence, and each weight is mu0 v0^2, v0 the
+    first component of its unit eigenvector and mu0 = 2^(a+b+1)
+    B(a+1, b+1) the weight's integral.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        ratio = k * (k + a + b) / (s - 1.0)
+        ratio[1] = 1.0  # its limit, also where a + b = -1 makes it 0/0
+        off = (2.0 / s * np.sqrt((k + a) * (k + b) / (s + 1.0) * ratio))[1:]
+    diag[0] = (b - a) / (a + b + 2.0)
+    # eigh reads the lower triangle
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mu0 = 2.0 ** (a + b + 1.0) * _beta(a + 1.0, b + 1.0)
+    return x, mu0 * v[0] ** 2
+
+
 def _series_rule(f, p, alpha):
     """( int_D |f|^p (1-|w|^2)^alpha dA )^{1/p} of a series f.
 
@@ -684,7 +706,7 @@ def _series_rule(f, p, alpha):
     g = HolomorphicFunction(f.orders - m, f.coeffs)
     refinements = []
     for nr in (32, 64, 128, 256, 512):
-        x, wx = roots_jacobi(nr, alpha, m * p / 2.0)
+        x, wx = _gauss_jacobi(nr, alpha, m * p / 2.0)
         th = 2.0 * np.pi * np.arange(4 * nr) / (4 * nr)
         vals = np.abs(_polar_series(g, np.sqrt((1.0 + x) / 2.0), th)) ** p
         integral = float(wx @ vals.sum(axis=1)) * np.pi / (4 * nr) / \

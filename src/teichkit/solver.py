@@ -701,9 +701,11 @@ def margin_checked_samples(mu, grid_n, reflect=False):
     node square of its chart (auto_half_width) that holds its support
     (sample_coefficient), given one binomial blur, and checked against the
     chart's outer 10% margin (SolverError when they reach it).  A grid_n
-    that is not an integer of at least 1 raises ValueError naming it, before
-    anything divides by it."""
+    that is not an integer of at least 1, or not a power of two, raises
+    ValueError naming it before anything is sampled."""
     _check_count("grid_n", grid_n)
+    if grid_n & (grid_n - 1):
+        raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     half_width = auto_half_width(mu.support_radius)
     kit = _SpectralKit(grid_n, half_width)
     box, mu_s = sample_coefficient(mu, grid_n, half_width, reflect)
@@ -770,11 +772,9 @@ def _solve(mu, grid_n, reflect):
     The map's chart f, its samples on their support box and its far field's
     arrays are read-only: the map keeps the spline, residual and partial
     grids it derives from them, which a later write would leave stale.
-    A grid_n off the powers of two raises ValueError before any sampling.
+    A grid_n off the powers of two raises ValueError before any sampling
+    (margin_checked_samples).
     """
-    _check_count("grid_n", grid_n)
-    if grid_n & (grid_n - 1):
-        raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     sol = _box_solve(mu, grid_n, reflect)
     kit = sol.kit
     n, j0 = kit.n, round(kit.half_width / kit.spacing)  # node 0: (j0, j0)

@@ -362,7 +362,8 @@ def test_lemma1_two_sided_comparability():
 
 
 def test_aw_zero():
-    sig = ahlfors_weill(HolomorphicFunction.zero(DomainTag.EXTERIOR_DISK))
+    sig = ahlfors_weill(
+        HolomorphicFunction([0], [0.0], DomainTag.EXTERIOR_DISK))
     assert np.abs(sig.eval(np.array([0j, 0.5 + 0.2j]))).max() == 0.0
 
 
@@ -494,8 +495,8 @@ def scaled_image(eps):
 
 def test_local_section_basepoint(mu_03_05):
     base = bilipschitz_representative(mu_03_05, grid_n=TEST_GRID_N)
-    out = local_section(base, HolomorphicFunction.zero(
-        DomainTag.EXTERIOR_DISK), grid_n=256)
+    out = local_section(base, HolomorphicFunction(
+        [0], [0.0], DomainTag.EXTERIOR_DISK), grid_n=256)
     assert out is base
 
 

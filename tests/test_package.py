@@ -47,16 +47,21 @@ def test_public_functions_read_every_parameter(name):
 
 def test_import_and_welding_leave_scipy_interpolate_unloaded():
     # scipy.interpolate costs about 0.2 s of import and 18 MB of memory;
-    # grids are read through scipy.ndimage, so nothing should load it
+    # grids are read through scipy.ndimage, so nothing should load it.
+    # scipy.linalg (6 MB) is not needed either: the Gauss-Jacobi rule of
+    # A_p is built with numpy; nor is multiprocessing, which only the
+    # CLI's --jobs loads
     script = (
         "import sys\n"
-        "import teichkit\n"
-        "teichkit.welding(teichkit.BeltramiCoefficient.constant_disk("
-        "0.2, 0.5), grid_n=64)\n"
-        "print('scipy.interpolate' in sys.modules)\n")
+        "import teichkit.cli\n"
+        "mu = teichkit.BeltramiCoefficient.constant_disk(0.2, 0.5)\n"
+        "teichkit.welding(mu, grid_n=64)\n"
+        "teichkit.bers_map(mu, grid_n=64).ap_norm_report\n"
+        "print([m in sys.modules for m in ('scipy.interpolate', "
+        "'scipy.linalg', 'concurrent.futures.process')])\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=600,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.strip() == "[False, False, False]"

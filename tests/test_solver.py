@@ -684,11 +684,14 @@ def test_solves_reject_a_bad_grid_size(solve, grid_n):
 
 
 @pytest.mark.parametrize("grid_n", [100, 768, 1536])
-@pytest.mark.parametrize("solve", ["plane", "halfplane", "disk", "welding"])
+@pytest.mark.parametrize("solve", ["plane", "halfplane", "disk", "welding",
+                                   "welding unbounded"])
 def test_solves_reject_a_grid_size_off_the_powers_of_two(monkeypatch, solve,
                                                          grid_n):
     # they used to fail only once the whole solve was done: at the chart
-    # ("power of two") or at the normalization ("not grid nodes")
+    # ("power of two") or at the normalization ("not grid nodes"); a
+    # welding of a coefficient unbounded on U ran its margin check on the
+    # whole chart first
     def fail(*args, **kwargs):
         raise AssertionError("sampled or solved before the grid_n check")
 
@@ -698,7 +701,10 @@ def test_solves_reject_a_grid_size_off_the_powers_of_two(monkeypatch, solve,
     solve, mu = {"plane": (solve_plane, mu),
                  "halfplane": (solve_halfplane, cayley(mu)),
                  "disk": (solve_disk, mu),
-                 "welding": (welding, mu)}[solve]
+                 "welding": (welding, mu),
+                 "welding unbounded": (
+                     welding, BeltramiCoefficient.constant_disk(0.3, 1.0))}[
+                         solve]
     with pytest.raises(ValueError,
                        match=f"grid_n must be a power of two, got {grid_n}"):
         solve(mu, grid_n=grid_n)
@@ -757,7 +763,7 @@ def test_solved_map_hands_out_no_shared_state():
     with pytest.raises(ValueError, match="read-only"):
         far.coeffs[0] = 1.0
     far.heldout_residual = -1.0
-    first.far_field = HolomorphicFunction.zero()
+    first.far_field = HolomorphicFunction([0], [0.0])
     again = solve_plane(mu, 128)
     assert again.iteration_trace == trace
     ref = _binomial_blur(full_chart_samples(mu, 128, 4.0))
