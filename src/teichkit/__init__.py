@@ -14,7 +14,6 @@ from .domains import (
     mp_norm,
 )
 from .solver import (
-    Normalization,
     QuasiconformalMap,
     SolverError,
     beurling_transform,

@@ -42,7 +42,6 @@ from .domains import (
     ap_norm,
 )
 from .solver import (
-    Normalization,
     QuasiconformalMap,
     SolverError,
     _box_solve,
@@ -297,7 +296,7 @@ def hyperbolic_distortion(f: QuasiconformalMap):
     D_alpha f = f_z + f_zbar e^(-2i alpha), its modulus runs exactly over
     [||f_z| - |f_zbar||, |f_z| + |f_zbar|].  Returns (L_min, L_max).
     """
-    if f.normalization is not Normalization.FIX_THREE_BOUNDARY_POINTS:
+    if f.domain is not DomainTag.UNIT_DISK:
         raise ValueError("hyperbolic distortion expects a disk self-map")
     Z = f.grid.nodes()
     keep = np.abs(Z) <= 0.98

@@ -157,7 +157,8 @@ class BoundaryHomeomorphism(BoundaryFunction):
     """Line data with real, strictly increasing values: a homeomorphism of
     R fixing 0, 1 and infinity (through the truncation), the normalization
     its CSV sidecar records.  fix_tol, when given, bounds how far 0 and 1
-    move (welding and trace outputs pass it)."""
+    move (welding and trace outputs pass it); without it h is not read at
+    0 and 1, so the window need not hold them."""
 
     normalization = "fix 0, 1, infinity"
 
@@ -166,10 +167,11 @@ class BoundaryHomeomorphism(BoundaryFunction):
         if np.any(np.diff(values) <= 0):
             raise ValueError("homeomorphism values must be strictly increasing")
         super().__init__(params, values, "line", extension)
-        defect = max(abs(float(self.eval(q)) - q) for q in (0.0, 1.0))
-        if fix_tol is not None and defect > fix_tol:
-            raise ValueError(
-                f"normalization points move by {defect:.2e} (> {fix_tol:.0e})")
+        if fix_tol is not None:
+            defect = max(abs(float(self.eval(q)) - q) for q in (0.0, 1.0))
+            if defect > fix_tol:
+                raise ValueError(f"normalization points move by {defect:.2e} "
+                                 f"(> {fix_tol:.0e})")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +182,10 @@ def boundary_trace(f, n_samples=1024):
     """Boundary values of a series, as circle data read at e^(i theta) on
     n_samples angles, or of a half-plane self-map, as a line homeomorphism
     read through its spline on n_samples points of [-T, T], T = 0.85
-    half-width of its grid, and through its far field beyond T.  The
-    trace's extension holds the map's far field, not the map, so a trace
-    keeps no chart or spline alive.  A disk self-map or a plane map raises
+    half-width of its grid, and through its far field beyond T (a composed
+    map has none, and its trace has no extension).  The trace's extension
+    holds the map's far field, not the map, so a trace keeps no chart or
+    spline alive.  A disk self-map or a plane map raises
     DomainError; n_samples below 2 raises ValueError."""
     _check_count("boundary_trace n_samples", n_samples, 2)
     if isinstance(f, HolomorphicFunction):
@@ -190,9 +193,10 @@ def boundary_trace(f, n_samples=1024):
         return BoundaryFunction(th, f.eval(np.exp(1j * th)), "circle")
     if not isinstance(f, QuasiconformalMap):
         raise TypeError("boundary_trace expects a map or holomorphic function")
-    if f.symmetry_defect is None:  # set by half-plane solves alone
+    if f.domain is not DomainTag.UPPER_HALF_PLANE:
+        side = "disk self-" if f.domain is DomainTag.UNIT_DISK else "plane "
         raise DomainError("boundary_trace reads half-plane self-maps, not a "
-                          f"{'disk self-' if f.halfplane_map else 'plane '}map")
+                          f"{side}map")
     T = 0.85 * f.grid.half_width
     x = np.linspace(-T, T, n_samples)
     far_field = f.far_field
@@ -200,8 +204,9 @@ def boundary_trace(f, n_samples=1024):
     def far(t):
         return far_field.eval(t.astype(complex)).real
 
-    return BoundaryHomeomorphism(x, f(x.astype(complex)).real,
-                                 extension=far, fix_tol=1e-4)
+    return BoundaryHomeomorphism(
+        x, f(x.astype(complex)).real,
+        extension=None if far_field is None else far, fix_tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +291,6 @@ class WeldingResult:
     imag_defect: float
     f_map: QuasiconformalMap = field(repr=False)
     g_map: QuasiconformalMap = field(repr=False)
-
-
-def _to_halfplane(mu: BeltramiCoefficient) -> BeltramiCoefficient:
-    """mu carried to U; cayley names any domain but D and U."""
-    return mu if mu.domain is DomainTag.UPPER_HALF_PLANE else cayley(mu)
 
 
 # h is sampled at N_BOUNDARY parameters of [-T_BOUNDARY, T_BOUNDARY] and
@@ -416,7 +416,8 @@ def welding(mu: BeltramiCoefficient, grid_n=512) -> WeldingResult:
     on the midpoints between the fit points, exceeds NEWTON_TOL.
     Nothing is kept once the result is returned: a repeat solves again.
     """
-    mu_u = _to_halfplane(mu)
+    # mu carried to U; cayley names any domain but D and U
+    mu_u = mu if mu.domain is DomainTag.UPPER_HALF_PLANE else cayley(mu)
     if not math.isfinite(mu_u.support_radius):
         # the self-map truncates unbounded support and f_mu, solved last,
         # does not: run f_mu's margin check on its samples first
@@ -648,8 +649,9 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
                                  grid_n=512, extension_norm=True):
     """End-to-end coherence report for the Besov boundary characterization.
 
-    Stages: M_p norm of mu; welding (or the supplied boundary map when mu
-    is not compactly supported, e.g. the constant-modulus power class);
+    Stages: M_p norm of mu, on its own side (D or U); welding (or the
+    supplied boundary map when mu is not compactly supported, e.g. the
+    constant-modulus power class);
     Besov seminorm of log h' on h as sampled; heat-kernel extension and its
     M_p norm; Bers roundtrip distance between mu and the extension.
     Verdicts must agree: all finite or all divergent.  The roundtrip runs
@@ -662,8 +664,7 @@ def besov_characterization_check(mu: BeltramiCoefficient, p,
     stages = report["stages"]
 
     try:
-        mu_u = _to_halfplane(mu)
-        rep = mp_norm(mu_u, p, levels=3)
+        rep = mp_norm(mu, p, levels=3)
         stages["mp_norm_mu"] = rep.to_json_dict()
         report["verdicts"]["mu_finite"] = not rep.divergent
     except Exception as exc:  # noqa: BLE001 - reported per stage

@@ -131,8 +131,11 @@ class ExperimentConfig:
             if not (is_pair and abs(pair[0]) < 1 and 0 <= pair[1] <= 1):
                 raise ValueError(f"family entry must be a pair [k, r] with "
                                  f"|k| < 1 and 0 <= r <= 1, got {pair!r}")
+        p_list = self.extra.get("p_list", [])
+        if not isinstance(p_list, (list, tuple)):
+            raise ValueError(f"p_list must be a JSON array, got {p_list!r}")
         for name, val in [("p", self.p)] + [
-                ("p_list entry", q) for q in self.extra.get("p_list", ())]:
+                ("p_list entry", q) for q in p_list]:
             _check_number(name, val)
             if not (math.isfinite(val) and val >= 1):
                 raise ValueError(
@@ -490,6 +493,8 @@ def main(argv=None):
         with open(args.config) as fh:
             raw = json.load(fh)
     array = isinstance(raw, list)
+    if array and not raw:
+        raise SystemExit("--config array is empty: no run to make")
     entries = raw if array else [raw]
     # --out is the report path of a single run, else the merged file
     out = args.out if len(entries) == 1 else None

@@ -52,7 +52,6 @@ it is read (QuasiconformalMap.residual).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -74,7 +73,6 @@ from .domains import (
 __all__ = [
     "SolverError",
     "QuasiconformalMap",
-    "Normalization",
     "beurling_transform",
     "solve_plane",
     "solve_halfplane",
@@ -112,11 +110,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace or [])
-
-
-class Normalization(str, enum.Enum):
-    FIX_ZERO_ONE_INFINITY = "FixZeroOneInfinity"
-    FIX_THREE_BOUNDARY_POINTS = "FixThreeBoundaryPoints"
 
 
 # rows built at a time of the padded torus's multiplier (_SpectralKit.spectral)
@@ -505,6 +498,10 @@ def sample_coefficient(mu: BeltramiCoefficient, n, half_width, reflect=False):
 class QuasiconformalMap:
     """Grid-sampled normalized solution of a Beltrami equation.
 
+    domain is the map's side: PLANE for a plane map, fixing 0, 1 and
+    infinity; UPPER_HALF_PLANE for a self-map of U, fixing them on R;
+    UNIT_DISK for a self-map of D, fixing 1, -1 and -i.
+
     Inside MARGIN_FRACTION of the grid's half-width, evaluation reads one
     complex cubic B-spline interpolating the grid values: its coefficients
     are prefiltered once, on the grid padded by SPLINE_PAD nodes of odd
@@ -518,7 +515,7 @@ class QuasiconformalMap:
     is computed the first time it is read, and kept.
     """
 
-    normalization: Normalization
+    domain: DomainTag
     grid: ComplexGrid
     conformal_region: tuple | None = None
     mu_samples: np.ndarray | None = None
@@ -618,9 +615,12 @@ class QuasiconformalMap:
                 self.grid.interpolate_linear(dbar, z, 0.0))
 
     def to_json_dict(self):
+        # a disk self-map fixes 1, -1, -i; every other map 0, 1, infinity
+        normalization = "FixThreeBoundaryPoints" \
+            if self.domain is DomainTag.UNIT_DISK else "FixZeroOneInfinity"
         return {
-            "normalization": self.normalization.value,
-            "grid": self.grid.to_json_dict(self.normalization.value),
+            "normalization": normalization,
+            "grid": self.grid.to_json_dict(normalization),
             "conformal_region": list(self.conformal_region)
             if self.conformal_region else None,
             "residual": self.residual,
@@ -637,9 +637,9 @@ def identity_map(n=64):
     grid = ComplexGrid(0.0, 4.0, _SpectralKit(n, 4.0).Z)
     ff = HolomorphicFunction([1], [1.0], DomainTag.EXTERIOR_DISK)
     return QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
-        conformal_region=(0.0, math.inf), mu_samples=np.zeros((n, n)),
-        support=(slice(0, n), slice(0, n)), far_field=ff, _residual=0.0)
+        domain=DomainTag.PLANE, grid=grid, conformal_region=(0.0, math.inf),
+        mu_samples=np.zeros((n, n)), support=(slice(0, n), slice(0, n)),
+        far_field=ff, _residual=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +801,7 @@ def _solve(mu, grid_n, reflect):
         jumps += tuple((np.conj(c), r) for c, r in mu.jump_circles)
     f.flags.writeable = sol.mu_s.flags.writeable = False
     qc = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
+        domain=DomainTag.UPPER_HALF_PLANE if reflect else DomainTag.PLANE,
         grid=ComplexGrid(0.0, kit.half_width, f), mu_samples=sol.mu_s,
         support=sol.box, jump_circles=jumps, convergence_ratio=sol.ratio,
         iteration_trace=sol.trace, symmetry_defect=defect)
@@ -869,9 +869,8 @@ def solve_disk(mu: BeltramiCoefficient, grid_n=1024) -> QuasiconformalMap:
     grid = ComplexGrid(0.0, 1.25,
                        outer(_SpectralKit(min(grid_n, 512), 1.25).Z))
     qc = QuasiconformalMap(
-        normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid,
-        conformal_region=None, mu_samples=None,
-        convergence_ratio=fu.convergence_ratio,
+        domain=DomainTag.UNIT_DISK, grid=grid, conformal_region=None,
+        mu_samples=None, convergence_ratio=fu.convergence_ratio,
         iteration_trace=fu.iteration_trace, outer_eval=outer,
         halfplane_map=fu)
     return qc
@@ -889,15 +888,15 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     resampled grid (the symmetric extension is quasiconformal across S);
     the Jacobian contract is enforced on nodes of D.  Nodes outside that
     region where |dbar f / df| >= 1 are set to 0; meta["zeroed_nodes"] is
-    their count.
+    their count.  The coefficient is on D for a disk self-map and on the
+    plane for every other map.
     """
     dz, dbar = f.partial_grids(order=4)
     jac = np.abs(dz) ** 2 - np.abs(dbar) ** 2
     interior = np.zeros_like(jac, dtype=bool)
     interior[2:-2, 2:-2] = True
-    check = interior.copy()
-    if f.normalization is Normalization.FIX_THREE_BOUNDARY_POINTS:
-        check &= np.abs(f.grid.nodes()) < 1.0
+    disk = f.domain is DomainTag.UNIT_DISK
+    check = interior & (np.abs(f.grid.nodes()) < 1.0) if disk else interior
     bad = check & (jac <= 0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -912,11 +911,8 @@ def dilatation(f: QuasiconformalMap) -> BeltramiCoefficient:
     def func(z):
         return f.grid.interpolate_linear(ratio, z, 0.0)
 
-    disk = f.normalization is Normalization.FIX_THREE_BOUNDARY_POINTS
     domain = DomainTag.UNIT_DISK if disk else DomainTag.PLANE
-    sup_region = check if disk else interior
-    sup = min(float(np.abs(ratio[sup_region]).max()), 0.999) \
-        if sup_region.any() else 0.0
+    sup = min(float(np.abs(ratio[check]).max()), 0.999) if check.any() else 0.0
     radius = 1.0 if disk else MARGIN_FRACTION * f.grid.half_width
     return BeltramiCoefficient(domain, func, radius, sup,
                                meta={"zeroed_nodes": int(zeroed.sum())})
@@ -958,11 +954,11 @@ def invert(f: QuasiconformalMap):
 
 
 def compose(f: QuasiconformalMap, g: QuasiconformalMap) -> QuasiconformalMap:
-    """Sampled composition f o g on g's grid; off the chart it evaluates
-    f(g(z)) when g can be evaluated there."""
+    """Sampled composition f o g on g's grid and g's side; off the chart it
+    evaluates f(g(z)) when g can be evaluated there."""
     vals = f(g.grid.values)
     grid = ComplexGrid(g.grid.center, g.grid.half_width, vals)
-    qc = QuasiconformalMap(normalization=g.normalization, grid=grid)
+    qc = QuasiconformalMap(domain=g.domain, grid=grid)
     if g.outer_eval is not None or g.far_field is not None:
         def outer(z):
             return f(g(z))

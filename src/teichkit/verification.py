@@ -43,7 +43,6 @@ from .domains import (
     mp_norm,
 )
 from .solver import (
-    Normalization,
     QuasiconformalMap,
     _SpectralKit,
     beurling_transform,
@@ -189,8 +188,7 @@ def check_5_chain_rule():
     k1, k2 = 0.4, 0.2
     kit = _SpectralKit(256, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + k2 * np.conj(kit.Z))
-    f_aff = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid)
+    f_aff = QuasiconformalMap(domain=DomainTag.PLANE, grid=grid)
     c1 = BeltramiCoefficient(DomainTag.UNIT_DISK,
                              lambda t: np.full_like(t, k1), math.inf, k1)
     c2 = BeltramiCoefficient(DomainTag.UNIT_DISK,

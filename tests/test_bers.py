@@ -9,6 +9,8 @@ from teichkit import (
     ap_norm,
     bers,
     exact,
+    identity_map,
+    solve_halfplane,
     solve_plane,
     solver,
 )
@@ -25,7 +27,7 @@ from teichkit.bers import (
     schwarzian,
 )
 from teichkit.domains import ComplexGrid, HolomorphicFunction
-from teichkit.solver import Normalization, QuasiconformalMap, _SpectralKit
+from teichkit.solver import QuasiconformalMap, _SpectralKit
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -34,9 +36,9 @@ Z32 = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
 
 def synthetic_disk_map(fn, n=256):
     kit = _SpectralKit(n, 1.25)
-    return QuasiconformalMap(
-        normalization=Normalization.FIX_THREE_BOUNDARY_POINTS,
-        grid=ComplexGrid(0.0, 1.25, fn(kit.Z)), outer_eval=fn)
+    return QuasiconformalMap(domain=DomainTag.UNIT_DISK,
+                             grid=ComplexGrid(0.0, 1.25, fn(kit.Z)),
+                             outer_eval=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +449,16 @@ def test_distortion_mobius_isometry():
     lo, hi = hyperbolic_distortion(synthetic_disk_map(mob))
     assert lo == pytest.approx(1.0, abs=1e-6)
     assert hi == pytest.approx(1.0, abs=1e-6)
+
+
+def test_distortion_rejects_a_map_that_is_not_a_disk_self_map():
+    mu_u = BeltramiCoefficient.constant_disk(0.2, 0.5,
+                                             DomainTag.UPPER_HALF_PLANE)
+    for f in (identity_map(64), solve_halfplane(mu_u, grid_n=64)):
+        with pytest.raises(ValueError,
+                           match="^hyperbolic distortion expects a disk "
+                                 "self-map$"):
+            hyperbolic_distortion(f)
 
 
 def test_distortion_aw_map_small():

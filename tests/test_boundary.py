@@ -26,7 +26,8 @@ from teichkit.boundary import (
 from teichkit.domains import ComplexGrid, HolomorphicFunction, \
     analytic_besov_norm, cayley_inverse
 from teichkit.solver import FAR_FIELD_FIT, NEWTON_TOL, SolverError, \
-    _support_box, invert, solve_disk, solve_halfplane, solve_plane
+    _support_box, compose, identity_map, invert, solve_disk, \
+    solve_halfplane, solve_plane
 
 from conftest import TEST_GRID_N, coefficient
 
@@ -115,6 +116,20 @@ def test_truncation_and_normalization_are_read_off_the_data():
     assert line.normalization is circle.normalization is None
 
 
+def test_homeomorphism_reads_0_and_1_only_to_check_fix_tol():
+    # a window that leaves out 0 and 1 and has no extension builds when no
+    # fix_tol asks how far they move
+    homeo = BoundaryHomeomorphism([2.0, 3.0, 5.0], [1.0, 2.0, 3.0])
+    assert homeo.truncation == 5.0 and homeo.eval(4.0) == 2.5
+    with pytest.raises(ValueError, match="no extension beyond it"):
+        BoundaryHomeomorphism([2.0, 3.0, 5.0], [1.0, 2.0, 3.0], fix_tol=1e-4)
+    x = np.linspace(-2.0, 2.0, 9)
+    assert BoundaryHomeomorphism(x, x, fix_tol=1e-12).eval(1.0) == 1.0
+    with pytest.raises(ValueError, match=r"^normalization points move by "
+                       r"1\.00e-01 \(> 1e-02\)$"):
+        BoundaryHomeomorphism(x, x + 0.1, fix_tol=1e-2)
+
+
 def test_circle_data_starting_above_zero_wrap_over_the_closing_segment():
     # angles below the first parameter lie on the closing segment, from the
     # last parameter to the first one a turn on
@@ -140,6 +155,19 @@ def test_trace_of_a_disk_or_plane_map_raises():
     plane = solve_plane(BeltramiCoefficient.constant_disk(0.2, 0.5), 256)
     with pytest.raises(DomainError, match="not a plane map"):
         boundary_trace(plane, n_samples=256)
+
+
+def test_trace_of_a_composed_halfplane_map_has_no_extension():
+    # a composition of self-maps of U is one, on U; it has no far field, so
+    # its trace ends at T
+    mu_u = cayley(BeltramiCoefficient.constant_disk(0.2, 0.5))
+    selfmap = solve_halfplane(mu_u, grid_n=128)
+    comp = compose(identity_map(64), selfmap)
+    tr = boundary_trace(comp, n_samples=129)
+    assert tr.extension is None
+    assert np.array_equal(tr.values, comp(tr.params.astype(complex)).real)
+    with pytest.raises(ValueError, match="no extension beyond it"):
+        tr.eval(2 * tr.truncation)
 
 
 def test_trace_holomorphic_z():
@@ -866,6 +894,27 @@ def test_characterization_reads_besov_of_welded_h(monkeypatch):
     assert got == besov_seminorm(log_derivative(welded[0]), 2).to_json_dict()
     # h on 8193 and 32769 welded samples reads 0.526971 and 0.526992
     assert got["value"] == pytest.approx(0.526925, abs=2e-6)
+
+
+def test_characterization_reads_mp_norm_of_mu_on_its_own_side(monkeypatch):
+    # a disk mu is normed on D as given, not carried to U and back at
+    # every ladder node
+    normed = []
+
+    def spy(mu, *args, **kwargs):
+        normed.append(mu)
+        return mp_norm(mu, *args, **kwargs)
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stop before the welding")
+
+    monkeypatch.setattr(boundary, "mp_norm", spy)
+    monkeypatch.setattr(boundary, "welding", stop)
+    mu = BeltramiCoefficient.constant_disk(0.15, 0.4)
+    rep = besov_characterization_check(mu, 2)
+    assert normed == [mu]
+    assert rep["stages"]["mp_norm_mu"] == \
+        mp_norm(mu, 2, levels=3).to_json_dict()
 
 
 def test_characterization_divergent_power_class():

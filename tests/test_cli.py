@@ -359,6 +359,33 @@ def test_cli_rejects_config_that_is_not_an_object(tmp_path, raw, where):
         main(["norm", "--config", str(cpath)])
 
 
+@pytest.mark.parametrize("p_list", [2.0, "22", {"p": 2.0}, True])
+def test_config_rejects_a_p_list_that_is_not_an_array(p_list):
+    # a number is not iterable, and a string would be read a character at
+    # a time
+    with pytest.raises(ValueError, match="p_list must be a JSON array"):
+        ExperimentConfig.from_dict({"command": "constants", "p_list": p_list})
+
+
+def test_cli_rejects_a_p_list_that_is_not_an_array(tmp_path):
+    # through main: a message naming p_list, not a TypeError's traceback
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"command": "constants", "p_list": 2.0}))
+    with pytest.raises(SystemExit, match="--config: p_list must be a JSON "
+                       r"array, got 2\.0") as exc:
+        main(["constants", "--config", str(cpath)])
+    assert isinstance(exc.value.code, str)  # exit status 1, no traceback
+
+
+def test_cli_rejects_an_empty_config_array(tmp_path, capsys):
+    cpath = tmp_path / "empty.json"
+    cpath.write_text("[]")
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit, match="--config array is empty"):
+        main(["norm", "--config", str(cpath), "--out", str(out)])
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 def test_cli_rejects_tolerance_that_is_not_a_number():
     with pytest.raises(SystemExit, match="name=number, got 'residual=abc'"):
         main(["solve", "--tol", "residual=abc"])

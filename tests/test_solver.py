@@ -11,7 +11,6 @@ from scipy.interpolate import RegularGridInterpolator
 from teichkit import (
     BeltramiCoefficient,
     DomainTag,
-    Normalization,
     QuasiconformalMap,
     SolverError,
     beurling_transform,
@@ -825,8 +824,34 @@ def test_qcmap_declares_solver_attributes(mu_03_05):
     ident = identity_map(64)
     assert ident.symmetry_defect is None and ident.halfplane_map is None
     f = solve_disk(mu_03_05, grid_n=128)
-    assert f.halfplane_map.normalization is Normalization.FIX_ZERO_ONE_INFINITY
+    assert f.halfplane_map.domain is DomainTag.UPPER_HALF_PLANE
     assert f.halfplane_map.symmetry_defect < 1e-8
+
+
+def test_solved_maps_say_their_side(mu_03_05):
+    # each solve names its side, a composition takes its inner map's, and
+    # dilatation reads a disk map's on D and every other map's on the plane
+    mu_u = cayley(mu_03_05)
+    plane = solve_plane(mu_03_05, grid_n=64)
+    half = solve_halfplane(mu_u, grid_n=64)
+    disk = solve_disk(mu_03_05, grid_n=64)
+    ident = identity_map(64)
+    assert plane.domain is ident.domain is DomainTag.PLANE
+    assert half.domain is DomainTag.UPPER_HALF_PLANE
+    assert disk.domain is DomainTag.UNIT_DISK
+    assert disk.halfplane_map.domain is DomainTag.UPPER_HALF_PLANE
+    for f, g in ((plane, ident), (ident, half), (disk, disk), (half, plane)):
+        assert compose(f, g).domain is g.domain
+    for f, side in ((plane, DomainTag.PLANE), (half, DomainTag.PLANE),
+                    (disk, DomainTag.UNIT_DISK)):
+        assert dilatation(f).domain is side
+    # the report names a disk map's three boundary points, and 0, 1,
+    # infinity for the rest
+    for f, name in ((plane, "FixZeroOneInfinity"),
+                    (half, "FixZeroOneInfinity"),
+                    (disk, "FixThreeBoundaryPoints")):
+        rep = f.to_json_dict()
+        assert rep["normalization"] == rep["grid"]["normalization"] == name
 
 
 def test_jacobian_positive(plane_03_05):
@@ -898,8 +923,7 @@ def test_dilatation_identity():
 def test_dilatation_synthetic_affine():
     kit = _SpectralKit(128, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + 0.3 * np.conj(kit.Z))
-    f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
-                          grid=grid)
+    f = QuasiconformalMap(domain=DomainTag.PLANE, grid=grid)
     mu = dilatation(f)
     assert np.abs(mu.eval(np.array([0.5, 1.0j, -2.0 + 1.0j])) - 0.3).max() < 1e-12
 
@@ -913,8 +937,7 @@ def test_dilatation_roundtrip(plane_03_05, mu_03_05):
 def test_dilatation_rejects_folded_grid():
     kit = _SpectralKit(64, 4.0)
     grid = ComplexGrid(0.0, 4.0, np.conj(kit.Z))  # orientation-reversing
-    f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
-                          grid=grid)
+    f = QuasiconformalMap(domain=DomainTag.PLANE, grid=grid)
     with pytest.raises(SolverError):
         dilatation(f)
 
@@ -925,8 +948,7 @@ def test_dilatation_counts_zeroed_nodes():
     c = 1 / 1.1037
     kit = _SpectralKit(64, 1.25)
     grid = ComplexGrid(0.0, 1.25, kit.Z + 0.5 * c * np.conj(kit.Z) ** 2)
-    f = QuasiconformalMap(
-        normalization=Normalization.FIX_THREE_BOUNDARY_POINTS, grid=grid)
+    f = QuasiconformalMap(domain=DomainTag.UNIT_DISK, grid=grid)
     folded = c * np.abs(kit.Z[2:-2, 2:-2]) >= 1.0
     assert folded.sum() > 0
     assert dilatation(f).meta["zeroed_nodes"] == folded.sum()
@@ -1012,7 +1034,7 @@ def test_affine_grids_are_read_exactly(n):
     a, b, c = 1.3 - 0.4j, 0.2 + 0.1j, 0.25 + 0.05j
     kit = _SpectralKit(n, 8.0)
     affine = QuasiconformalMap(
-        normalization=Normalization.FIX_ZERO_ONE_INFINITY,
+        domain=DomainTag.PLANE,
         grid=ComplexGrid(0.0, 8.0, a * kit.Z + b + c * np.conj(kit.Z)))
     for f, exact in ((identity_map(n), lambda z: z),
                      (affine, lambda z: a * z + b + c * np.conj(z))):
@@ -1038,7 +1060,7 @@ def test_invert_identity():
 def test_compose_with_inverse_is_identity(plane_03_05):
     grid = plane_03_05.grid
     inv_map = QuasiconformalMap(
-        normalization=plane_03_05.normalization,
+        domain=plane_03_05.domain,
         grid=ComplexGrid(grid.center, grid.half_width,
                          invert(plane_03_05)(grid.nodes())))
     ident = compose(plane_03_05, inv_map)
@@ -1070,7 +1092,7 @@ def test_compose_closed_form_affine_pair():
     def affine_map(k):
         grid = ComplexGrid(0.0, 4.0, kit.Z + k * np.conj(kit.Z))
         return QuasiconformalMap(
-            normalization=Normalization.FIX_ZERO_ONE_INFINITY, grid=grid,
+            domain=DomainTag.PLANE, grid=grid,
             outer_eval=lambda z: z + k * np.conj(z))
 
     comp = compose(affine_map(k1), affine_map(k2))
@@ -1099,8 +1121,7 @@ def test_chain_rule_affine_constant_case():
     k1, k2 = 0.4, 0.2
     kit = _SpectralKit(256, 4.0)
     grid = ComplexGrid(0.0, 4.0, kit.Z + k2 * np.conj(kit.Z))
-    f = QuasiconformalMap(normalization=Normalization.FIX_ZERO_ONE_INFINITY,
-                          grid=grid)
+    f = QuasiconformalMap(domain=DomainTag.PLANE, grid=grid)
     c1 = BeltramiCoefficient(DomainTag.UNIT_DISK,
                              lambda z: np.full_like(z, k1), math.inf, k1)
     c2 = BeltramiCoefficient(DomainTag.UNIT_DISK,
