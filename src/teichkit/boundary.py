@@ -9,9 +9,9 @@ together as
     f^mu|_R = g^-1 o f_mu|_R,
     log (g|_R)' o f^mu|_R + log (f^mu|_R)' = log (f_mu|_R)'.
 
-Boundary traces and the welding identity read these maps, and series, on
-the boundary itself: the solved grids cover R, and a series is a finite
-sum.
+Boundary traces and the welding identity read these maps on the boundary
+itself: the solved grids cover R.  The Besov seminorm reads a series at
+points of the circle, with no sampled trace between: it is a finite sum.
 
 The p-Besov seminorm is the double integral of |u(x1) - u(x2)|^p /
 |x1 - x2|^2 over uniform samples on the circle, summed one index offset
@@ -73,18 +73,19 @@ __all__ = [
 
 
 class BoundaryFunction:
-    """Sampled function on the circle or a truncated line.
+    """Sampled function on a truncated line.
 
-    Circle parameters are angles covering [0, 2pi), and circle data close
-    over one turn; line parameters are strictly increasing reals, and the
-    line's truncation is the last of them.  Evaluation is piecewise linear;
-    an optional exact callable extends evaluation of line data beyond the
-    sampled range, and without one a point beyond it raises ValueError.
-    Boundary data stay on their side: cayley does not transport them."""
+    Parameters are strictly increasing reals, and the line's truncation is
+    the last of them.  Evaluation is piecewise linear; an optional exact
+    callable extends evaluation beyond the sampled range, and without one a
+    point beyond it raises ValueError.  Boundary data stay on their side:
+    cayley does not transport them."""
 
-    normalization = None  # the label the CSV sidecar records
+    # the side and the normalization the CSV sidecar records
+    domain = "line"
+    normalization = None
 
-    def __init__(self, params, values, domain="line", extension=None):
+    def __init__(self, params, values, *, extension=None):
         self.params = np.asarray(params, dtype=float)
         self.values = np.asarray(values)
         if self.params.ndim != 1 or self.params.shape != self.values.shape:
@@ -94,19 +95,12 @@ class BoundaryFunction:
                 raise ValueError(f"boundary data {name} must be finite")
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("parameters must be strictly increasing")
-        if domain not in ("circle", "line"):
-            raise ValueError(f"boundary data live on 'circle' or 'line', "
-                             f"not {domain!r}")
-        self.domain = domain
-        if domain == "circle":
-            if self.params[0] < 0 or self.params[-1] >= 2 * np.pi:
-                raise ValueError("circle parameters must cover [0, 2pi)")
         self.extension = extension
 
     @property
     def truncation(self):
-        """End of the sampled window on the line; None on the circle."""
-        return None if self.domain == "circle" else float(self.params[-1])
+        """End of the sampled window."""
+        return float(self.params[-1])
 
     @property
     def is_complex(self):
@@ -115,15 +109,11 @@ class BoundaryFunction:
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         xp, fp = self.params, self.values
-        if self.domain == "circle":  # closed over one turn from xp[0]
-            t = xp[0] + np.mod(t - xp[0], 2 * np.pi)
-            xp = np.append(xp, xp[0] + 2 * np.pi)
-            fp = np.append(fp, fp[0])
         out = np.interp(t, xp, fp.real)
         if self.is_complex:
             out = out + 1j * np.interp(t, xp, fp.imag)
         outside = ~((t >= xp[0]) & (t <= xp[-1]))
-        if self.domain == "line" and np.any(outside):
+        if np.any(outside):
             if self.extension is None:
                 raise ValueError(f"line data sampled on [{xp[0]:g}, "
                                  f"{xp[-1]:g}] has no extension beyond it")
@@ -166,7 +156,7 @@ class BoundaryHomeomorphism(BoundaryFunction):
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(values) <= 0):
             raise ValueError("homeomorphism values must be strictly increasing")
-        super().__init__(params, values, "line", extension)
+        super().__init__(params, values, extension=extension)
         if fix_tol is not None:
             defect = max(abs(float(self.eval(q)) - q) for q in (0.0, 1.0))
             if defect > fix_tol:
@@ -179,20 +169,18 @@ class BoundaryHomeomorphism(BoundaryFunction):
 
 
 def boundary_trace(f, n_samples=1024):
-    """Boundary values of a series, as circle data read at e^(i theta) on
-    n_samples angles, or of a half-plane self-map, as a line homeomorphism
+    """Boundary values of a half-plane self-map, as a line homeomorphism
     read through its spline on n_samples points of [-T, T], T = 0.85
     half-width of its grid, and through its far field beyond T (a composed
     map has none, and its trace has no extension).  The trace's extension
     holds the map's far field, not the map, so a trace keeps no chart or
-    spline alive.  A disk self-map or a plane map raises
-    DomainError; n_samples below 2 raises ValueError."""
+    spline alive.  A disk self-map or a plane map raises DomainError, and
+    anything but a solved map (a series too: besov_seminorm reads one on
+    the circle itself) TypeError; n_samples below 2 raises ValueError."""
     _check_count("boundary_trace n_samples", n_samples, 2)
-    if isinstance(f, HolomorphicFunction):
-        th = 2 * np.pi * np.arange(n_samples) / n_samples
-        return BoundaryFunction(th, f.eval(np.exp(1j * th)), "circle")
     if not isinstance(f, QuasiconformalMap):
-        raise TypeError("boundary_trace expects a map or holomorphic function")
+        raise TypeError(f"boundary_trace reads a solved half-plane map, "
+                        f"not {type(f).__name__}")
     if f.domain is not DomainTag.UPPER_HALF_PLANE:
         side = "disk self-" if f.domain is DomainTag.UNIT_DISK else "plane "
         raise DomainError("boundary_trace reads half-plane self-maps, not a "
@@ -233,14 +221,16 @@ def _offset_sums(vals, p, dth):
     return np.array(num) / (2 * np.sin(offsets * dth / 2)) ** 2
 
 
-def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
-    """p-Besov seminorm (iint |u(x1)-u(x2)|^p / |x1-x2|^2)^{1/p}.
+def besov_seminorm(u, p, levels=3, base_n=512) -> NormReport:
+    """p-Besov seminorm (iint |u(x1)-u(x2)|^p / |x1-x2|^2)^{1/p} of line
+    data (a BoundaryFunction) or of a series on the circle.
 
     Each level sums the pairs of n uniform angles one index offset at a
     time, each divided by its squared chord, leaving out those at most k
     samples apart (k = 2, 1): the band |theta1 - theta2| < (k + 1/2) dtheta
     of the midpoint rule, which Richardson in the band width removes.
-    Circle data are read at the angles 2 pi j / n, and n doubles per level.
+    A series (HolomorphicFunction) is read at e^(2 pi i j / n), and n
+    doubles per level.
     Line data are read at x = -cot(theta/2) on the half-shifted angles
     2 pi (j + 1/2) / n, which keep theta = 0 (x = infinity) off the grid;
     there dx1 dx2 / |x1 - x2|^2 is dtheta1 dtheta2 over the squared chord,
@@ -254,9 +244,9 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
     _check_count("besov_seminorm levels", levels)
     resolutions, values = [], []
     for lev in range(levels):
-        if u.domain == "circle":
+        if isinstance(u, HolomorphicFunction):
             n = base_n * 2 ** lev
-            vals = u.eval(2 * np.pi * np.arange(n) / n)
+            vals = u.eval(np.exp(2j * np.pi * np.arange(n) / n))
         else:
             n = base_n * 4 ** lev
             vals = u.eval(-1.0 / np.tan(np.pi * (np.arange(n) + 0.5) / n))
@@ -271,10 +261,10 @@ def besov_seminorm(u: BoundaryFunction, p, levels=3, base_n=512) -> NormReport:
 
 
 def _douglas_z():
-    """Besov 2-seminorm of the trace of z on 512 angles (2 pi by Douglas'
-    formula), and its ratio to the analytic Besov norm of z (2 sqrt(pi))."""
+    """Besov 2-seminorm of z on the circle (2 pi by Douglas' formula), and
+    its ratio to the analytic Besov norm of z (2 sqrt(pi))."""
     z = HolomorphicFunction([1], [1.0])
-    trace = besov_seminorm(boundary_trace(z, 512), 2).value
+    trace = besov_seminorm(z, 2).value
     return trace, trace / analytic_besov_norm(z, 2).value
 
 
@@ -571,10 +561,7 @@ def ba_extend(h: BoundaryHomeomorphism) -> BeltramiCoefficient:
     without changing any value.  Kernel edges beyond h's sampled window
     read h's extension; for a welding map that is its certified far-field
     Laurent series, so large heights and |x| cost no Newton inversion.
-    Circle data raise DomainError before any evaluation.
     """
-    if h.domain != "line":
-        raise DomainError(f"ba_extend extends line data, not {h.domain} data")
     dv = 2 * _GAUSS_CUTOFF / (_GAUSS_NODES - 1)
     edges = np.linspace(-_GAUSS_CUTOFF - dv / 2, _GAUSS_CUTOFF + dv / 2,
                         _GAUSS_NODES + 1)

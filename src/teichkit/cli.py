@@ -105,9 +105,9 @@ class ExperimentConfig:
                 f"grid n must be an int power of two >= 2, got {n!r}")
         for name, val in self.tolerances.items():
             _check_number(f"tolerance {name!r}", val)
-            if not val > 0:
-                raise ValueError(
-                    f"tolerance {name!r} must be a positive number, got {val!r}")
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"tolerance {name!r} must be a finite "
+                                 f"positive number, got {val!r}")
             if name not in command.tolerances:
                 raise ValueError(
                     f"tolerance {name!r} is not read by {self.command}")
@@ -123,6 +123,9 @@ class ExperimentConfig:
             _check_number("delta", delta)
             if not 0 < delta <= 1.0 / 3.0:
                 raise ValueError(f"delta must lie in (0, 1/3], got {delta!r}")
+        for key in ("family", "p_list"):
+            if self.extra.get(key) in ([], ()):
+                raise ValueError(f"{key} is an empty array: no row to emit")
         family = self.extra.get("family") or []
         for pair in family if isinstance(family, (list, tuple)) else [family]:
             is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -264,7 +267,7 @@ def _cmd_weld(cfg):
         xg = _welding_param_grid(N_BOUNDARY, 1.5 * T_BOUNDARY)
         for name, fn, x in (("f", weld.f_map, weld.h.params),
                             ("g", weld.g_map, xg)):
-            BoundaryFunction(x, fn(x.astype(complex)), "line").to_csv(
+            BoundaryFunction(x, fn(x.astype(complex))).to_csv(
                 cfg.output_path + f".{name}.csv")
     tol_c = _tol(cfg, "consistency")
     tol_i = _tol(cfg, "identity")
@@ -319,7 +322,7 @@ def _cmd_verify_all(cfg):
 
 def _cmd_constants(cfg):
     rows = estimate_constants(family_spec=cfg.extra.get("family"),
-                              p_list=cfg.extra.get("p_list", (2.0,)))
+                              p_list=cfg.extra.get("p_list", [cfg.p]))
     if cfg.output_path:
         write_constants_csv(rows, cfg.output_path)
     return ({"rows": rows},
@@ -490,8 +493,11 @@ def main(argv=None):
     tol = _parse_tol(args.tol)
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise SystemExit(f"--config {args.config}: {exc}") from None
     array = isinstance(raw, list)
     if array and not raw:
         raise SystemExit("--config array is empty: no run to make")

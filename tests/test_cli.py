@@ -391,6 +391,55 @@ def test_cli_rejects_tolerance_that_is_not_a_number():
         main(["solve", "--tol", "residual=abc"])
 
 
+@pytest.mark.parametrize("val", [math.inf, 0.0])
+def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(val):
+    # an infinite residual tolerance passed residual_ok for any residual
+    with pytest.raises(ValueError, match="tolerance 'residual' must be a "
+                                         "finite positive number"):
+        ExperimentConfig.from_dict({"command": "solve",
+                                    "tolerances": {"residual": val}})
+
+
+def test_cli_rejects_an_infinite_tolerance():
+    with pytest.raises(SystemExit, match="'residual' must be a finite "
+                                         "positive number, got inf"):
+        main(["solve", "--tol", "residual=inf"])
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file"),
+    ('{"command": "norm", "p": ', "Expecting value"),
+], ids=["missing", "truncated"])
+def test_cli_names_a_config_file_it_cannot_read(tmp_path, capsys, text,
+                                                reason):
+    # a missing or malformed file ended in a traceback from open/json.load
+    cpath = tmp_path / "config.json"
+    if text is not None:
+        cpath.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--config", str(cpath)])
+    msg = str(exc.value.code)
+    assert msg.startswith(f"--config {cpath}: ") and reason in msg
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key", ["family", "p_list"])
+def test_config_rejects_an_empty_family_or_p_list(key):
+    # an empty family ran the default family, an empty p_list emitted no row
+    with pytest.raises(ValueError, match=f"^{key} is an empty array"):
+        ExperimentConfig.from_dict({"command": "constants", key: []})
+
+
+def test_constants_p_flag_sets_the_rows_p():
+    # --p 3 reported p = 3 but its rows were the default p_list's, p = 2;
+    # an explicit p_list is kept
+    res = run(cfg("constants", p=3.0, family=[[0.1, 0.3]]))
+    assert [row["p"] for row in res.reports["rows"]] == [3.0]
+    assert res.reports["rows"][0]["douglas_p2"] == ""
+    res = run(cfg("constants", p=3.0, family=[[0.1, 0.3]], p_list=[1, 2]))
+    assert [row["p"] for row in res.reports["rows"]] == [1, 2]
+
+
 def test_run_determinism():
     c = cfg("norm", p=2.0)
     j1 = json.loads(run(c).to_json())

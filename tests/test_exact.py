@@ -11,8 +11,7 @@ from teichkit.boundary import besov_seminorm
 
 def log_derivative(k, r):
     """log h' of the closed-form welding, as line data read pointwise."""
-    return SimpleNamespace(domain="line",
-                           eval=lambda x: np.log(exact.welding(k, r, x)[1]))
+    return SimpleNamespace(eval=lambda x: np.log(exact.welding(k, r, x)[1]))
 
 
 def sn_welding(a, theta):
